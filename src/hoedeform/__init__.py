@@ -32,7 +32,6 @@ from .surfaces import (
     evaluate,
     inverse_project,
     lensmaker_focal,
-    profile_from_descriptor,
     project,
 )
 from .waves import Wave, WaveKind, Wavelength, interference_intensity, local_amplitude, local_wavevector
@@ -47,7 +46,7 @@ from .recording import (
     grating_period,
     record,
 )
-from .deformation import design_target_field, induce_forward, induce_inverse, resample_field, rescale
+from .deformation import induce_forward, induce_inverse, resample_field, rescale
 from .diffraction import (
     DiffractionResult,
     DiffractionStatus,

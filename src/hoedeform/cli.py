@@ -9,34 +9,40 @@ Verbs compose through the serialized field format:
     hoedeform scan   --config scene.json --out OUT        -> OUT/hits.csv, spots.csv, scan.json
     hoedeform run    --config scene.json --out OUT        -> full pipeline
 
+Each verb loads its inputs and calls the same stage function of
+``pipeline`` that ``run`` chains, so stepwise and one-shot outputs agree.
+
 Exit codes: 0 ok, 2 config error, 3 numeric/pipeline error. Errors are
-emitted as one JSON object on stderr. HOE_THREADS caps per-sample
-parallelism; --seed is accepted and ignored (reserved).
+emitted as one JSON object on stderr. --seed and the HOE_THREADS
+environment variable are accepted and ignored (reserved); a HOE_THREADS
+value that is not a positive integer is a config error for every verb.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .config import load_scene_config
-from .deformation import induce_forward, induce_inverse, rescale
+from .deformation import induce_inverse
 from .errors import ConfigError, HoedeformError
 from .fieldio import load_field, save_field
 from .pipeline import (
     DEFORMED_FILE,
     FIELD_FILE,
-    HITS_FILE,
     PLANAR_FILE,
     RAYS_FILE,
-    SCAN_FILE,
-    SPOTS_FILE,
+    analyze_stage,
+    deform_stage,
+    record_stage,
     run_scene,
+    trace_stage,
 )
 from .recording import record
-from .scene import focal_scan, intersect_plane, read_rays_csv, trace_field, write_hits_csv, write_rays_csv, write_spots_csv
+from .scene import read_rays_csv
 from .surfaces import Projection
 
 
@@ -81,14 +87,26 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
+def _check_thread_env() -> None:
+    """Validate the reserved HOE_THREADS variable; its value is not used."""
+    raw = os.environ.get("HOE_THREADS")
+    if raw is None:
+        return
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ConfigError(f"HOE_THREADS must be a positive integer, got {raw!r}") from None
+    if n < 1:
+        raise ConfigError(f"HOE_THREADS must be >= 1, got {n}")
+
+
 def _cmd_record(args) -> dict:
     cfg = load_scene_config(args.config)
     if cfg.recording is None:
         raise ConfigError("record: config needs a 'recording' section")
-    field = record(cfg.recording.w1, cfg.recording.w2, cfg.recording.carrier, cfg.recording.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_field(field, out / FIELD_FILE)
+    field = record_stage(cfg.recording, out)
     return {"written": [FIELD_FILE], "n_samples": len(field)}
 
 
@@ -97,13 +115,9 @@ def _cmd_deform(args) -> dict:
     if cfg.deformation is None:
         raise ConfigError("deform: config needs a 'deformation' section")
     out = Path(args.out)
-    src = Path(args.field) if args.field else out / FIELD_FILE
-    field = load_field(src)
-    deformed = induce_forward(field, cfg.deformation.target_profile, cfg.deformation.projection)
-    if cfg.deformation.rescale is not None:
-        deformed = rescale(deformed, cfg.deformation.rescale)
+    field = load_field(Path(args.field) if args.field else out / FIELD_FILE)
     out.mkdir(parents=True, exist_ok=True)
-    save_field(deformed, out / DEFORMED_FILE)
+    deformed = deform_stage(field, cfg.deformation, out)
     return {"written": [DEFORMED_FILE], "n_samples": len(deformed)}
 
 
@@ -133,9 +147,8 @@ def _cmd_trace(args) -> dict:
     else:
         src = out / DEFORMED_FILE if (out / DEFORMED_FILE).exists() else out / FIELD_FILE
     field = load_field(src)
-    records = trace_field(field, cfg.probe, mode=args.mode)
     out.mkdir(parents=True, exist_ok=True)
-    write_rays_csv(records, out / RAYS_FILE)
+    records = trace_stage(field, cfg.probe, args.mode, out)
     return {"written": [RAYS_FILE], "n_samples": len(records)}
 
 
@@ -146,35 +159,7 @@ def _cmd_scan(args) -> dict:
     out = Path(args.out)
     rays = read_rays_csv(Path(args.rays) if args.rays else out / RAYS_FILE)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if cfg.analysis.detector_z_mm:
-        planes = [intersect_plane(rays, z) for z in cfg.analysis.detector_z_mm]
-        write_hits_csv(planes, out / HITS_FILE)
-        written.append(HITS_FILE)
-    if cfg.analysis.focal_scan is not None:
-        spec = cfg.analysis.focal_scan
-        scan = focal_scan(rays, (spec.z_min, spec.z_max), spec.n_planes)
-        write_spots_csv(scan.reports, out / SPOTS_FILE)
-        written.append(SPOTS_FILE)
-        doc = {
-            "z_min_mm": spec.z_min,
-            "z_max_mm": spec.z_max,
-            "n_planes": spec.n_planes,
-            "plane_spacing_mm": scan.plane_spacing,
-            "z_min_rms_x_mm": scan.z_min_rms_x,
-            "z_min_rms_y_mm": scan.z_min_rms_y,
-            "z_min_rms_total_mm": scan.z_min_rms_total,
-            "astigmatism_mm": scan.astigmatism_mm,
-            "bracketed_x": scan.bracketed_x,
-            "bracketed_y": scan.bracketed_y,
-            "bracketed_total": scan.bracketed_total,
-            "n_rays_used": scan.n_rays_used,
-            "n_rays_excluded": scan.n_rays_excluded,
-        }
-        with open(out / SCAN_FILE, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        written.append(SCAN_FILE)
+    written, _ = analyze_stage(rays, cfg.analysis, out)
     if not written:
         raise ConfigError("scan: analysis section requests no detector planes and no focal scan")
     return {"written": written, "n_rays": len(rays)}
@@ -197,6 +182,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_thread_env()
         summary = _COMMANDS[args.verb](args)
     except ConfigError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)

@@ -13,12 +13,17 @@ Wave descriptors: {"kind": "plane", "dir": [x, y, z]},
 {"kind": "spherical_converging", "target_mm": [...]}; each may carry its own
 "lambda_nm" (defaulting to the top-level wavelength) and "amplitude".
 "projection" is the string "orthogonal" (the default) or
-{"center_z_mm": z}. Unknown keys anywhere are errors.
+{"center_z_mm": z}. Unknown keys anywhere are errors, and so are numbers
+that are not finite (JSON 1e400 reads as inf).
+
+The profile, grid and projection parsers here are the only decoders of
+those descriptors: field files (``fieldio``) use them too.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -75,12 +80,22 @@ def _check_keys(d: dict, allowed: set, ctx: str) -> None:
         raise ConfigError(f"{ctx}: unknown keys {sorted(extra)}")
 
 
+def _is_finite_number(v) -> bool:
+    """True for an int or float (not a bool) that is a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _number(d: dict, key: str, ctx: str) -> float:
     if key not in d:
         raise ConfigError(f"{ctx}: missing key {key!r}")
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{ctx}.{key}: expected a number, got {v!r}")
+    if not _is_finite_number(v):
+        raise ConfigError(f"{ctx}.{key}: expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -97,9 +112,8 @@ def _vec3(d: dict, key: str, ctx: str) -> Vec3:
     if key not in d:
         raise ConfigError(f"{ctx}: missing key {key!r}")
     v = d[key]
-    if not (isinstance(v, list) and len(v) == 3
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in v)):
-        raise ConfigError(f"{ctx}.{key}: expected a list of 3 numbers, got {v!r}")
+    if not (isinstance(v, list) and len(v) == 3 and all(_is_finite_number(c) for c in v)):
+        raise ConfigError(f"{ctx}.{key}: expected a list of 3 finite numbers, got {v!r}")
     return Vec3(float(v[0]), float(v[1]), float(v[2]))
 
 
@@ -126,7 +140,8 @@ def _parse_wave(d: dict, default_lambda: Wavelength, ctx: str) -> Wave:
     raise ConfigError(f"{ctx}.kind: unknown wave kind {kind!r}")
 
 
-def _parse_profile(d: dict, ctx: str) -> SurfaceProfile:
+def parse_profile(d: dict, ctx: str) -> SurfaceProfile:
+    """Surface profile from its descriptor (see ``SurfaceProfile.descriptor``)."""
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{ctx}: profile descriptor must be an object with a 'kind'")
     kind = d["kind"]
@@ -139,10 +154,12 @@ def _parse_profile(d: dict, ctx: str) -> SurfaceProfile:
             return SurfaceProfile.sphere_cap(_number(d, "radius_mm", ctx), _number(d, "domain_radius_mm", ctx))
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
-    raise ConfigError(f"{ctx}.kind: unknown profile kind {kind!r} (configs support 'planar' and 'sphere_cap')")
+    raise ConfigError(f"{ctx}.kind: unknown profile kind {kind!r} (descriptors support 'planar' and "
+                      "'sphere_cap'; custom_convex profiles carry callables and cannot be rebuilt)")
 
 
-def _parse_grid(d: dict, ctx: str) -> GridSpec:
+def parse_grid(d: dict, ctx: str) -> GridSpec:
+    """Polar or cartesian grid from its descriptor (see ``PolarGrid.descriptor``)."""
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{ctx}: grid descriptor must be an object with a 'kind'")
     kind = d["kind"]
@@ -152,7 +169,8 @@ def _parse_grid(d: dict, ctx: str) -> GridSpec:
             include_vertex = d.get("include_vertex", True)
             if not isinstance(include_vertex, bool):
                 raise ConfigError(f"{ctx}.include_vertex: expected a boolean")
-            s_max = _number(d, "s_max_mm", ctx) if "s_max_mm" in d else None
+            # PolarGrid.descriptor() writes null when the grid spans the carrier domain
+            s_max = None if d.get("s_max_mm") is None else _number(d, "s_max_mm", ctx)
             return PolarGrid(_integer(d, "n_s", ctx), _integer(d, "n_phi", ctx),
                              s_max=s_max, include_vertex=include_vertex)
         if kind == "cartesian":
@@ -164,7 +182,26 @@ def _parse_grid(d: dict, ctx: str) -> GridSpec:
     raise ConfigError(f"{ctx}.kind: unknown grid kind {kind!r}")
 
 
-def _parse_projection(v, ctx: str) -> Projection:
+def parse_field_grid(d: dict, ctx: str) -> GridSpec:
+    """Base lattice of a field's grid descriptor.
+
+    Induction wraps the source field's grid as {"kind": "induced" or
+    "induced_inverse", "projection": ..., "source_grid": ...}; the wrappers
+    are checked and unwrapped down to the polar or cartesian grid the
+    samples were laid out on.
+    """
+    while isinstance(d, dict) and d.get("kind") in ("induced", "induced_inverse"):
+        _check_keys(d, {"kind", "projection", "source_grid"}, ctx)
+        for key in ("projection", "source_grid"):
+            if key not in d:
+                raise ConfigError(f"{ctx}: missing key {key!r}")
+        parse_projection(d["projection"], f"{ctx}.projection")
+        d, ctx = d["source_grid"], f"{ctx}.source_grid"
+    return parse_grid(d, ctx)
+
+
+def parse_projection(v, ctx: str) -> Projection:
+    """Projection from its descriptor: "orthogonal" or {"center_z_mm": z}."""
     if v == "orthogonal":
         return Projection.orthogonal()
     if isinstance(v, dict):
@@ -196,8 +233,8 @@ def parse_scene_config(doc: dict) -> SceneConfig:
         recording = RecordingSpec(
             w1=_parse_wave(r["w1"], lam, "recording.w1"),
             w2=_parse_wave(r["w2"], lam, "recording.w2"),
-            carrier=_parse_profile(r["carrier"], "recording.carrier"),
-            grid=_parse_grid(r["grid"], "recording.grid"),
+            carrier=parse_profile(r["carrier"], "recording.carrier"),
+            grid=parse_grid(r["grid"], "recording.grid"),
         )
 
     deformation = None
@@ -206,13 +243,13 @@ def parse_scene_config(doc: dict) -> SceneConfig:
         _check_keys(dd, {"target_profile", "projection", "rescale"}, "deformation")
         if "target_profile" not in dd:
             raise ConfigError("deformation: missing key 'target_profile'")
-        projection = _parse_projection(dd["projection"], "deformation.projection") \
+        projection = parse_projection(dd["projection"], "deformation.projection") \
             if "projection" in dd else Projection.orthogonal()
         rescale = _number(dd, "rescale", "deformation") if "rescale" in dd else None
         if rescale is not None and rescale <= 0.0:
             raise ConfigError(f"deformation.rescale: must be > 0, got {rescale}")
         deformation = DeformationSpec(
-            target_profile=_parse_profile(dd["target_profile"], "deformation.target_profile"),
+            target_profile=parse_profile(dd["target_profile"], "deformation.target_profile"),
             projection=projection,
             rescale=rescale,
         )
@@ -226,8 +263,8 @@ def parse_scene_config(doc: dict) -> SceneConfig:
         detectors: Tuple[float, ...] = ()
         if "detector_z_mm" in a:
             v = a["detector_z_mm"]
-            if not (isinstance(v, list) and all(isinstance(z, (int, float)) and not isinstance(z, bool) for z in v)):
-                raise ConfigError("analysis.detector_z_mm: expected a list of numbers")
+            if not (isinstance(v, list) and all(_is_finite_number(z) for z in v)):
+                raise ConfigError("analysis.detector_z_mm: expected a list of finite numbers")
             detectors = tuple(float(z) for z in v)
         scan = None
         if "focal_scan" in a:

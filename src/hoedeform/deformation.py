@@ -22,12 +22,11 @@ import bisect
 import math
 from typing import Callable, Union
 
+from .config import parse_field_grid
 from .errors import DomainError, HoedeformError, NonPositiveFactor, NoPreimage
 from .geometry import FrameCoords, PolarPoint, Vec2, Vec3, build_frame, frame_decompose
-from .parallel import ordered_map
-from .recording import GratingSample, GratingVectorField, GridSpec, record
+from .recording import GratingSample, GratingVectorField, GridSpec, PolarGrid
 from .surfaces import Projection, SurfaceProfile, evaluate, inverse_project, project
-from .waves import Wave
 
 
 def _with_sample_context(i: int, smp: GratingSample, exc: HoedeformError) -> HoedeformError:
@@ -49,8 +48,7 @@ def induce_forward(
     if source.carrier.kind != "planar":
         raise ValueError("forward induction expects a field on a planar carrier")
 
-    def push(item: tuple[int, GratingSample]) -> GratingSample:
-        i, smp = item
+    def push(i: int, smp: GratingSample) -> GratingSample:
         try:
             q = project(proj, target_profile, smp.position)
         except HoedeformError as exc:
@@ -59,7 +57,7 @@ def induce_forward(
         frame = build_frame(target_profile, fp)
         return GratingSample(fp, q, frame, smp.coords, smp.magnitude)
 
-    samples = ordered_map(push, enumerate(source.samples))
+    samples = [push(i, smp) for i, smp in enumerate(source.samples)]
     grid = {"kind": "induced", "projection": proj.descriptor(), "source_grid": source.grid}
     return GratingVectorField(target_profile, tuple(samples), grid, source.wavelength_nm)
 
@@ -83,8 +81,7 @@ def induce_inverse(target: GratingVectorField, proj: Projection) -> GratingVecto
         plane_radius = d * cz / (cz - h_rim)
     planar = SurfaceProfile.planar(plane_radius)
 
-    def pull(item: tuple[int, GratingSample]) -> GratingSample:
-        i, smp = item
+    def pull(i: int, smp: GratingSample) -> GratingSample:
         try:
             p = inverse_project(proj, carrier, smp.position)
         except HoedeformError as exc:
@@ -93,7 +90,7 @@ def induce_inverse(target: GratingVectorField, proj: Projection) -> GratingVecto
         frame = build_frame(planar, fp)
         return GratingSample(fp, Vec3(p.x, p.y, 0.0), frame, smp.coords, smp.magnitude)
 
-    samples = ordered_map(pull, enumerate(target.samples))
+    samples = [pull(i, smp) for i, smp in enumerate(target.samples)]
     grid = {"kind": "induced_inverse", "projection": proj.descriptor(), "source_grid": target.grid}
     return GratingVectorField(planar, tuple(samples), grid, target.wavelength_nm)
 
@@ -117,23 +114,8 @@ def rescale(
         coords = FrameCoords(smp.coords.g1 * f, smp.coords.g2 * f, smp.coords.g3 * f)
         return GratingSample(smp.footprint, smp.position, smp.frame, coords, coords.magnitude())
 
-    samples = ordered_map(scale, field.samples)
+    samples = [scale(smp) for smp in field.samples]
     return GratingVectorField(field.carrier, tuple(samples), field.grid, field.wavelength_nm)
-
-
-def design_target_field(
-    probe: Wave,
-    desired: Wave,
-    carrier: SurfaceProfile,
-    grid: GridSpec,
-) -> GratingVectorField:
-    """Field that diffracts ``probe`` into ``desired`` exactly on ``carrier``.
-
-    At every sample, kg = k_desired(r) - k_probe(r); replaying ``probe``
-    through the basic closure then returns k_probe + kg = k_desired. This is
-    the same construction as recording with w1 = probe, w2 = desired.
-    """
-    return record(probe, desired, carrier, grid)
 
 
 def _lerp_coords(a: FrameCoords, b: FrameCoords, w: float) -> FrameCoords:
@@ -154,14 +136,10 @@ def resample_field(field: GratingVectorField, grid: GridSpec) -> GratingVectorFi
     radial range, with the vertex sample (if present) covering s below the
     innermost ring.
     """
-    base = field.grid
-    while isinstance(base, dict) and base.get("kind") in ("induced", "induced_inverse"):
-        base = base.get("source_grid")
-    if not (isinstance(base, dict) and base.get("kind") == "polar"):
+    base = parse_field_grid(field.grid, "grid")
+    if not isinstance(base, PolarGrid):
         raise ValueError("resampling requires a field with polar grid structure")
-    n_phi = base["n_phi"]
-    n_s = base["n_s"]
-    has_vertex = base.get("include_vertex", True)
+    n_phi, n_s, has_vertex = base.n_phi, base.n_s, base.include_vertex
 
     offset = 1 if has_vertex else 0
     if len(field.samples) != offset + n_s * n_phi:
@@ -201,4 +179,4 @@ def resample_field(field: GratingVectorField, grid: GridSpec) -> GratingVectorFi
         return GratingSample(p, pos, frame, coords, coords.magnitude())
 
     pts = grid.footprints(field.carrier.domain_radius)
-    return GratingVectorField(field.carrier, tuple(ordered_map(interp, pts)), grid.descriptor(), field.wavelength_nm)
+    return GratingVectorField(field.carrier, tuple(interp(p) for p in pts), grid.descriptor(), field.wavelength_nm)

@@ -1,5 +1,9 @@
 """End-to-end scene execution: record -> [deform] -> trace -> analyze.
 
+Each stage is one function that computes its result, writes it into the
+existing output directory and returns it. ``run_scene`` chains the stages;
+the CLI step verbs call the same functions on inputs loaded from files.
+
 All stages are deterministic: a given config produces byte-identical output
 files on every run (fixed sample ordering, no randomized iteration, fixed
 decimal formatting).
@@ -9,15 +13,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
-from .config import SceneConfig, load_scene_config
+from .config import AnalysisSpec, DeformationSpec, RecordingSpec, SceneConfig, load_scene_config
 from .deformation import induce_forward, rescale
 from .diffraction import DiffractionStatus
 from .errors import ConfigError
 from .fieldio import save_field
-from .recording import record
-from .scene import focal_scan, intersect_plane, trace_field, write_hits_csv, write_rays_csv, write_spots_csv
+from .recording import GratingVectorField, record
+from .scene import (Ray, TraceRecord, focal_scan, intersect_plane, trace_field, write_hits_csv, write_rays_csv,
+                    write_spots_csv)
+from .waves import Wave
 
 FIELD_FILE = "field.json"
 DEFORMED_FILE = "field_deformed.json"
@@ -34,6 +40,67 @@ def _write_json(doc: dict, path: Path) -> None:
         fh.write("\n")
 
 
+def record_stage(spec: RecordingSpec, out: Path) -> GratingVectorField:
+    """Record the field of ``spec`` and write OUT/field.json."""
+    field = record(spec.w1, spec.w2, spec.carrier, spec.grid)
+    save_field(field, out / FIELD_FILE)
+    return field
+
+
+def deform_stage(field: GratingVectorField, spec: DeformationSpec, out: Path) -> GratingVectorField:
+    """Push ``field`` onto the target profile, rescale it if asked, and write OUT/field_deformed.json."""
+    deformed = induce_forward(field, spec.target_profile, spec.projection)
+    if spec.rescale is not None:
+        deformed = rescale(deformed, spec.rescale)
+    save_field(deformed, out / DEFORMED_FILE)
+    return deformed
+
+
+def trace_stage(field: GratingVectorField, probe: Wave, mode: str, out: Path) -> List[TraceRecord]:
+    """Diffract ``probe`` through ``field`` and write OUT/rays.csv."""
+    records = trace_field(field, probe, mode=mode)
+    write_rays_csv(records, out / RAYS_FILE)
+    return records
+
+
+def analyze_stage(rays: Sequence[Ray], spec: AnalysisSpec, out: Path) -> Tuple[List[str], Optional[dict]]:
+    """Detector hits and focal scan of ``rays`` as ``spec`` asks.
+
+    Writes OUT/hits.csv for detector planes and OUT/spots.csv plus
+    OUT/scan.json for a focal scan. Returns the names written and the
+    scan.json document (None without a focal scan).
+    """
+    written = []
+    scan_summary = None
+    if spec.detector_z_mm:
+        planes = [intersect_plane(rays, z) for z in spec.detector_z_mm]
+        write_hits_csv(planes, out / HITS_FILE)
+        written.append(HITS_FILE)
+    if spec.focal_scan is not None:
+        fs = spec.focal_scan
+        scan = focal_scan(rays, (fs.z_min, fs.z_max), fs.n_planes)
+        write_spots_csv(scan.reports, out / SPOTS_FILE)
+        written.append(SPOTS_FILE)
+        scan_summary = {
+            "z_min_mm": fs.z_min,
+            "z_max_mm": fs.z_max,
+            "n_planes": fs.n_planes,
+            "plane_spacing_mm": scan.plane_spacing,
+            "z_min_rms_x_mm": scan.z_min_rms_x,
+            "z_min_rms_y_mm": scan.z_min_rms_y,
+            "z_min_rms_total_mm": scan.z_min_rms_total,
+            "astigmatism_mm": scan.astigmatism_mm,
+            "bracketed_x": scan.bracketed_x,
+            "bracketed_y": scan.bracketed_y,
+            "bracketed_total": scan.bracketed_total,
+            "n_rays_used": scan.n_rays_used,
+            "n_rays_excluded": scan.n_rays_excluded,
+        }
+        _write_json(scan_summary, out / SCAN_FILE)
+        written.append(SCAN_FILE)
+    return written, scan_summary
+
+
 def run_scene(config_path, out_dir, mode: str = "energy") -> dict:
     """Execute the full pipeline described by a scene config.
 
@@ -48,58 +115,23 @@ def run_scene(config_path, out_dir, mode: str = "energy") -> dict:
         raise ConfigError("run: config needs a 'probe' section")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = []
+    files = [FIELD_FILE]
 
-    field = record(cfg.recording.w1, cfg.recording.w2, cfg.recording.carrier, cfg.recording.grid)
-    save_field(field, out / FIELD_FILE)
-    files.append(FIELD_FILE)
-
-    final = field
+    field = record_stage(cfg.recording, out)
     if cfg.deformation is not None:
-        deformed = induce_forward(field, cfg.deformation.target_profile, cfg.deformation.projection)
-        if cfg.deformation.rescale is not None:
-            deformed = rescale(deformed, cfg.deformation.rescale)
-        save_field(deformed, out / DEFORMED_FILE)
+        field = deform_stage(field, cfg.deformation, out)
         files.append(DEFORMED_FILE)
-        final = deformed
-
-    records = trace_field(final, cfg.probe, mode=mode)
-    write_rays_csv(records, out / RAYS_FILE)
+    records = trace_stage(field, cfg.probe, mode, out)
     files.append(RAYS_FILE)
-    rays = [rec.ray for rec in records if rec.ray is not None]
 
     counts = {status.value: 0 for status in DiffractionStatus}
     for rec in records:
         counts[rec.status.value] += 1
 
-    scan_summary: Optional[dict] = None
+    scan_summary = None
     if cfg.analysis is not None:
-        if cfg.analysis.detector_z_mm:
-            planes = [intersect_plane(rays, z) for z in cfg.analysis.detector_z_mm]
-            write_hits_csv(planes, out / HITS_FILE)
-            files.append(HITS_FILE)
-        if cfg.analysis.focal_scan is not None:
-            spec = cfg.analysis.focal_scan
-            scan = focal_scan(rays, (spec.z_min, spec.z_max), spec.n_planes)
-            write_spots_csv(scan.reports, out / SPOTS_FILE)
-            files.append(SPOTS_FILE)
-            scan_summary = {
-                "z_min_mm": spec.z_min,
-                "z_max_mm": spec.z_max,
-                "n_planes": spec.n_planes,
-                "plane_spacing_mm": scan.plane_spacing,
-                "z_min_rms_x_mm": scan.z_min_rms_x,
-                "z_min_rms_y_mm": scan.z_min_rms_y,
-                "z_min_rms_total_mm": scan.z_min_rms_total,
-                "astigmatism_mm": scan.astigmatism_mm,
-                "bracketed_x": scan.bracketed_x,
-                "bracketed_y": scan.bracketed_y,
-                "bracketed_total": scan.bracketed_total,
-                "n_rays_used": scan.n_rays_used,
-                "n_rays_excluded": scan.n_rays_excluded,
-            }
-            _write_json(scan_summary, out / SCAN_FILE)
-            files.append(SCAN_FILE)
+        written, scan_summary = analyze_stage([rec.ray for rec in records if rec.ray is not None], cfg.analysis, out)
+        files.extend(written)
 
     return {
         "files": files,

@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Tuple, Union
 
 from .errors import PointNotOnEllipsoid, ZeroGrating
 from .geometry import Frame, FrameCoords, PolarPoint, Vec2, Vec3, build_frame, frame_decompose, frame_recompose
-from .parallel import ordered_map
 from .surfaces import DOMAIN_GUARD, SurfaceProfile, evaluate
 from .units import path_mm_to_um
 from .waves import Wave, WaveKind, local_wavevector, require_same_wavelength
@@ -106,27 +105,6 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def grid_from_descriptor(desc: dict) -> GridSpec:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ValueError(f"invalid grid descriptor: {desc!r}")
-    kind = desc.get("kind")
-    if kind == "polar":
-        extra = set(desc) - {"kind", "n_s", "n_phi", "s_max_mm", "include_vertex"}
-        if extra:
-            raise ValueError(f"unknown keys in polar grid descriptor: {sorted(extra)}")
-        return PolarGrid(
-            desc["n_s"], desc["n_phi"],
-            s_max=desc.get("s_max_mm"),
-            include_vertex=desc.get("include_vertex", True),
-        )
-    if kind == "cartesian":
-        extra = set(desc) - {"kind", "n_x", "n_y", "half_width_mm"}
-        if extra:
-            raise ValueError(f"unknown keys in cartesian grid descriptor: {sorted(extra)}")
-        return CartesianGrid(desc["n_x"], desc["n_y"], desc["half_width_mm"])
-    raise ValueError(f"unknown grid kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class GratingSample:
     """One sampled point of an HOE microstructure.
@@ -199,8 +177,8 @@ def record(w1: Wave, w2: Wave, carrier: SurfaceProfile, grid: GridSpec) -> Grati
         coords = frame_decompose(kg, frame)
         return GratingSample(p, pos, frame, coords, coords.magnitude())
 
-    samples = ordered_map(make, grid.footprints(carrier.domain_radius))
-    return GratingVectorField(carrier, tuple(samples), grid.descriptor(), w1.wavelength.lambda_nm)
+    samples = tuple(make(p) for p in grid.footprints(carrier.domain_radius))
+    return GratingVectorField(carrier, samples, grid.descriptor(), w1.wavelength.lambda_nm)
 
 
 def grating_period(kg: Vec3) -> float:

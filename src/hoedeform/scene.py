@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange
 from .geometry import PolarPoint, Vec2, Vec3
 from .diffraction import DiffractionResult, DiffractionStatus, EfficiencyHook, diffract_sample
-from .parallel import ordered_map
 from .recording import GratingVectorField
 from .waves import Wave
 
@@ -63,15 +62,14 @@ def trace_field(
 ) -> List[TraceRecord]:
     """Diffract ``probe`` at every sample of ``field`` and emit rays."""
 
-    def one(item) -> TraceRecord:
-        i, smp = item
+    def one(i: int, smp) -> TraceRecord:
         res = diffract_sample(smp, probe, mode=mode, efficiency=efficiency)
         ray = None
         if res.status is not DiffractionStatus.EVANESCENT:
             ray = Ray(smp.position, res.kd.normalized(), res.eta)
         return TraceRecord(i, smp.footprint, smp.position, res.status, ray, res)
 
-    return ordered_map(one, enumerate(field.samples))
+    return [one(i, smp) for i, smp in enumerate(field.samples)]
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,8 @@ class SurfaceProfile:
         return prof
 
     def descriptor(self) -> dict:
-        """JSON-serializable description; custom profiles are not reloadable."""
+        """JSON-serializable description (decoded by ``config.parse_profile``);
+        custom profiles are not reloadable."""
         if self.kind == "planar":
             return {"kind": "planar", "domain_radius_mm": self.domain_radius}
         if self.kind == "sphere_cap":
@@ -111,31 +112,6 @@ class SurfaceProfile:
             raise DomainError(f"radial coordinate must be finite and >= 0, got {s}")
         if s > self.domain_radius + DOMAIN_GUARD * max(1.0, self.domain_radius):
             raise DomainError(f"s = {s} outside profile domain (radius {self.domain_radius})")
-
-
-def profile_from_descriptor(desc: dict) -> SurfaceProfile:
-    """Rebuild a profile from its descriptor dict (planar or sphere_cap)."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ValueError(f"invalid profile descriptor: {desc!r}")
-    kind = desc["kind"]
-    if kind == "planar":
-        _require_keys(desc, {"kind", "domain_radius_mm"})
-        return SurfaceProfile.planar(desc["domain_radius_mm"])
-    if kind == "sphere_cap":
-        _require_keys(desc, {"kind", "radius_mm", "domain_radius_mm"})
-        return SurfaceProfile.sphere_cap(desc["radius_mm"], desc["domain_radius_mm"])
-    if kind == "custom_convex":
-        raise ValueError("custom_convex profiles carry callables and cannot be rebuilt from a descriptor")
-    raise ValueError(f"unknown profile kind {kind!r}")
-
-
-def _require_keys(desc: dict, allowed: set) -> None:
-    extra = set(desc) - allowed
-    if extra:
-        raise ValueError(f"unknown keys in profile descriptor: {sorted(extra)}")
-    missing = allowed - set(desc)
-    if missing:
-        raise ValueError(f"missing keys in profile descriptor: {sorted(missing)}")
 
 
 def _check_profile_samples(profile: SurfaceProfile, check_slope: bool) -> None:

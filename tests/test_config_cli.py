@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from hoedeform.config import load_scene_config, parse_scene_config
+from hoedeform.config import load_scene_config, parse_grid, parse_scene_config
 from hoedeform.errors import ConfigError
+from hoedeform.recording import CartesianGrid, PolarGrid
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CONFIG_DIR = SRC / "hoedeform" / "configs"
@@ -111,6 +112,10 @@ class TestConfigParsing:
         lambda d: d["deformation"].update({"rescale": -0.5}),
         lambda d: d["analysis"]["focal_scan"].update({"n": 2}),
         lambda d: d["deformation"].update({"projection": {"center_z_mm": -5.0}}),
+        # JSON 1e400 reads as inf; non-finite numbers are config errors at parse time
+        lambda d: d["analysis"].update({"detector_z_mm": [1e400]}),
+        lambda d: d["analysis"]["focal_scan"].update({"z_max": 1e400}),
+        lambda d: d["deformation"].update({"rescale": 1e400}),
     ])
     def test_invalid_values_rejected(self, mutate):
         doc = base_config()
@@ -121,6 +126,14 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_scene_config(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("grid", [
+        PolarGrid(3, 6),  # descriptor carries "s_max_mm": null
+        PolarGrid(2, 4, s_max=5.0, include_vertex=False),
+        CartesianGrid(4, 5, 7.0),
+    ])
+    def test_grid_descriptor_round_trip(self, grid):
+        assert parse_grid(grid.descriptor(), "grid") == grid
 
 
 class TestCliFlows:
@@ -213,12 +226,15 @@ class TestThreadEnv:
         for name in ("field.json", "field_deformed.json", "rays.csv", "spots.csv"):
             assert (out1 / name).read_bytes() == (out4 / name).read_bytes(), name
 
-    def test_invalid_thread_count_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("verb", ["record", "scan", "run"])
+    def test_invalid_thread_count_is_config_error(self, tmp_path, verb):
         cfg = tmp_path / "scene.json"
         cfg.write_text(json.dumps(base_config()))
-        res = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                      env_extra={"HOE_THREADS": "many"})
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)).returncode == 0
+        res = run_cli(verb, "--config", str(cfg), "--out", str(out), env_extra={"HOE_THREADS": "many"})
         assert res.returncode == 2
+        assert "HOE_THREADS" in json.loads(res.stderr)["error"]["message"]
 
 
 class TestShippedConfigs:

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from hoedeform.deformation import induce_forward
+from hoedeform import cli
+from hoedeform.deformation import induce_forward, induce_inverse
 from hoedeform.errors import ConfigError
 from hoedeform.fieldio import field_from_dict, field_to_dict, load_field, save_field
 from hoedeform.geometry import Vec3
@@ -41,13 +42,17 @@ def test_save_load_round_trip_bit_exact(tmp_path, carrier, grid):
     _assert_identical(field, back)
 
 
-def test_induced_field_round_trip(tmp_path):
+@pytest.mark.parametrize("induce", [
+    lambda f: induce_forward(f, SurfaceProfile.sphere_cap(50.0, 10.0), Projection.from_center_z(300.0)),
+    lambda f: induce_inverse(f, Projection.from_center_z(300.0)),
+], ids=["induced", "induced_inverse"])
+def test_induced_field_round_trip(tmp_path, induce):
     field = record(Wave.diverging(Vec3(-30, 0, -40), LAM), Wave.converging(Vec3(0, 0, 80), LAM),
                    SurfaceProfile.planar(10.0), PolarGrid(4, 8))
-    deformed = induce_forward(field, SurfaceProfile.sphere_cap(50.0, 10.0), Projection.from_center_z(300.0))
-    path = tmp_path / "deformed.json"
-    save_field(deformed, path)
-    _assert_identical(deformed, load_field(path))
+    induced = induce(field)
+    path = tmp_path / "induced.json"
+    save_field(induced, path)
+    _assert_identical(induced, load_field(path))
 
 
 def test_unknown_header_key_rejected():
@@ -92,11 +97,42 @@ def test_custom_carrier_not_reloadable(tmp_path):
         load_field(path)
 
 
-def test_tampered_position_rejected(tmp_path):
-    field = record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(2, 4))
+DEFORM_CONFIG = {
+    "wavelength": {"lambda_nm": 500.0},
+    "deformation": {"target_profile": {"kind": "sphere_cap", "radius_mm": 50.0, "domain_radius_mm": 10.0}},
+}
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda d: d["samples"][0]["pos"].__setitem__(2, 5.0),
+    lambda d: d.__setitem__("samples", 5),
+    lambda d: d["samples"].__setitem__(1, 5),
+    lambda d: d.__setitem__("wavelength_nm", "x"),
+    lambda d: d.__setitem__("wavelength_nm", -5),
+    lambda d: d.__setitem__("wavelength_nm", float("inf")),
+    lambda d: d.__setitem__("grid", [1]),
+    lambda d: d.__setitem__("grid", {"kind": "induced", "projection": "orthogonal", "source_grid": [1]}),
+    lambda d: d.__setitem__("grid", {"kind": "induced", "projection": "sideways", "source_grid": d["grid"]}),
+    lambda d: d["samples"][1].__setitem__("s", True),  # sample 1 sits at s = 1.0, phi = 0
+    lambda d: d["samples"][2].__setitem__("g", [True, 0.0, 0.0]),
+    lambda d: d["carrier"].__setitem__("domain_radius_mm", "10"),
+], ids=["pos_off_carrier", "samples_not_list", "sample_not_object", "wavelength_string", "wavelength_negative",
+        "wavelength_inf", "grid_list", "source_grid_list", "bad_projection", "s_bool", "g_bool",
+        "carrier_radius_string"])
+def test_tampered_document_rejected(tmp_path, capsys, tamper):
+    field = record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(2, 4, s_max=2.0))
     path = tmp_path / "field.json"
     save_field(field, path)
     doc = json.loads(path.read_text())
-    doc["samples"][0]["pos"][2] = 5.0
+    tamper(doc)
     with pytest.raises(ConfigError):
         field_from_dict(doc)
+    # the CLI maps the same document to exit 2 and a one-line JSON error
+    path.write_text(json.dumps(doc))
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps(DEFORM_CONFIG))
+    capsys.readouterr()
+    code = cli.main(["deform", "--config", str(cfg), "--out", str(tmp_path / "o"), "--field", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and json.loads(err)["error"]["type"] == "ConfigError"

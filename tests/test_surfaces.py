@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hoedeform.errors import DomainError, NoIntersection, NoPreimage, NotOnSurface
+from hoedeform.config import parse_profile
+from hoedeform.errors import ConfigError, DomainError, NoIntersection, NoPreimage, NotOnSurface
 from hoedeform.geometry import Vec2, Vec3
 from hoedeform.surfaces import (
     LensSpec,
@@ -13,7 +14,6 @@ from hoedeform.surfaces import (
     evaluate,
     inverse_project,
     lensmaker_focal,
-    profile_from_descriptor,
     project,
 )
 
@@ -85,14 +85,14 @@ class TestProfiles:
 
     def test_descriptor_round_trip(self):
         for prof in (FLAT, CAP50):
-            back = profile_from_descriptor(prof.descriptor())
+            back = parse_profile(prof.descriptor(), "profile")
             assert back.kind == prof.kind
             assert back.domain_radius == prof.domain_radius
 
     def test_custom_descriptor_not_reloadable(self):
         prof = SurfaceProfile.custom_convex(lambda s: s * s / 40.0, 10.0)
-        with pytest.raises(ValueError):
-            profile_from_descriptor(prof.descriptor())
+        with pytest.raises(ConfigError):
+            parse_profile(prof.descriptor(), "profile")
 
 
 class TestProjection:
