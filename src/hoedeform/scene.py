@@ -13,9 +13,10 @@ CSV emission is deterministic: fixed sample ordering, decimal values with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange
 from .geometry import PolarPoint, Vec2, Vec3
@@ -119,8 +120,11 @@ class SpotReport:
 class FocalScanResult:
     """Spot reports over a z range plus the located RMS minima.
 
-    ``bracketed_*`` report whether each minimum is interior to the scan
-    range (a boundary minimum means the true focus may lie outside).
+    ``z_min_rms_*`` are the scan planes with the smallest RMS spot sizes;
+    ``bracketed_*`` report whether each is interior to the scan range (a
+    boundary minimum means the true focus may lie outside). ``z_star_*``
+    are the exact minima of the RMS curves, wherever they lie, or None when
+    the ray slopes do not vary along that axis (the spot size is constant).
     """
 
     reports: Tuple[SpotReport, ...]
@@ -134,28 +138,37 @@ class FocalScanResult:
     plane_spacing: float
     n_rays_used: int
     n_rays_excluded: int
+    z_star_x: Optional[float]
+    z_star_y: Optional[float]
+    z_star_total: Optional[float]
 
 
-def _spot(points: List[Tuple[float, float]], z: float) -> SpotReport:
-    n = len(points)
-    cx = sum(p[0] for p in points) / n
-    cy = sum(p[1] for p in points) / n
-    vx = sum((p[0] - cx) ** 2 for p in points) / n
-    vy = sum((p[1] - cy) ** 2 for p in points) / n
-    rx, ry = math.sqrt(vx), math.sqrt(vy)
-    return SpotReport(z, Vec2(cx, cy), rx, ry, math.sqrt(vx + vy))
+def _variance_curve(ac: np.ndarray, bc: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, Optional[float]]:
+    """Spot variance mean((ac + bc*z)^2) on the planes ``z`` and its exact minimum.
 
-
-def _argmin(values: List[float]) -> int:
-    best = 0
-    for i, v in enumerate(values):
-        if v < values[best]:
-            best = i
-    return best
+    ``ac`` and ``bc`` are centred intercepts and slopes (rays x columns; the
+    columns add up). The quadratic is expanded around its minimum z*, clamped
+    to the scan range, so the focus itself is computed without cancellation.
+    z* is None when every slope is the same.
+    """
+    var_b = float(np.mean(bc * bc, axis=0).sum())
+    z_star = -float(np.mean(ac * bc, axis=0).sum()) / var_b if var_b > 0.0 else None
+    z_e = 0.0 if z_star is None else min(max(z_star, float(z[0])), float(z[-1]))
+    u = ac + bc * z_e
+    m0 = float(np.mean(u * u, axis=0).sum())
+    c1 = float(np.mean(u * bc, axis=0).sum())
+    dz = z - z_e
+    return np.maximum(m0 + 2.0 * dz * c1 + dz * dz * var_b, 0.0), z_star
 
 
 def focal_scan(rays: Sequence[Ray], z_range: Tuple[float, float], n_planes: int) -> FocalScanResult:
-    """Scan n_planes detector planes across z_range and locate spot minima.
+    """Spot sizes on n_planes detector planes across z_range and their minima.
+
+    Each ray crosses the plane z at (x, y) = a + b*z, so the centroid is
+    affine in z and the spot variance per axis is a quadratic in z, computed
+    from the moments of the centred a and b (no per-plane projection). The
+    planes are z_min + spacing*i; the reported minima are the planes with the
+    smallest RMS sizes, and ``z_star_*`` the exact minima of the quadratics.
 
     Rays must propagate toward +z with the whole range forward of their
     origins; rays with dz <= 0 (or parallel) are excluded and counted.
@@ -176,21 +189,31 @@ def focal_scan(rays: Sequence[Ray], z_range: Tuple[float, float], n_planes: int)
         raise ValueError(f"scan range must start forward of all ray origins (z_min {z_lo} <= origin z {max_oz})")
 
     spacing = (z_hi - z_lo) / (n_planes - 1)
-    reports = []
-    for i in range(n_planes):
-        z = z_lo + spacing * i
-        pts = []
-        for ray in usable:
-            t = (z - ray.origin.z) / ray.direction.z
-            pts.append((ray.origin.x + t * ray.direction.x, ray.origin.y + t * ray.direction.y))
-        reports.append(_spot(pts, z))
+    z = z_lo + spacing * np.arange(n_planes, dtype=float)
+    o = np.array([(r.origin.x, r.origin.y, r.origin.z) for r in usable])
+    d = np.array([(r.direction.x, r.direction.y, r.direction.z) for r in usable])
+    # rays far out of scale overflow the moments: a numeric error, not nan spots
+    with np.errstate(over="raise", invalid="raise"):
+        b = d[:, :2] / d[:, 2:]
+        a = o[:, :2] - o[:, 2:] * b
+        a_mean, b_mean = a.mean(axis=0), b.mean(axis=0)
+        ac, bc = a - a_mean, b - b_mean
+        # identical slopes centre to exactly zero, so a parallel bundle has no z*
+        bc[:, b.min(axis=0) == b.max(axis=0)] = 0.0
+        var_x, zs_x = _variance_curve(ac[:, :1], bc[:, :1], z)
+        var_y, zs_y = _variance_curve(ac[:, 1:], bc[:, 1:], z)
+        _, zs_t = _variance_curve(ac, bc, z)
+        rms_x, rms_y, rms_t = np.sqrt(var_x), np.sqrt(var_y), np.sqrt(var_x + var_y)
+        cx, cy = a_mean[0] + b_mean[0] * z, a_mean[1] + b_mean[1] * z
+    reports = tuple(
+        SpotReport(zi, Vec2(xi, yi), rx, ry, rt)
+        for zi, xi, yi, rx, ry, rt in zip(z.tolist(), cx.tolist(), cy.tolist(),
+                                           rms_x.tolist(), rms_y.tolist(), rms_t.tolist())
+    )
+    ix, iy, it = int(np.argmin(rms_x)), int(np.argmin(rms_y)), int(np.argmin(rms_t))
 
-    rms_x = [r.rms_x for r in reports]
-    rms_y = [r.rms_y for r in reports]
-    rms_t = [r.rms_total for r in reports]
-    ix, iy, it = _argmin(rms_x), _argmin(rms_y), _argmin(rms_t)
-
-    flat = max(rms_t) - min(rms_t) <= 1e-12 * max(1e-300, max(rms_t))
+    top = float(rms_t.max())
+    flat = top - float(rms_t.min()) <= 1e-12 * max(1e-300, top)
     interior = 0 < it < n_planes - 1
     if flat or not interior:
         raise NoMinimumInRange(
@@ -198,7 +221,7 @@ def focal_scan(rays: Sequence[Ray], z_range: Tuple[float, float], n_planes: int)
             + (" (constant bundle width)" if flat else "")
         )
     return FocalScanResult(
-        reports=tuple(reports),
+        reports=reports,
         z_min_rms_x=reports[ix].z,
         z_min_rms_y=reports[iy].z,
         z_min_rms_total=reports[it].z,
@@ -209,6 +232,9 @@ def focal_scan(rays: Sequence[Ray], z_range: Tuple[float, float], n_planes: int)
         plane_spacing=spacing,
         n_rays_used=len(usable),
         n_rays_excluded=excluded,
+        z_star_x=zs_x,
+        z_star_y=zs_y,
+        z_star_total=zs_t,
     )
 
 
@@ -250,7 +276,11 @@ def write_rays_csv(records: Sequence[TraceRecord], path) -> None:
 
 
 def read_rays_csv(path) -> List[Ray]:
-    """Rays (propagating and pass-through rows) from a rays.csv file."""
+    """Rays (propagating and pass-through rows) from a rays.csv file.
+
+    Every row needs a known status; evanescent rows, and only they, have an
+    empty direction and yield no ray. A malformed row is a ConfigError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -258,20 +288,26 @@ def read_rays_csv(path) -> List[Ray]:
         raise ConfigError(f"rays file not found: {path}") from exc
     if not lines or lines[0] != RAYS_HEADER:
         raise ConfigError(f"rays file {path} missing header {RAYS_HEADER!r}")
+    statuses = {status.value for status in DiffractionStatus}
     rays = []
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 10:
             raise ConfigError(f"rays file {path} line {ln}: expected 10 fields, got {len(parts)}")
-        if parts[5] == "":
-            continue  # evanescent row
+        status = parts[8]
+        if status not in statuses:
+            raise ConfigError(f"rays file {path} line {ln}: unknown status {status!r}")
+        evanescent = status == DiffractionStatus.EVANESCENT.value
+        if evanescent != (parts[5:8] == ["", "", ""]):
+            raise ConfigError(f"rays file {path} line {ln}: the direction must be empty exactly on evanescent rows")
+        if evanescent:
+            continue
         try:
             origin = Vec3(float(parts[2]), float(parts[3]), float(parts[4]))
             direction = Vec3(float(parts[5]), float(parts[6]), float(parts[7]))
-            weight = float(parts[9])
+            rays.append(Ray(origin, direction, float(parts[9])))
         except ValueError as exc:
             raise ConfigError(f"rays file {path} line {ln}: {exc}") from exc
-        rays.append(Ray(origin, direction, weight))
     return rays
 
 

@@ -10,10 +10,9 @@ makes the central projection bijective onto its image.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoIntersection, NoPreimage, NotOnSurface
 from .geometry import Vec2, Vec3
@@ -24,6 +23,10 @@ DOMAIN_GUARD = 1e-9
 
 # Number of radial samples used by the construction-time profile checks.
 _CHECK_SAMPLES = 129
+
+# Iteration cap of the custom-profile projection solve. The root lies in
+# [1 - h_max/Cz, 1], where bisection alone reaches one ulp in about 55 steps.
+_MAX_ROOT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -200,12 +203,57 @@ def evaluate(profile: SurfaceProfile, xy: Vec2) -> Vec3:
     return Vec3(xy.x, xy.y, profile.radial_height(s))
 
 
+def _sphere_cap_root(cz: float, radius: float, rp: float) -> float:
+    """Segment parameter where C + tau*(p - C) meets the lower cap of the sphere.
+
+    With z = (1 - tau)*Cz and s = tau*rp, the sphere s^2 + (z - R)^2 = R^2
+    becomes A tau^2 - 2 B tau + c = 0, A = rp^2 + Cz^2, B = Cz (Cz - R),
+    c = Cz (Cz - 2R), whose discriminant is B^2 - A c = Cz (Cz R^2 - rp^2 (Cz - 2R)).
+    The lower cap is the larger root (B + sqrt(disc))/A, taken as
+    c / (B - sqrt(disc)) when B < 0 so that neither form subtracts
+    nearly equal numbers.
+    """
+    b = cz * (cz - radius)
+    root = math.sqrt(max(cz * (cz * radius * radius - rp * rp * (cz - 2.0 * radius)), 0.0))
+    if b >= 0.0:
+        return (b + root) / (rp * rp + cz * cz)
+    return cz * (cz - 2.0 * radius) / (b - root)
+
+
+def _bracketed_root(gap: Callable[[float], float], dgap: Callable[[float], float], hi: float) -> float:
+    """Root of ``gap`` in [0, hi] given gap(0) > 0 >= gap(hi).
+
+    Newton steps from ``hi``; a step that leaves the shrinking sign-change
+    bracket is replaced by bisection. Stops when a step moves tau by at most
+    four ulps.
+    """
+    lo, tau = 0.0, hi
+    for _ in range(_MAX_ROOT_STEPS):
+        g = gap(tau)
+        if g == 0.0:
+            return tau
+        if g > 0.0:
+            lo = tau
+        else:
+            hi = tau
+        d = dgap(tau)
+        nxt = tau - g / d if d != 0.0 else None
+        if nxt is None or not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - tau) <= 4.0 * sys.float_info.epsilon * abs(nxt):
+            return nxt
+        tau = nxt
+    return tau
+
+
 def project(proj: Projection, profile: SurfaceProfile, p: Vec3) -> Vec3:
     """Map the plane point ``p`` (z = 0) onto the graph of ``profile``.
 
     Orthogonal: (x, y, h(|p|)). Central: the unique intersection of the
-    segment from the center C to p with the graph, found by a bracketed
-    root solve on the segment parameter followed by a Newton polish.
+    segment from the center C to p with the graph. On a sphere cap it is the
+    closed-form line-sphere root; on a custom profile a safeguarded
+    Newton-bisection solve on the segment parameter. Either is followed by
+    one Newton polish step.
 
     Raises DomainError if p is not in the plane (or, orthogonally, outside
     the domain) and NoIntersection if the segment misses the graph inside
@@ -234,6 +282,9 @@ def project(proj: Projection, profile: SurfaceProfile, p: Vec3) -> Vec3:
     def gap(tau: float) -> float:
         return (1.0 - tau) * cz - profile.radial_height(min(tau * rp, d_dom))
 
+    def dgap(tau: float) -> float:
+        return -cz - profile.radial_slope(min(tau * rp, d_dom)) * rp
+
     tau_hi = min(1.0, (d_dom / rp) * (1.0 + DOMAIN_GUARD))
     g_hi = gap(tau_hi)
     if g_hi > 0.0:
@@ -243,9 +294,12 @@ def project(proj: Projection, profile: SurfaceProfile, p: Vec3) -> Vec3:
     if g_hi == 0.0:
         tau = tau_hi
     else:
-        tau = brentq(gap, 0.0, tau_hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        if profile.kind == "sphere_cap":
+            tau = min(_sphere_cap_root(cz, profile.radius, rp), tau_hi)
+        else:
+            tau = _bracketed_root(gap, dgap, tau_hi)
         # one Newton step sharpens the root to machine precision
-        dg = -cz - profile.radial_slope(min(tau * rp, d_dom)) * rp
+        dg = dgap(tau)
         if dg != 0.0:
             tau_n = tau - gap(tau) / dg
             if 0.0 <= tau_n <= tau_hi:

@@ -237,6 +237,16 @@ class TestThreadEnv:
         assert "HOE_THREADS" in json.loads(res.stderr)["error"]["message"]
 
 
+def test_runtime_does_not_import_scipy():
+    # scipy is a test-only dependency (a slow reference for the projection)
+    code = "import sys, hoedeform, hoedeform.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", [
         "plane_wave_planar.json",

@@ -1,7 +1,7 @@
-"""Input boundary fuzzing: a mutated config or field file never escapes as a traceback.
+"""Input boundary fuzzing: a mutated config, field or rays file never escapes as a traceback.
 
 Hypothesis replaces, deletes or adds one value anywhere in a valid document
-and runs the CLI in-process on it. Every outcome must be exit 0, 2 (config
+(one cell or row of a rays.csv) and runs the CLI in-process on it. Every outcome must be exit 0, 2 (config
 or input error) or 3 (numeric error), with errors as one JSON line on
 stderr. Integers stay small so a mutated grid or scan size cannot make a run
 slow.
@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from hoedeform import cli
 from hoedeform.config import parse_scene_config
+from hoedeform.deformation import induce_forward
 from hoedeform.fieldio import field_to_dict
 from hoedeform.recording import record
+from hoedeform.scene import rays_csv_lines, trace_field
 
 from test_config_cli import base_config
 
@@ -79,7 +81,8 @@ def test_mutated_config(data):
         _run_cli(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
 
 
-_RECORDING = parse_scene_config(base_config()).recording
+_SCENE = parse_scene_config(base_config())
+_RECORDING = _SCENE.recording
 FIELD_DOC = field_to_dict(record(_RECORDING.w1, _RECORDING.w2, _RECORDING.carrier, _RECORDING.grid))
 
 
@@ -92,3 +95,36 @@ def test_mutated_field_file(data):
         cfg.write_text(json.dumps(base_config()))
         field.write_text(json.dumps(doc))
         _run_cli(["deform", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--field", str(field)])
+
+
+# the traced rows of the scene plus one evanescent row (no direction)
+RAYS_LINES = rays_csv_lines(trace_field(
+    induce_forward(record(_RECORDING.w1, _RECORDING.w2, _RECORDING.carrier, _RECORDING.grid),
+                   _SCENE.deformation.target_profile, _SCENE.deformation.projection),
+    _SCENE.probe)) + ["5,0,5,0,0.25,,,,evanescent,0"]
+CELL_VALUES = (st.sampled_from(["", "nan", "-inf", "2.0", "-0", "1e400", "propagating", "evanescent", "pass_through"])
+               | st.floats().map(repr) | st.text(max_size=4))
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_rays_file(data):
+    lines = list(RAYS_LINES)
+    row = data.draw(st.integers(0, len(lines) - 1), label="row")
+    cells = lines[row].split(",")
+    col = data.draw(st.integers(0, len(cells) - 1), label="column")
+    action = data.draw(st.sampled_from(["replace", "delete_cell", "add_cell", "delete_row"]), label="action")
+    if action == "delete_cell":
+        del cells[col]
+    elif action != "delete_row":
+        if action == "add_cell":
+            cells.insert(col, "")
+        cells[col] = data.draw(CELL_VALUES, label="value")
+    lines[row] = ",".join(cells)
+    if action == "delete_row":
+        del lines[row]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, rays = Path(tmp) / "scene.json", Path(tmp) / "rays.csv"
+        cfg.write_text(json.dumps(base_config()))
+        rays.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _run_cli(["scan", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--rays", str(rays)])

@@ -1,12 +1,19 @@
+import contextlib
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hoedeform.errors import EmptyBundle, NoMinimumInRange
+from hoedeform import cli
+from hoedeform.deformation import induce_forward
+from hoedeform.errors import ConfigError, EmptyBundle, NoMinimumInRange
 from hoedeform.geometry import Vec3
 from hoedeform.recording import PolarGrid, record
 from hoedeform.scene import (
+    PARALLEL_TOL,
     Ray,
     focal_scan,
     intersect_plane,
@@ -15,9 +22,10 @@ from hoedeform.scene import (
     trace_field,
     write_rays_csv,
 )
-from hoedeform.surfaces import SurfaceProfile
+from hoedeform.surfaces import Projection, SurfaceProfile
 from hoedeform.waves import Wave, Wavelength
 
+REF_DIR = Path(__file__).resolve().parent / "reference"
 LAM = Wavelength(500.0)
 W0 = Wave.plane(Vec3(0, 0, 1), LAM)
 W65 = Wave.plane(Vec3(math.sin(math.radians(65)), 0.0, math.cos(math.radians(65))), LAM)
@@ -95,6 +103,51 @@ class TestIntersectPlane:
             assert abs(0.5 * (p1.y + p3.y) - p2.y) < 1e-12
 
 
+def _loop_focal_scan(rays, z_range, n_planes):
+    """Brute-force oracle: project every usable ray onto every plane.
+
+    Returns the spot reports as (z, cx, cy, rms_x, rms_y, rms_total) tuples
+    and the first-minimum plane indices of the x, y and total RMS sizes.
+    """
+    z_lo, z_hi = z_range
+    usable = [r for r in rays if r.direction.z > PARALLEL_TOL]
+    spacing = (z_hi - z_lo) / (n_planes - 1)
+    reports = []
+    for i in range(n_planes):
+        z = z_lo + spacing * i
+        pts = []
+        for ray in usable:
+            t = (z - ray.origin.z) / ray.direction.z
+            pts.append((ray.origin.x + t * ray.direction.x, ray.origin.y + t * ray.direction.y))
+        n = len(pts)
+        cx = sum(p[0] for p in pts) / n
+        cy = sum(p[1] for p in pts) / n
+        vx = sum((p[0] - cx) ** 2 for p in pts) / n
+        vy = sum((p[1] - cy) ** 2 for p in pts) / n
+        reports.append((z, cx, cy, math.sqrt(vx), math.sqrt(vy), math.sqrt(vx + vy)))
+
+    def first_min(col):
+        values = [r[col] for r in reports]
+        return values.index(min(values))
+
+    return reports, (first_min(3), first_min(4), first_min(5))
+
+
+def _close(a, b):
+    """The tests/reference rule: 1e-12 relative, 1e-12 absolute below magnitude 1."""
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
+
+
+def _astigmatic_bundle(n=24):
+    rays = []
+    for i in range(n):
+        phi = 2 * math.pi * (i + 0.3) / n
+        x0, y0 = 6.0 * math.cos(phi), 6.0 * math.sin(phi)
+        d = Vec3(-x0 / 60.0, -y0 / 80.0, 1.0).normalized()
+        rays.append(Ray(Vec3(x0, y0, 0.0), d))
+    return rays
+
+
 class TestFocalScan:
     def test_homocentric_bundle_recovers_focus(self):
         rays = _converging_bundle(Vec3(0, 0, 55.0))
@@ -104,14 +157,7 @@ class TestFocalScan:
         assert scan.bracketed_total
 
     def test_synthetic_astigmatic_bundle(self):
-        rays = []
-        n = 24
-        for i in range(n):
-            phi = 2 * math.pi * (i + 0.3) / n
-            x0, y0 = 6.0 * math.cos(phi), 6.0 * math.sin(phi)
-            d = Vec3(-x0 / 60.0, -y0 / 80.0, 1.0).normalized()
-            rays.append(Ray(Vec3(x0, y0, 0.0), d))
-        scan = focal_scan(rays, (30.0, 110.0), 161)
+        scan = focal_scan(_astigmatic_bundle(), (30.0, 110.0), 161)
         assert abs(scan.z_min_rms_x - 60.0) <= 2 * scan.plane_spacing
         assert abs(scan.z_min_rms_y - 80.0) <= 2 * scan.plane_spacing
         assert scan.astigmatism_mm > 3 * scan.plane_spacing
@@ -136,11 +182,67 @@ class TestFocalScan:
         with pytest.raises(ValueError):
             focal_scan(rays, (-5.0, 50.0), 12)
 
+    def test_overflowing_bundle_is_numeric_error(self):
+        rays = [Ray(Vec3(x, 0.0, 0.0), Vec3(-x / 50.0 / abs(x), 0.0, 1.0).normalized()) for x in (-1e200, 1e200)]
+        with pytest.raises(ArithmeticError):
+            focal_scan(rays, (10.0, 90.0), 81)
+
     def test_spot_total_is_quadrature_sum(self):
         rays = _converging_bundle(Vec3(0.5, -0.25, 40.0))
         scan = focal_scan(rays, (5.0, 70.0), 14)
         for rep in scan.reports:
             assert abs(rep.rms_total ** 2 - (rep.rms_x ** 2 + rep.rms_y ** 2)) <= 1e-12
+
+    def test_exact_minima_of_astigmatic_bundle(self):
+        # x0 + t*(-x0/60) vanishes at z = 60 for every ray, y likewise at 80
+        scan = focal_scan(_astigmatic_bundle(), (30.0, 110.0), 161)
+        assert abs(scan.z_star_x - 60.0) <= 1e-12 * 60.0
+        assert abs(scan.z_star_y - 80.0) <= 1e-12 * 80.0
+        assert scan.z_star_x < scan.z_star_total < scan.z_star_y
+
+    def test_parallel_axis_has_no_exact_minimum(self):
+        # slopes vary in x only: the y spot size is constant and has no z*
+        rays = [Ray(Vec3(x, y, 0.0), Vec3(-x / 50.0, 0.1, 1.0).normalized())
+                for x in (-3.0, 0.0, 3.0) for y in (-2.0, 2.0)]
+        scan = focal_scan(rays, (10.0, 90.0), 81)
+        assert abs(scan.z_star_x - 50.0) <= 1e-12 * 50.0
+        assert scan.z_star_y is None
+        assert scan.z_star_total == scan.z_star_x
+        assert len({rep.rms_y for rep in scan.reports}) == 1
+
+
+ORACLE_BUNDLES = {
+    "combiner": (lambda: read_rays_csv(REF_DIR / "combiner_deformed" / "rays.csv"), (40.0, 80.0), 801),
+    "astigmatic": (_astigmatic_bundle, (30.0, 110.0), 161),
+    # every ray passes exactly through (0.5, -0.25, 40): zero spot size at a plane
+    "homocentric": (lambda: _converging_bundle(Vec3(0.5, -0.25, 40.0)), (5.0, 70.0), 66),
+}
+
+
+@pytest.mark.parametrize("bundle", sorted(ORACLE_BUNDLES))
+def test_focal_scan_matches_per_plane_loop(bundle):
+    make, z_range, n_planes = ORACLE_BUNDLES[bundle]
+    rays = make()
+    scan = focal_scan(rays, z_range, n_planes)
+    reports, (ix, iy, it) = _loop_focal_scan(rays, z_range, n_planes)
+    assert len(scan.reports) == len(reports)
+    for rep, ref in zip(scan.reports, reports):
+        assert rep.z == ref[0]
+        got = (rep.centroid.x, rep.centroid.y, rep.rms_x, rep.rms_y, rep.rms_total)
+        for col, (g, r) in enumerate(zip(got, ref[1:])):
+            assert _close(g, r), f"z = {rep.z} column {col}: {g!r} vs loop {r!r}"
+    assert (scan.z_min_rms_x, scan.z_min_rms_y, scan.z_min_rms_total) == (
+        reports[ix][0], reports[iy][0], reports[it][0])
+    last = n_planes - 1
+    assert (scan.bracketed_x, scan.bracketed_y, scan.bracketed_total) == (0 < ix < last, 0 < iy < last, 0 < it < last)
+
+
+def test_homocentric_focus_is_exact():
+    # the naive var(a) + 2z cov(a, b) + z^2 var(b) leaves ~6e-8 mm here
+    scan = focal_scan(_converging_bundle(Vec3(0.5, -0.25, 40.0)), (5.0, 70.0), 66)
+    focus = next(rep for rep in scan.reports if rep.z == 40.0)
+    assert focus.rms_total <= 1e-12
+    assert abs(scan.z_star_total - 40.0) <= 1e-12 * 40.0
 
 
 class TestRaysCsv:
@@ -157,12 +259,7 @@ class TestRaysCsv:
 
     def test_evanescent_rows_have_empty_direction(self):
         # deformed steep grating probed on-axis produces evanescent samples
-        from hoedeform.deformation import induce_forward
-        from hoedeform.surfaces import Projection
-        field = record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(5, 8))
-        deformed = induce_forward(field, SurfaceProfile.sphere_cap(50.0, 10.0), Projection.orthogonal())
-        records = trace_field(deformed, W0, mode="energy")
-        lines = rays_csv_lines(records)
+        lines = _mixed_rays_lines()
         ev = [ln for ln in lines[1:] if ",evanescent," in ln]
         assert ev, "scene should produce evanescent samples"
         for ln in ev:
@@ -173,9 +270,68 @@ class TestRaysCsv:
     def test_header_enforced(self, tmp_path):
         bad = tmp_path / "rays.csv"
         bad.write_text("not,a,header\n")
-        from hoedeform.errors import ConfigError
         with pytest.raises(ConfigError):
             read_rays_csv(bad)
+
+
+def _mixed_rays_lines():
+    """rays.csv lines with propagating and evanescent rows."""
+    field = record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(5, 8))
+    deformed = induce_forward(field, SurfaceProfile.sphere_cap(50.0, 10.0), Projection.orthogonal())
+    return rays_csv_lines(trace_field(deformed, W0, mode="energy"))
+
+
+def _write(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _scan_rays(tmp_path, lines):
+    """Exit code and stderr of ``scan --rays`` on ``lines``, run through cli.main."""
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps({"wavelength": {"lambda_nm": 500.0}, "analysis": {"detector_z_mm": [50.0]}}))
+    rays = _write(tmp_path / "rays.csv", lines)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out"), "--rays", str(rays)])
+    return code, err.getvalue()
+
+
+# (row status to edit, {column: new value}) for each malformed row
+MALFORMED_ROWS = {
+    "weight_above_one": ("propagating", {9: "2.0"}),
+    "non_unit_direction": ("propagating", {7: "2"}),
+    "non_finite_origin": ("propagating", {2: "nan"}),
+    "unknown_status": ("propagating", {8: "bogus"}),
+    "propagating_without_direction": ("propagating", {5: "", 6: "", 7: ""}),
+    "partial_direction": ("propagating", {6: ""}),
+    "evanescent_with_direction": ("evanescent", {5: "0", 6: "0", 7: "1"}),
+}
+
+
+class TestRaysCsvBoundary:
+    def test_valid_file_scans(self, tmp_path):
+        lines = _mixed_rays_lines()
+        n_rays = sum(",evanescent," not in ln for ln in lines[1:])
+        assert 0 < n_rays < len(lines) - 1
+        assert len(read_rays_csv(_write(tmp_path / "rays.csv", lines))) == n_rays
+        code, err = _scan_rays(tmp_path, lines)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+    def test_malformed_row_is_config_error(self, tmp_path, case):
+        status, edits = MALFORMED_ROWS[case]
+        lines = _mixed_rays_lines()
+        row = next(i for i, ln in enumerate(lines) if ln.split(",")[8] == status)
+        parts = lines[row].split(",")
+        for col, value in edits.items():
+            parts[col] = value
+        lines[row] = ",".join(parts)
+        with pytest.raises(ConfigError, match=f"line {row + 1}"):
+            read_rays_csv(_write(tmp_path / "rays.csv", lines))
+        code, err = _scan_rays(tmp_path, lines)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "ConfigError"
 
 
 class TestRayValidation:

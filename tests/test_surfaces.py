@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hoedeform.config import parse_profile
 from hoedeform.errors import ConfigError, DomainError, NoIntersection, NoPreimage, NotOnSurface
 from hoedeform.geometry import Vec2, Vec3
 from hoedeform.surfaces import (
+    DOMAIN_GUARD,
     LensSpec,
     Projection,
     SurfaceProfile,
@@ -38,6 +40,42 @@ def _bisect_projection(cz, profile, p, iters=200):
             hi = mid
     tau = 0.5 * (lo + hi)
     return Vec3(tau * p.x, tau * p.y, (1.0 - tau) * cz)
+
+
+def _brentq_projection(cz, profile, p):
+    """Slow reference for the central projection: Brent's method on the
+    segment parameter, then one Newton step."""
+    rp = math.hypot(p.x, p.y)
+    d_dom = profile.domain_radius
+
+    def gap(tau):
+        return (1.0 - tau) * cz - profile.radial_height(min(tau * rp, d_dom))
+
+    tau_hi = min(1.0, (d_dom / rp) * (1.0 + DOMAIN_GUARD))
+    if gap(tau_hi) > 0.0:
+        raise NoIntersection("segment leaves the domain before meeting the graph")
+    if gap(tau_hi) == 0.0:
+        tau = tau_hi
+    else:
+        tau = brentq(gap, 0.0, tau_hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        dg = -cz - profile.radial_slope(min(tau * rp, d_dom)) * rp
+        if dg != 0.0 and 0.0 <= tau - gap(tau) / dg <= tau_hi:
+            tau = tau - gap(tau) / dg
+    return Vec3(tau * p.x, tau * p.y, (1.0 - tau) * cz)
+
+
+def _quartic(s):
+    return s * s / 40.0 + s ** 4 / 2e4
+
+
+def _quartic_slope(s):
+    return s / 20.0 + s ** 3 / 5e3
+
+
+QUARTIC = SurfaceProfile.custom_convex(_quartic, 20.0, slope=_quartic_slope)
+QUARTIC_FD = SurfaceProfile.custom_convex(_quartic, 20.0)
+# raised bowl: h(0) = 2, so the center must clear 2 mm
+BOWL = SurfaceProfile.custom_convex(lambda s: 2.0 + s * s / 60.0, 20.0, slope=lambda s: s / 30.0)
 
 
 class TestProfiles:
@@ -163,6 +201,62 @@ class TestProjection:
             errs.append((q - q_inf).norm())
         assert all(b < a for a, b in zip(errs, errs[1:]))  # monotone decreasing
         assert errs[-1] < 1e-6
+
+
+class TestProjectionAgainstBrentq:
+    """``project`` against its slow reference, within 1e-12 relative."""
+
+    CASES = {
+        "cap_center_above_sphere": (CAP50, 500.0),  # Cz > 2R
+        "cap_center_near_sphere": (CAP50, 100.5),
+        "cap_center_inside_upper_half": (CAP50, 70.0),  # R < Cz < 2R
+        "cap_center_below_sphere_center": (CAP50, 30.0),  # Cz < R
+        "custom_quartic": (QUARTIC, 120.0),
+        "custom_quartic_fd_slope": (QUARTIC_FD, 120.0),
+        "custom_raised_bowl": (BOWL, 40.0),
+    }
+
+    @staticmethod
+    def _assert_close(q, ref):
+        assert (q - ref).norm() <= 1e-12 * ref.norm(), (q, ref)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_interior_points(self, case):
+        profile, cz = self.CASES[case]
+        proj = Projection.from_center_z(cz)
+        r_rim = inverse_project(proj, profile, evaluate(profile, Vec2(profile.domain_radius, 0.0))).x
+        for i in range(1, 41):
+            r = r_rim * (i / 40.0) ** 2 * (1.0 - 1e-6)
+            for phi in (0.3, 2.0, 4.5):
+                p = Vec3(r * math.cos(phi), r * math.sin(phi), 0.0)
+                self._assert_close(project(proj, profile, p), _brentq_projection(cz, profile, p))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rim_points(self, case):
+        profile, cz = self.CASES[case]
+        proj = Projection.from_center_z(cz)
+        d = profile.domain_radius
+        for phi in (0.0, 0.7, math.pi, 5.1):
+            q = evaluate(profile, Vec2(d * math.cos(phi), d * math.sin(phi)))
+            p = inverse_project(proj, profile, q)
+            got = project(proj, profile, p)
+            self._assert_close(got, _brentq_projection(cz, profile, p))
+            assert (got - q).norm() <= 1e-12 * q.norm()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_beyond_rim_has_no_intersection(self, case):
+        profile, cz = self.CASES[case]
+        proj = Projection.from_center_z(cz)
+        r_rim = inverse_project(proj, profile, evaluate(profile, Vec2(profile.domain_radius, 0.0))).x
+        p = Vec3(0.0, -r_rim * 1.01, 0.0)
+        with pytest.raises(NoIntersection):
+            _brentq_projection(cz, profile, p)
+        with pytest.raises(NoIntersection):
+            project(proj, profile, p)
+
+    def test_center_below_raised_vertex_has_no_intersection(self):
+        with pytest.raises(NoIntersection):
+            project(Projection.from_center_z(1.5), BOWL, Vec3(1.0, 0.0, 0.0))
 
 
 class TestInverseProject:
