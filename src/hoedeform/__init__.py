@@ -59,7 +59,9 @@ from .scene import (
     FocalScanResult,
     PlaneHits,
     Ray,
+    RayBundle,
     SpotReport,
+    Trace,
     TraceRecord,
     focal_scan,
     intersect_plane,

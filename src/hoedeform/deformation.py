@@ -18,19 +18,15 @@ fields are deliberately out of scope.
 
 from __future__ import annotations
 
-import bisect
-import math
 from typing import Callable, Union
 
+import numpy as np
+
 from .config import parse_field_grid
-from .errors import DomainError, HoedeformError, NonPositiveFactor, NoPreimage
-from .geometry import FrameCoords, PolarPoint, Vec2, Vec3, build_frame, frame_decompose
-from .recording import GratingSample, GratingVectorField, GridSpec, PolarGrid
-from .surfaces import Projection, SurfaceProfile, evaluate, inverse_project, project
-
-
-def _with_sample_context(i: int, smp: GratingSample, exc: HoedeformError) -> HoedeformError:
-    return type(exc)(f"sample {i} (s={smp.footprint.s}, phi={smp.footprint.phi}): {exc}")
+from .errors import DomainError, NonPositiveFactor, NoPreimage, at_sample
+from .geometry import TWO_PI, combine, dot, first_index, frames, raise_first
+from .recording import GratingSample, GratingVectorField, GridSpec, PolarGrid, sample_context
+from .surfaces import Projection, SurfaceProfile, inverse_project_points, project_points
 
 
 def induce_forward(
@@ -47,19 +43,11 @@ def induce_forward(
     """
     if source.carrier.kind != "planar":
         raise ValueError("forward induction expects a field on a planar carrier")
-
-    def push(i: int, smp: GratingSample) -> GratingSample:
-        try:
-            q = project(proj, target_profile, smp.position)
-        except HoedeformError as exc:
-            raise _with_sample_context(i, smp, exc) from exc
-        fp = PolarPoint(math.hypot(q.x, q.y), smp.footprint.phi)
-        frame = build_frame(target_profile, fp)
-        return GratingSample(fp, q, frame, smp.coords, smp.magnitude)
-
-    samples = [push(i, smp) for i, smp in enumerate(source.samples)]
+    with sample_context(source.s, source.phi):
+        q = project_points(proj, target_profile, source.pos)
     grid = {"kind": "induced", "projection": proj.descriptor(), "source_grid": source.grid}
-    return GratingVectorField(target_profile, tuple(samples), grid, source.wavelength_nm)
+    return GratingVectorField(target_profile, np.hypot(q[:, 0], q[:, 1]), source.phi, q, source.g, grid,
+                              source.wavelength_nm)
 
 
 def induce_inverse(target: GratingVectorField, proj: Projection) -> GratingVectorField:
@@ -80,19 +68,11 @@ def induce_inverse(target: GratingVectorField, proj: Projection) -> GratingVecto
             raise NoPreimage(f"projection center z = {cz} is not above the surface rim (h = {h_rim})")
         plane_radius = d * cz / (cz - h_rim)
     planar = SurfaceProfile.planar(plane_radius)
-
-    def pull(i: int, smp: GratingSample) -> GratingSample:
-        try:
-            p = inverse_project(proj, carrier, smp.position)
-        except HoedeformError as exc:
-            raise _with_sample_context(i, smp, exc) from exc
-        fp = PolarPoint(math.hypot(p.x, p.y), smp.footprint.phi)
-        frame = build_frame(planar, fp)
-        return GratingSample(fp, Vec3(p.x, p.y, 0.0), frame, smp.coords, smp.magnitude)
-
-    samples = [pull(i, smp) for i, smp in enumerate(target.samples)]
+    with sample_context(target.s, target.phi):
+        p = inverse_project_points(proj, carrier, target.pos)
     grid = {"kind": "induced_inverse", "projection": proj.descriptor(), "source_grid": target.grid}
-    return GratingVectorField(planar, tuple(samples), grid, target.wavelength_nm)
+    return GratingVectorField(planar, np.hypot(p[:, 0], p[:, 1]), target.phi, p, target.g, grid,
+                              target.wavelength_nm)
 
 
 def rescale(
@@ -101,29 +81,21 @@ def rescale(
 ) -> GratingVectorField:
     """Scale grating vectors per sample (shrinkage/stretch compensation hook).
 
-    ``factor`` is a positive number or a function of the sample; positions
-    and frames are untouched, magnitudes scale accordingly (so the fringe
-    period divides by the factor).
+    ``factor`` is a positive number or a function of the sample (called on
+    the materialized samples); positions and frames are untouched,
+    magnitudes scale accordingly (so the fringe period divides by the
+    factor).
     """
-    fn = factor if callable(factor) else (lambda _s, _f=float(factor): _f)
-
-    def scale(smp: GratingSample) -> GratingSample:
-        f = float(fn(smp))
-        if not (math.isfinite(f) and f > 0.0):
-            raise NonPositiveFactor(f"rescale factor must be finite and > 0, got {f} at s={smp.footprint.s}")
-        coords = FrameCoords(smp.coords.g1 * f, smp.coords.g2 * f, smp.coords.g3 * f)
-        return GratingSample(smp.footprint, smp.position, smp.frame, coords, coords.magnitude())
-
-    samples = [scale(smp) for smp in field.samples]
-    return GratingVectorField(field.carrier, tuple(samples), field.grid, field.wavelength_nm)
-
-
-def _lerp_coords(a: FrameCoords, b: FrameCoords, w: float) -> FrameCoords:
-    return FrameCoords(
-        a.g1 * (1.0 - w) + b.g1 * w,
-        a.g2 * (1.0 - w) + b.g2 * w,
-        a.g3 * (1.0 - w) + b.g3 * w,
-    )
+    if callable(factor):
+        f = np.array([float(factor(smp)) for smp in field.samples], dtype=float)
+    else:
+        f = np.full(len(field), float(factor))
+    i = first_index(~(np.isfinite(f) & (f > 0.0)))
+    if i is not None:
+        raise NonPositiveFactor(f"rescale factor must be finite and > 0, got {float(f[i])} at s={float(field.s[i])}")
+    with np.errstate(over="ignore"):  # overflowing coordinates fail the field's finiteness check
+        g = field.g * f[:, None]
+    return GratingVectorField(field.carrier, field.s, field.phi, field.pos, g, field.grid, field.wavelength_nm)
 
 
 def resample_field(field: GratingVectorField, grid: GridSpec) -> GratingVectorField:
@@ -134,7 +106,8 @@ def resample_field(field: GratingVectorField, grid: GridSpec) -> GratingVectorFi
     a different lattice. The field must stem from a polar grid (inductions
     preserve the ring structure); target radii must lie inside the sampled
     radial range, with the vertex sample (if present) covering s below the
-    innermost ring.
+    innermost ring. The vertex's world vector is re-expressed in the frame
+    at each target azimuth.
     """
     base = parse_field_grid(field.grid, "grid")
     if not isinstance(base, PolarGrid):
@@ -142,41 +115,43 @@ def resample_field(field: GratingVectorField, grid: GridSpec) -> GratingVectorFi
     n_phi, n_s, has_vertex = base.n_phi, base.n_s, base.include_vertex
 
     offset = 1 if has_vertex else 0
-    if len(field.samples) != offset + n_s * n_phi:
-        raise ValueError(f"field has {len(field.samples)} samples, polar structure expects {offset + n_s * n_phi}")
-    vertex = field.samples[0] if has_vertex else None
-    vertex_world = vertex.kg_world() if vertex is not None else None
-    rings = [field.samples[offset + j * n_phi: offset + (j + 1) * n_phi] for j in range(n_s)]
-    ring_s = [ring[0].footprint.s for ring in rings]
-    dphi = 2.0 * math.pi / n_phi
+    if len(field) != offset + n_s * n_phi:
+        raise ValueError(f"field has {len(field)} samples, polar structure expects {offset + n_s * n_phi}")
+    carrier = field.carrier
+    ring_s = field.s[offset::n_phi]
+    rings = field.g[offset:].reshape(n_s, n_phi, 3)
+    s, phi = grid.footprint_arrays(carrier.domain_radius)
+    inner = s <= ring_s[0]
+    raise_first([
+        (s > ring_s[-1] * (1.0 + 1e-12), lambda i: at_sample(DomainError(
+            f"target radius {float(s[i])} outside sampled range [0, {float(ring_s[-1])}]"), i)),
+        (inner & (not has_vertex), lambda i: at_sample(DomainError(
+            f"target radius {float(s[i])} below the innermost ring and no vertex sample present"), i)),
+    ])
 
-    def ring_coords(j: int, phi: float) -> FrameCoords:
-        # periodic linear interpolation along ring j; j = -1 is the vertex,
-        # whose stored world vector is re-expressed in the frame at azimuth phi
-        if j < 0:
-            return frame_decompose(vertex_world, build_frame(field.carrier, PolarPoint(0.0, phi)))
-        u = (phi % (2.0 * math.pi)) / dphi
-        i0 = int(math.floor(u)) % n_phi
-        w = u - math.floor(u)
-        return _lerp_coords(rings[j][i0].coords, rings[j][(i0 + 1) % n_phi].coords, w)
+    # periodic linear interpolation along the rings
+    u = np.mod(phi, TWO_PI) / (TWO_PI / n_phi)
+    i0 = np.floor(u).astype(np.intp) % n_phi
+    w_phi = (u - np.floor(u))[:, None]
 
-    def interp(p: PolarPoint) -> GratingSample:
-        s = p.s
-        if s > ring_s[-1] * (1.0 + 1e-12):
-            raise DomainError(f"target radius {s} outside sampled range [0, {ring_s[-1]}]")
-        if s <= ring_s[0]:
-            if vertex is None:
-                raise DomainError(f"target radius {s} below the innermost ring and no vertex sample present")
-            lo, hi, w = -1, 0, s / ring_s[0]
-        else:
-            lo = min(bisect.bisect_right(ring_s, s), n_s - 1) - 1
-            hi = lo + 1
-            w = min(1.0, (s - ring_s[lo]) / (ring_s[hi] - ring_s[lo]))
-        coords = _lerp_coords(ring_coords(lo, p.phi), ring_coords(hi, p.phi), w)
-        x, y = p.xy()
-        pos = evaluate(field.carrier, Vec2(x, y))
-        frame = build_frame(field.carrier, p)
-        return GratingSample(p, pos, frame, coords, coords.magnitude())
+    def ring_coords(j: np.ndarray) -> np.ndarray:
+        return rings[j, i0] * (1.0 - w_phi) + rings[j, (i0 + 1) % n_phi] * w_phi
 
-    pts = grid.footprints(field.carrier.domain_radius)
-    return GratingVectorField(field.carrier, tuple(interp(p) for p in pts), grid.descriptor(), field.wavelength_nm)
+    lo = np.maximum(np.minimum(np.searchsorted(ring_s, s, side="right"), n_s - 1) - 1, 0)
+    hi = np.minimum(lo + 1, n_s - 1)
+    span = ring_s[hi] - ring_s[lo]
+    w = np.where(inner, s / ring_s[0],
+                 np.minimum(1.0, np.divide(s - ring_s[lo], span, out=np.ones_like(s), where=span > 0.0)))[:, None]
+    below, above = ring_coords(lo), ring_coords(np.where(inner, 0, hi))
+    if has_vertex:
+        world = combine(*frames(carrier, field.s[:1], field.phi[:1]), *field.g[0])
+        t, b, n = frames(carrier, np.zeros_like(s), phi)
+        world = np.broadcast_to(world, t.shape)
+        below = np.where(inner[:, None], np.column_stack((dot(world, t), dot(world, b), dot(world, n))), below)
+    g = below * (1.0 - w) + above * w
+
+    x, y = s * np.cos(phi), s * np.sin(phi)
+    r = np.hypot(x, y)
+    carrier.require_radii(r)
+    return GratingVectorField(carrier, s, phi, np.column_stack((x, y, carrier.heights(r))), g, grid.descriptor(),
+                              field.wavelength_nm)

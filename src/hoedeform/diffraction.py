@@ -15,12 +15,14 @@ theories can be plugged in without touching this API.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
-from .geometry import Frame, Vec3
+import numpy as np
+
+from .errors import at_sample
+from .geometry import Frame, Vec3, combine, dot, first_index, norms
 from .recording import GratingSample
 from .waves import Wave, local_wavevector
 
@@ -33,6 +35,12 @@ class DiffractionStatus(str, Enum):
     PROPAGATING = "propagating"
     EVANESCENT = "evanescent"
     PASS_THROUGH = "pass_through"
+
+
+# Status codes of the array kernels: STATUSES[code] is the status.
+STATUSES = tuple(DiffractionStatus)
+PROPAGATING, EVANESCENT, PASS_THROUGH = (STATUSES.index(s) for s in (
+    DiffractionStatus.PROPAGATING, DiffractionStatus.EVANESCENT, DiffractionStatus.PASS_THROUGH))
 
 
 @dataclass(frozen=True)
@@ -59,33 +67,78 @@ class DiffractionResult:
         return 1.0 - self.eta
 
 
+def closure(kp: np.ndarray, kg: np.ndarray, t: np.ndarray, b: np.ndarray, n: np.ndarray,
+            mode: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-vector closure on rows of world-space kp and kg (N x 3) in the frames {t, b, n}.
+
+    Basic: kd = kg + kp. Energy-conserving: the tangential components of
+    w = kg + kp are kept and the normal component is sqrt(|kp|^2 -
+    tangential^2), signed like w.n (positive root on a zero dot product), so
+    |kd| = |kp|; a negative radicand is evanescent. Returns kd (zero rows
+    where evanescent), the status codes and the mismatch |w| - |kp|. A
+    non-finite kd raises ValueError tagged with the first failing row.
+    """
+    # overflowing rows become inf or nan here and fail the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = kg + kp
+        kp_len = norms(kp)
+        mismatch = norms(w) - kp_len
+        status = np.full(kp.shape[0], PROPAGATING, dtype=np.int8)
+        if mode == "basic":
+            kd = w
+        else:
+            wt, wb, wn = dot(w, t), dot(w, b), dot(w, n)
+            radicand = kp_len * kp_len - (wt * wt + wb * wb)
+            evanescent = radicand < 0.0
+            status[evanescent] = EVANESCENT
+            c = np.sqrt(np.where(evanescent, 0.0, radicand))
+            c = np.where(wn < 0.0, -c, c)
+            kd = combine(t, b, n, wt, wb, c)
+            kd[evanescent] = 0.0
+    i = first_index(~np.isfinite(kd).all(axis=1))
+    if i is not None:
+        raise at_sample(ValueError(f"Vec3 components must be finite, got {tuple(kd[i].tolist())}"), i)
+    return kd, status, mismatch
+
+
+def diffract(kp: np.ndarray, g: np.ndarray, t: np.ndarray, b: np.ndarray, n: np.ndarray,
+             mode: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closure at samples with frame coordinates ``g`` (N x 3) in the frames {t, b, n}.
+
+    kg = g1 t + g2 b + g3 n; samples with kg = 0 pass the probe through
+    (kd = kp, mismatch 0). Returns kd, status codes and mismatch as
+    :func:`closure` does.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown closure mode {mode!r}; expected one of {MODES}")
+    with np.errstate(over="ignore"):  # overflowing rows are caught by the checks of closure and trace_field
+        kg = combine(t, b, n, g[:, 0], g[:, 1], g[:, 2])
+        through = norms(g) == 0.0
+    kd, status, mismatch = closure(kp, kg, t, b, n, mode)
+    kd[through] = kp[through]
+    status[through] = PASS_THROUGH
+    mismatch[through] = 0.0
+    return kd, status, mismatch
+
+
+def _row(v: Vec3) -> np.ndarray:
+    return np.array([v.as_tuple()])
+
+
+def _result(kd: np.ndarray, status: np.ndarray, mismatch: np.ndarray, eta: float) -> DiffractionResult:
+    code = int(status[0])
+    vec = None if code == EVANESCENT else Vec3(*kd[0].tolist())
+    return DiffractionResult(vec, STATUSES[code], float(mismatch[0]), eta)
+
+
 def kvc_basic(kp: Vec3, kg: Vec3) -> Vec3:
     """Vector-addition closure kd = kg + kp (length not preserved off-Bragg)."""
     return kg + kp
 
 
 def kvc_energy_conserving(kp: Vec3, kg: Vec3, frame: Frame, eta: float = 1.0) -> DiffractionResult:
-    """Closure with |kd| = |kp| enforced via the local frame.
-
-    Tangential components of kd equal those of kg + kp; the normal component
-    is sqrt(|kp|^2 - tangential^2) signed like (kg + kp).n (positive root on
-    a zero dot product), preserving transmission vs. reflection character.
-    A negative radicand means no propagating order: status = evanescent.
-    """
-    w = kg + kp
-    wt = w.dot(frame.t)
-    wb = w.dot(frame.b)
-    wn = w.dot(frame.n)
-    kp_len = kp.norm()
-    mismatch = w.norm() - kp_len
-    radicand = kp_len * kp_len - (wt * wt + wb * wb)
-    if radicand < 0.0:
-        return DiffractionResult(None, DiffractionStatus.EVANESCENT, mismatch, eta)
-    c = math.sqrt(radicand)
-    if wn < 0.0:
-        c = -c
-    kd = frame.t * wt + frame.b * wb + frame.n * c
-    return DiffractionResult(kd, DiffractionStatus.PROPAGATING, mismatch, eta)
+    """Single-point energy-conserving :func:`closure`: |kd| = |kp| via the local frame."""
+    return _result(*closure(_row(kp), _row(kg), _row(frame.t), _row(frame.b), _row(frame.n), "energy"), eta)
 
 
 def diffract_sample(
@@ -96,18 +149,15 @@ def diffract_sample(
 ) -> DiffractionResult:
     """Diffract ``probe`` at one field sample using the chosen closure mode.
 
-    The probe wavevector is evaluated at the sample position and the stored
-    frame coordinates are recomposed to a world-space kg. Degenerate kg = 0
-    samples pass the probe through unchanged.
+    The single-point form of :func:`diffract`: the probe wavevector is
+    evaluated at the sample position and the stored frame coordinates are
+    recomposed in the sample's frame. Degenerate kg = 0 samples pass the
+    probe through unchanged.
     """
     if mode not in MODES:
         raise ValueError(f"unknown closure mode {mode!r}; expected one of {MODES}")
     kp = local_wavevector(probe, sample.position)
     eta = 1.0 if efficiency is None else float(efficiency(sample, probe))
-    if sample.is_degenerate:
-        return DiffractionResult(kp, DiffractionStatus.PASS_THROUGH, 0.0, eta)
-    kg = sample.kg_world()
-    if mode == "basic":
-        kd = kvc_basic(kp, kg)
-        return DiffractionResult(kd, DiffractionStatus.PROPAGATING, kd.norm() - kp.norm(), eta)
-    return kvc_energy_conserving(kp, kg, sample.frame, eta)
+    c = sample.coords
+    f = sample.frame
+    return _result(*diffract(_row(kp), np.array([[c.g1, c.g2, c.g3]]), _row(f.t), _row(f.b), _row(f.n), mode), eta)

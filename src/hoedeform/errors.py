@@ -1,6 +1,16 @@
 """Exception types shared across the package."""
 
 
+def at_sample(exc: Exception, index: int) -> Exception:
+    """Tag ``exc`` with the index of the first failing sample of an array operation.
+
+    Array kernels raise the message of their single-point form; callers that
+    know the field add the sample context from ``exc.index``.
+    """
+    exc.index = index
+    return exc
+
+
 class HoedeformError(Exception):
     """Base class for all library-specific errors."""
 

@@ -10,15 +10,20 @@ with :func:`frame_recompose`, the orientation choice cancels downstream.
 At the surface vertex (s = 0) the radial direction is taken as the limit
 along the azimuth, ``t -> (cos phi, sin phi, 0)``, which exists for
 differentiable rotationally symmetric profiles.
+
+Fields compute frames for all their samples at once with :func:`frames`,
+on arrays of N x 3 rows; :func:`build_frame` is its single-point form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
-from .errors import DegenerateFrame
+import numpy as np
+
+from .errors import DegenerateFrame, at_sample
 
 if TYPE_CHECKING:  # only for annotations; surfaces imports this module
     from .surfaces import SurfaceProfile
@@ -158,27 +163,104 @@ class FrameCoords:
         return math.sqrt(self.g1 * self.g1 + self.g2 * self.g2 + self.g3 * self.g3)
 
 
-def build_frame(profile: "SurfaceProfile", p: PolarPoint) -> Frame:
-    """Local frame of ``profile`` at the plane parameter point ``p``.
+# ---------------------------------------------------------------------------
+# array kernels: one row per sample
+# ---------------------------------------------------------------------------
 
-    With m = dh/ds at p.s and nu = sqrt(1 + m^2):
+def first_index(mask: np.ndarray) -> Optional[int]:
+    """Index of the first True entry of ``mask``, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+def raise_first(checks: Sequence[Tuple[np.ndarray, Callable[[int], Exception]]]) -> None:
+    """Raise for the lowest sample index that fails any of ``checks``.
+
+    Each check is a (failure mask, exception factory taking the index). At
+    that index the first failing check in order wins, exactly as a loop over
+    the samples that runs the checks in order would report it.
+    """
+    found = [i for i in (first_index(mask) for mask, _ in checks) if i is not None]
+    if not found:
+        return
+    i = min(found)
+    for mask, make in checks:
+        if mask[i]:
+            raise make(i)
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of N x 3 arrays, summed in x, y, z order."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(dot(a, a))
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.column_stack((
+        a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+        a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+        a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
+    ))
+
+
+def combine(t: np.ndarray, b: np.ndarray, n: np.ndarray, c1, c2, c3) -> np.ndarray:
+    """Rows c1*t + c2*b + c3*n; the coefficients are arrays of N or scalars."""
+    c1, c2, c3 = (np.asarray(c, dtype=float)[..., None] for c in (c1, c2, c3))
+    return t * c1 + b * c2 + n * c3
+
+
+def check_orthonormal(t: np.ndarray, b: np.ndarray, n: np.ndarray, tol: float = DEFAULT_TOL) -> None:
+    """The checks of :meth:`Frame.validate` on every row; ValueError tagged with the first failing row."""
+    lengths = [(name, norms(v)) for name, v in (("t", t), ("b", b), ("n", n))]
+    dots = [(pair, dot(u, v)) for pair, u, v in (("t.b", t, b), ("t.n", t, n), ("b.n", b, n))]
+    raise_first(
+        [(~(np.abs(ln - 1.0) <= tol), lambda i, name=name, ln=ln: at_sample(ValueError(
+            f"frame vector {name} is not unit length: |{name}| = {float(ln[i])!r}"), i)) for name, ln in lengths]
+        + [(~(np.abs(d) <= tol), lambda i, pair=pair, d=d: at_sample(ValueError(
+            f"frame vectors not orthogonal: {pair} = {float(d[i])!r}"), i)) for pair, d in dots]
+    )
+
+
+def frames(profile: "SurfaceProfile", s: np.ndarray, phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local frames {t, b, n} (each N x 3) of ``profile`` at the footprints (s, phi).
+
+    With m = dh/ds at s and nu = sqrt(1 + m^2):
 
         t = (cos phi, sin phi, m) / nu
         n = (m cos phi, m sin phi, -1) / nu
         b = t x n              (analytically (-sin phi, cos phi, 0))
 
-    Raises DomainError if p.s is outside the profile domain and
-    DegenerateFrame if the slope is not finite there.
+    Raises DomainError if an s is outside the profile domain, DegenerateFrame
+    if the slope is not finite there, and ValueError if a frame is not
+    orthonormal within ``DEFAULT_TOL``; each names the first failing row.
     """
-    profile.require_radius(p.s)
-    m = profile.radial_slope(p.s)
-    if not math.isfinite(m):
-        raise DegenerateFrame(f"surface slope is not finite at s = {p.s}")
-    c, s = math.cos(p.phi), math.sin(p.phi)
-    nu = math.sqrt(1.0 + m * m)
-    t = Vec3(c / nu, s / nu, m / nu)
-    n = Vec3(m * c / nu, m * s / nu, -1.0 / nu)
-    return Frame(t=t, b=t.cross(n), n=n)
+    profile.require_radii(s)
+    m = profile.slopes(s)
+    i = first_index(~np.isfinite(m))
+    if i is not None:
+        raise at_sample(DegenerateFrame(f"surface slope is not finite at s = {float(s[i])}"), i)
+    c, sn = np.cos(phi), np.sin(phi)
+    # a slope beyond 1e154 overflows m*m to inf, as float math does; the
+    # orthonormality check then rejects the degenerate frame
+    with np.errstate(over="ignore"):
+        nu = np.sqrt(1.0 + m * m)
+    t = np.column_stack((c / nu, sn / nu, m / nu))
+    n = np.column_stack((m * c / nu, m * sn / nu, -1.0 / nu))
+    b = cross(t, n)
+    check_orthonormal(t, b, n)
+    return t, b, n
+
+
+def build_frame(profile: "SurfaceProfile", p: PolarPoint) -> Frame:
+    """Local frame of ``profile`` at the plane parameter point ``p``.
+
+    The single-point form of :func:`frames`, with the same closed form and
+    errors.
+    """
+    t, b, n = frames(profile, np.array([p.s]), np.array([p.phi]))
+    return Frame(t=Vec3(*t[0].tolist()), b=Vec3(*b[0].tolist()), n=Vec3(*n[0].tolist()))
 
 
 def frame_decompose(v: Vec3, f: Frame) -> FrameCoords:

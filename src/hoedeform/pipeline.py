@@ -17,11 +17,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .config import AnalysisSpec, DeformationSpec, RecordingSpec, SceneConfig, load_scene_config
 from .deformation import induce_forward, rescale
-from .diffraction import DiffractionStatus
 from .errors import ConfigError
 from .fieldio import save_field
 from .recording import GratingVectorField, record
-from .scene import (Ray, TraceRecord, focal_scan, intersect_plane, trace_field, write_hits_csv, write_rays_csv,
+from .scene import (Ray, Trace, focal_scan, intersect_plane, trace_field, write_hits_csv, write_rays_csv,
                     write_spots_csv)
 from .waves import Wave
 
@@ -56,7 +55,7 @@ def deform_stage(field: GratingVectorField, spec: DeformationSpec, out: Path) ->
     return deformed
 
 
-def trace_stage(field: GratingVectorField, probe: Wave, mode: str, out: Path) -> List[TraceRecord]:
+def trace_stage(field: GratingVectorField, probe: Wave, mode: str, out: Path) -> Trace:
     """Diffract ``probe`` through ``field`` and write OUT/rays.csv."""
     records = trace_field(field, probe, mode=mode)
     write_rays_csv(records, out / RAYS_FILE)
@@ -124,13 +123,11 @@ def run_scene(config_path, out_dir, mode: str = "energy") -> dict:
     records = trace_stage(field, cfg.probe, mode, out)
     files.append(RAYS_FILE)
 
-    counts = {status.value: 0 for status in DiffractionStatus}
-    for rec in records:
-        counts[rec.status.value] += 1
+    counts = records.counts()
 
     scan_summary = None
     if cfg.analysis is not None:
-        written, scan_summary = analyze_stage([rec.ray for rec in records if rec.ray is not None], cfg.analysis, out)
+        written, scan_summary = analyze_stage(records.rays(), cfg.analysis, out)
         files.extend(written)
 
     return {

@@ -13,16 +13,21 @@ CSV emission is deterministic: fixed sample ordering, decimal values with
 
 from __future__ import annotations
 
+import operator
+from collections import abc
+from itertools import chain, repeat
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyBundle, NoMinimumInRange
-from .geometry import PolarPoint, Vec2, Vec3
-from .diffraction import DiffractionResult, DiffractionStatus, EfficiencyHook, diffract_sample
-from .recording import GratingVectorField
-from .waves import Wave
+from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
+from .fieldio import format_column
+from .geometry import PolarPoint, Vec2, Vec3, first_index, norms
+from .diffraction import (EVANESCENT, MODES, STATUSES, DiffractionResult, DiffractionStatus, EfficiencyHook,
+                          diffract)
+from .recording import GratingVectorField, sample_context
+from .waves import Wave, local_wavevectors
 
 # Unit ray directions with |dz| at or below this never reach a z plane.
 PARALLEL_TOL = 1e-12
@@ -43,16 +48,142 @@ class Ray:
             raise ValueError(f"ray weight must be in [0, 1], got {self.weight}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """Per-sample trace outcome; ``ray`` is None for evanescent samples."""
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The arrays, made read-only: rays built from their rows must keep matching them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    index: int
-    footprint: PolarPoint
-    position: Vec3
-    status: DiffractionStatus
-    ray: Optional[Ray]
-    result: DiffractionResult
+
+def _view_ray(arrays: Tuple[np.ndarray, np.ndarray], weights: np.ndarray, row: int) -> Ray:
+    """The Ray of one row of (origins, directions) arrays. It remembers the
+    arrays and the row, so that a list of such rays converts back to arrays
+    by gathering rows (see ``_ray_arrays``)."""
+    ray = Ray(Vec3(*arrays[0][row].tolist()), Vec3(*arrays[1][row].tolist()), float(weights[row]))
+    object.__setattr__(ray, "_row", (arrays, row))
+    return ray
+
+
+class RayBundle(abc.Sequence):
+    """Rays as arrays: origins and unit directions (N x 3) and weights (N).
+
+    The arrays are authoritative and made read-only; indexing builds a
+    :class:`Ray`.
+    """
+
+    __slots__ = ("origins", "directions", "weights", "_arrays")
+
+    def __init__(self, origins: np.ndarray, directions: np.ndarray, weights: np.ndarray):
+        self.origins, self.directions, self.weights = _read_only(origins, directions, weights)
+        self._arrays = (origins, directions)
+
+    def __len__(self) -> int:
+        return self.weights.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RayBundle(self.origins[i], self.directions[i], self.weights[i])
+        return _view_ray(self._arrays, self.weights, range(len(self))[i])
+
+
+class TraceRecord:
+    """Per-sample trace outcome, a view of one row of a :class:`Trace`.
+
+    ``ray`` is None for evanescent samples; it is built on first access and
+    kept. The other attributes are built on every access.
+    """
+
+    __slots__ = ("_trace", "_row", "_ray")
+
+    def __init__(self, trace: "Trace", row: int):
+        self._trace, self._row, self._ray = trace, row, False
+
+    @property
+    def index(self) -> int:
+        return int(self._trace.index[self._row])
+
+    @property
+    def footprint(self) -> PolarPoint:
+        return PolarPoint(float(self._trace.s[self._row]), float(self._trace.phi[self._row]))
+
+    @property
+    def position(self) -> Vec3:
+        return Vec3(*self._trace.pos[self._row].tolist())
+
+    @property
+    def status(self) -> DiffractionStatus:
+        return STATUSES[self._trace.status[self._row]]
+
+    @property
+    def ray(self) -> Optional[Ray]:
+        if self._ray is False:
+            tr, i = self._trace, self._row
+            self._ray = None if tr.status[i] == EVANESCENT else _view_ray(tr._arrays, tr.eta, i)
+        return self._ray
+
+    @property
+    def result(self) -> DiffractionResult:
+        tr, i = self._trace, self._row
+        kd = None if tr.status[i] == EVANESCENT else Vec3(*tr.kd[i].tolist())
+        return DiffractionResult(kd, self.status, float(tr.mismatch[i]), float(tr.eta[i]))
+
+    def _key(self) -> tuple:
+        return (self.index, self.footprint, self.position, self.status, self.ray, self.result)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "TraceRecord(index={!r}, footprint={!r}, position={!r}, status={!r}, ray={!r}, result={!r})".format(
+            *self._key())
+
+
+class Trace(abc.Sequence):
+    """The trace of a field, one row per sample, held as arrays.
+
+    ``index``, footprint ``s`` and ``phi``, position ``pos``, diffracted
+    wavevector ``kd`` and unit ``direction`` (N x 3, zero rows where
+    evanescent), ``status`` codes (``diffraction.STATUSES``), Bragg
+    ``mismatch`` and efficiency ``eta``. The arrays are authoritative and
+    read-only; indexing yields :class:`TraceRecord` views and slicing a
+    sub-trace.
+    """
+
+    _FIELDS = ("index", "s", "phi", "pos", "kd", "direction", "status", "mismatch", "eta")
+    __slots__ = _FIELDS + ("_arrays",)
+
+    def __init__(self, index, s, phi, pos, kd, direction, status, mismatch, eta):
+        self.index, self.s, self.phi, self.pos, self.kd, self.direction, self.status, self.mismatch, self.eta = (
+            _read_only(index, s, phi, pos, kd, direction, status, mismatch, eta))
+        self._arrays = (pos, direction)
+
+    def __len__(self) -> int:
+        return self.status.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trace(*(getattr(self, k)[i] for k in Trace._FIELDS))
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("trace index out of range")
+        return TraceRecord(self, i % n)
+
+    def __iter__(self):
+        return (TraceRecord(self, i) for i in range(len(self)))
+
+    def rays(self) -> RayBundle:
+        """The rays of the non-evanescent rows, in order."""
+        keep = self.status != EVANESCENT
+        return RayBundle(self.pos[keep], self.direction[keep], self.eta[keep])
+
+    def counts(self) -> Dict[str, int]:
+        """Number of rows per status value, every status listed."""
+        per_code = np.bincount(self.status, minlength=len(STATUSES)).tolist()
+        return {status.value: per_code[code] for code, status in enumerate(STATUSES)}
 
 
 def trace_field(
@@ -60,49 +191,102 @@ def trace_field(
     probe: Wave,
     mode: str = "energy",
     efficiency: Optional[EfficiencyHook] = None,
-) -> List[TraceRecord]:
-    """Diffract ``probe`` at every sample of ``field`` and emit rays."""
+) -> Trace:
+    """Diffract ``probe`` at every sample of ``field`` and emit rays.
 
-    def one(i: int, smp) -> TraceRecord:
-        res = diffract_sample(smp, probe, mode=mode, efficiency=efficiency)
-        ray = None
-        if res.status is not DiffractionStatus.EVANESCENT:
-            ray = Ray(smp.position, res.kd.normalized(), res.eta)
-        return TraceRecord(i, smp.footprint, smp.position, res.status, ray, res)
+    ``efficiency``, when given, is called with each materialized sample.
+    Errors name the first failing sample.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown closure mode {mode!r}; expected one of {MODES}")
+    n = len(field)
+    if efficiency is None:
+        eta = np.ones(n)
+    else:
+        eta = np.array([float(efficiency(smp, probe)) for smp in field.samples], dtype=float).reshape(n)
+    with sample_context(field.s, field.phi):
+        i = first_index(~((eta >= 0.0) & (eta <= 1.0)))
+        if i is not None:
+            raise at_sample(ValueError(f"efficiency must be in [0, 1], got {float(eta[i])}"), i)
+        kp = local_wavevectors(probe, field.pos)
+        kd, status, mismatch = diffract(kp, field.g, *field.frames(), mode)
+        live = status != EVANESCENT
+        with np.errstate(over="ignore"):  # |kd| overflows to inf, as in float math; the unit check rejects it
+            length = norms(kd)
+        i = first_index(live & (length < 1e-300))
+        if i is not None:
+            raise at_sample(ValueError("cannot normalize a zero vector"), i)
+        direction = kd / np.where(live, length, 1.0)[:, None]
+        unit = norms(direction)
+        i = first_index(live & ~(np.abs(unit - 1.0) <= 1e-12))
+        if i is not None:
+            raise at_sample(ValueError(f"ray direction must be unit length, |d| = {float(unit[i])!r}"), i)
+    return Trace(np.arange(n), field.s, field.phi, field.pos, kd, direction, status, mismatch, eta)
 
-    return [one(i, smp) for i, smp in enumerate(field.samples)]
+
+_ORIGIN_DIRECTION = operator.attrgetter("origin.x", "origin.y", "origin.z", "direction.x", "direction.y", "direction.z")
+_ROW = operator.attrgetter("_row")
 
 
-@dataclass(frozen=True)
+def _ray_arrays(rays: Sequence[Ray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Origins and directions (N x 3) of ``rays``.
+
+    Rays that all come from the rows of one trace or bundle are gathered
+    from its arrays; other rays are read one by one.
+    """
+    if isinstance(rays, RayBundle):
+        return rays.origins, rays.directions
+    try:
+        rows = list(map(_ROW, rays))
+    except AttributeError:
+        rows = []
+    if rows:
+        arrays = rows[0][0]
+        if all(map(operator.is_, map(operator.itemgetter(0), rows), repeat(arrays))):
+            index = np.fromiter(map(operator.itemgetter(1), rows), np.intp, len(rows))
+            return arrays[0][index], arrays[1][index]
+    flat = np.fromiter(chain.from_iterable(map(_ORIGIN_DIRECTION, rays)), float, 6 * len(rays)).reshape(-1, 6)
+    return flat[:, :3], flat[:, 3:]
+
+
+@dataclass(frozen=True, eq=False)
 class PlaneHits:
     """Intersections of a ray bundle with the plane z = z0.
 
-    ``hits`` pairs ray indices with plane coordinates; rays parallel to the
-    plane or intersecting it backward are flagged by index instead.
+    ``index`` (ascending) and ``xy`` (N x 2) hold the rays that hit the plane
+    and where; rays parallel to the plane or intersecting it backward are
+    flagged by index instead.
     """
 
     z0: float
-    hits: Tuple[Tuple[int, Vec2], ...]
+    index: np.ndarray
+    xy: np.ndarray
     parallel: Tuple[int, ...]
     behind: Tuple[int, ...]
+
+    @property
+    def hits(self) -> Tuple[Tuple[int, Vec2], ...]:
+        """(ray index, plane point) pairs, built from the arrays."""
+        return tuple((i, Vec2(x, y)) for i, (x, y) in zip(self.index.tolist(), self.xy.tolist()))
 
 
 def intersect_plane(rays: Sequence[Ray], z0: float) -> PlaneHits:
     """Forward intersections origin + t*direction with z = z0 (t > 0 required)."""
-    hits = []
-    parallel = []
-    behind = []
-    for i, ray in enumerate(rays):
-        dz = ray.direction.z
-        if abs(dz) <= PARALLEL_TOL:
-            parallel.append(i)
-            continue
-        t = (z0 - ray.origin.z) / dz
-        if t <= 0.0:
-            behind.append(i)
-            continue
-        hits.append((i, Vec2(ray.origin.x + t * ray.direction.x, ray.origin.y + t * ray.direction.y)))
-    return PlaneHits(z0, tuple(hits), tuple(parallel), tuple(behind))
+    o, d = _ray_arrays(rays)
+    dz = d[:, 2]
+    parallel = np.abs(dz) <= PARALLEL_TOL
+    # far-off rays overflow to inf here and fail the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.divide(z0 - o[:, 2], dz, out=np.zeros_like(dz), where=~parallel)
+        behind = ~parallel & (t <= 0.0)
+        hit = ~(parallel | behind)
+        x, y = (o[:, 0] + t * d[:, 0])[hit], (o[:, 1] + t * d[:, 1])[hit]
+    index = np.flatnonzero(hit)
+    i = first_index(~(np.isfinite(x) & np.isfinite(y)))
+    if i is not None:
+        raise at_sample(ValueError(f"Vec2 components must be finite, got ({float(x[i])}, {float(y[i])})"), int(index[i]))
+    return PlaneHits(z0, index, np.column_stack((x, y)), tuple(np.flatnonzero(parallel).tolist()),
+                     tuple(np.flatnonzero(behind).tolist()))
 
 
 @dataclass(frozen=True)
@@ -180,18 +364,18 @@ def focal_scan(rays: Sequence[Ray], z_range: Tuple[float, float], n_planes: int)
         raise ValueError(f"invalid z range [{z_lo}, {z_hi}]")
     if n_planes < 3:
         raise ValueError("focal scan needs at least 3 planes")
-    usable = [r for r in rays if r.direction.z > PARALLEL_TOL]
-    excluded = len(rays) - len(usable)
-    if len(usable) < 2:
-        raise EmptyBundle(f"focal scan needs >= 2 forward rays, got {len(usable)}")
-    max_oz = max(r.origin.z for r in usable)
+    o, d = _ray_arrays(rays)
+    usable = d[:, 2] > PARALLEL_TOL
+    o, d = o[usable], d[usable]
+    n_used = o.shape[0]
+    if n_used < 2:
+        raise EmptyBundle(f"focal scan needs >= 2 forward rays, got {n_used}")
+    max_oz = float(o[:, 2].max())
     if z_lo <= max_oz:
         raise ValueError(f"scan range must start forward of all ray origins (z_min {z_lo} <= origin z {max_oz})")
 
     spacing = (z_hi - z_lo) / (n_planes - 1)
     z = z_lo + spacing * np.arange(n_planes, dtype=float)
-    o = np.array([(r.origin.x, r.origin.y, r.origin.z) for r in usable])
-    d = np.array([(r.direction.x, r.direction.y, r.direction.z) for r in usable])
     # rays far out of scale overflow the moments: a numeric error, not nan spots
     with np.errstate(over="raise", invalid="raise"):
         b = d[:, :2] / d[:, 2:]
@@ -230,8 +414,8 @@ def focal_scan(rays: Sequence[Ray], z_range: Tuple[float, float], n_planes: int)
         bracketed_y=0 < iy < n_planes - 1,
         bracketed_total=interior,
         plane_spacing=spacing,
-        n_rays_used=len(usable),
-        n_rays_excluded=excluded,
+        n_rays_used=n_used,
+        n_rays_excluded=len(rays) - n_used,
         z_star_x=zs_x,
         z_star_y=zs_y,
         z_star_total=zs_t,
@@ -251,28 +435,34 @@ HITS_HEADER = "z0,x,y,ray_index"
 SPOTS_HEADER = "z,cx,cy,rms_x,rms_y,rms_total"
 
 
-def rays_csv_lines(records: Sequence[TraceRecord]) -> List[str]:
-    lines = [RAYS_HEADER]
-    for rec in records:
-        fp = rec.footprint
-        if rec.ray is not None:
-            d = rec.ray.direction
-            dxyz = (_fmt(d.x), _fmt(d.y), _fmt(d.z))
-            weight = rec.ray.weight
-        else:
-            dxyz = ("", "", "")  # evanescent: no propagating direction
-            weight = 0.0
-        lines.append(",".join((
-            _fmt(fp.s), _fmt(fp.phi),
-            _fmt(rec.position.x), _fmt(rec.position.y), _fmt(rec.position.z),
-            *dxyz, rec.status.value, _fmt(weight),
-        )))
-    return lines
+# One row template per status code, each consuming the same nine values: s,
+# phi and weight preformatted (they repeat), x, y, z, dx, dy, dz as floats.
+# "%.0s" consumes a value and prints nothing, which leaves the direction of
+# evanescent rows empty and their weight 0.
+_RAY_ROWS = tuple(
+    "%s,%s,%.17g,%.17g,%.17g,%.0s,%.0s,%.0s,evanescent,0%.0s" if status is DiffractionStatus.EVANESCENT
+    else "%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," + status.value + ",%s"
+    for status in STATUSES
+)
 
 
-def write_rays_csv(records: Sequence[TraceRecord], path) -> None:
+def _rays_csv_rows(trace: Trace) -> str:
+    """The data rows of rays.csv, joined by newlines, formatted from the trace arrays."""
+    template = "\n".join([_RAY_ROWS[code] for code in trace.status.tolist()])
+    columns = (format_column(trace.s, "%.17g"), format_column(trace.phi, "%.17g"), *trace.pos.T.tolist(),
+               *trace.direction.T.tolist(), format_column(trace.eta, "%.17g"))
+    return template % tuple(chain.from_iterable(zip(*columns)))
+
+
+def rays_csv_lines(trace: Trace) -> List[str]:
+    rows = _rays_csv_rows(trace)
+    return [RAYS_HEADER] + (rows.split("\n") if rows else [])
+
+
+def write_rays_csv(trace: Trace, path) -> None:
+    rows = _rays_csv_rows(trace)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rays_csv_lines(records)) + "\n")
+        fh.write(RAYS_HEADER + "\n" + (rows + "\n" if rows else ""))
 
 
 def read_rays_csv(path) -> List[Ray]:
@@ -286,6 +476,8 @@ def read_rays_csv(path) -> List[Ray]:
             lines = fh.read().splitlines()
     except FileNotFoundError as exc:
         raise ConfigError(f"rays file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"rays file {path} cannot be read: {exc}") from exc
     if not lines or lines[0] != RAYS_HEADER:
         raise ConfigError(f"rays file {path} missing header {RAYS_HEADER!r}")
     statuses = {status.value for status in DiffractionStatus}
@@ -315,8 +507,8 @@ def write_hits_csv(plane_hits: Sequence[PlaneHits], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HITS_HEADER + "\n")
         for ph in plane_hits:
-            for idx, pt in ph.hits:
-                fh.write(",".join((_fmt(ph.z0), _fmt(pt.x), _fmt(pt.y), str(idx))) + "\n")
+            row = _fmt(ph.z0) + ",%.17g,%.17g,%d\n"
+            fh.write((row * ph.index.size) % tuple(np.column_stack((ph.xy, ph.index)).ravel().tolist()))
 
 
 def write_spots_csv(reports: Sequence[SpotReport], path) -> None:

@@ -5,6 +5,10 @@ radial profile over a disc of radius ``domain_radius``. Projections map plane
 points onto the graph either orthogonally (along z) or centrally through a
 point C on the z axis above the vertex; convexity plus rotational symmetry
 makes the central projection bijective onto its image.
+
+Profiles and projections work on arrays of points (N x 3 rows);
+:func:`evaluate`, :func:`project` and :func:`inverse_project` are their
+single-point forms.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainError, NoIntersection, NoPreimage, NotOnSurface
-from .geometry import Vec2, Vec3
+import numpy as np
+
+from .errors import DomainError, NoIntersection, NoPreimage, NotOnSurface, at_sample
+from .geometry import Vec2, Vec3, first_index, raise_first
 
 # Relative guard band on radial-domain checks; absorbs round-off from
 # projection round trips that land on the rim.
@@ -27,6 +33,26 @@ _CHECK_SAMPLES = 129
 # Iteration cap of the custom-profile projection solve. The root lies in
 # [1 - h_max/Cz, 1], where bisection alone reaches one ulp in about 55 steps.
 _MAX_ROOT_STEPS = 200
+
+
+def _sqrt(x):
+    """np.sqrt that raises ValueError on a negative radicand, like math.sqrt."""
+    if np.any(x < 0.0):
+        raise ValueError("math domain error")
+    return np.sqrt(x)
+
+
+def _cap_height(r: float, s):
+    return r - _sqrt(r * r - s * s)
+
+
+def _cap_slope(r: float, s):
+    return s / _sqrt(r * r - s * s)
+
+
+def _mapped(fn: Callable[[float], float], s: np.ndarray) -> np.ndarray:
+    """A scalar profile callable applied to every entry of ``s``."""
+    return np.array([fn(v) for v in s.ravel().tolist()], dtype=float).reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -62,10 +88,10 @@ class SurfaceProfile:
         r = float(radius)
 
         def height(s: float) -> float:
-            return r - math.sqrt(r * r - s * s)
+            return float(_cap_height(r, s))
 
         def slope(s: float) -> float:
-            return s / math.sqrt(r * r - s * s)
+            return float(_cap_slope(r, s))
 
         return cls("sphere_cap", height, slope, float(domain_radius), radius=r)
 
@@ -109,12 +135,43 @@ class SurfaceProfile:
             return {"kind": "sphere_cap", "radius_mm": self.radius, "domain_radius_mm": self.domain_radius}
         return {"kind": "custom_convex", "domain_radius_mm": self.domain_radius}
 
-    def require_radius(self, s: float) -> None:
-        """Raise DomainError unless 0 <= s <= domain_radius (with guard band)."""
-        if not math.isfinite(s) or s < 0.0:
-            raise DomainError(f"radial coordinate must be finite and >= 0, got {s}")
-        if s > self.domain_radius + DOMAIN_GUARD * max(1.0, self.domain_radius):
-            raise DomainError(f"s = {s} outside profile domain (radius {self.domain_radius})")
+    def heights(self, s: np.ndarray) -> np.ndarray:
+        """h at every radius in ``s``: closed form for planar and sphere-cap
+        profiles, the scalar callable mapped over ``s`` for custom ones."""
+        s = np.asarray(s, dtype=float)
+        if self.kind == "planar":
+            return np.zeros_like(s)
+        if self.kind == "sphere_cap":
+            return _cap_height(self.radius, s)
+        return _mapped(self.radial_height, s)
+
+    def slopes(self, s: np.ndarray) -> np.ndarray:
+        """dh/ds at every radius in ``s``, like :meth:`heights`."""
+        s = np.asarray(s, dtype=float)
+        if self.kind == "planar":
+            return np.zeros_like(s)
+        if self.kind == "sphere_cap":
+            return _cap_slope(self.radius, s)
+        return _mapped(self.radial_slope, s)
+
+    @property
+    def radius_limit(self) -> float:
+        """Largest radius inside the domain: domain_radius plus the guard band."""
+        return self.domain_radius + DOMAIN_GUARD * max(1.0, self.domain_radius)
+
+    def radius_checks(self, s: np.ndarray) -> list:
+        """The domain checks of the radii ``s`` (0 <= s <= domain_radius, with
+        guard band) as :func:`geometry.raise_first` checks raising DomainError."""
+        return [
+            (~(np.isfinite(s) & (s >= 0.0)), lambda i: at_sample(
+                DomainError(f"radial coordinate must be finite and >= 0, got {float(s[i])}"), i)),
+            (s > self.radius_limit, lambda i: at_sample(
+                DomainError(f"s = {float(s[i])} outside profile domain (radius {self.domain_radius})"), i)),
+        ]
+
+    def require_radii(self, s: np.ndarray) -> None:
+        """Raise DomainError, tagged with the first failing index, unless every radius is in the domain."""
+        raise_first(self.radius_checks(s))
 
 
 def _check_profile_samples(profile: SurfaceProfile, check_slope: bool) -> None:
@@ -198,13 +255,13 @@ class LensSpec:
 
 def evaluate(profile: SurfaceProfile, xy: Vec2) -> Vec3:
     """Graph point (x, y, h(|xy|)) above the plane point ``xy``."""
-    s = math.hypot(xy.x, xy.y)
-    profile.require_radius(s)
-    return Vec3(xy.x, xy.y, profile.radial_height(s))
+    s = np.array([math.hypot(xy.x, xy.y)])
+    profile.require_radii(s)
+    return Vec3(xy.x, xy.y, float(profile.heights(s)[0]))
 
 
-def _sphere_cap_root(cz: float, radius: float, rp: float) -> float:
-    """Segment parameter where C + tau*(p - C) meets the lower cap of the sphere.
+def _sphere_cap_roots(cz: float, radius: float, rp: np.ndarray) -> np.ndarray:
+    """Segment parameters where C + tau*(p - C) meets the lower cap of the sphere.
 
     With z = (1 - tau)*Cz and s = tau*rp, the sphere s^2 + (z - R)^2 = R^2
     becomes A tau^2 - 2 B tau + c = 0, A = rp^2 + Cz^2, B = Cz (Cz - R),
@@ -214,121 +271,165 @@ def _sphere_cap_root(cz: float, radius: float, rp: float) -> float:
     nearly equal numbers.
     """
     b = cz * (cz - radius)
-    root = math.sqrt(max(cz * (cz * radius * radius - rp * rp * (cz - 2.0 * radius)), 0.0))
+    root = np.sqrt(np.maximum(cz * (cz * radius * radius - rp * rp * (cz - 2.0 * radius)), 0.0))
     if b >= 0.0:
         return (b + root) / (rp * rp + cz * cz)
     return cz * (cz - 2.0 * radius) / (b - root)
 
 
-def _bracketed_root(gap: Callable[[float], float], dgap: Callable[[float], float], hi: float) -> float:
-    """Root of ``gap`` in [0, hi] given gap(0) > 0 >= gap(hi).
+def _bracketed_roots(gap: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                     dgap: Callable[[np.ndarray, np.ndarray], np.ndarray], hi: np.ndarray) -> np.ndarray:
+    """Roots of ``gap`` in [0, hi] given gap(0) > 0 >= gap(hi), one per entry of ``hi``.
 
-    Newton steps from ``hi``; a step that leaves the shrinking sign-change
-    bracket is replaced by bisection. Stops when a step moves tau by at most
-    four ulps.
+    ``gap(tau, rows)`` and ``dgap(tau, rows)`` evaluate the rows still being
+    solved. Newton steps from ``hi``; a step that leaves the shrinking
+    sign-change bracket is replaced by bisection. A row stops when a step
+    moves its tau by at most four ulps.
     """
-    lo, tau = 0.0, hi
+    hi = hi.copy()
+    lo = np.zeros_like(hi)
+    tau = hi.copy()
+    rows = np.arange(hi.size)
     for _ in range(_MAX_ROOT_STEPS):
-        g = gap(tau)
-        if g == 0.0:
-            return tau
-        if g > 0.0:
-            lo = tau
-        else:
-            hi = tau
-        d = dgap(tau)
-        nxt = tau - g / d if d != 0.0 else None
-        if nxt is None or not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - tau) <= 4.0 * sys.float_info.epsilon * abs(nxt):
-            return nxt
-        tau = nxt
+        if rows.size == 0:
+            break
+        t = tau[rows]
+        g = gap(t, rows)
+        above = g > 0.0
+        lo[rows[above]] = t[above]
+        hi[rows[~above]] = t[~above]
+        d = dgap(t, rows)
+        with np.errstate(over="ignore"):  # an overflowing step falls back to bisection
+            step = np.divide(g, d, out=np.zeros_like(g), where=d != 0.0)
+        nxt = t - step
+        bisect = (d == 0.0) | ~((lo[rows] < nxt) & (nxt < hi[rows]))
+        nxt[bisect] = 0.5 * (lo[rows][bisect] + hi[rows][bisect])
+        exact = g == 0.0
+        nxt[exact] = t[exact]
+        tau[rows] = nxt
+        rows = rows[~(exact | (np.abs(nxt - t) <= 4.0 * sys.float_info.epsilon * np.abs(nxt)))]
     return tau
 
 
-def project(proj: Projection, profile: SurfaceProfile, p: Vec3) -> Vec3:
-    """Map the plane point ``p`` (z = 0) onto the graph of ``profile``.
+def _finite_points(p: np.ndarray):
+    return ~np.isfinite(p).all(axis=1), lambda i: at_sample(
+        ValueError(f"point coordinates must be finite, got {tuple(p[i].tolist())}"), i)
+
+
+def _in_plane(p: np.ndarray):
+    return ~(np.abs(p[:, 2]) <= 1e-9), lambda i: at_sample(
+        DomainError(f"projection input must lie in the z = 0 plane, got z = {float(p[i, 2])}"), i)
+
+
+def project_points(proj: Projection, profile: SurfaceProfile, p: np.ndarray) -> np.ndarray:
+    """Map the plane points ``p`` (N x 3, z = 0) onto the graph of ``profile``.
 
     Orthogonal: (x, y, h(|p|)). Central: the unique intersection of the
     segment from the center C to p with the graph. On a sphere cap it is the
-    closed-form line-sphere root; on a custom profile a safeguarded
+    closed-form line-sphere root; on other profiles a safeguarded
     Newton-bisection solve on the segment parameter. Either is followed by
     one Newton polish step.
 
-    Raises DomainError if p is not in the plane (or, orthogonally, outside
-    the domain) and NoIntersection if the segment misses the graph inside
-    its domain.
+    Raises DomainError if a point is not in the plane (or, orthogonally,
+    outside the domain) and NoIntersection if a segment misses the graph
+    inside its domain, tagged with the first failing row.
     """
-    if abs(p.z) > 1e-9:
-        raise DomainError(f"projection input must lie in the z = 0 plane, got z = {p.z}")
+    x, y = p[:, 0], p[:, 1]
+    rp = np.hypot(x, y)
+    raise_first([_finite_points(p)])
+    off_plane = _in_plane(p)
     if proj.is_orthogonal:
-        s = math.hypot(p.x, p.y)
-        profile.require_radius(s)
-        return Vec3(p.x, p.y, profile.radial_height(s))
+        raise_first([off_plane, *profile.radius_checks(rp)])
+        return np.column_stack((x, y, profile.heights(rp)))
 
     cz = proj.center.z
-    rp = math.hypot(p.x, p.y)
-    h0 = profile.radial_height(0.0)
-    if cz - h0 <= 0.0:
-        raise NoIntersection(f"projection center z = {cz} is not above the surface vertex (h(0) = {h0})")
-    if rp == 0.0:
-        return Vec3(0.0, 0.0, h0)
+    h0 = float(profile.heights(np.zeros(1))[0])
+    if cz - h0 <= 0.0 and p.shape[0]:
+        if off_plane[0][0]:
+            raise off_plane[1](0)
+        raise at_sample(NoIntersection(
+            f"projection center z = {cz} is not above the surface vertex (h(0) = {h0})"), 0)
 
     # Segment r(tau) = C + tau*(p - C): z = (1-tau)*Cz, radial s = tau*rp.
     # The height is clamped at the rim so the bracket may overshoot the
     # domain by the guard band (rim preimages round-trip onto the rim).
     d_dom = profile.domain_radius
+    axis = rp == 0.0
+    rp_safe = np.where(axis, 1.0, rp)
 
-    def gap(tau: float) -> float:
-        return (1.0 - tau) * cz - profile.radial_height(min(tau * rp, d_dom))
+    def gap(tau, rows):
+        return (1.0 - tau) * cz - profile.heights(np.minimum(tau * rp_safe[rows], d_dom))
 
-    def dgap(tau: float) -> float:
-        return -cz - profile.radial_slope(min(tau * rp, d_dom)) * rp
+    def dgap(tau, rows):
+        return -cz - profile.slopes(np.minimum(tau * rp_safe[rows], d_dom)) * rp_safe[rows]
 
-    tau_hi = min(1.0, (d_dom / rp) * (1.0 + DOMAIN_GUARD))
-    g_hi = gap(tau_hi)
-    if g_hi > 0.0:
-        raise NoIntersection(
-            f"segment from center z = {cz} to ({p.x}, {p.y}) leaves the surface domain before meeting the graph"
-        )
-    if g_hi == 0.0:
-        tau = tau_hi
-    else:
+    every = np.arange(rp.size)
+    tau_hi = np.minimum(1.0, (d_dom / rp_safe) * (1.0 + DOMAIN_GUARD))
+    g_hi = gap(tau_hi, every)
+    raise_first([off_plane, (~axis & (g_hi > 0.0), lambda i: at_sample(NoIntersection(
+        f"segment from center z = {cz} to ({float(x[i])}, {float(y[i])}) leaves the surface domain "
+        "before meeting the graph"), i))])
+
+    solve = ~axis & (g_hi != 0.0)
+    tau = tau_hi.copy()
+    rows = every[solve]
+    if rows.size:
         if profile.kind == "sphere_cap":
-            tau = min(_sphere_cap_root(cz, profile.radius, rp), tau_hi)
+            t0 = np.minimum(_sphere_cap_roots(cz, profile.radius, rp[rows]), tau_hi[rows])
         else:
-            tau = _bracketed_root(gap, dgap, tau_hi)
+            t0 = _bracketed_roots(lambda t, sub: gap(t, rows[sub]), lambda t, sub: dgap(t, rows[sub]), tau_hi[rows])
         # one Newton step sharpens the root to machine precision
-        dg = dgap(tau)
-        if dg != 0.0:
-            tau_n = tau - gap(tau) / dg
-            if 0.0 <= tau_n <= tau_hi:
-                tau = tau_n
-    return Vec3(tau * p.x, tau * p.y, (1.0 - tau) * cz)
+        dg = dgap(t0, rows)
+        t_n = t0 - np.divide(gap(t0, rows), dg, out=np.zeros_like(dg), where=dg != 0.0)
+        polish = (dg != 0.0) & (t_n >= 0.0) & (t_n <= tau_hi[rows])
+        tau[rows] = np.where(polish, t_n, t0)
+    q = np.column_stack((tau * x, tau * y, (1.0 - tau) * cz))
+    q[axis] = (0.0, 0.0, h0)
+    return q
+
+
+def project(proj: Projection, profile: SurfaceProfile, p: Vec3) -> Vec3:
+    """Single-point form of :func:`project_points`, with the same errors."""
+    return Vec3(*project_points(proj, profile, np.array([p.as_tuple()]))[0].tolist())
+
+
+def inverse_project_points(proj: Projection, profile: SurfaceProfile, q: np.ndarray) -> np.ndarray:
+    """Plane preimages (N x 3) of the points ``q`` on the graph of ``profile``.
+
+    Orthogonal: drop z. Central: extend the ray center -> q to the plane
+    z = 0 (exact formula, no iteration). Every q must lie on the graph
+    within 1e-9 mm, else NotOnSurface; a ray that cannot reach the plane
+    forward is NoPreimage. Errors are tagged with the first failing row.
+    """
+    raise_first([_finite_points(q)])
+    s = np.hypot(q[:, 0], q[:, 1])
+    outside = s > profile.radius_limit
+    h = profile.heights(np.where(outside, 0.0, s))
+    checks = [
+        (outside, lambda i: at_sample(NotOnSurface(
+            f"point radius {float(s[i])} exceeds surface domain {profile.domain_radius}"), i)),
+        (np.abs(q[:, 2] - h) > 1e-9, lambda i: at_sample(NotOnSurface(
+            f"point z = {float(q[i, 2])} is not on the graph (expected {float(h[i])})"), i)),
+    ]
+    if proj.is_orthogonal:
+        raise_first(checks)
+        return np.column_stack((q[:, 0], q[:, 1], np.zeros_like(s)))
+    cz = proj.center.z
+    denom = cz - q[:, 2]
+    parallel = np.abs(denom) <= 1e-12 * max(1.0, abs(cz))
+    t = np.divide(cz, denom, out=np.zeros_like(denom), where=~parallel)
+    raise_first(checks + [
+        (parallel, lambda i: at_sample(
+            NoPreimage("ray from the projection center through the point is parallel to the plane"), i)),
+        (t <= 0.0, lambda i: at_sample(
+            NoPreimage("projection center lies below the surface point; no forward preimage"), i)),
+    ])
+    return np.column_stack((t * q[:, 0], t * q[:, 1], np.zeros_like(s)))
 
 
 def inverse_project(proj: Projection, profile: SurfaceProfile, q: Vec3) -> Vec3:
-    """Plane preimage of a point ``q`` on the graph of ``profile``.
-
-    Orthogonal: drop z. Central: extend the ray center -> q to the plane
-    z = 0 (exact formula, no iteration). ``q`` must lie on the graph within
-    1e-9 mm, else NotOnSurface.
-    """
-    s = math.hypot(q.x, q.y)
-    if s > profile.domain_radius + DOMAIN_GUARD * max(1.0, profile.domain_radius):
-        raise NotOnSurface(f"point radius {s} exceeds surface domain {profile.domain_radius}")
-    if abs(q.z - profile.radial_height(s)) > 1e-9:
-        raise NotOnSurface(f"point z = {q.z} is not on the graph (expected {profile.radial_height(s)})")
-    if proj.is_orthogonal:
-        return Vec3(q.x, q.y, 0.0)
-    cz = proj.center.z
-    denom = cz - q.z
-    if abs(denom) <= 1e-12 * max(1.0, abs(cz)):
-        raise NoPreimage("ray from the projection center through the point is parallel to the plane")
-    t = cz / denom
-    if t <= 0.0:
-        raise NoPreimage("projection center lies below the surface point; no forward preimage")
-    return Vec3(t * q.x, t * q.y, 0.0)
+    """Single-point form of :func:`inverse_project_points`, with the same errors."""
+    return Vec3(*inverse_project_points(proj, profile, np.array([q.as_tuple()]))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -368,22 +469,21 @@ def check_bijective(
             )
         r_max = d * cz / (cz - h_rim)
     tol = 1e-12 * max(1.0, d)
+    r = r_max * np.arange(1, samples + 1) / samples
     for phi in azimuths:
         c, s = math.cos(phi), math.sin(phi)
-        prev = 0.0
-        for i in range(1, samples + 1):
-            r = r_max * i / samples
-            try:
-                q = project(proj, profile, Vec3(r * c, r * s, 0.0))
-            except (NoIntersection, DomainError) as exc:
-                return BijectivityReport(False, f"phi={phi}, r={r}: {exc}", len(azimuths), samples)
-            sq = math.hypot(q.x, q.y)
-            if sq <= prev - tol:
-                return BijectivityReport(
-                    False, f"phi={phi}, r={r}: surface radius {sq} not increasing past {prev}",
-                    len(azimuths), samples,
-                )
-            prev = sq
+        try:
+            q = project_points(proj, profile, np.column_stack((r * c, r * s, np.zeros_like(r))))
+        except (NoIntersection, DomainError) as exc:
+            return BijectivityReport(False, f"phi={phi}, r={float(r[exc.index])}: {exc}", len(azimuths), samples)
+        sq = np.hypot(q[:, 0], q[:, 1])
+        i = first_index(sq <= np.concatenate(([0.0], sq[:-1])) - tol)
+        if i is not None:
+            prev = float(sq[i - 1]) if i else 0.0
+            return BijectivityReport(
+                False, f"phi={phi}, r={float(r[i])}: surface radius {float(sq[i])} not increasing past {prev}",
+                len(azimuths), samples,
+            )
     return BijectivityReport(True, None, len(azimuths), samples)
 
 

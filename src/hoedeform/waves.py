@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import SingularPoint, WavelengthMismatch
-from .geometry import Vec3
+import numpy as np
+
+from .errors import SingularPoint, WavelengthMismatch, at_sample
+from .geometry import Vec3, first_index, norms
 from .units import path_mm_to_um, wavelength_nm_to_um, wavenumber_rad_per_um
 
 # Spherical waves are singular at their source/target point; evaluations
@@ -87,31 +89,40 @@ class Wave:
         return cls(WaveKind.SPHERICAL_CONVERGING, wavelength, amplitude, point=target)
 
 
-def _radial(w: Wave, r: Vec3) -> tuple[Vec3, float]:
-    d = r - w.point
-    dist = d.norm()
-    if dist <= SOURCE_EXCLUSION_MM:
-        raise SingularPoint(f"wave evaluated {dist} mm from its source/target point")
+def _radial(w: Wave, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets r - r0 (N x 3) of spherical-wave points and their lengths;
+    SingularPoint, tagged with the first failing row, at the source."""
+    d = r - np.array(w.point.as_tuple())
+    with np.errstate(over="ignore"):  # as in float math, a far-off point is at distance inf
+        dist = norms(d)
+    i = first_index(dist <= SOURCE_EXCLUSION_MM)
+    if i is not None:
+        raise at_sample(SingularPoint(f"wave evaluated {float(dist[i])} mm from its source/target point"), i)
     return d, dist
 
 
-def local_wavevector(w: Wave, r: Vec3) -> Vec3:
-    """Wavevector of ``w`` at position ``r`` (mm); |result| = 2*pi/lambda (rad/um)."""
+def local_wavevectors(w: Wave, r: np.ndarray) -> np.ndarray:
+    """Wavevectors (N x 3) of ``w`` at the positions ``r`` (N x 3, mm); each has length 2*pi/lambda (rad/um)."""
     k = w.wavelength.k
     if w.kind is WaveKind.PLANE:
-        return w.direction * k
+        return np.tile(np.array(w.direction.as_tuple()) * k, (r.shape[0], 1))
     d, dist = _radial(w, r)
-    u = d / dist
+    u = d / dist[:, None]
     if w.kind is WaveKind.SPHERICAL_DIVERGING:
         return u * k
     return u * (-k)  # converging: k * (r0 - r)/|r0 - r|
+
+
+def local_wavevector(w: Wave, r: Vec3) -> Vec3:
+    """Single-point form of :func:`local_wavevectors`."""
+    return Vec3(*local_wavevectors(w, np.array([r.as_tuple()]))[0].tolist())
 
 
 def local_amplitude(w: Wave, r: Vec3) -> float:
     """Scalar amplitude at ``r``: A0 for plane waves, A0 / (pi |r - r0|) for spherical."""
     if w.kind is WaveKind.PLANE:
         return w.amplitude
-    _, dist = _radial(w, r)
+    dist = float(_radial(w, np.array([r.as_tuple()]))[1][0])
     return w.amplitude / (math.pi * dist)
 
 
@@ -120,7 +131,7 @@ def _local_phase(w: Wave, r: Vec3) -> float:
     k = w.wavelength.k
     if w.kind is WaveKind.PLANE:
         return k * path_mm_to_um(w.direction.dot(r))
-    _, dist = _radial(w, r)
+    dist = float(_radial(w, np.array([r.as_tuple()]))[1][0])
     phase = k * path_mm_to_um(dist)
     return phase if w.kind is WaveKind.SPHERICAL_DIVERGING else -phase
 

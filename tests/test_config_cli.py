@@ -214,6 +214,27 @@ class TestCliExitCodes:
         assert res.returncode == 2
 
 
+    @pytest.mark.parametrize("bad", ["non_utf8", "directory"])
+    @pytest.mark.parametrize("verb, flag", [("run", "--config"), ("deform", "--field"), ("scan", "--rays")])
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, verb, flag, bad):
+        from hoedeform import cli
+
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(base_config()))
+        if bad == "directory":
+            target = tmp_path / "a_directory"
+            target.mkdir()
+        else:
+            target = tmp_path / "latin1.txt"
+            target.write_bytes(b"\xff")
+        args = ["--config", str(target)] if flag == "--config" else ["--config", str(cfg), flag, str(target)]
+        capsys.readouterr()
+        code = cli.main([verb, *args, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and json.loads(err)["error"]["type"] == "ConfigError"
+
+
 class TestThreadEnv:
     def test_thread_count_does_not_change_output(self, tmp_path):
         cfg = tmp_path / "scene.json"

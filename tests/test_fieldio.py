@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,54 @@ def test_tampered_document_rejected(tmp_path, capsys, tamper):
         field_from_dict(doc)
     # the CLI maps the same document to exit 2 and a one-line JSON error
     path.write_text(json.dumps(doc))
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps(DEFORM_CONFIG))
+    capsys.readouterr()
+    code = cli.main(["deform", "--config", str(cfg), "--out", str(tmp_path / "o"), "--field", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and json.loads(err)["error"]["type"] == "ConfigError"
+
+
+REFERENCE_FIELDS = sorted((Path(__file__).resolve().parent / "reference").glob("*/field*.json"))
+
+
+@pytest.mark.parametrize("path", REFERENCE_FIELDS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_reference_field_save_load_save_byte_identical(tmp_path, path):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    save_field(load_field(path), once)
+    save_field(load_field(once), twice)
+    assert once.read_bytes() == path.read_bytes()
+    assert twice.read_bytes() == once.read_bytes()
+
+
+@pytest.mark.parametrize("carrier,grid", [
+    (SurfaceProfile.planar(10.0), PolarGrid(3, 5)),
+    (SurfaceProfile.sphere_cap(50.0, 10.0), CartesianGrid(4, 4, 7.0)),
+    (SurfaceProfile.planar(10.0), PolarGrid(1, 1, include_vertex=False)),
+], ids=["polar", "cartesian", "one_sample"])
+def test_save_field_writes_json_dump_bytes(tmp_path, carrier, grid):
+    field = record(Wave.diverging(Vec3(-30, 0, -40), LAM), Wave.converging(Vec3(0, 0, 80), LAM), carrier, grid)
+    path = tmp_path / "field.json"
+    save_field(field, path)
+    assert path.read_text() == json.dumps(field_to_dict(field), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("value", [True, "1.0", float("inf"), float("nan"), 10 ** 400],
+                         ids=["bool", "string", "inf", "nan", "int_beyond_float"])
+@pytest.mark.parametrize("key, item", [("s", None), ("phi", None), ("pos", 0), ("pos", 2), ("g", 1)])
+def test_sample_value_rejected_through_cli(tmp_path, capsys, key, item, value):
+    field = record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(2, 4, s_max=2.0))
+    doc = field_to_dict(field)
+    sample = doc["samples"][3]
+    if item is None:
+        sample[key] = value
+    else:
+        sample[key][item] = value
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))  # inf and nan as the JSON extensions Infinity and NaN
+    with pytest.raises(ConfigError, match=r"^field\.samples(\[3\]|: sample 3 )"):
+        load_field(path)
     cfg = tmp_path / "scene.json"
     cfg.write_text(json.dumps(DEFORM_CONFIG))
     capsys.readouterr()

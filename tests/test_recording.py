@@ -175,18 +175,18 @@ class TestFieldValidation:
         field = record(W0, W65, FLAT, PolarGrid(2, 4))
         doubled = field.samples + (field.samples[0],)
         with pytest.raises(ValueError):
-            GratingVectorField(FLAT, doubled, field.grid, field.wavelength_nm)
+            GratingVectorField.from_samples(FLAT, doubled, field.grid, field.wavelength_nm)
 
     def test_off_carrier_position_rejected(self):
         field = record(W0, W65, FLAT, PolarGrid(2, 4))
         s0 = field.samples[0]
         bad = GratingSample(s0.footprint, s0.position + Vec3(0, 0, 1.0), s0.frame, s0.coords, s0.magnitude)
         with pytest.raises(ValueError):
-            GratingVectorField(FLAT, (bad,) + field.samples[1:], field.grid, field.wavelength_nm)
+            GratingVectorField.from_samples(FLAT, (bad,) + field.samples[1:], field.grid, field.wavelength_nm)
 
     def test_inconsistent_magnitude_rejected(self):
         field = record(W0, W65, FLAT, PolarGrid(2, 4))
         s0 = field.samples[0]
         bad = GratingSample(s0.footprint, s0.position, s0.frame, s0.coords, s0.magnitude * 2.0)
         with pytest.raises(ValueError):
-            GratingVectorField(FLAT, (bad,) + field.samples[1:], field.grid, field.wavelength_nm)
+            GratingVectorField.from_samples(FLAT, (bad,) + field.samples[1:], field.grid, field.wavelength_nm)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import oracles
 from hoedeform.config import parse_profile
+from hoedeform.deformation import induce_forward
 from hoedeform.errors import ConfigError, DomainError, NoIntersection, NoPreimage, NotOnSurface
 from hoedeform.geometry import Vec2, Vec3
 from hoedeform.surfaces import (
@@ -17,7 +19,10 @@ from hoedeform.surfaces import (
     inverse_project,
     lensmaker_focal,
     project,
+    project_points,
 )
+from hoedeform.recording import PolarGrid, record
+from hoedeform.waves import Wave, Wavelength
 
 CAP50 = SurfaceProfile.sphere_cap(50.0, 20.0)
 FLAT = SurfaceProfile.planar(20.0)
@@ -253,6 +258,47 @@ class TestProjectionAgainstBrentq:
             _brentq_projection(cz, profile, p)
         with pytest.raises(NoIntersection):
             project(proj, profile, p)
+
+    CUSTOM = sorted(k for k in CASES if k.startswith("custom"))
+
+    @pytest.mark.parametrize("case", CUSTOM)
+    def test_vectorized_custom_profiles(self, case):
+        """All interior and rim points in one array call, each row against brentq."""
+        profile, cz = self.CASES[case]
+        proj = Projection.from_center_z(cz)
+        d = profile.domain_radius
+        r_rim = inverse_project(proj, profile, evaluate(profile, Vec2(d, 0.0))).x
+        points = [Vec3(r * math.cos(phi), r * math.sin(phi), 0.0)
+                  for r in (r_rim * (i / 40.0) ** 2 * (1.0 - 1e-6) for i in range(1, 41)) for phi in (0.3, 2.0, 4.5)]
+        points += [inverse_project(proj, profile, evaluate(profile, Vec2(d * math.cos(phi), d * math.sin(phi))))
+                   for phi in (0.0, 0.7, math.pi, 5.1)]
+        got = project_points(proj, profile, np.array([(0.0, 0.0, 0.0)] + [p.as_tuple() for p in points]))
+        assert got[0].tolist() == [0.0, 0.0, profile.radial_height(0.0)]
+        for p, q in zip(points, got[1:].tolist()):
+            self._assert_close(Vec3(*q), _brentq_projection(cz, profile, p))
+
+    @pytest.mark.parametrize("case", CUSTOM)
+    def test_vectorized_beyond_rim_names_first_failing_sample(self, case):
+        profile, cz = self.CASES[case]
+        proj = Projection.from_center_z(cz)
+        r_rim = inverse_project(proj, profile, evaluate(profile, Vec2(profile.domain_radius, 0.0))).x
+        radii = [0.3 * r_rim, 0.9 * r_rim, 1.01 * r_rim, 0.5 * r_rim, 1.2 * r_rim]
+        points = np.array([(0.0, -r, 0.0) for r in radii])
+        with pytest.raises(NoIntersection) as got:
+            project_points(proj, profile, points)
+        assert got.value.index == 2
+        with pytest.raises(NoIntersection) as want:
+            project(proj, profile, Vec3(*points[2]))
+        assert str(got.value) == str(want.value)
+        # in a field the error carries the scalar code's sample context
+        field = record(Wave.plane(Vec3(0, 0, 1), Wavelength(500.0)), Wave.plane(Vec3(0.6, 0, 0.8), Wavelength(500.0)),
+                       SurfaceProfile.planar(1.3 * r_rim), PolarGrid(6, 5))
+        with pytest.raises(NoIntersection) as want:
+            oracles.induce_forward_rows(oracles.field_rows(field), profile, proj)
+        with pytest.raises(NoIntersection) as got:
+            induce_forward(field, profile, proj)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("sample ") and int(str(got.value).split()[1]) > 0
 
     def test_center_below_raised_vertex_has_no_intersection(self):
         with pytest.raises(NoIntersection):
