@@ -12,10 +12,10 @@ Verbs compose through the serialized field format:
 Each verb loads its inputs and calls the same stage function of
 ``pipeline`` that ``run`` chains, so stepwise and one-shot outputs agree.
 
-Exit codes: 0 ok, 2 config error, 3 numeric/pipeline error. Errors are
-emitted as one JSON object on stderr. --seed and the HOE_THREADS
-environment variable are accepted and ignored (reserved); a HOE_THREADS
-value that is not a positive integer is a config error for every verb.
+Exit codes: 0 ok, 2 config or usage error, 3 numeric/pipeline error, out of
+memory included. Errors are emitted as one JSON object on stderr. --seed and
+the HOE_THREADS environment variable are accepted and ignored (reserved); a
+HOE_THREADS value that is not a positive integer is a config error.
 """
 
 from __future__ import annotations
@@ -46,8 +46,13 @@ from .scene import read_rays_csv
 from .surfaces import Projection
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error; subparsers inherit the parser class
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hoedeform", description="HOE grating-vector-field pipeline")
+    parser = _Parser(prog="hoedeform", description="HOE grating-vector-field pipeline")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -81,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", choices=("basic", "energy"), default="energy", help="closure mode")
 
     return parser
-
-
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
 
 
 def _check_thread_env() -> None:
@@ -180,17 +181,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_thread_env()
         summary = _COMMANDS[args.verb](args)
-    except ConfigError as exc:
+    except (HoedeformError, ValueError, ArithmeticError, MemoryError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)
-        return 2
-    except (HoedeformError, ValueError, ArithmeticError) as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)
-        return 3
-    _emit(summary)
+        return 2 if isinstance(exc, ConfigError) else 3
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 

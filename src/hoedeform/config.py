@@ -72,12 +72,16 @@ class SceneConfig:
     analysis: Optional[AnalysisSpec]
 
 
-def _check_keys(d: dict, allowed: set, ctx: str) -> None:
+def _check_keys(d: dict, allowed: set, ctx: str, required: Tuple[str, ...] = ()) -> None:
+    """``d`` is an object with keys from ``allowed`` and ``required``, every required key included."""
     if not isinstance(d, dict):
         raise ConfigError(f"{ctx}: expected an object, got {type(d).__name__}")
-    extra = set(d) - allowed
+    extra = set(d).difference(allowed, required)
     if extra:
         raise ConfigError(f"{ctx}: unknown keys {sorted(extra)}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{ctx}: missing key {key!r}")
 
 
 def _is_finite_number(v) -> bool:
@@ -191,10 +195,7 @@ def parse_field_grid(d: dict, ctx: str) -> GridSpec:
     samples were laid out on.
     """
     while isinstance(d, dict) and d.get("kind") in ("induced", "induced_inverse"):
-        _check_keys(d, {"kind", "projection", "source_grid"}, ctx)
-        for key in ("projection", "source_grid"):
-            if key not in d:
-                raise ConfigError(f"{ctx}: missing key {key!r}")
+        _check_keys(d, {"kind"}, ctx, ("projection", "source_grid"))
         parse_projection(d["projection"], f"{ctx}.projection")
         d, ctx = d["source_grid"], f"{ctx}.source_grid"
     return parse_grid(d, ctx)
@@ -226,10 +227,7 @@ def parse_scene_config(doc: dict) -> SceneConfig:
     recording = None
     if "recording" in doc:
         r = doc["recording"]
-        _check_keys(r, {"w1", "w2", "carrier", "grid"}, "recording")
-        for key in ("w1", "w2", "carrier", "grid"):
-            if key not in r:
-                raise ConfigError(f"recording: missing key {key!r}")
+        _check_keys(r, set(), "recording", ("w1", "w2", "carrier", "grid"))
         recording = RecordingSpec(
             w1=_parse_wave(r["w1"], lam, "recording.w1"),
             w2=_parse_wave(r["w2"], lam, "recording.w2"),
@@ -240,9 +238,7 @@ def parse_scene_config(doc: dict) -> SceneConfig:
     deformation = None
     if "deformation" in doc:
         dd = doc["deformation"]
-        _check_keys(dd, {"target_profile", "projection", "rescale"}, "deformation")
-        if "target_profile" not in dd:
-            raise ConfigError("deformation: missing key 'target_profile'")
+        _check_keys(dd, {"projection", "rescale"}, "deformation", ("target_profile",))
         projection = parse_projection(dd["projection"], "deformation.projection") \
             if "projection" in dd else Projection.orthogonal()
         rescale = _number(dd, "rescale", "deformation") if "rescale" in dd else None
@@ -284,16 +280,22 @@ def parse_scene_config(doc: dict) -> SceneConfig:
     return SceneConfig(lam, recording, deformation, probe, analysis)
 
 
-def load_scene_config(path: Union[str, os.PathLike]) -> SceneConfig:
+def read_input(path: Union[str, os.PathLike], what: str) -> str:
+    """The text of the input file ``path``; a missing or unreadable file is a ConfigError naming the ``what`` file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return fh.read()
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raise ConfigError(f"{what} file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} file {path} cannot be read: {exc}") from exc
+
+
+def load_scene_config(path: Union[str, os.PathLike]) -> SceneConfig:
+    try:
+        doc = json.loads(read_input(path, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return parse_scene_config(doc)

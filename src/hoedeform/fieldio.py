@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .config import _check_keys, _is_finite_number, _number, parse_field_grid, parse_profile
+from .config import _check_keys, _is_finite_number, _number, parse_field_grid, parse_profile, read_input
 from .errors import ConfigError, HoedeformError
 from .geometry import TWO_PI
 from .recording import GratingVectorField
@@ -136,12 +136,7 @@ def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None
 
 def load_field(path: Union[str, os.PathLike]) -> GratingVectorField:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"field file not found: {path}") from exc
+        doc = json.loads(read_input(path, "field"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"field file {path} is not valid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"field file {path} cannot be read: {exc}") from exc
     return field_from_dict(doc)

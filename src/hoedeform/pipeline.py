@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .config import AnalysisSpec, DeformationSpec, RecordingSpec, SceneConfig, load_scene_config
 from .deformation import induce_forward, rescale
 from .errors import ConfigError
 from .fieldio import save_field
 from .recording import GratingVectorField, record
-from .scene import (Ray, Trace, focal_scan, intersect_plane, trace_field, write_hits_csv, write_rays_csv,
+from .scene import (RayBundle, Trace, focal_scan, intersect_plane, trace_field, write_hits_csv, write_rays_csv,
                     write_spots_csv)
 from .waves import Wave
 
@@ -62,7 +62,7 @@ def trace_stage(field: GratingVectorField, probe: Wave, mode: str, out: Path) ->
     return records
 
 
-def analyze_stage(rays: Sequence[Ray], spec: AnalysisSpec, out: Path) -> Tuple[List[str], Optional[dict]]:
+def analyze_stage(rays: RayBundle, spec: AnalysisSpec, out: Path) -> Tuple[List[str], Optional[dict]]:
     """Detector hits and focal scan of ``rays`` as ``spec`` asks.
 
     Writes OUT/hits.csv for detector planes and OUT/spots.csv plus

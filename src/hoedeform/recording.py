@@ -29,11 +29,11 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, HoedeformError, PointNotOnEllipsoid, ZeroGrating, at_sample
-from .geometry import (Frame, FrameCoords, PolarPoint, Vec3, dot, first_index, frame_recompose, frames, norms,
-                       raise_first)
+from .geometry import (Frame, FrameCoords, PolarPoint, Vec3, cross, dot, first_index, frame_recompose, frames,
+                       norms, raise_first)
 from .surfaces import DOMAIN_GUARD, SurfaceProfile
 from .units import path_mm_to_um
-from .waves import Wave, WaveKind, local_wavevector, local_wavevectors, require_same_wavelength
+from .waves import Wave, WaveKind, local_wavevectors, require_same_wavelength
 
 TWO_PI = 2.0 * math.pi
 
@@ -365,25 +365,18 @@ def check_isosurface(
     if w1.point != spec.r1 or w2.point != spec.r2:
         raise ValueError("spec foci must match the wave source/target points")
 
-    pts = list(points)
-    k = w1.wavelength.k
-    phases = []
-    max_dev = 0.0
-    max_res = 0.0
-    for i, r in enumerate(pts):
-        d1 = (r - spec.r1).norm()
-        d2 = (r - spec.r2).norm()
-        dev = abs(d1 + d2 - spec.distance_sum)
-        if dev > 1e-9 * spec.distance_sum:
-            raise PointNotOnEllipsoid(
-                f"point {i} at {r.as_tuple()}: distance sum {d1 + d2} vs required {spec.distance_sum}"
-            )
-        max_dev = max(max_dev, dev)
-        phases.append(k * path_mm_to_um(d1 + d2))
-        kg = local_wavevector(w2, r) - local_wavevector(w1, r)
-        u_sum = (r - spec.r1) / d1 + (r - spec.r2) / d2
-        denom = kg.norm() * u_sum.norm()
-        if denom > 1e-300:
-            max_res = max(max_res, kg.cross(u_sum).norm() / denom)
-    spread = (max(phases) - min(phases)) if phases else 0.0
-    return IsosurfaceReport(len(pts), max_dev, spread, max_res)
+    pts = np.array([r.as_tuple() for r in points], dtype=float).reshape(-1, 3)
+    to_r1, to_r2 = pts - np.array(spec.r1.as_tuple()), pts - np.array(spec.r2.as_tuple())
+    with np.errstate(over="ignore"):  # as in float math, a far-off point is at distance inf
+        d1, d2 = norms(to_r1), norms(to_r2)
+    dev = np.abs(d1 + d2 - spec.distance_sum)
+    i = first_index(dev > 1e-9 * spec.distance_sum)
+    if i is not None:
+        raise PointNotOnEllipsoid(f"point {i} at {tuple(pts[i].tolist())}: distance sum {float(d1[i] + d2[i])} "
+                                  f"vs required {spec.distance_sum}")
+    kg = local_wavevectors(w2, pts) - local_wavevectors(w1, pts)
+    u_sum = to_r1 / d1[:, None] + to_r2 / d2[:, None]
+    denom = norms(kg) * norms(u_sum)
+    res = np.divide(norms(cross(kg, u_sum)), denom, out=np.zeros_like(denom), where=denom > 1e-300)
+    spread = float(np.ptp(w1.wavelength.k * path_mm_to_um(d1 + d2))) if len(pts) else 0.0
+    return IsosurfaceReport(len(pts), float(dev.max(initial=0.0)), spread, float(res.max(initial=0.0)))

@@ -13,14 +13,16 @@ CSV emission is deterministic: fixed sample ordering, decimal values with
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import abc
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import read_input
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
 from .fieldio import format_column
 from .geometry import PolarPoint, Vec2, Vec3, first_index, norms
@@ -84,6 +86,11 @@ class RayBundle(abc.Sequence):
         if isinstance(i, slice):
             return RayBundle(self.origins[i], self.directions[i], self.weights[i])
         return _view_ray(self._arrays, self.weights, range(len(self))[i])
+
+    def __eq__(self, other) -> bool:  # equal to any sequence of equal rays, in order
+        return isinstance(other, abc.Sequence) and len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
 
 
 class TraceRecord:
@@ -426,10 +433,6 @@ def focal_scan(rays: Sequence[Ray], z_range: Tuple[float, float], n_planes: int)
 # deterministic CSV emission / parsing
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 RAYS_HEADER = "s,phi,x,y,z,dx,dy,dz,status,weight"
 HITS_HEADER = "z0,x,y,ray_index"
 SPOTS_HEADER = "z,cx,cy,rms_x,rms_y,rms_total"
@@ -465,57 +468,64 @@ def write_rays_csv(trace: Trace, path) -> None:
         fh.write(RAYS_HEADER + "\n" + (rows + "\n" if rows else ""))
 
 
-def read_rays_csv(path) -> List[Ray]:
+_STATUS_CODES = {status.value: code for code, status in enumerate(STATUSES)}
+_RAY_NUMBERS = operator.itemgetter(2, 3, 4, 5, 6, 7, 9)  # x, y, z, dx, dy, dz and weight
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:  # a nan fails the finiteness check, and the row's error names the text
+        return math.nan
+
+
+def read_rays_csv(path) -> RayBundle:
     """Rays (propagating and pass-through rows) from a rays.csv file.
 
     Every row needs a known status; evanescent rows, and only they, have an
-    empty direction and yield no ray. A malformed row is a ConfigError.
+    empty direction and yield no ray. All rows are checked at once; the first
+    malformed one is a ConfigError naming its line, which for a bad number
+    carries the error of the :class:`Ray` built from that row alone.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError as exc:
-        raise ConfigError(f"rays file not found: {path}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"rays file {path} cannot be read: {exc}") from exc
+    lines = read_input(path, "rays").splitlines()
     if not lines or lines[0] != RAYS_HEADER:
         raise ConfigError(f"rays file {path} missing header {RAYS_HEADER!r}")
-    statuses = {status.value for status in DiffractionStatus}
-    rays = []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    code = np.array([_STATUS_CODES.get(parts[8], -1) if len(parts) == 10 else -1 for parts in rows], dtype=np.intp)
+    live = (code >= 0) & (code != EVANESCENT)
+    bad = (code < 0) | (live == np.array([parts[5:8] == ["", "", ""] for parts in rows], dtype=bool))
+    numbers = chain.from_iterable(map(_RAY_NUMBERS, compress(rows, live)))
+    values = np.array([_float_or_nan(v) for v in numbers], dtype=float).reshape(-1, 7)
+    origins, directions, weights = values[:, :3], values[:, 3:6], values[:, 6]
+    with np.errstate(over="ignore"):  # |d| overflows to inf, as in float math
+        bad[live] |= ~(np.isfinite(values[:, :6]).all(axis=1) & (np.abs(norms(directions) - 1.0) <= 1e-12)
+                       & (weights >= 0.0) & (weights <= 1.0))
+    i = first_index(bad)
+    if i is not None:
+        parts, where = rows[i], f"rays file {path} line {i + 2}"
         if len(parts) != 10:
-            raise ConfigError(f"rays file {path} line {ln}: expected 10 fields, got {len(parts)}")
-        status = parts[8]
-        if status not in statuses:
-            raise ConfigError(f"rays file {path} line {ln}: unknown status {status!r}")
-        evanescent = status == DiffractionStatus.EVANESCENT.value
-        if evanescent != (parts[5:8] == ["", "", ""]):
-            raise ConfigError(f"rays file {path} line {ln}: the direction must be empty exactly on evanescent rows")
-        if evanescent:
-            continue
+            raise ConfigError(f"{where}: expected 10 fields, got {len(parts)}")
+        if code[i] < 0:
+            raise ConfigError(f"{where}: unknown status {parts[8]!r}")
+        if code[i] == EVANESCENT or parts[5:8] == ["", "", ""]:
+            raise ConfigError(f"{where}: the direction must be empty exactly on evanescent rows")
         try:
-            origin = Vec3(float(parts[2]), float(parts[3]), float(parts[4]))
-            direction = Vec3(float(parts[5]), float(parts[6]), float(parts[7]))
-            rays.append(Ray(origin, direction, float(parts[9])))
+            Ray(Vec3(*map(float, parts[2:5])), Vec3(*map(float, parts[5:8])), float(parts[9]))
         except ValueError as exc:
-            raise ConfigError(f"rays file {path} line {ln}: {exc}") from exc
-    return rays
+            raise ConfigError(f"{where}: {exc}") from exc
+    return RayBundle(origins, directions, weights)
 
 
 def write_hits_csv(plane_hits: Sequence[PlaneHits], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HITS_HEADER + "\n")
         for ph in plane_hits:
-            row = _fmt(ph.z0) + ",%.17g,%.17g,%d\n"
+            row = "%.17g" % ph.z0 + ",%.17g,%.17g,%d\n"
             fh.write((row * ph.index.size) % tuple(np.column_stack((ph.xy, ph.index)).ravel().tolist()))
 
 
 def write_spots_csv(reports: Sequence[SpotReport], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SPOTS_HEADER + "\n")
-        for r in reports:
-            fh.write(",".join((
-                _fmt(r.z), _fmt(r.centroid.x), _fmt(r.centroid.y),
-                _fmt(r.rms_x), _fmt(r.rms_y), _fmt(r.rms_total),
-            )) + "\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (r.z, r.centroid.x, r.centroid.y, r.rms_x, r.rms_y,
+                                                                 r.rms_total) for r in reports)

@@ -11,8 +11,9 @@ import bisect
 import math
 import sys
 
-from hoedeform.errors import DomainError, NoIntersection, NoPreimage, NotOnSurface, SingularPoint
+from hoedeform.errors import DomainError, NoIntersection, NoPreimage, NotOnSurface, PointNotOnEllipsoid, SingularPoint
 from hoedeform.surfaces import DOMAIN_GUARD
+from hoedeform.units import UM_PER_MM
 from hoedeform.waves import SOURCE_EXCLUSION_MM, WaveKind
 
 TWO_PI = 2.0 * math.pi
@@ -289,3 +290,24 @@ def resample_rows(rows, carrier, n_s, n_phi, has_vertex, targets):
         out.append((s, phi, x, y, carrier.radial_height(math.hypot(x, y)),
                     *lerp(ring_coords(lo, phi), ring_coords(hi, phi), w)))
     return out
+
+
+def isosurface_report(w1, w2, spec, points):
+    """The four ``IsosurfaceReport`` numbers of ``check_isosurface``, computed point by point."""
+    r1, r2, total = spec.r1.as_tuple(), spec.r2.as_tuple(), spec.distance_sum
+    phases, max_dev, max_res = [], 0.0, 0.0
+    for i, p in enumerate(points):
+        r = p.as_tuple()
+        d1, d2 = _norm(_sub(r, r1)), _norm(_sub(r, r2))
+        dev = abs(d1 + d2 - total)
+        if dev > 1e-9 * total:
+            raise PointNotOnEllipsoid(f"point {i} at {r}: distance sum {d1 + d2} vs required {total}")
+        max_dev = max(max_dev, dev)
+        phases.append(w1.wavelength.k * ((d1 + d2) * UM_PER_MM))
+        kg = _sub(wavevector(w2, r), wavevector(w1, r))
+        u_sum = _add(tuple(c / d1 for c in _sub(r, r1)), tuple(c / d2 for c in _sub(r, r2)))
+        denom = _norm(kg) * _norm(u_sum)
+        if denom > 1e-300:
+            max_res = max(max_res, _norm(_cross(kg, u_sum)) / denom)
+    spread = (max(phases) - min(phases)) if phases else 0.0
+    return len(phases), max_dev, spread, max_res

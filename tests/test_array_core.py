@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import oracles
 from hoedeform.deformation import induce_forward, induce_inverse, resample_field
-from hoedeform.errors import NoIntersection, NoPreimage
+from hoedeform.errors import NoIntersection, NoPreimage, PointNotOnEllipsoid
 from hoedeform.geometry import Vec3
-from hoedeform.recording import CartesianGrid, GratingVectorField, PolarGrid, record
+from hoedeform.recording import (BraggIsosurfaceSpec, CartesianGrid, GratingVectorField, PolarGrid, check_isosurface,
+                                 record)
 from hoedeform.scene import trace_field
 from hoedeform.surfaces import Projection, SurfaceProfile
 from hoedeform.waves import Wave, Wavelength
@@ -213,3 +214,36 @@ def test_overflow_behaves_as_float_math():
     far = Wave.diverging(Vec3(1e300, 1e300, -1e300), LAM)
     oracles.assert_rows_close(oracles.field_rows(record(far, W0, FLAT, PolarGrid(1, 2))),
                               oracles.record_rows(far, W0, FLAT, PolarGrid(1, 2)), "far source")
+
+
+def _ellipsoid_points(n_u, n_psi, a=10.0, b=math.sqrt(75.0), zc=5.0):
+    """Points on the ellipsoid with foci (0, 0, 0) and (0, 0, 10) and distance sum 2a = 20."""
+    return [Vec3(b * math.sin(u) * math.cos(psi), b * math.sin(u) * math.sin(psi), zc + a * math.cos(u))
+            for u in (math.pi * (i + 0.5) / n_u for i in range(n_u))
+            for psi in (2.0 * math.pi * j / n_psi + 0.3 for j in range(n_psi))]
+
+
+ISOSURFACE_POINTS = {
+    "empty": [],
+    "equator_and_pole": [Vec3(math.sqrt(75.0), 0.0, 5.0), Vec3(0.0, 0.0, -5.0)],
+    "ellipsoid": _ellipsoid_points(30, 7),
+    "second_point_off": [Vec3(math.sqrt(75.0), 0.0, 5.0), Vec3(0.0, 0.0, 16.0), Vec3(0.0, 0.0, 17.0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ISOSURFACE_POINTS))
+def test_check_isosurface_is_the_point_loop(case):
+    # the report is bit-identical: same formulas, same order, so == and not the 1e-12 rule
+    w1, w2 = Wave.diverging(Vec3(0.0, 0.0, 0.0), LAM), Wave.converging(Vec3(0.0, 0.0, 10.0), LAM)
+    spec = BraggIsosurfaceSpec(w1.point, w2.point, 20.0)
+    points = ISOSURFACE_POINTS[case]
+    try:
+        want = oracles.isosurface_report(w1, w2, spec, points)
+    except PointNotOnEllipsoid as exc:
+        with pytest.raises(PointNotOnEllipsoid) as got:
+            check_isosurface(w1, w2, spec, points)
+        assert str(got.value) == str(exc)
+        return
+    report = check_isosurface(w1, w2, spec, iter(points))
+    assert (report.n_points, report.max_sum_deviation_mm, report.max_phase_spread_rad,
+            report.max_collinearity_residual) == want

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -136,19 +138,59 @@ class TestConfigParsing:
         assert parse_grid(grid.descriptor(), "grid") == grid
 
 
+def evanescent_config():
+    # the geometry of test_scene._mixed_rays_lines probed by a converging wave: about half of the
+    # samples are evanescent, and the propagating rays focus near z = 3.4 mm
+    doc = base_config()
+    doc["recording"]["w1"]["dir"] = [0.0, 0.0, 1.0]
+    doc["recording"]["w2"]["dir"] = [math.sin(math.radians(65)), 0.0, math.cos(math.radians(65))]
+    doc["recording"]["grid"] = {"kind": "polar", "n_s": 5, "n_phi": 8}
+    doc["probe"] = {"kind": "spherical_converging", "target_mm": [0.0, 0.0, 10.0]}
+    doc["analysis"] = {"detector_z_mm": [5.0, 10.0], "focal_scan": {"z_min": 2.0, "z_max": 30.0, "n": 41}}
+    return doc
+
+
+def cli_main(*argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)`` run in-process."""
+    from hoedeform import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+STEPWISE_SCENES = {
+    "base": base_config,
+    "evanescent": evanescent_config,
+    **{name: (lambda name=name: json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+       for name in ("plane_wave_planar", "plane_wave_curved_recorded", "plane_wave_deformed", "combiner_deformed")},
+}
+
+
 class TestCliFlows:
-    def test_stepwise_verbs_match_run(self, tmp_path):
+    @pytest.mark.parametrize("scene", sorted(STEPWISE_SCENES))
+    def test_stepwise_verbs_match_run(self, tmp_path, scene):
+        # scan reads rays.csv back while run analyses the rays of its trace: both reach analyze_stage
+        doc = STEPWISE_SCENES[scene]()
         cfg = tmp_path / "scene.json"
-        cfg.write_text(json.dumps(base_config()))
+        cfg.write_text(json.dumps(doc))
         out_run = tmp_path / "all_at_once"
         out_step = tmp_path / "stepwise"
-        assert run_cli("run", "--config", str(cfg), "--out", str(out_run)).returncode == 0
-        assert run_cli("record", "--config", str(cfg), "--out", str(out_step)).returncode == 0
-        assert run_cli("deform", "--config", str(cfg), "--out", str(out_step)).returncode == 0
-        assert run_cli("trace", "--config", str(cfg), "--out", str(out_step)).returncode == 0
-        assert run_cli("scan", "--config", str(cfg), "--out", str(out_step)).returncode == 0
-        for name in ("field.json", "field_deformed.json", "rays.csv", "hits.csv", "spots.csv", "scan.json"):
+        code, summary, err = cli_main("run", "--config", str(cfg), "--out", str(out_run))
+        assert code == 0, err
+        verbs = ["record"] + ["deform"] * ("deformation" in doc) + ["trace", "scan"]
+        for verb in verbs:
+            assert cli_main(verb, "--config", str(cfg), "--out", str(out_step))[0] == 0, verb
+        names = sorted(p.name for p in out_run.iterdir())
+        assert names == sorted(p.name for p in out_step.iterdir())
+        scanned = {"spots.csv", "scan.json"} if "focal_scan" in doc["analysis"] else set()
+        assert {"rays.csv", "hits.csv"} | scanned <= set(names)
+        for name in names:
             assert (out_run / name).read_bytes() == (out_step / name).read_bytes(), name
+        if scene == "evanescent":
+            counts = json.loads(summary)["counts"]
+            assert counts["evanescent"] > 0 and counts["propagating"] > 0
 
     def test_invert_then_deform_recovers_target(self, tmp_path):
         cfg_path = CONFIG_DIR / "combiner_invert.json"
@@ -233,6 +275,42 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and json.loads(err)["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out", "o"],
+        ["run", "--config", "scene.json", "--out", "o", "--seed", "abc"],
+        [],
+        ["run", "--config", "scene.json", "--out", "o", "--mode", "bogus"],
+    ], ids=["missing_config", "seed_not_int", "no_verb", "unknown_mode"])
+    def test_usage_error_is_one_json_object(self, argv):
+        code, out, err = cli_main(*argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["error"]["type"] == "ConfigError"
+
+    def test_help_exits_0(self, capsys):
+        from hoedeform import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--help"])
+        assert exc.value.code == 0 and "--config" in capsys.readouterr().out
+
+    # 10**17 samples or planes need 711 PiB: the allocation fails at once, before any memory is touched
+    @pytest.mark.parametrize("key_path, value", [
+        (("recording", "grid", "n_s"), 10 ** 17),
+        (("recording", "grid"), {"kind": "cartesian", "n_x": 10 ** 17, "n_y": 3, "half_width_mm": 5.0}),
+        (("analysis", "focal_scan", "n"), 10 ** 17),
+    ], ids=["polar_n_s", "cartesian_n_x", "focal_scan_n"])
+    def test_oversized_allocation_exits_3(self, tmp_path, key_path, value):
+        doc = base_config()
+        parent = doc
+        for key in key_path[:-1]:
+            parent = parent[key]
+        parent[key_path[-1]] = value
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = cli_main("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["error"]["type"] == "MemoryError"
 
 
 class TestThreadEnv:

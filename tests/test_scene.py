@@ -12,9 +12,12 @@ from hoedeform.deformation import induce_forward
 from hoedeform.errors import ConfigError, EmptyBundle, NoMinimumInRange
 from hoedeform.geometry import Vec3
 from hoedeform.recording import PolarGrid, record
+from hoedeform.config import load_scene_config
+from hoedeform.pipeline import deform_stage, record_stage
 from hoedeform.scene import (
     PARALLEL_TOL,
     Ray,
+    RayBundle,
     focal_scan,
     intersect_plane,
     rays_csv_lines,
@@ -26,6 +29,7 @@ from hoedeform.surfaces import Projection, SurfaceProfile
 from hoedeform.waves import Wave, Wavelength
 
 REF_DIR = Path(__file__).resolve().parent / "reference"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "hoedeform" / "configs"
 LAM = Wavelength(500.0)
 W0 = Wave.plane(Vec3(0, 0, 1), LAM)
 W65 = Wave.plane(Vec3(math.sin(math.radians(65)), 0.0, math.cos(math.radians(65))), LAM)
@@ -257,6 +261,35 @@ class TestRaysCsv:
         for a, b in zip(rays, original):
             assert a.origin == b.origin and a.direction == b.direction and a.weight == b.weight
 
+    @pytest.mark.parametrize("scene", sorted(p.parent.name for p in REF_DIR.glob("*/rays.csv")))
+    def test_reference_rays_equal_the_rerun_trace(self, tmp_path, scene):
+        cfg = load_scene_config(CONFIG_DIR / f"{scene}.json")
+        field = record_stage(cfg.recording, tmp_path)
+        if cfg.deformation is not None:
+            field = deform_stage(field, cfg.deformation, tmp_path)
+        trace = trace_field(field, cfg.probe)
+        path = REF_DIR / scene / "rays.csv"
+        rays = read_rays_csv(path)
+        assert isinstance(rays, RayBundle)
+        assert rays == trace.rays() and rays == [rec.ray for rec in trace if rec.ray is not None]
+        # one ulp more on one direction component is another bundle
+        lines = path.read_text().splitlines()
+        row = max(i for i, ln in enumerate(lines[1:], start=1) if ln.split(",")[8] != "evanescent")
+        parts = lines[row].split(",")
+        parts[5] = repr(math.nextafter(float(parts[5]), math.inf))
+        lines[row] = ",".join(parts)
+        edited = read_rays_csv(_write(tmp_path / "edited.csv", lines))
+        assert edited != trace.rays() and edited[:-1] == trace.rays()[:-1]
+
+    def test_bundle_equals_sequences_of_equal_rays_in_order(self):
+        rays = read_rays_csv(REF_DIR / "plane_wave_deformed" / "rays.csv")
+        as_list = list(rays)
+        assert rays == as_list and as_list == rays and rays == tuple(as_list)
+        assert not rays != as_list
+        assert rays != as_list[:-1] and rays != as_list[::-1] and rays != 5
+        with pytest.raises(TypeError):
+            hash(rays)
+
     def test_evanescent_rows_have_empty_direction(self):
         # deformed steep grating probed on-axis produces evanescent samples
         lines = _mixed_rays_lines()
@@ -332,6 +365,28 @@ class TestRaysCsvBoundary:
         code, err = _scan_rays(tmp_path, lines)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ConfigError"
+
+
+    @pytest.mark.parametrize("first, second", [("non_unit_direction", "unknown_status"),
+                                               ("unknown_status", "non_unit_direction")])
+    def test_earliest_of_two_malformed_rows_is_named(self, tmp_path, first, second):
+        lines = _mixed_rays_lines()
+        rows = [i for i, ln in enumerate(lines) if ln.split(",")[8] == "propagating"]
+        edited = list(lines)
+        for case, row in ((first, rows[1]), (second, rows[-1])):
+            parts = edited[row].split(",")
+            for col, value in MALFORMED_ROWS[case][1].items():
+                parts[col] = value
+            edited[row] = ",".join(parts)
+        path = tmp_path / "rays.csv"
+        with pytest.raises(ConfigError) as both:
+            read_rays_csv(_write(path, edited))
+        with pytest.raises(ConfigError) as alone:
+            read_rays_csv(_write(path, edited[:rows[1] + 1] + lines[rows[1] + 1:]))
+        assert str(both.value) == str(alone.value)
+        assert f"line {rows[1] + 1}: " in str(both.value)
+        reason = {"non_unit_direction": "ray direction must be unit length", "unknown_status": "unknown status"}
+        assert reason[first] in str(both.value)
 
 
 class TestRayValidation:
