@@ -22,17 +22,14 @@ from .errors import (
     WavelengthMismatch,
     ZeroGrating,
 )
-from .geometry import Frame, FrameCoords, PolarPoint, Vec2, Vec3, build_frame, frame_decompose, frame_recompose
+from .geometry import Frame, FrameCoords, PolarPoint, Vec2, Vec3, frame_recompose
 from .surfaces import (
     BijectivityReport,
     LensSpec,
     Projection,
     SurfaceProfile,
     check_bijective,
-    evaluate,
-    inverse_project,
     lensmaker_focal,
-    project,
 )
 from .waves import Wave, WaveKind, Wavelength, interference_intensity, local_amplitude, local_wavevector
 from .recording import (
@@ -47,13 +44,7 @@ from .recording import (
     record,
 )
 from .deformation import induce_forward, induce_inverse, resample_field, rescale
-from .diffraction import (
-    DiffractionResult,
-    DiffractionStatus,
-    diffract_sample,
-    kvc_basic,
-    kvc_energy_conserving,
-)
+from .diffraction import DiffractionResult, DiffractionStatus
 from .fieldio import field_from_dict, field_to_dict, load_field, save_field
 from .scene import (
     FocalScanResult,

@@ -125,11 +125,9 @@ def _parse_wave(d: dict, default_lambda: Wavelength, ctx: str) -> Wave:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{ctx}: wave descriptor must be an object with a 'kind'")
     kind = d["kind"]
-    lam = default_lambda
-    if "lambda_nm" in d:
-        lam = Wavelength(_number(d, "lambda_nm", ctx))
-    amp = _number(d, "amplitude", ctx) if "amplitude" in d else 1.0
     try:
+        lam = Wavelength(_number(d, "lambda_nm", ctx)) if "lambda_nm" in d else default_lambda
+        amp = _number(d, "amplitude", ctx) if "amplitude" in d else 1.0
         if kind == "plane":
             _check_keys(d, {"kind", "dir", "lambda_nm", "amplitude"}, ctx)
             return Wave.plane(_vec3(d, "dir", ctx), lam, amp)

@@ -6,7 +6,8 @@ is kept for: it is the cheapest possible model and fine on-Bragg). The
 energy-conserving mode keeps the tangential components of kg + kp in the
 local frame and resizes the normal component so that |kd| = |kp|; when the
 tangential part already exceeds |kp| there is no real normal component and
-the order is evanescent.
+the order is evanescent. :func:`closure` works on rows of world-space
+wavevectors and frames, :func:`diffract` on rows of frame coordinates.
 
 Diffraction efficiency is a pluggable hook (sample, probe) -> eta in [0, 1],
 fixed at 1 by default; the zero order carries 1 - eta. Rigorous efficiency
@@ -22,9 +23,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import at_sample
-from .geometry import Frame, Vec3, combine, dot, first_index, norms
+from .geometry import Vec3, combine, dot, first_index, norms
 from .recording import GratingSample
-from .waves import Wave, local_wavevector
+from .waves import Wave
 
 MODES = ("basic", "energy")
 
@@ -119,45 +120,3 @@ def diffract(kp: np.ndarray, g: np.ndarray, t: np.ndarray, b: np.ndarray, n: np.
     status[through] = PASS_THROUGH
     mismatch[through] = 0.0
     return kd, status, mismatch
-
-
-def _row(v: Vec3) -> np.ndarray:
-    return np.array([v.as_tuple()])
-
-
-def _result(kd: np.ndarray, status: np.ndarray, mismatch: np.ndarray, eta: float) -> DiffractionResult:
-    code = int(status[0])
-    vec = None if code == EVANESCENT else Vec3(*kd[0].tolist())
-    return DiffractionResult(vec, STATUSES[code], float(mismatch[0]), eta)
-
-
-def kvc_basic(kp: Vec3, kg: Vec3) -> Vec3:
-    """Vector-addition closure kd = kg + kp (length not preserved off-Bragg)."""
-    return kg + kp
-
-
-def kvc_energy_conserving(kp: Vec3, kg: Vec3, frame: Frame, eta: float = 1.0) -> DiffractionResult:
-    """Single-point energy-conserving :func:`closure`: |kd| = |kp| via the local frame."""
-    return _result(*closure(_row(kp), _row(kg), _row(frame.t), _row(frame.b), _row(frame.n), "energy"), eta)
-
-
-def diffract_sample(
-    sample: GratingSample,
-    probe: Wave,
-    mode: str = "energy",
-    efficiency: Optional[EfficiencyHook] = None,
-) -> DiffractionResult:
-    """Diffract ``probe`` at one field sample using the chosen closure mode.
-
-    The single-point form of :func:`diffract`: the probe wavevector is
-    evaluated at the sample position and the stored frame coordinates are
-    recomposed in the sample's frame. Degenerate kg = 0 samples pass the
-    probe through unchanged.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown closure mode {mode!r}; expected one of {MODES}")
-    kp = local_wavevector(probe, sample.position)
-    eta = 1.0 if efficiency is None else float(efficiency(sample, probe))
-    c = sample.coords
-    f = sample.frame
-    return _result(*diffract(_row(kp), np.array([[c.g1, c.g2, c.g3]]), _row(f.t), _row(f.b), _row(f.n), mode), eta)

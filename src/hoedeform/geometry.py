@@ -4,15 +4,18 @@ Frames attached to a rotationally symmetric graph z = h(s) follow the
 radial-curve construction: ``t`` is the unit tangent of the radial section
 curve through the point, ``n`` the unit graph normal with negative z
 component, and ``b = t x n``. The triple is orthonormal and satisfies
-``t .(b x n) = -1``; because every consumer pairs :func:`frame_decompose`
-with :func:`frame_recompose`, the orientation choice cancels downstream.
+``t .(b x n) = -1``; because every consumer decomposes a vector in a frame
+and recomposes it in a frame built the same way, the orientation choice
+cancels downstream.
 
 At the surface vertex (s = 0) the radial direction is taken as the limit
 along the azimuth, ``t -> (cos phi, sin phi, 0)``, which exists for
 differentiable rotationally symmetric profiles.
 
 Fields compute frames for all their samples at once with :func:`frames`,
-on arrays of N x 3 rows; :func:`build_frame` is its single-point form.
+on arrays of N x 3 rows. :class:`Frame`, :class:`FrameCoords` and
+:func:`frame_recompose` describe one sample of a field as a view (see
+``GratingVectorField.samples``); no pipeline stage builds them.
 """
 
 from __future__ import annotations
@@ -114,20 +117,13 @@ class PolarPoint:
         if wrapped != self.phi:
             object.__setattr__(self, "phi", wrapped)
 
-    @classmethod
-    def from_xy(cls, x: float, y: float) -> "PolarPoint":
-        return cls(math.hypot(x, y), math.atan2(y, x))
-
-    def xy(self) -> tuple[float, float]:
-        return (self.s * math.cos(self.phi), self.s * math.sin(self.phi))
-
 
 @dataclass(frozen=True, slots=True)
 class Frame:
     """Orthonormal local basis {t, b, n} at a surface point.
 
     Validated to be orthonormal within ``DEFAULT_TOL``. Frames produced by
-    :func:`build_frame` additionally satisfy ``b = t x n`` exactly as
+    :func:`frames` additionally satisfy ``b = t x n`` exactly as
     constructed; the closure operations accept any orthonormal triple.
     """
 
@@ -251,21 +247,6 @@ def frames(profile: "SurfaceProfile", s: np.ndarray, phi: np.ndarray) -> Tuple[n
     b = cross(t, n)
     check_orthonormal(t, b, n)
     return t, b, n
-
-
-def build_frame(profile: "SurfaceProfile", p: PolarPoint) -> Frame:
-    """Local frame of ``profile`` at the plane parameter point ``p``.
-
-    The single-point form of :func:`frames`, with the same closed form and
-    errors.
-    """
-    t, b, n = frames(profile, np.array([p.s]), np.array([p.phi]))
-    return Frame(t=Vec3(*t[0].tolist()), b=Vec3(*b[0].tolist()), n=Vec3(*n[0].tolist()))
-
-
-def frame_decompose(v: Vec3, f: Frame) -> FrameCoords:
-    """Coordinates of ``v`` in frame ``f``: (v.t, v.b, v.n)."""
-    return FrameCoords(v.dot(f.t), v.dot(f.b), v.dot(f.n))
 
 
 def frame_recompose(c: FrameCoords, f: Frame) -> Vec3:

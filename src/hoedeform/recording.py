@@ -7,8 +7,10 @@ deformation transport acts on; the world-space vector is derived on demand.
 
 A field stores its samples as arrays: footprints ``s`` and ``phi`` (N),
 world positions ``pos`` and frame coordinates ``g`` (N x 3), 64 bytes per
-sample. Frames are recomputed from the carrier's closed form on demand;
-``GratingVectorField.samples`` materializes the per-sample objects.
+sample. Frames are recomputed from the carrier's closed form on demand.
+``GratingVectorField.samples`` builds per-sample :class:`GratingSample`
+views, which the callable rescale factor and the efficiency hook receive;
+fields are only ever built from arrays.
 
 Two recording geometries get dedicated diagnostics here:
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,9 +69,6 @@ class PolarGrid:
             s, phi = np.concatenate(([0.0], s)), np.concatenate(([0.0], phi))
         return s, phi
 
-    def footprints(self, domain_radius: float) -> list[PolarPoint]:
-        return _points(*self.footprint_arrays(domain_radius))
-
     def descriptor(self) -> dict:
         return {
             "kind": "polar",
@@ -103,9 +102,6 @@ class CartesianGrid:
         inside = r <= domain_radius
         return r[inside], np.mod(np.arctan2(y[inside], x[inside]), TWO_PI)
 
-    def footprints(self, domain_radius: float) -> list[PolarPoint]:
-        return _points(*self.footprint_arrays(domain_radius))
-
     def descriptor(self) -> dict:
         return {"kind": "cartesian", "n_x": self.n_x, "n_y": self.n_y, "half_width_mm": self.half_width}
 
@@ -117,10 +113,6 @@ def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
     if n == 1:
         return np.array([0.5 * (lo + hi)])
     return lo + (hi - lo) * np.arange(n) / (n - 1)
-
-
-def _points(s: np.ndarray, phi: np.ndarray) -> list[PolarPoint]:
-    return [PolarPoint(a, b) for a, b in zip(s.tolist(), phi.tolist())]
 
 
 @dataclass(frozen=True)
@@ -141,11 +133,6 @@ class GratingSample:
     def kg_world(self) -> Vec3:
         """Grating vector in world coordinates."""
         return frame_recompose(self.coords, self.frame)
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True for retained kg = 0 samples (diffraction passes probes through)."""
-        return self.magnitude == 0.0
 
 
 def _column(a, width: Optional[int]) -> np.ndarray:
@@ -210,36 +197,6 @@ class GratingVectorField:
                 f"position {tuple(pos[i].tolist())} off carrier point {tuple(on_surface[i].tolist())}"), i)),
         ])
         self.frames()
-
-    @classmethod
-    def from_samples(cls, carrier: SurfaceProfile, samples: Sequence[GratingSample], grid: dict,
-                     wavelength_nm: float) -> "GratingVectorField":
-        """Field of materialized samples (the inverse of :attr:`samples`).
-
-        Each cached magnitude must match its coordinates, and each frame the
-        carrier frame at its footprint, which is the only frame a field
-        stores.
-        """
-        samples = tuple(samples)
-        for i, smp in enumerate(samples):
-            m = smp.coords.magnitude()
-            if abs(smp.magnitude - m) > 1e-12 * max(1.0, m):
-                raise ValueError(f"sample {i} cached magnitude inconsistent with coords")
-        field = cls(
-            carrier,
-            [smp.footprint.s for smp in samples],
-            [smp.footprint.phi for smp in samples],
-            np.array([smp.position.as_tuple() for smp in samples]).reshape(-1, 3),
-            np.array([(smp.coords.g1, smp.coords.g2, smp.coords.g3) for smp in samples]).reshape(-1, 3),
-            grid,
-            wavelength_nm,
-        )
-        given = np.array([smp.frame.t.as_tuple() + smp.frame.b.as_tuple() + smp.frame.n.as_tuple()
-                          for smp in samples]).reshape(-1, 9)
-        i = first_index(np.abs(given - np.hstack(field.frames())).max(axis=1, initial=0.0) > 1e-12)
-        if i is not None:
-            raise ValueError(f"sample {i} frame differs from the carrier frame at its footprint")
-        return field
 
     def frames(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Carrier frames {t, b, n} (each N x 3) at the sample footprints."""

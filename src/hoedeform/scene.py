@@ -18,14 +18,14 @@ import operator
 from collections import abc
 from itertools import chain, compress, repeat
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import read_input
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
 from .fieldio import format_column
-from .geometry import PolarPoint, Vec2, Vec3, first_index, norms
+from .geometry import Vec2, Vec3, first_index, norms
 from .diffraction import (EVANESCENT, MODES, STATUSES, DiffractionResult, DiffractionStatus, EfficiencyHook,
                           diffract)
 from .recording import GratingVectorField, sample_context
@@ -110,10 +110,6 @@ class TraceRecord:
         return int(self._trace.index[self._row])
 
     @property
-    def footprint(self) -> PolarPoint:
-        return PolarPoint(float(self._trace.s[self._row]), float(self._trace.phi[self._row]))
-
-    @property
     def position(self) -> Vec3:
         return Vec3(*self._trace.pos[self._row].tolist())
 
@@ -134,20 +130,6 @@ class TraceRecord:
         kd = None if tr.status[i] == EVANESCENT else Vec3(*tr.kd[i].tolist())
         return DiffractionResult(kd, self.status, float(tr.mismatch[i]), float(tr.eta[i]))
 
-    def _key(self) -> tuple:
-        return (self.index, self.footprint, self.position, self.status, self.ray, self.result)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TraceRecord):
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return "TraceRecord(index={!r}, footprint={!r}, position={!r}, status={!r}, ray={!r}, result={!r})".format(
-            *self._key())
-
 
 class Trace(abc.Sequence):
     """The trace of a field, one row per sample, held as arrays.
@@ -156,12 +138,10 @@ class Trace(abc.Sequence):
     wavevector ``kd`` and unit ``direction`` (N x 3, zero rows where
     evanescent), ``status`` codes (``diffraction.STATUSES``), Bragg
     ``mismatch`` and efficiency ``eta``. The arrays are authoritative and
-    read-only; indexing yields :class:`TraceRecord` views and slicing a
-    sub-trace.
+    read-only; indexing and iteration yield :class:`TraceRecord` views.
     """
 
-    _FIELDS = ("index", "s", "phi", "pos", "kd", "direction", "status", "mismatch", "eta")
-    __slots__ = _FIELDS + ("_arrays",)
+    __slots__ = ("index", "s", "phi", "pos", "kd", "direction", "status", "mismatch", "eta", "_arrays")
 
     def __init__(self, index, s, phi, pos, kd, direction, status, mismatch, eta):
         self.index, self.s, self.phi, self.pos, self.kd, self.direction, self.status, self.mismatch, self.eta = (
@@ -172,8 +152,6 @@ class Trace(abc.Sequence):
         return self.status.shape[0]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Trace(*(getattr(self, k)[i] for k in Trace._FIELDS))
         n = len(self)
         if not -n <= i < n:
             raise IndexError("trace index out of range")
@@ -449,21 +427,12 @@ _RAY_ROWS = tuple(
 )
 
 
-def _rays_csv_rows(trace: Trace) -> str:
-    """The data rows of rays.csv, joined by newlines, formatted from the trace arrays."""
+def write_rays_csv(trace: Trace, path) -> None:
+    """Write rays.csv, one row per sample, formatted from the trace arrays."""
     template = "\n".join([_RAY_ROWS[code] for code in trace.status.tolist()])
     columns = (format_column(trace.s, "%.17g"), format_column(trace.phi, "%.17g"), *trace.pos.T.tolist(),
                *trace.direction.T.tolist(), format_column(trace.eta, "%.17g"))
-    return template % tuple(chain.from_iterable(zip(*columns)))
-
-
-def rays_csv_lines(trace: Trace) -> List[str]:
-    rows = _rays_csv_rows(trace)
-    return [RAYS_HEADER] + (rows.split("\n") if rows else [])
-
-
-def write_rays_csv(trace: Trace, path) -> None:
-    rows = _rays_csv_rows(trace)
+    rows = template % tuple(chain.from_iterable(zip(*columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(RAYS_HEADER + "\n" + (rows + "\n" if rows else ""))
 

@@ -6,9 +6,9 @@ points onto the graph either orthogonally (along z) or centrally through a
 point C on the z axis above the vertex; convexity plus rotational symmetry
 makes the central projection bijective onto its image.
 
-Profiles and projections work on arrays of points (N x 3 rows);
-:func:`evaluate`, :func:`project` and :func:`inverse_project` are their
-single-point forms.
+Profiles and projections work on arrays: radii for the profile heights
+and slopes, N x 3 rows of points for :func:`project_points` and
+:func:`inverse_project_points`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NoIntersection, NoPreimage, NotOnSurface, at_sample
-from .geometry import Vec2, Vec3, first_index, raise_first
+from .geometry import Vec3, first_index, raise_first
 
 # Relative guard band on radial-domain checks; absorbs round-off from
 # projection round trips that land on the rim.
@@ -253,13 +253,6 @@ class LensSpec:
             raise ValueError("center thickness must be >= 0")
 
 
-def evaluate(profile: SurfaceProfile, xy: Vec2) -> Vec3:
-    """Graph point (x, y, h(|xy|)) above the plane point ``xy``."""
-    s = np.array([math.hypot(xy.x, xy.y)])
-    profile.require_radii(s)
-    return Vec3(xy.x, xy.y, float(profile.heights(s)[0]))
-
-
 def _sphere_cap_roots(cz: float, radius: float, rp: np.ndarray) -> np.ndarray:
     """Segment parameters where C + tau*(p - C) meets the lower cap of the sphere.
 
@@ -268,8 +261,11 @@ def _sphere_cap_roots(cz: float, radius: float, rp: np.ndarray) -> np.ndarray:
     c = Cz (Cz - 2R), whose discriminant is B^2 - A c = Cz (Cz R^2 - rp^2 (Cz - 2R)).
     The lower cap is the larger root (B + sqrt(disc))/A, taken as
     c / (B - sqrt(disc)) when B < 0 so that neither form subtracts
-    nearly equal numbers.
+    nearly equal numbers. Lengths are divided by max(Cz, R) first, so no
+    square of a distant center overflows.
     """
+    scale = max(cz, radius)
+    cz, radius, rp = cz / scale, radius / scale, rp / scale
     b = cz * (cz - radius)
     root = np.sqrt(np.maximum(cz * (cz * radius * radius - rp * rp * (cz - 2.0 * radius)), 0.0))
     if b >= 0.0:
@@ -328,7 +324,9 @@ def project_points(proj: Projection, profile: SurfaceProfile, p: np.ndarray) -> 
     segment from the center C to p with the graph. On a sphere cap it is the
     closed-form line-sphere root; on other profiles a safeguarded
     Newton-bisection solve on the segment parameter. Either is followed by
-    one Newton polish step.
+    one Newton polish step. The point is placed on the graph at the solved
+    radius, z = h(tau*|p|): the segment's own (1 - tau)*Cz would lose about
+    eps*Cz to rounding, which puts points off the carrier for distant centers.
 
     Raises DomainError if a point is not in the plane (or, orthogonally,
     outside the domain) and NoIntersection if a segment misses the graph
@@ -383,14 +381,9 @@ def project_points(proj: Projection, profile: SurfaceProfile, p: np.ndarray) -> 
         t_n = t0 - np.divide(gap(t0, rows), dg, out=np.zeros_like(dg), where=dg != 0.0)
         polish = (dg != 0.0) & (t_n >= 0.0) & (t_n <= tau_hi[rows])
         tau[rows] = np.where(polish, t_n, t0)
-    q = np.column_stack((tau * x, tau * y, (1.0 - tau) * cz))
+    q = np.column_stack((tau * x, tau * y, profile.heights(tau * rp)))
     q[axis] = (0.0, 0.0, h0)
     return q
-
-
-def project(proj: Projection, profile: SurfaceProfile, p: Vec3) -> Vec3:
-    """Single-point form of :func:`project_points`, with the same errors."""
-    return Vec3(*project_points(proj, profile, np.array([p.as_tuple()]))[0].tolist())
 
 
 def inverse_project_points(proj: Projection, profile: SurfaceProfile, q: np.ndarray) -> np.ndarray:
@@ -425,11 +418,6 @@ def inverse_project_points(proj: Projection, profile: SurfaceProfile, q: np.ndar
             NoPreimage("projection center lies below the surface point; no forward preimage"), i)),
     ])
     return np.column_stack((t * q[:, 0], t * q[:, 1], np.zeros_like(s)))
-
-
-def inverse_project(proj: Projection, profile: SurfaceProfile, q: Vec3) -> Vec3:
-    """Single-point form of :func:`inverse_project_points`, with the same errors."""
-    return Vec3(*inverse_project_points(proj, profile, np.array([q.as_tuple()]))[0].tolist())
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ class Wavelength:
     def __post_init__(self):
         if not (math.isfinite(self.lambda_nm) and self.lambda_nm > 0.0):
             raise ValueError(f"wavelength must be positive and finite, got {self.lambda_nm}")
+        if not math.isfinite(self.k):
+            raise ValueError(f"wavelength {self.lambda_nm} nm is too small: k = 2*pi/lambda is not finite")
 
     @property
     def lambda_um(self) -> float:

@@ -182,14 +182,14 @@ def _context(i, s, phi, exc):
 def record_rows(w1, w2, carrier, grid):
     """Per sample (s, phi, x, y, z, g1, g2, g3) of ``record``."""
     rows = []
-    for p in grid.footprints(carrier.domain_radius):
-        x, y = p.s * math.cos(p.phi), p.s * math.sin(p.phi)
+    for s, phi in zip(*(a.tolist() for a in grid.footprint_arrays(carrier.domain_radius))):
+        x, y = s * math.cos(phi), s * math.sin(phi)
         r = math.hypot(x, y)
         _require_radius(carrier, r)
         pos = (x, y, carrier.radial_height(r))
         kg = _sub(wavevector(w2, pos), wavevector(w1, pos))
-        t, b, n = frame(carrier, p.s, p.phi)
-        rows.append((p.s, p.phi, *pos, _dot(kg, t), _dot(kg, b), _dot(kg, n)))
+        t, b, n = frame(carrier, s, phi)
+        rows.append((s, phi, *pos, _dot(kg, t), _dot(kg, b), _dot(kg, n)))
     return rows
 
 

@@ -186,7 +186,14 @@ def test_field_arrays_are_read_only_and_sized_per_sample():
         with pytest.raises(ValueError):
             getattr(field, name)[0] = 1.0
     assert field.s.nbytes + field.phi.nbytes + field.pos.nbytes + field.g.nbytes == 64 * len(field)
-    assert GratingVectorField.from_samples(CAP, field.samples, field.grid, field.wavelength_nm) == field
+    # the per-sample views read the same rows
+    views = field.samples
+    assert [(v.footprint.s, v.footprint.phi) for v in views] == list(zip(field.s.tolist(), field.phi.tolist()))
+    assert [v.position.as_tuple() for v in views] == [tuple(p) for p in field.pos.tolist()]
+    assert [(v.coords.g1, v.coords.g2, v.coords.g3) for v in views] == [tuple(g) for g in field.g.tolist()]
+    t, b, n = field.frames()
+    assert [v.frame.t.as_tuple() + v.frame.b.as_tuple() + v.frame.n.as_tuple() for v in views] == [
+        tuple(row) for row in np.hstack((t, b, n)).tolist()]
 
 
 @pytest.mark.parametrize("change, error", [

@@ -118,12 +118,22 @@ class TestConfigParsing:
         lambda d: d["analysis"].update({"detector_z_mm": [1e400]}),
         lambda d: d["analysis"]["focal_scan"].update({"z_max": 1e400}),
         lambda d: d["deformation"].update({"rescale": 1e400}),
+        # a wave's own wavelength is checked like the top-level one
+        lambda d: d["probe"].update({"lambda_nm": -1.0}),
+        lambda d: d["probe"].update({"lambda_nm": 0.0}),
+        # k = 2*pi/lambda overflows to inf
+        lambda d: d["wavelength"].update({"lambda_nm": 1e-320}),
     ])
-    def test_invalid_values_rejected(self, mutate):
+    def test_invalid_values_rejected(self, mutate, tmp_path):
         doc = base_config()
         mutate(doc)
         with pytest.raises(ConfigError):
             parse_scene_config(doc)
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = cli_main("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.count("\n") == 1 and json.loads(err)["error"]["type"] == "ConfigError"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

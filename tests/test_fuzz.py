@@ -21,9 +21,10 @@ from hoedeform.config import parse_scene_config
 from hoedeform.deformation import induce_forward
 from hoedeform.fieldio import field_to_dict
 from hoedeform.recording import record
-from hoedeform.scene import rays_csv_lines, trace_field
+from hoedeform.scene import trace_field
 
 from test_config_cli import base_config
+from test_scene import rays_file_lines
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
@@ -98,7 +99,7 @@ def test_mutated_field_file(data):
 
 
 # the traced rows of the scene plus one evanescent row (no direction)
-RAYS_LINES = rays_csv_lines(trace_field(
+RAYS_LINES = rays_file_lines(trace_field(
     induce_forward(record(_RECORDING.w1, _RECORDING.w2, _RECORDING.carrier, _RECORDING.grid),
                    _SCENE.deformation.target_profile, _SCENE.deformation.projection),
     _SCENE.probe)) + ["5,0,5,0,0.25,,,,evanescent,0"]

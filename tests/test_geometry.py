@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from hoedeform.errors import DegenerateFrame, DomainError
-from hoedeform.geometry import (
-    Frame,
-    FrameCoords,
-    PolarPoint,
-    Vec3,
-    build_frame,
-    frame_decompose,
-    frame_recompose,
-)
+from hoedeform.geometry import Frame, FrameCoords, PolarPoint, Vec3, combine, cross, dot, frame_recompose, frames, norms
 from hoedeform.surfaces import SurfaceProfile
 
 
@@ -30,9 +22,20 @@ def _profiles():
     ]
 
 
-def _rot_z(v: Vec3, a: float) -> Vec3:
-    c, s = math.cos(a), math.sin(a)
-    return Vec3(c * v.x - s * v.y, s * v.x + c * v.y, v.z)
+def _rot_z(v: np.ndarray, a: float) -> np.ndarray:
+    """Rows of ``v`` (N x 3) rotated about z by the angles ``a`` (N)."""
+    c, s = np.cos(a), np.sin(a)
+    return np.column_stack((c * v[:, 0] - s * v[:, 1], s * v[:, 0] + c * v[:, 1], v[:, 2]))
+
+
+def _frame_at(profile, s: float, phi: float):
+    """The frame rows (t, b, n) of ``frames`` at one footprint."""
+    t, b, n = frames(profile, np.array([s]), np.array([phi]))
+    return t[0], b[0], n[0]
+
+
+def _random_footprints(rng, profile, count):
+    return rng.uniform(0, profile.domain_radius, count), rng.uniform(0, 2 * math.pi, count)
 
 
 class TestVec3:
@@ -66,92 +69,81 @@ class TestPolarPoint:
         with pytest.raises(ValueError):
             PolarPoint(-0.5, 0.0)
 
-    def test_xy_round_trip(self):
-        p = PolarPoint(3.5, 2.2)
-        q = PolarPoint.from_xy(*p.xy())
-        assert abs(q.s - p.s) < 1e-12 and abs(q.phi - p.phi) < 1e-12
-
 
 class TestBuildFrame:
+    """The closed-form frames of ``geometry.frames``."""
+
     def test_planar_phi0(self):
-        f = build_frame(SurfaceProfile.planar(20.0), PolarPoint(5.0, 0.0))
-        assert f.t.as_tuple() == (1.0, 0.0, 0.0)
-        assert (f.b - Vec3(0, 1, 0)).norm() < 1e-15
-        assert f.n.as_tuple() == (0.0, 0.0, -1.0)
+        t, b, n = _frame_at(SurfaceProfile.planar(20.0), 5.0, 0.0)
+        assert t.tolist() == [1.0, 0.0, 0.0]
+        assert np.linalg.norm(b - (0, 1, 0)) < 1e-15
+        assert n.tolist() == [0.0, 0.0, -1.0]
 
     def test_planar_phi_quarter_turn(self):
-        f = build_frame(SurfaceProfile.planar(20.0), PolarPoint(5.0, math.pi / 2))
-        assert (f.t - Vec3(0, 1, 0)).norm() < 1e-12
-        assert (f.b - Vec3(-1, 0, 0)).norm() < 1e-12
-        assert (f.n - Vec3(0, 0, -1)).norm() < 1e-12
+        t, b, n = _frame_at(SurfaceProfile.planar(20.0), 5.0, math.pi / 2)
+        assert np.linalg.norm(t - (0, 1, 0)) < 1e-12
+        assert np.linalg.norm(b - (-1, 0, 0)) < 1e-12
+        assert np.linalg.norm(n - (0, 0, -1)) < 1e-12
 
     def test_sphere_cap_matches_finite_differences(self):
         cap = SurfaceProfile.sphere_cap(50.0, 20.0)
-        p = PolarPoint(10.0, 0.0)
-        f = build_frame(cap, p)
+        s, phi = 10.0, 0.0
+        t, _, n = _frame_at(cap, s, phi)
         eps = 1e-6
 
-        def curve(s):
-            return (s * math.cos(p.phi), s * math.sin(p.phi), cap.radial_height(s))
+        def curve(r):
+            return np.array((r * math.cos(phi), r * math.sin(phi), cap.radial_height(r)))
 
-        lo, hi = curve(p.s - eps), curve(p.s + eps)
-        t_fd = Vec3(*((b - a) / (2 * eps) for a, b in zip(lo, hi))).normalized()
-        assert (f.t - t_fd).norm() < 1e-6
+        t_fd = (curve(s + eps) - curve(s - eps)) / (2 * eps)
+        assert np.linalg.norm(t - t_fd / np.linalg.norm(t_fd)) < 1e-6
 
         def graph(x, y):
             return cap.radial_height(math.hypot(x, y))
 
-        x0, y0 = p.xy()
+        x0, y0 = s * math.cos(phi), s * math.sin(phi)
         hx = (graph(x0 + eps, y0) - graph(x0 - eps, y0)) / (2 * eps)
         hy = (graph(x0, y0 + eps) - graph(x0, y0 - eps)) / (2 * eps)
-        n_fd = Vec3(hx, hy, -1.0).normalized()
-        assert (f.n - n_fd).norm() < 1e-6
+        n_fd = np.array((hx, hy, -1.0))
+        assert np.linalg.norm(n - n_fd / np.linalg.norm(n_fd)) < 1e-6
         # analytic values at s = 10 on R = 50
-        assert abs(f.t.x - 0.9798) < 1e-4 and abs(f.t.z - 0.2000) < 1e-12
-        assert abs(f.n.x - 0.2000) < 1e-12 and abs(f.n.z + 0.9798) < 1e-4
+        assert abs(t[0] - 0.9798) < 1e-4 and abs(t[2] - 0.2000) < 1e-12
+        assert abs(n[0] - 0.2000) < 1e-12 and abs(n[2] + 0.9798) < 1e-4
 
     def test_vertex_limit_frame(self):
         cap = SurfaceProfile.sphere_cap(50.0, 20.0)
-        for phi in (0.0, 1.0, 4.5):
-            f = build_frame(cap, PolarPoint(0.0, phi))
-            assert (f.t - Vec3(math.cos(phi), math.sin(phi), 0.0)).norm() < 1e-12
-            assert (f.n - Vec3(0, 0, -1)).norm() < 1e-12
+        phi = np.array([0.0, 1.0, 4.5])
+        t, _, n = frames(cap, np.zeros(3), phi)
+        assert np.abs(t - np.column_stack((np.cos(phi), np.sin(phi), np.zeros(3)))).max() < 1e-12
+        assert np.abs(n - (0, 0, -1)).max() < 1e-12
 
     def test_outside_domain_raises(self):
         with pytest.raises(DomainError):
-            build_frame(SurfaceProfile.planar(5.0), PolarPoint(6.0, 0.0))
+            _frame_at(SurfaceProfile.planar(5.0), 6.0, 0.0)
 
     def test_non_finite_slope_raises(self):
         bad = SurfaceProfile("custom_convex", lambda s: 0.0, lambda s: float("inf"), 10.0)
         with pytest.raises(DegenerateFrame):
-            build_frame(bad, PolarPoint(1.0, 0.0))
+            _frame_at(bad, 1.0, 0.0)
 
     def test_orthonormality_and_handedness(self):
         rng = np.random.default_rng(7)
         for profile in _profiles():
-            for _ in range(50):
-                p = PolarPoint(rng.uniform(0, profile.domain_radius), rng.uniform(0, 2 * math.pi))
-                f = build_frame(profile, p)
-                gram = [
-                    abs(f.t.norm() - 1), abs(f.b.norm() - 1), abs(f.n.norm() - 1),
-                    abs(f.t.dot(f.b)), abs(f.t.dot(f.n)), abs(f.b.dot(f.n)),
-                ]
-                assert max(gram) < 1e-12
-                assert abs(f.t.dot(f.b.cross(f.n)) + 1.0) < 1e-12  # built frames: t.(b x n) = -1
-                assert (f.b - f.t.cross(f.n)).norm() == 0.0
+            t, b, n = frames(profile, *_random_footprints(rng, profile, 50))
+            gram = np.column_stack((norms(t) - 1, norms(b) - 1, norms(n) - 1, dot(t, b), dot(t, n), dot(b, n)))
+            assert np.abs(gram).max() < 1e-12
+            assert np.abs(dot(t, cross(b, n)) + 1.0).max() < 1e-12  # built frames: t.(b x n) = -1
+            assert np.array_equal(b, cross(t, n))
 
     def test_rotational_equivariance(self):
         rng = np.random.default_rng(8)
         for profile in _profiles():
-            for _ in range(20):
-                s = rng.uniform(0.1, profile.domain_radius)
-                phi = rng.uniform(0, 2 * math.pi)
-                d = rng.uniform(0, 2 * math.pi)
-                f0 = build_frame(profile, PolarPoint(s, phi))
-                f1 = build_frame(profile, PolarPoint(s, phi + d))
-                assert (f1.t - _rot_z(f0.t, d)).norm() < 1e-10
-                assert (f1.b - _rot_z(f0.b, d)).norm() < 1e-10
-                assert (f1.n - _rot_z(f0.n, d)).norm() < 1e-10
+            s = rng.uniform(0.1, profile.domain_radius, 20)
+            phi = rng.uniform(0, 2 * math.pi, 20)
+            d = rng.uniform(0, 2 * math.pi, 20)
+            f0 = frames(profile, s, phi)
+            f1 = frames(profile, s, np.mod(phi + d, 2 * math.pi))
+            for v0, v1 in zip(f0, f1):
+                assert norms(v1 - _rot_z(v0, d)).max() < 1e-10
 
 
 class TestFrameValidation:
@@ -169,38 +161,40 @@ class TestFrameValidation:
         Frame(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
 
 
+def _decompose(v: np.ndarray, t, b, n) -> np.ndarray:
+    """Frame coordinates (v.t, v.b, v.n) of the rows of ``v``, as ``record`` stores them."""
+    return np.column_stack((dot(v, t), dot(v, b), dot(v, n)))
+
+
 class TestDecomposeRecompose:
     def test_known_coordinates_in_flat_frame(self):
-        f = build_frame(SurfaceProfile.planar(20.0), PolarPoint(5.0, 0.0))
-        assert frame_decompose(Vec3(0, 0, -1), f) == FrameCoords(0.0, 0.0, 1.0)
-        assert frame_decompose(f.t, f) == FrameCoords(1.0, 0.0, 0.0)
-        c = frame_decompose(Vec3(3, 4, 0), f)
-        assert (c.g1, c.g2, c.g3) == (3.0, 4.0, 0.0)
+        t, b, n = frames(SurfaceProfile.planar(20.0), np.full(3, 5.0), np.zeros(3))
+        v = np.array([(0.0, 0.0, -1.0), t[0], (3.0, 4.0, 0.0)])
+        assert _decompose(v, t, b, n).tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [3.0, 4.0, 0.0]]
 
     def test_recompose_trivials(self):
-        f = build_frame(SurfaceProfile.planar(20.0), PolarPoint(5.0, 0.0))
-        assert frame_recompose(FrameCoords(0, 0, 0), f).as_tuple() == (0.0, 0.0, 0.0)
+        t, b, n = frames(SurfaceProfile.planar(20.0), np.full(2, 5.0), np.zeros(2))
+        assert combine(t, b, n, [0.0, 1.0], 0.0, 0.0).tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        # the view of one sample recomposes the same way
+        f = Frame(Vec3(*t[0]), Vec3(*b[0]), Vec3(*n[0]))
         assert frame_recompose(FrameCoords(1, 0, 0), f).as_tuple() == (1.0, 0.0, 0.0)
 
     def test_round_trip_on_sphere_frame(self):
-        f = build_frame(SurfaceProfile.sphere_cap(50.0, 20.0), PolarPoint(10.0, 0.0))
-        v = Vec3(0.9063, 0.0, -0.5774) * 11.81
-        w = frame_recompose(frame_decompose(v, f), f)
-        assert (w - v).norm() <= 1e-12 * v.norm()
+        frame = frames(SurfaceProfile.sphere_cap(50.0, 20.0), np.array([10.0]), np.array([0.0]))
+        v = np.array([(0.9063, 0.0, -0.5774)]) * 11.81
+        w = combine(*frame, *_decompose(v, *frame).T)
+        assert norms(w - v)[0] <= 1e-12 * norms(v)[0]
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
         for profile in _profiles():
-            for _ in range(50):
-                p = PolarPoint(rng.uniform(0, profile.domain_radius), rng.uniform(0, 2 * math.pi))
-                f = build_frame(profile, p)
-                v = Vec3(*rng.normal(0, 10, 3))
-                w = frame_recompose(frame_decompose(v, f), f)
-                assert (w - v).norm() <= 1e-12 * max(1.0, v.norm())
+            frame = frames(profile, *_random_footprints(rng, profile, 50))
+            v = rng.normal(0, 10, (50, 3))
+            w = combine(*frame, *_decompose(v, *frame).T)
+            assert np.all(norms(w - v) <= 1e-12 * np.maximum(1.0, norms(v)))
 
     def test_recompose_preserves_length(self):
         rng = np.random.default_rng(12)
-        f = build_frame(SurfaceProfile.sphere_cap(50.0, 20.0), PolarPoint(7.0, 1.0))
-        for _ in range(100):
-            c = FrameCoords(*rng.normal(0, 5, 3))
-            assert abs(frame_recompose(c, f).norm() - c.magnitude()) <= 1e-12 * max(1.0, c.magnitude())
+        frame = frames(SurfaceProfile.sphere_cap(50.0, 20.0), np.full(100, 7.0), np.ones(100))
+        g = rng.normal(0, 5, (100, 3))
+        assert np.all(np.abs(norms(combine(*frame, *g.T)) - norms(g)) <= 1e-12 * np.maximum(1.0, norms(g)))

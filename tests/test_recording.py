@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from hoedeform.errors import PointNotOnEllipsoid, WavelengthMismatch, ZeroGrating
-from hoedeform.geometry import PolarPoint, Vec3
+from hoedeform.geometry import Vec3
 from hoedeform.recording import (
     BraggIsosurfaceSpec,
     CartesianGrid,
-    GratingSample,
     GratingVectorField,
     PolarGrid,
     check_isosurface,
@@ -27,26 +26,26 @@ CAP = SurfaceProfile.sphere_cap(50.0, 10.0)
 
 class TestGrids:
     def test_polar_grid_layout(self):
-        pts = PolarGrid(3, 4).footprints(10.0)
-        assert len(pts) == 1 + 3 * 4
-        assert pts[0] == PolarPoint(0.0, 0.0)
-        assert {p.s for p in pts[1:]} == {10.0 / 3, 20.0 / 3, 10.0}
-        assert len({(p.s, p.phi) for p in pts}) == len(pts)
+        s, phi = PolarGrid(3, 4).footprint_arrays(10.0)
+        assert len(s) == 1 + 3 * 4
+        assert (s[0], phi[0]) == (0.0, 0.0)
+        assert set(s[1:].tolist()) == {10.0 / 3, 20.0 / 3, 10.0}
+        assert len(set(zip(s.tolist(), phi.tolist()))) == len(s)
 
     def test_polar_grid_without_vertex(self):
-        pts = PolarGrid(2, 4, include_vertex=False).footprints(10.0)
-        assert len(pts) == 8 and all(p.s > 0 for p in pts)
+        s, _ = PolarGrid(2, 4, include_vertex=False).footprint_arrays(10.0)
+        assert len(s) == 8 and np.all(s > 0)
 
     def test_polar_grid_s_max_respected(self):
-        pts = PolarGrid(2, 4, s_max=5.0).footprints(10.0)
-        assert max(p.s for p in pts) == 5.0
+        s, _ = PolarGrid(2, 4, s_max=5.0).footprint_arrays(10.0)
+        assert s.max() == 5.0
         with pytest.raises(ValueError):
-            PolarGrid(2, 4, s_max=11.0).footprints(10.0)
+            PolarGrid(2, 4, s_max=11.0).footprint_arrays(10.0)
 
     def test_cartesian_grid_skips_outside_disc(self):
-        pts = CartesianGrid(5, 5, 10.0).footprints(10.0)
-        assert all(p.s <= 10.0 for p in pts)
-        assert len(pts) < 25  # corners fall outside
+        s, _ = CartesianGrid(5, 5, 10.0).footprint_arrays(10.0)
+        assert np.all(s <= 10.0)
+        assert len(s) < 25  # corners fall outside
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -70,7 +69,7 @@ class TestRecord:
 
     def test_identical_waves_give_zero_field(self):
         field = record(W0, W0, FLAT, PolarGrid(3, 6))
-        assert all(s.magnitude == 0.0 and s.is_degenerate for s in field.samples)
+        assert np.all(field.magnitudes == 0.0) and np.all(field.g == 0.0)
 
     def test_curved_carrier_keeps_grating_vectors_collinear(self):
         field = record(W0, W65, CAP, PolarGrid(4, 8))
@@ -170,23 +169,26 @@ class TestIsosurface:
             BraggIsosurfaceSpec(Vec3(0, 0, 0), Vec3(0, 0, 10.0), 9.0)
 
 
+def _arrays(field) -> dict:
+    """Writable copies of the sample arrays of ``field``."""
+    return {k: getattr(field, k).copy() for k in ("s", "phi", "pos", "g")}
+
+
+def _field(arrays: dict, like) -> GratingVectorField:
+    return GratingVectorField(FLAT, arrays["s"], arrays["phi"], arrays["pos"], arrays["g"], like.grid,
+                              like.wavelength_nm)
+
+
 class TestFieldValidation:
     def test_duplicate_footprints_rejected(self):
         field = record(W0, W65, FLAT, PolarGrid(2, 4))
-        doubled = field.samples + (field.samples[0],)
+        doubled = {k: np.concatenate((v, v[:1])) for k, v in _arrays(field).items()}
         with pytest.raises(ValueError):
-            GratingVectorField.from_samples(FLAT, doubled, field.grid, field.wavelength_nm)
+            _field(doubled, field)
 
     def test_off_carrier_position_rejected(self):
         field = record(W0, W65, FLAT, PolarGrid(2, 4))
-        s0 = field.samples[0]
-        bad = GratingSample(s0.footprint, s0.position + Vec3(0, 0, 1.0), s0.frame, s0.coords, s0.magnitude)
+        arrays = _arrays(field)
+        arrays["pos"][0, 2] += 1.0
         with pytest.raises(ValueError):
-            GratingVectorField.from_samples(FLAT, (bad,) + field.samples[1:], field.grid, field.wavelength_nm)
-
-    def test_inconsistent_magnitude_rejected(self):
-        field = record(W0, W65, FLAT, PolarGrid(2, 4))
-        s0 = field.samples[0]
-        bad = GratingSample(s0.footprint, s0.position, s0.frame, s0.coords, s0.magnitude * 2.0)
-        with pytest.raises(ValueError):
-            GratingVectorField.from_samples(FLAT, (bad,) + field.samples[1:], field.grid, field.wavelength_nm)
+            _field(arrays, field)

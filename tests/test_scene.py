@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from hoedeform.scene import (
     RayBundle,
     focal_scan,
     intersect_plane,
-    rays_csv_lines,
     read_rays_csv,
     trace_field,
     write_rays_csv,
@@ -307,11 +307,19 @@ class TestRaysCsv:
             read_rays_csv(bad)
 
 
+def rays_file_lines(trace):
+    """The lines of the rays.csv that ``write_rays_csv`` writes for ``trace``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rays.csv"
+        write_rays_csv(trace, path)
+        return path.read_text(encoding="utf-8").splitlines()
+
+
 def _mixed_rays_lines():
     """rays.csv lines with propagating and evanescent rows."""
     field = record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(5, 8))
     deformed = induce_forward(field, SurfaceProfile.sphere_cap(50.0, 10.0), Projection.orthogonal())
-    return rays_csv_lines(trace_field(deformed, W0, mode="energy"))
+    return rays_file_lines(trace_field(deformed, W0, mode="energy"))
 
 
 def _write(path, lines):

@@ -8,17 +8,15 @@ import oracles
 from hoedeform.config import parse_profile
 from hoedeform.deformation import induce_forward
 from hoedeform.errors import ConfigError, DomainError, NoIntersection, NoPreimage, NotOnSurface
-from hoedeform.geometry import Vec2, Vec3
+from hoedeform.geometry import Vec3
 from hoedeform.surfaces import (
     DOMAIN_GUARD,
     LensSpec,
     Projection,
     SurfaceProfile,
     check_bijective,
-    evaluate,
-    inverse_project,
+    inverse_project_points,
     lensmaker_focal,
-    project,
     project_points,
 )
 from hoedeform.recording import PolarGrid, record
@@ -26,11 +24,28 @@ from hoedeform.waves import Wave, Wavelength
 
 CAP50 = SurfaceProfile.sphere_cap(50.0, 20.0)
 FLAT = SurfaceProfile.planar(20.0)
+ORTHO = Projection.orthogonal()
+
+
+def _points(*xy) -> np.ndarray:
+    """Plane points (N x 3, z = 0) from (x, y) pairs."""
+    return np.array([(x, y, 0.0) for x, y in xy], dtype=float).reshape(-1, 3)
+
+
+def _graph_points(profile, *xy) -> np.ndarray:
+    """Points (x, y, h(|(x, y)|)) of the graph above the (x, y) pairs."""
+    x, y = np.array(xy, dtype=float).reshape(-1, 2).T
+    return np.column_stack((x, y, profile.heights(np.hypot(x, y))))
+
+
+def _rim_preimage_radius(proj, profile) -> float:
+    """Plane radius that ``proj`` maps onto the rim of ``profile``."""
+    return float(inverse_project_points(proj, profile, _graph_points(profile, (profile.domain_radius, 0.0)))[0, 0])
 
 
 def _bisect_projection(cz, profile, p, iters=200):
     """Independent bisection oracle for the central projection."""
-    rp = math.hypot(p.x, p.y)
+    rp = math.hypot(p[0], p[1])
 
     def gap(tau):
         return (1.0 - tau) * cz - profile.radial_height(min(tau * rp, profile.domain_radius))
@@ -44,13 +59,15 @@ def _bisect_projection(cz, profile, p, iters=200):
         else:
             hi = mid
     tau = 0.5 * (lo + hi)
-    return Vec3(tau * p.x, tau * p.y, (1.0 - tau) * cz)
+    return np.array((tau * p[0], tau * p[1], (1.0 - tau) * cz))
 
 
 def _brentq_projection(cz, profile, p):
     """Slow reference for the central projection: Brent's method on the
-    segment parameter, then one Newton step."""
-    rp = math.hypot(p.x, p.y)
+    segment parameter, then one Newton step; the point is placed on the graph
+    at the solved radius. The segment's own z = (1 - tau)*Cz is off by more
+    than 1e-12 relative near the axis for Cz = 500 (against a 50-digit root)."""
+    rp = math.hypot(p[0], p[1])
     d_dom = profile.domain_radius
 
     def gap(tau):
@@ -66,7 +83,7 @@ def _brentq_projection(cz, profile, p):
         dg = -cz - profile.radial_slope(min(tau * rp, d_dom)) * rp
         if dg != 0.0 and 0.0 <= tau - gap(tau) / dg <= tau_hi:
             tau = tau - gap(tau) / dg
-    return Vec3(tau * p.x, tau * p.y, (1.0 - tau) * cz)
+    return np.array((tau * p[0], tau * p[1], profile.radial_height(tau * rp)))
 
 
 def _quartic(s):
@@ -85,19 +102,19 @@ BOWL = SurfaceProfile.custom_convex(lambda s: 2.0 + s * s / 60.0, 20.0, slope=la
 
 class TestProfiles:
     def test_evaluate_planar(self):
-        assert evaluate(FLAT, Vec2(3.0, 4.0)).as_tuple() == (3.0, 4.0, 0.0)
+        assert _graph_points(FLAT, (3.0, 4.0)).tolist() == [[3.0, 4.0, 0.0]]
 
     def test_evaluate_sphere_cap(self):
-        q = evaluate(CAP50, Vec2(10.0, 0.0))
-        assert abs(q.z - (50.0 - math.sqrt(2500.0 - 100.0))) == 0.0
-        assert abs(q.z - 1.0102) < 1e-4
+        z = CAP50.heights(np.array([10.0]))[0]
+        assert abs(z - (50.0 - math.sqrt(2500.0 - 100.0))) == 0.0
+        assert abs(z - 1.0102) < 1e-4
 
     def test_evaluate_vertex(self):
-        assert evaluate(CAP50, Vec2(0.0, 0.0)).as_tuple() == (0.0, 0.0, 0.0)
+        assert _graph_points(CAP50, (0.0, 0.0)).tolist() == [[0.0, 0.0, 0.0]]
 
     def test_evaluate_outside_domain(self):
         with pytest.raises(DomainError):
-            evaluate(FLAT, Vec2(25.0, 0.0))
+            FLAT.require_radii(np.array([25.0]))
 
     def test_sphere_cap_domain_must_fit(self):
         with pytest.raises(ValueError):
@@ -148,68 +165,74 @@ class TestProjection:
             Projection.from_center_z(-10.0)
 
     def test_orthogonal_on_planar_is_identity(self):
-        p = Vec3(7.0, -2.0, 0.0)
-        assert project(Projection.orthogonal(), FLAT, p).as_tuple() == (7.0, -2.0, 0.0)
+        assert project_points(ORTHO, FLAT, _points((7.0, -2.0))).tolist() == [[7.0, -2.0, 0.0]]
 
     def test_orthogonal_on_sphere(self):
-        q = project(Projection.orthogonal(), CAP50, Vec3(10.0, 0.0, 0.0))
-        assert abs(q.z - 1.0102) < 1e-4 and (q.x, q.y) == (10.0, 0.0)
+        q = project_points(ORTHO, CAP50, _points((10.0, 0.0)))[0]
+        assert abs(q[2] - 1.0102) < 1e-4 and (q[0], q[1]) == (10.0, 0.0)
 
     def test_input_must_be_in_plane(self):
         with pytest.raises(DomainError):
-            project(Projection.orthogonal(), CAP50, Vec3(1.0, 0.0, 0.5))
+            project_points(ORTHO, CAP50, np.array([(1.0, 0.0, 0.5)]))
 
     def test_central_matches_bisection_oracle(self):
-        proj = Projection.from_center_z(100.0)
-        for p in (Vec3(10.0, 0.0, 0.0), Vec3(-6.0, 8.0, 0.0), Vec3(3.0, -14.0, 0.0)):
-            q = project(proj, CAP50, p)
-            oracle = _bisect_projection(100.0, CAP50, p)
-            assert (q - oracle).norm() < 1e-9
+        p = _points((10.0, 0.0), (-6.0, 8.0), (3.0, -14.0))
+        q = project_points(Projection.from_center_z(100.0), CAP50, p)
+        for pi, qi in zip(p, q):
+            assert np.linalg.norm(qi - _bisect_projection(100.0, CAP50, pi)) < 1e-9
             # on the segment and on the graph
-            s = math.hypot(q.x, q.y)
-            assert abs(q.z - CAP50.radial_height(s)) < 1e-10
-            t = q.x / p.x if p.x != 0 else q.y / p.y
-            seg = Vec3(0, 0, 100.0) + (p - Vec3(0, 0, 100.0)) * t
-            assert (q - seg).norm() < 1e-9
+            assert abs(qi[2] - CAP50.radial_height(math.hypot(qi[0], qi[1]))) < 1e-10
+            t = qi[0] / pi[0] if pi[0] != 0 else qi[1] / pi[1]
+            center = np.array((0.0, 0.0, 100.0))
+            assert np.linalg.norm(qi - (center + (pi - center) * t)) < 1e-9
 
     def test_central_fixes_axis_point(self):
-        q = project(Projection.from_center_z(100.0), CAP50, Vec3(0.0, 0.0, 0.0))
-        assert q.as_tuple() == (0.0, 0.0, 0.0)
+        assert project_points(Projection.from_center_z(100.0), CAP50, _points((0.0, 0.0))).tolist() == [
+            [0.0, 0.0, 0.0]]
 
     def test_central_misses_domain(self):
         # plane point beyond the rim preimage: the segment crosses the domain
         # boundary above the graph and never meets it
-        proj = Projection.from_center_z(100.0)
         assert 30.0 > 20.0 * 100.0 / (100.0 - CAP50.radial_height(20.0))
         with pytest.raises(NoIntersection):
-            project(proj, CAP50, Vec3(30.0, 0.0, 0.0))
+            project_points(Projection.from_center_z(100.0), CAP50, _points((30.0, 0.0)))
 
     def test_rotational_symmetry(self):
         rng = np.random.default_rng(3)
         proj = Projection.from_center_z(120.0)
-        for _ in range(30):
-            r = rng.uniform(0.5, 18.0)
-            phi = rng.uniform(0, 2 * math.pi)
-            d = rng.uniform(0, 2 * math.pi)
-            q0 = project(proj, CAP50, Vec3(r * math.cos(phi), r * math.sin(phi), 0.0))
-            q1 = project(proj, CAP50, Vec3(r * math.cos(phi + d), r * math.sin(phi + d), 0.0))
-            c, s = math.cos(d), math.sin(d)
-            rot = Vec3(c * q0.x - s * q0.y, s * q0.x + c * q0.y, q0.z)
-            assert (q1 - rot).norm() < 1e-10
+        r = rng.uniform(0.5, 18.0, 30)
+        phi = rng.uniform(0, 2 * math.pi, 30)
+        d = rng.uniform(0, 2 * math.pi, 30)
+        q0 = project_points(proj, CAP50, _points(*zip(r * np.cos(phi), r * np.sin(phi))))
+        q1 = project_points(proj, CAP50, _points(*zip(r * np.cos(phi + d), r * np.sin(phi + d))))
+        c, s = np.cos(d), np.sin(d)
+        rot = np.column_stack((c * q0[:, 0] - s * q0[:, 1], s * q0[:, 0] + c * q0[:, 1], q0[:, 2]))
+        assert np.linalg.norm(q1 - rot, axis=1).max() < 1e-10
 
     def test_converges_to_orthogonal_for_distant_centers(self):
-        p = Vec3(10.0, 0.0, 0.0)
-        q_inf = project(Projection.orthogonal(), CAP50, p)
-        errs = []
-        for z in (1e3, 1e5, 1e7, 1e9):
-            q = project(Projection.from_center_z(z), CAP50, p)
-            errs.append((q - q_inf).norm())
-        assert all(b < a for a, b in zip(errs, errs[1:]))  # monotone decreasing
-        assert errs[-1] < 1e-6
+        lam = Wavelength(500.0)
+        field = record(Wave.plane(Vec3(0, 0, 1), lam), Wave.plane(Vec3(0.6, 0, 0.8), lam),
+                       SurfaceProfile.planar(10.0), PolarGrid(4, 8))
+        p = _points((10.0, 0.0))
+        for profile in (CAP50, QUARTIC):
+            q_inf = project_points(ORTHO, profile, p)[0]
+            errs = []
+            for z in (1e3, 1e5, 1e7, 1e9, 1e12, 1e200):
+                q = project_points(Projection.from_center_z(z), profile, p)[0]
+                errs.append(np.linalg.norm(q - q_inf))
+                # on the carrier however far the center
+                assert abs(q[2] - profile.radial_height(math.hypot(q[0], q[1]))) <= 1e-10
+            assert all(b < a for a, b in zip(errs, errs[1:]))  # monotone decreasing
+            assert errs[3] < 1e-6
+            # a whole field lands on the carrier too
+            for z in (1e7, 1e12, 1e200):
+                bent = induce_forward(field, profile, Projection.from_center_z(z))
+                on_graph = profile.heights(np.hypot(bent.pos[:, 0], bent.pos[:, 1]))
+                assert np.abs(bent.pos[:, 2] - on_graph).max() <= 1e-10
 
 
 class TestProjectionAgainstBrentq:
-    """``project`` against its slow reference, within 1e-12 relative."""
+    """``project_points`` against its slow reference, row by row, within 1e-12 relative."""
 
     CASES = {
         "cap_center_above_sphere": (CAP50, 500.0),  # Cz > 2R
@@ -223,41 +246,47 @@ class TestProjectionAgainstBrentq:
 
     @staticmethod
     def _assert_close(q, ref):
-        assert (q - ref).norm() <= 1e-12 * ref.norm(), (q, ref)
+        assert np.linalg.norm(q - ref) <= 1e-12 * np.linalg.norm(ref), (q, ref)
+
+    @staticmethod
+    def _interior_points(r_rim):
+        return _points(*((r * math.cos(phi), r * math.sin(phi))
+                         for r in (r_rim * (i / 40.0) ** 2 * (1.0 - 1e-6) for i in range(1, 41))
+                         for phi in (0.3, 2.0, 4.5)))
+
+    @staticmethod
+    def _rim_points(proj, profile):
+        """Rim points of the graph and their plane preimages."""
+        d = profile.domain_radius
+        q = _graph_points(profile, *((d * math.cos(phi), d * math.sin(phi)) for phi in (0.0, 0.7, math.pi, 5.1)))
+        return q, inverse_project_points(proj, profile, q)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_interior_points(self, case):
         profile, cz = self.CASES[case]
         proj = Projection.from_center_z(cz)
-        r_rim = inverse_project(proj, profile, evaluate(profile, Vec2(profile.domain_radius, 0.0))).x
-        for i in range(1, 41):
-            r = r_rim * (i / 40.0) ** 2 * (1.0 - 1e-6)
-            for phi in (0.3, 2.0, 4.5):
-                p = Vec3(r * math.cos(phi), r * math.sin(phi), 0.0)
-                self._assert_close(project(proj, profile, p), _brentq_projection(cz, profile, p))
+        p = self._interior_points(_rim_preimage_radius(proj, profile))
+        for pi, qi in zip(p, project_points(proj, profile, p)):
+            self._assert_close(qi, _brentq_projection(cz, profile, pi))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rim_points(self, case):
         profile, cz = self.CASES[case]
         proj = Projection.from_center_z(cz)
-        d = profile.domain_radius
-        for phi in (0.0, 0.7, math.pi, 5.1):
-            q = evaluate(profile, Vec2(d * math.cos(phi), d * math.sin(phi)))
-            p = inverse_project(proj, profile, q)
-            got = project(proj, profile, p)
-            self._assert_close(got, _brentq_projection(cz, profile, p))
-            assert (got - q).norm() <= 1e-12 * q.norm()
+        q, p = self._rim_points(proj, profile)
+        for pi, qi, got in zip(p, q, project_points(proj, profile, p)):
+            self._assert_close(got, _brentq_projection(cz, profile, pi))
+            assert np.linalg.norm(got - qi) <= 1e-12 * np.linalg.norm(qi)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_beyond_rim_has_no_intersection(self, case):
         profile, cz = self.CASES[case]
         proj = Projection.from_center_z(cz)
-        r_rim = inverse_project(proj, profile, evaluate(profile, Vec2(profile.domain_radius, 0.0))).x
-        p = Vec3(0.0, -r_rim * 1.01, 0.0)
+        p = _points((0.0, -_rim_preimage_radius(proj, profile) * 1.01))
         with pytest.raises(NoIntersection):
-            _brentq_projection(cz, profile, p)
+            _brentq_projection(cz, profile, p[0])
         with pytest.raises(NoIntersection):
-            project(proj, profile, p)
+            project_points(proj, profile, p)
 
     CUSTOM = sorted(k for k in CASES if k.startswith("custom"))
 
@@ -266,29 +295,25 @@ class TestProjectionAgainstBrentq:
         """All interior and rim points in one array call, each row against brentq."""
         profile, cz = self.CASES[case]
         proj = Projection.from_center_z(cz)
-        d = profile.domain_radius
-        r_rim = inverse_project(proj, profile, evaluate(profile, Vec2(d, 0.0))).x
-        points = [Vec3(r * math.cos(phi), r * math.sin(phi), 0.0)
-                  for r in (r_rim * (i / 40.0) ** 2 * (1.0 - 1e-6) for i in range(1, 41)) for phi in (0.3, 2.0, 4.5)]
-        points += [inverse_project(proj, profile, evaluate(profile, Vec2(d * math.cos(phi), d * math.sin(phi))))
-                   for phi in (0.0, 0.7, math.pi, 5.1)]
-        got = project_points(proj, profile, np.array([(0.0, 0.0, 0.0)] + [p.as_tuple() for p in points]))
+        points = np.vstack((self._interior_points(_rim_preimage_radius(proj, profile)),
+                            self._rim_points(proj, profile)[1]))
+        got = project_points(proj, profile, np.vstack((_points((0.0, 0.0)), points)))
         assert got[0].tolist() == [0.0, 0.0, profile.radial_height(0.0)]
-        for p, q in zip(points, got[1:].tolist()):
-            self._assert_close(Vec3(*q), _brentq_projection(cz, profile, p))
+        for p, q in zip(points, got[1:]):
+            self._assert_close(q, _brentq_projection(cz, profile, p))
 
     @pytest.mark.parametrize("case", CUSTOM)
     def test_vectorized_beyond_rim_names_first_failing_sample(self, case):
         profile, cz = self.CASES[case]
         proj = Projection.from_center_z(cz)
-        r_rim = inverse_project(proj, profile, evaluate(profile, Vec2(profile.domain_radius, 0.0))).x
+        r_rim = _rim_preimage_radius(proj, profile)
         radii = [0.3 * r_rim, 0.9 * r_rim, 1.01 * r_rim, 0.5 * r_rim, 1.2 * r_rim]
         points = np.array([(0.0, -r, 0.0) for r in radii])
         with pytest.raises(NoIntersection) as got:
             project_points(proj, profile, points)
         assert got.value.index == 2
         with pytest.raises(NoIntersection) as want:
-            project(proj, profile, Vec3(*points[2]))
+            project_points(proj, profile, points[2:3])
         assert str(got.value) == str(want.value)
         # in a field the error carries the scalar code's sample context
         field = record(Wave.plane(Vec3(0, 0, 1), Wavelength(500.0)), Wave.plane(Vec3(0.6, 0, 0.8), Wavelength(500.0)),
@@ -302,53 +327,50 @@ class TestProjectionAgainstBrentq:
 
     def test_center_below_raised_vertex_has_no_intersection(self):
         with pytest.raises(NoIntersection):
-            project(Projection.from_center_z(1.5), BOWL, Vec3(1.0, 0.0, 0.0))
+            project_points(Projection.from_center_z(1.5), BOWL, _points((1.0, 0.0)))
 
 
 class TestInverseProject:
     def test_orthogonal_drops_z(self):
-        q = evaluate(CAP50, Vec2(10.0, 0.0))
-        assert inverse_project(Projection.orthogonal(), CAP50, q).as_tuple() == (10.0, 0.0, 0.0)
+        q = _graph_points(CAP50, (10.0, 0.0))
+        assert inverse_project_points(ORTHO, CAP50, q).tolist() == [[10.0, 0.0, 0.0]]
 
     def test_central_round_trip(self):
         proj = Projection.from_center_z(100.0)
-        for p in (Vec3(10.0, 0.0, 0.0), Vec3(-4.0, 11.0, 0.0)):
-            q = project(proj, CAP50, p)
-            back = inverse_project(proj, CAP50, q)
-            assert (back - p).norm() < 1e-10
+        p = _points((10.0, 0.0), (-4.0, 11.0))
+        back = inverse_project_points(proj, CAP50, project_points(proj, CAP50, p))
+        assert np.linalg.norm(back - p, axis=1).max() < 1e-10
 
     def test_round_trip_other_direction(self):
         proj = Projection.from_center_z(250.0)
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            s = rng.uniform(0, 19.0)
-            phi = rng.uniform(0, 2 * math.pi)
-            q = evaluate(CAP50, Vec2(s * math.cos(phi), s * math.sin(phi)))
-            p = inverse_project(proj, CAP50, q)
-            again = project(proj, CAP50, p)
-            assert (again - q).norm() < 1e-10
+        s = rng.uniform(0, 19.0, 20)
+        phi = rng.uniform(0, 2 * math.pi, 20)
+        q = _graph_points(CAP50, *zip(s * np.cos(phi), s * np.sin(phi)))
+        again = project_points(proj, CAP50, inverse_project_points(proj, CAP50, q))
+        assert np.linalg.norm(again - q, axis=1).max() < 1e-10
 
     def test_vertex_fixed(self):
-        q = inverse_project(Projection.from_center_z(100.0), CAP50, Vec3(0.0, 0.0, 0.0))
-        assert q.as_tuple() == (0.0, 0.0, 0.0)
+        q = inverse_project_points(Projection.from_center_z(100.0), CAP50, np.zeros((1, 3)))
+        assert q.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_not_on_surface(self):
         with pytest.raises(NotOnSurface):
-            inverse_project(Projection.orthogonal(), CAP50, Vec3(10.0, 0.0, 5.0))
+            inverse_project_points(ORTHO, CAP50, np.array([(10.0, 0.0, 5.0)]))
 
     def test_no_preimage_for_parallel_ray(self):
         # center height equals the point height: the ray never reaches z = 0
         s = math.sqrt(2500.0 - 49.5 ** 2)
-        q = evaluate(CAP50, Vec2(s, 0.0))
-        assert abs(q.z - 0.5) < 1e-12
+        q = _graph_points(CAP50, (s, 0.0))
+        assert abs(q[0, 2] - 0.5) < 1e-12
         with pytest.raises(NoPreimage):
-            inverse_project(Projection.from_center_z(q.z), CAP50, q)
+            inverse_project_points(Projection.from_center_z(q[0, 2]), CAP50, q)
 
     def test_no_preimage_for_center_below_point(self):
         s = math.sqrt(2500.0 - 49.5 ** 2)
-        q = evaluate(CAP50, Vec2(s, 0.0))
+        q = _graph_points(CAP50, (s, 0.0))
         with pytest.raises(NoPreimage):
-            inverse_project(Projection.from_center_z(0.25 * q.z), CAP50, q)
+            inverse_project_points(Projection.from_center_z(0.25 * q[0, 2]), CAP50, q)
 
 
 class TestCheckBijective:
