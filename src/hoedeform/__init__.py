@@ -22,7 +22,7 @@ from .errors import (
     WavelengthMismatch,
     ZeroGrating,
 )
-from .geometry import Frame, FrameCoords, PolarPoint, Vec2, Vec3, frame_recompose
+from .geometry import Vec3
 from .surfaces import (
     BijectivityReport,
     LensSpec,

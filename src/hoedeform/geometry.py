@@ -1,4 +1,4 @@
-"""Vector algebra, polar coordinates and local surface frames.
+"""Vector algebra and local surface frames.
 
 Frames attached to a rotationally symmetric graph z = h(s) follow the
 radial-curve construction: ``t`` is the unit tangent of the radial section
@@ -13,9 +13,9 @@ along the azimuth, ``t -> (cos phi, sin phi, 0)``, which exists for
 differentiable rotationally symmetric profiles.
 
 Fields compute frames for all their samples at once with :func:`frames`,
-on arrays of N x 3 rows. :class:`Frame`, :class:`FrameCoords` and
-:func:`frame_recompose` describe one sample of a field as a view (see
-``GratingVectorField.samples``); no pipeline stage builds them.
+on arrays of N x 3 rows, and :func:`check_orthonormal` validates them.
+:class:`Vec3` is the one scalar vector type, for inputs (wave directions,
+source points) and for the per-sample views.
 """
 
 from __future__ import annotations
@@ -89,76 +89,6 @@ class Vec3:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True, slots=True)
-class Vec2:
-    """2-vector in the reference plane or on a detector plane (mm)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"Vec2 components must be finite, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True, slots=True)
-class PolarPoint:
-    """Plane point in polar coordinates: radius s >= 0 (mm), azimuth phi in [0, 2*pi)."""
-
-    s: float
-    phi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and math.isfinite(self.phi)):
-            raise ValueError("PolarPoint components must be finite")
-        if self.s < 0.0:
-            raise ValueError(f"radial distance must be >= 0, got {self.s}")
-        wrapped = self.phi % TWO_PI
-        if wrapped != self.phi:
-            object.__setattr__(self, "phi", wrapped)
-
-
-@dataclass(frozen=True, slots=True)
-class Frame:
-    """Orthonormal local basis {t, b, n} at a surface point.
-
-    Validated to be orthonormal within ``DEFAULT_TOL``. Frames produced by
-    :func:`frames` additionally satisfy ``b = t x n`` exactly as
-    constructed; the closure operations accept any orthonormal triple.
-    """
-
-    t: Vec3
-    b: Vec3
-    n: Vec3
-
-    def __post_init__(self):
-        self.validate(DEFAULT_TOL)
-
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        for name, v in (("t", self.t), ("b", self.b), ("n", self.n)):
-            if abs(v.norm() - 1.0) > tol:
-                raise ValueError(f"frame vector {name} is not unit length: |{name}| = {v.norm()!r}")
-        for pair, d in (("t.b", self.t.dot(self.b)), ("t.n", self.t.dot(self.n)), ("b.n", self.b.dot(self.n))):
-            if abs(d) > tol:
-                raise ValueError(f"frame vectors not orthogonal: {pair} = {d!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class FrameCoords:
-    """Coordinates (g1, g2, g3) of a vector in a local frame (rad/um)."""
-
-    g1: float
-    g2: float
-    g3: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.g1) and math.isfinite(self.g2) and math.isfinite(self.g3)):
-            raise ValueError("frame coordinates must be finite")
-
-    def magnitude(self) -> float:
-        return math.sqrt(self.g1 * self.g1 + self.g2 * self.g2 + self.g3 * self.g3)
-
-
 # ---------------------------------------------------------------------------
 # array kernels: one row per sample
 # ---------------------------------------------------------------------------
@@ -208,7 +138,8 @@ def combine(t: np.ndarray, b: np.ndarray, n: np.ndarray, c1, c2, c3) -> np.ndarr
 
 
 def check_orthonormal(t: np.ndarray, b: np.ndarray, n: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """The checks of :meth:`Frame.validate` on every row; ValueError tagged with the first failing row."""
+    """Require unit t, b, n and zero pairwise dot products within ``tol`` on every row,
+    for any orthonormal triple; ValueError tagged with the first failing row."""
     lengths = [(name, norms(v)) for name, v in (("t", t), ("b", b), ("n", n))]
     dots = [(pair, dot(u, v)) for pair, u, v in (("t.b", t, b), ("t.n", t, n), ("b.n", b, n))]
     raise_first(
@@ -248,7 +179,3 @@ def frames(profile: "SurfaceProfile", s: np.ndarray, phi: np.ndarray) -> Tuple[n
     check_orthonormal(t, b, n)
     return t, b, n
 
-
-def frame_recompose(c: FrameCoords, f: Frame) -> Vec3:
-    """World-space vector g1*t + g2*b + g3*n."""
-    return f.t * c.g1 + f.b * c.g2 + f.n * c.g3

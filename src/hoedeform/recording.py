@@ -31,8 +31,7 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, HoedeformError, PointNotOnEllipsoid, ZeroGrating, at_sample
-from .geometry import (Frame, FrameCoords, PolarPoint, Vec3, cross, dot, first_index, frame_recompose, frames,
-                       norms, raise_first)
+from .geometry import Vec3, cross, dot, first_index, frames, norms, raise_first
 from .surfaces import DOMAIN_GUARD, SurfaceProfile
 from .units import path_mm_to_um
 from .waves import Wave, WaveKind, local_wavevectors, require_same_wavelength
@@ -115,24 +114,29 @@ def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * np.arange(n) / (n - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GratingSample:
-    """One sampled point of an HOE microstructure.
+    """One sampled point of an HOE microstructure, a view of one field row.
 
-    ``footprint`` is the plane parameter point of the carrier graph,
-    ``position`` the world point on the carrier, ``coords`` the grating
-    vector in the local ``frame`` and ``magnitude`` its cached length.
+    ``s`` and ``phi`` are the footprint on the carrier graph, ``position``
+    the world point on the carrier, ``t``, ``b`` and ``n`` the carrier frame
+    there, ``coords`` the grating vector coordinates (g1, g2, g3) in that
+    frame and ``magnitude`` their length.
     """
 
-    footprint: PolarPoint
+    s: float
+    phi: float
     position: Vec3
-    frame: Frame
-    coords: FrameCoords
+    t: Vec3
+    b: Vec3
+    n: Vec3
+    coords: Tuple[float, float, float]
     magnitude: float
 
     def kg_world(self) -> Vec3:
-        """Grating vector in world coordinates."""
-        return frame_recompose(self.coords, self.frame)
+        """Grating vector in world coordinates, g1*t + g2*b + g3*n."""
+        g1, g2, g3 = self.coords
+        return self.t * g1 + self.b * g2 + self.n * g3
 
 
 def _column(a, width: Optional[int]) -> np.ndarray:
@@ -212,20 +216,13 @@ class GratingVectorField:
         """The samples as :class:`GratingSample` objects, built on each access."""
         t, b, n = (v.tolist() for v in self.frames())
         return tuple(
-            GratingSample(PolarPoint(s, phi), Vec3(*p), Frame(Vec3(*ti), Vec3(*bi), Vec3(*ni)), FrameCoords(*g), m)
+            GratingSample(s, phi, Vec3(*p), Vec3(*ti), Vec3(*bi), Vec3(*ni), tuple(g), m)
             for s, phi, p, ti, bi, ni, g, m in zip(self.s.tolist(), self.phi.tolist(), self.pos.tolist(),
                                                    t, b, n, self.g.tolist(), self.magnitudes.tolist())
         )
 
     def __len__(self) -> int:
         return self.s.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GratingVectorField):
-            return NotImplemented
-        return (self.carrier == other.carrier and self.grid == other.grid
-                and self.wavelength_nm == other.wavelength_nm
-                and all(np.array_equal(getattr(self, k), getattr(other, k)) for k in ("s", "phi", "pos", "g")))
 
 
 @contextlib.contextmanager

@@ -25,7 +25,7 @@ import numpy as np
 from .config import read_input
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
 from .fieldio import format_column
-from .geometry import Vec2, Vec3, first_index, norms
+from .geometry import Vec3, first_index, norms
 from .diffraction import (EVANESCENT, MODES, STATUSES, DiffractionResult, DiffractionStatus, EfficiencyHook,
                           diffract)
 from .recording import GratingVectorField, sample_context
@@ -250,9 +250,9 @@ class PlaneHits:
     behind: Tuple[int, ...]
 
     @property
-    def hits(self) -> Tuple[Tuple[int, Vec2], ...]:
-        """(ray index, plane point) pairs, built from the arrays."""
-        return tuple((i, Vec2(x, y)) for i, (x, y) in zip(self.index.tolist(), self.xy.tolist()))
+    def hits(self) -> Tuple[Tuple[int, Tuple[float, float]], ...]:
+        """(ray index, (x, y)) pairs, built from the arrays."""
+        return tuple(zip(self.index.tolist(), map(tuple, self.xy.tolist())))
 
 
 def intersect_plane(rays: Sequence[Ray], z0: float) -> PlaneHits:
@@ -269,17 +269,18 @@ def intersect_plane(rays: Sequence[Ray], z0: float) -> PlaneHits:
     index = np.flatnonzero(hit)
     i = first_index(~(np.isfinite(x) & np.isfinite(y)))
     if i is not None:
-        raise at_sample(ValueError(f"Vec2 components must be finite, got ({float(x[i])}, {float(y[i])})"), int(index[i]))
+        raise at_sample(ValueError(f"hit point must be finite, got ({float(x[i])}, {float(y[i])})"), int(index[i]))
     return PlaneHits(z0, index, np.column_stack((x, y)), tuple(np.flatnonzero(parallel).tolist()),
                      tuple(np.flatnonzero(behind).tolist()))
 
 
 @dataclass(frozen=True)
 class SpotReport:
-    """Centroid and RMS spot radii of a bundle cross-section at z (mm)."""
+    """Centroid (cx, cy) and RMS spot radii of a bundle cross-section at z (mm)."""
 
     z: float
-    centroid: Vec2
+    cx: float
+    cy: float
     rms_x: float
     rms_y: float
     rms_total: float
@@ -375,7 +376,7 @@ def focal_scan(rays: Sequence[Ray], z_range: Tuple[float, float], n_planes: int)
         rms_x, rms_y, rms_t = np.sqrt(var_x), np.sqrt(var_y), np.sqrt(var_x + var_y)
         cx, cy = a_mean[0] + b_mean[0] * z, a_mean[1] + b_mean[1] * z
     reports = tuple(
-        SpotReport(zi, Vec2(xi, yi), rx, ry, rt)
+        SpotReport(zi, xi, yi, rx, ry, rt)
         for zi, xi, yi, rx, ry, rt in zip(z.tolist(), cx.tolist(), cy.tolist(),
                                            rms_x.tolist(), rms_y.tolist(), rms_t.tolist())
     )
@@ -496,5 +497,5 @@ def write_hits_csv(plane_hits: Sequence[PlaneHits], path) -> None:
 def write_spots_csv(reports: Sequence[SpotReport], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SPOTS_HEADER + "\n")
-        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (r.z, r.centroid.x, r.centroid.y, r.rms_x, r.rms_y,
-                                                                 r.rms_total) for r in reports)
+        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (r.z, r.cx, r.cy, r.rms_x, r.rms_y, r.rms_total)
+                      for r in reports)

@@ -262,15 +262,18 @@ def _sphere_cap_roots(cz: float, radius: float, rp: np.ndarray) -> np.ndarray:
     The lower cap is the larger root (B + sqrt(disc))/A, taken as
     c / (B - sqrt(disc)) when B < 0 so that neither form subtracts
     nearly equal numbers. Lengths are divided by max(Cz, R) first, so no
-    square of a distant center overflows.
+    square of a distant center overflows. A row with rp beyond that scale
+    solves for tau*rp instead, the quadratic divided by rp^2, which squares
+    f = 1/rp and not rp; on nearer rows f = 1 and u = rp give the plain quadratic.
     """
     scale = max(cz, radius)
     cz, radius, rp = cz / scale, radius / scale, rp / scale
     b = cz * (cz - radius)
-    root = np.sqrt(np.maximum(cz * (cz * radius * radius - rp * rp * (cz - 2.0 * radius)), 0.0))
+    f, u = 1.0 / np.maximum(rp, 1.0), np.minimum(rp, 1.0)
+    root = np.sqrt(np.maximum(cz * (cz * radius * radius * f * f - u * u * (cz - 2.0 * radius)), 0.0))
     if b >= 0.0:
-        return (b + root) / (rp * rp + cz * cz)
-    return cz * (cz - 2.0 * radius) / (b - root)
+        return f * (b * f + root) / (u * u + (cz * f) * (cz * f))
+    return f * (cz * (cz - 2.0 * radius) / (b * f - root))
 
 
 def _bracketed_roots(gap: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -24,7 +24,7 @@ def _assert_identical(a, b):
     assert a.carrier.descriptor() == b.carrier.descriptor()
     assert len(a.samples) == len(b.samples)
     for sa, sb in zip(a.samples, b.samples):
-        assert sa.footprint == sb.footprint
+        assert (sa.s, sa.phi) == (sb.s, sb.phi)
         assert sa.position == sb.position
         assert sa.coords == sb.coords
         assert sa.magnitude == sb.magnitude
@@ -54,6 +54,18 @@ def test_induced_field_round_trip(tmp_path, induce):
     path = tmp_path / "induced.json"
     save_field(induced, path)
     _assert_identical(induced, load_field(path))
+
+
+def test_loaded_azimuth_is_wrapped(tmp_path):
+    field = record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(2, 4))
+    doc = field_to_dict(field)
+    phi = doc["samples"][4]["phi"]  # 3*pi/2 on the inner ring
+    doc["samples"][4]["phi"] = phi - 2 * math.pi
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    back = load_field(path)
+    assert 0.0 <= back.phi[4] < 2 * math.pi
+    assert abs(back.phi[4] - phi) < 1e-15
 
 
 def test_unknown_header_key_rejected():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hoedeform.errors import DegenerateFrame, DomainError
-from hoedeform.geometry import Frame, FrameCoords, PolarPoint, Vec3, combine, cross, dot, frame_recompose, frames, norms
+from hoedeform.geometry import Vec3, check_orthonormal, combine, cross, dot, frames, norms
+from hoedeform.recording import GratingSample
 from hoedeform.surfaces import SurfaceProfile
 
 
@@ -57,17 +58,6 @@ class TestVec3:
     def test_normalize_zero_raises(self):
         with pytest.raises(ValueError):
             Vec3(0, 0, 0).normalized()
-
-
-class TestPolarPoint:
-    def test_wraps_phi(self):
-        assert PolarPoint(1.0, 2 * math.pi).phi == 0.0
-        assert abs(PolarPoint(1.0, -0.1).phi - (2 * math.pi - 0.1)) < 1e-15
-        assert PolarPoint(1.0, 1.0).phi == 1.0
-
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            PolarPoint(-0.5, 0.0)
 
 
 class TestBuildFrame:
@@ -146,19 +136,24 @@ class TestBuildFrame:
                 assert norms(v1 - _rot_z(v0, d)).max() < 1e-10
 
 
+def _check_one(t, b, n):
+    """``check_orthonormal`` on one row triple."""
+    check_orthonormal(*(np.array([v], dtype=float) for v in (t, b, n)))
+
+
 class TestFrameValidation:
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            Frame(Vec3(2, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
+        with pytest.raises(ValueError, match="not unit length"):
+            _check_one((2, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_rejects_non_orthogonal(self):
         e = 1e-6
-        with pytest.raises(ValueError):
-            Frame(Vec3(1, 0, 0), Vec3(e, math.sqrt(1 - e * e), 0), Vec3(0, 0, 1))
+        with pytest.raises(ValueError, match="not orthogonal"):
+            _check_one((1, 0, 0), (e, math.sqrt(1 - e * e), 0), (0, 0, 1))
 
     def test_accepts_right_handed_orthonormal(self):
         # closures accept any orthonormal triple, not only built frames
-        Frame(Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
+        _check_one((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _decompose(v: np.ndarray, t, b, n) -> np.ndarray:
@@ -176,8 +171,8 @@ class TestDecomposeRecompose:
         t, b, n = frames(SurfaceProfile.planar(20.0), np.full(2, 5.0), np.zeros(2))
         assert combine(t, b, n, [0.0, 1.0], 0.0, 0.0).tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
         # the view of one sample recomposes the same way
-        f = Frame(Vec3(*t[0]), Vec3(*b[0]), Vec3(*n[0]))
-        assert frame_recompose(FrameCoords(1, 0, 0), f).as_tuple() == (1.0, 0.0, 0.0)
+        smp = GratingSample(5.0, 0.0, Vec3(5.0, 0.0, 0.0), Vec3(*t[0]), Vec3(*b[0]), Vec3(*n[0]), (1.0, 0.0, 0.0), 1.0)
+        assert smp.kg_world().as_tuple() == (1.0, 0.0, 0.0)
 
     def test_round_trip_on_sphere_frame(self):
         frame = frames(SurfaceProfile.sphere_cap(50.0, 20.0), np.array([10.0]), np.array([0.0]))

@@ -79,7 +79,7 @@ class TestRecord:
         # frame coordinates do vary with the carrier tilt
         inner = field.samples[1].coords
         outer = field.samples[-1].coords
-        assert abs(inner.g1 - outer.g1) > 1e-3
+        assert abs(inner[0] - outer[0]) > 1e-3
 
     def test_wavelength_mismatch(self):
         other = Wave.plane(Vec3(0, 0, 1), Wavelength(633.0))
@@ -185,6 +185,20 @@ class TestFieldValidation:
         doubled = {k: np.concatenate((v, v[:1])) for k, v in _arrays(field).items()}
         with pytest.raises(ValueError):
             _field(doubled, field)
+
+    def test_negative_radius_rejected(self):
+        field = record(W0, W65, FLAT, PolarGrid(2, 4))
+        arrays = _arrays(field)
+        arrays["s"][1] = -0.5
+        with pytest.raises(ValueError, match=r"^sample 1 .*radial distance must be >= 0"):
+            _field(arrays, field)
+
+    def test_full_turn_azimuth_rejected(self):
+        field = record(W0, W65, FLAT, PolarGrid(2, 4))
+        arrays = _arrays(field)
+        arrays["phi"][1] = 2 * math.pi
+        with pytest.raises(ValueError, match=r"^sample 1 .*azimuth must lie in \[0, 2\*pi\)"):
+            _field(arrays, field)
 
     def test_off_carrier_position_rejected(self):
         field = record(W0, W65, FLAT, PolarGrid(2, 4))

@@ -75,15 +75,46 @@ class TestTraceField:
         assert all(r.ray.weight == 0.5 for r in records)
 
 
+def _rot_z(v: Vec3, a: float) -> Vec3:
+    c, s = math.cos(a), math.sin(a)
+    return Vec3(c * v.x - s * v.y, s * v.x + c * v.y, v.z)
+
+
+@pytest.mark.parametrize("proj", [Projection.orthogonal(), Projection.from_center_z(500.0)],
+                         ids=["orthogonal", "central"])
+def test_rotating_the_scene_by_one_azimuth_step_permutes_the_trace(proj):
+    # the off-axis combiner recorded flat and bent onto the 50 mm cap; the
+    # carriers are rotationally symmetric, so turning both recording waves and
+    # the probe about z by 2*pi/n_phi moves every ring sample to the next azimuth
+    n_s, n_phi = 10, 16
+    step = 2 * math.pi / n_phi
+    cap = SurfaceProfile.sphere_cap(50.0, 10.0)
+
+    def bent_trace(a):
+        source, target = _rot_z(Vec3(-30.0, 0.0, -40.0), a), _rot_z(Vec3(0.0, 0.0, 80.0), a)
+        w1, w2 = Wave.diverging(source, LAM), Wave.converging(target, LAM)
+        field = record(w1, w2, SurfaceProfile.planar(10.0), PolarGrid(n_s, n_phi))
+        return trace_field(induce_forward(field, cap, proj), w1)
+
+    base, turned = bent_trace(0.0), bent_trace(step)
+    ring, azimuth = np.divmod(np.arange(n_s * n_phi), n_phi)
+    perm = np.concatenate(([0], 1 + ring * n_phi + (azimuth - 1) % n_phi))  # the vertex stays
+    assert turned.status.tolist() == base.status[perm].tolist()
+    c, s = math.cos(step), math.sin(step)
+    d = base.direction[perm]
+    want = np.column_stack((c * d[:, 0] - s * d[:, 1], s * d[:, 0] + c * d[:, 1], d[:, 2]))
+    assert np.abs(turned.direction - want).max() <= 1e-12
+
+
 class TestIntersectPlane:
     def test_axial_ray(self):
         hits = intersect_plane([Ray(Vec3(0, 0, 0), Vec3(0, 0, 1))], 10.0)
-        assert hits.hits[0][1].x == 0.0 and hits.hits[0][1].y == 0.0
+        assert hits.hits[0][1][0] == 0.0 and hits.hits[0][1][1] == 0.0
 
     def test_similar_triangles(self):
         hits = intersect_plane([Ray(Vec3(0, 0, 0), Vec3(0.6, 0.0, 0.8))], 8.0)
         pt = hits.hits[0][1]
-        assert abs(pt.x - 6.0) < 1e-12 and pt.y == 0.0
+        assert abs(pt[0] - 6.0) < 1e-12 and pt[1] == 0.0
 
     def test_parallel_ray_flagged(self):
         hits = intersect_plane([Ray(Vec3(0, 0, 0), Vec3(1, 0, 0))], 5.0)
@@ -103,8 +134,8 @@ class TestIntersectPlane:
             p2 = intersect_plane([ray], z2).hits[0][1]
             p3 = intersect_plane([ray], z3).hits[0][1]
             # midpoint of p1 and p3 equals p2 for equispaced planes
-            assert abs(0.5 * (p1.x + p3.x) - p2.x) < 1e-12
-            assert abs(0.5 * (p1.y + p3.y) - p2.y) < 1e-12
+            assert abs(0.5 * (p1[0] + p3[0]) - p2[0]) < 1e-12
+            assert abs(0.5 * (p1[1] + p3[1]) - p2[1]) < 1e-12
 
 
 def _loop_focal_scan(rays, z_range, n_planes):
@@ -232,7 +263,7 @@ def test_focal_scan_matches_per_plane_loop(bundle):
     assert len(scan.reports) == len(reports)
     for rep, ref in zip(scan.reports, reports):
         assert rep.z == ref[0]
-        got = (rep.centroid.x, rep.centroid.y, rep.rms_x, rep.rms_y, rep.rms_total)
+        got = (rep.cx, rep.cy, rep.rms_x, rep.rms_y, rep.rms_total)
         for col, (g, r) in enumerate(zip(got, ref[1:])):
             assert _close(g, r), f"z = {rep.z} column {col}: {g!r} vs loop {r!r}"
     assert (scan.z_min_rms_x, scan.z_min_rms_y, scan.z_min_rms_total) == (

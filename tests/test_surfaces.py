@@ -1,13 +1,17 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import oracles
+from hoedeform import cli
 from hoedeform.config import parse_profile
 from hoedeform.deformation import induce_forward
 from hoedeform.errors import ConfigError, DomainError, NoIntersection, NoPreimage, NotOnSurface
+from hoedeform.fieldio import load_field, save_field
 from hoedeform.geometry import Vec3
 from hoedeform.surfaces import (
     DOMAIN_GUARD,
@@ -229,6 +233,36 @@ class TestProjection:
                 bent = induce_forward(field, profile, Projection.from_center_z(z))
                 on_graph = profile.heights(np.hypot(bent.pos[:, 0], bent.pos[:, 1]))
                 assert np.abs(bent.pos[:, 2] - on_graph).max() <= 1e-10
+
+    @pytest.mark.parametrize("r", [1e156, 1e200, 1e300])
+    def test_distant_plane_point_meets_the_cap_at_the_center_height(self, r):
+        # the segment from (0, 0, 0.5) to a far plane point is all but the line
+        # z = 0.5, which meets the R = 50 sphere at s^2 = 50^2 - 49.5^2 = 49.75
+        cap = SurfaceProfile.sphere_cap(50.0, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = project_points(Projection.from_center_z(0.5), cap, _points((r, 0.0)))[0]
+        want = np.array([math.sqrt(49.75), 0.0, 0.5])
+        assert np.linalg.norm(q - want) <= 1e-12 * np.linalg.norm(want)
+        assert abs(q[2] - cap.radial_height(math.hypot(q[0], q[1]))) <= 1e-10
+
+
+def test_deform_cli_bends_a_distant_sample_onto_the_cap(tmp_path, capsys):
+    lam = Wavelength(500.0)
+    field = record(Wave.plane(Vec3(0, 0, 1), lam), Wave.plane(Vec3(0.6, 0, 0.8), lam),
+                   SurfaceProfile.planar(1e201), PolarGrid(1, 1, s_max=1e200, include_vertex=False))
+    planar, cfg, out = tmp_path / "field.json", tmp_path / "scene.json", tmp_path / "out"
+    save_field(field, planar)
+    cfg.write_text(json.dumps({"wavelength": {"lambda_nm": 500.0}, "deformation": {
+        "target_profile": {"kind": "sphere_cap", "radius_mm": 50.0, "domain_radius_mm": 10.0},
+        "projection": {"center_z_mm": 0.5}}}))
+    capsys.readouterr()
+    assert cli.main(["deform", "--config", str(cfg), "--out", str(out), "--field", str(planar)]) == 0
+    assert capsys.readouterr().err == ""
+    bent = load_field(out / "field_deformed.json")
+    want = np.array([math.sqrt(49.75), 0.0, 0.5])
+    assert abs(bent.s[0] - want[0]) <= 1e-12 * want[0]
+    assert np.linalg.norm(bent.pos[0] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestProjectionAgainstBrentq:
