@@ -125,13 +125,14 @@ def field_from_dict(doc: dict) -> GratingVectorField:
 
 def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None:
     text = json.dumps({**_header(field), "samples": []}, indent=1)
+    pieces = [text + "\n"]
     if len(field):
         columns = (format_column(field.s, "%r"), format_column(field.phi, "%r"), *field.pos.T.tolist(),
                    *field.g.T.tolist())
         samples = ",\n".join([_SAMPLE_TEMPLATE] * len(field)) % tuple(chain.from_iterable(zip(*columns)))
-        text = text[:-len("[]\n}")] + "[\n" + samples + "\n ]\n}"
+        pieces = [text[:-len("[]\n}")] + "[\n", samples, "\n ]\n}\n"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.writelines(pieces)  # in pieces: the samples are never copied into one document string
 
 
 def load_field(path: Union[str, os.PathLike]) -> GratingVectorField:

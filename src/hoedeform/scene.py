@@ -35,19 +35,66 @@ from .waves import Wave, local_wavevectors
 PARALLEL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class Ray:
-    """Propagation ray: origin (mm), unit direction, efficiency weight."""
+    """Propagation ray: origin (mm), unit direction, efficiency weight.
 
-    origin: Vec3
-    direction: Vec3
-    weight: float = 1.0
+    One row of (origins, directions, weights) arrays, read on access.
+    ``Ray(origin, direction, weight)`` checks its values and stores one-row
+    arrays; a :class:`Trace` or :class:`RayBundle` yields views of its rows.
+    """
 
-    def __post_init__(self):
-        if abs(self.direction.norm() - 1.0) > 1e-12:
-            raise ValueError(f"ray direction must be unit length, |d| = {self.direction.norm()!r}")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"ray weight must be in [0, 1], got {self.weight}")
+    __slots__ = ("_arrays", "_row")
+
+    def __init__(self, origin: Vec3, direction: Vec3, weight: float = 1.0):
+        if abs(direction.norm() - 1.0) > 1e-12:
+            raise ValueError(f"ray direction must be unit length, |d| = {direction.norm()!r}")
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(f"ray weight must be in [0, 1], got {weight}")
+        row = np.array([[*origin.as_tuple(), *direction.as_tuple(), weight]], dtype=float)
+        _SET_ARRAYS(self, _read_only(row[:, :3], row[:, 3:6], row[:, 6]))
+        _SET_ROW(self, 0)
+
+    @property
+    def origin(self) -> Vec3:
+        return Vec3(*self._arrays[0][self._row].tolist())
+
+    @property
+    def direction(self) -> Vec3:
+        return Vec3(*self._arrays[1][self._row].tolist())
+
+    @property
+    def weight(self) -> float:
+        return float(self._arrays[2][self._row])
+
+    def _values(self) -> Tuple[float, ...]:
+        o, d, w = self._arrays
+        return (*o[self._row].tolist(), *d[self._row].tolist(), float(w[self._row]))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is Ray else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"Ray(origin={self.origin!r}, direction={self.direction!r}, weight={self.weight!r})"
+
+    def __reduce__(self):
+        return Ray, (self.origin, self.direction, self.weight)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+_SET_ARRAYS, _SET_ROW = Ray._arrays.__set__, Ray._row.__set__
+
+
+def _row_ray(arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], row: int) -> Ray:
+    """The Ray that views row ``row`` of checked (origins, directions, weights) arrays."""
+    ray = object.__new__(Ray)
+    _SET_ARRAYS(ray, arrays)
+    _SET_ROW(ray, row)
+    return ray
 
 
 def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -57,27 +104,29 @@ def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     return arrays
 
 
-def _view_ray(arrays: Tuple[np.ndarray, np.ndarray], weights: np.ndarray, row: int) -> Ray:
-    """The Ray of one row of (origins, directions) arrays. It remembers the
-    arrays and the row, so that a list of such rays converts back to arrays
-    by gathering rows (see ``_ray_arrays``)."""
-    ray = Ray(Vec3(*arrays[0][row].tolist()), Vec3(*arrays[1][row].tolist()), float(weights[row]))
-    object.__setattr__(ray, "_row", (arrays, row))
-    return ray
+def _broken_rays(origins: np.ndarray, directions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The rows that break the rules of a :class:`Ray`: finite values, |d| = 1
+    within 1e-12 and a weight in [0, 1]."""
+    with np.errstate(over="ignore"):  # |d| overflows to inf, as in float math
+        return ~(np.isfinite(origins).all(axis=1) & np.isfinite(directions).all(axis=1)
+                 & (np.abs(norms(directions) - 1.0) <= 1e-12) & (weights >= 0.0) & (weights <= 1.0))
 
 
 class RayBundle(abc.Sequence):
     """Rays as arrays: origins and unit directions (N x 3) and weights (N).
 
-    The arrays are authoritative and made read-only; indexing builds a
-    :class:`Ray`.
+    The arrays are checked by the rules of a :class:`Ray` (the first failing
+    row raises its error) and made read-only; indexing yields views of rows.
     """
 
     __slots__ = ("origins", "directions", "weights", "_arrays")
 
     def __init__(self, origins: np.ndarray, directions: np.ndarray, weights: np.ndarray):
-        self.origins, self.directions, self.weights = _read_only(origins, directions, weights)
-        self._arrays = (origins, directions)
+        i = first_index(_broken_rays(origins, directions, weights))
+        if i is not None:
+            Ray(Vec3(*origins[i].tolist()), Vec3(*directions[i].tolist()), float(weights[i]))  # raises its error
+        self._arrays = _read_only(origins, directions, weights)
+        self.origins, self.directions, self.weights = self._arrays
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -85,7 +134,10 @@ class RayBundle(abc.Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return RayBundle(self.origins[i], self.directions[i], self.weights[i])
-        return _view_ray(self._arrays, self.weights, range(len(self))[i])
+        return _row_ray(self._arrays, range(len(self))[i])
+
+    def __iter__(self):
+        return map(_row_ray, repeat(self._arrays), range(len(self)))
 
     def __eq__(self, other) -> bool:  # equal to any sequence of equal rays, in order
         return isinstance(other, abc.Sequence) and len(self) == len(other) and all(map(operator.eq, self, other))
@@ -100,10 +152,11 @@ class TraceRecord:
     kept. The other attributes are built on every access.
     """
 
-    __slots__ = ("_trace", "_row", "_ray")
+    __slots__ = ("_trace", "_row", "_code", "_ray")
 
-    def __init__(self, trace: "Trace", row: int):
-        self._trace, self._row, self._ray = trace, row, False
+    def __init__(self, trace: "Trace", row: int, code: int):
+        self._trace, self._row, self._code = trace, row, code
+        self._ray = None if code == EVANESCENT else False
 
     @property
     def index(self) -> int:
@@ -115,19 +168,18 @@ class TraceRecord:
 
     @property
     def status(self) -> DiffractionStatus:
-        return STATUSES[self._trace.status[self._row]]
+        return STATUSES[self._code]
 
     @property
     def ray(self) -> Optional[Ray]:
         if self._ray is False:
-            tr, i = self._trace, self._row
-            self._ray = None if tr.status[i] == EVANESCENT else _view_ray(tr._arrays, tr.eta, i)
+            self._ray = _row_ray(self._trace._arrays, self._row)
         return self._ray
 
     @property
     def result(self) -> DiffractionResult:
         tr, i = self._trace, self._row
-        kd = None if tr.status[i] == EVANESCENT else Vec3(*tr.kd[i].tolist())
+        kd = None if self._code == EVANESCENT else Vec3(*tr.kd[i].tolist())
         return DiffractionResult(kd, self.status, float(tr.mismatch[i]), float(tr.eta[i]))
 
 
@@ -146,7 +198,7 @@ class Trace(abc.Sequence):
     def __init__(self, index, s, phi, pos, kd, direction, status, mismatch, eta):
         self.index, self.s, self.phi, self.pos, self.kd, self.direction, self.status, self.mismatch, self.eta = (
             _read_only(index, s, phi, pos, kd, direction, status, mismatch, eta))
-        self._arrays = (pos, direction)
+        self._arrays = (pos, direction, eta)
 
     def __len__(self) -> int:
         return self.status.shape[0]
@@ -155,10 +207,10 @@ class Trace(abc.Sequence):
         n = len(self)
         if not -n <= i < n:
             raise IndexError("trace index out of range")
-        return TraceRecord(self, i % n)
+        return TraceRecord(self, i % n, int(self.status[i]))
 
     def __iter__(self):
-        return (TraceRecord(self, i) for i in range(len(self)))
+        return map(TraceRecord, repeat(self), range(len(self)), self.status.tolist())
 
     def rays(self) -> RayBundle:
         """The rays of the non-evanescent rows, in order."""
@@ -209,29 +261,20 @@ def trace_field(
     return Trace(np.arange(n), field.s, field.phi, field.pos, kd, direction, status, mismatch, eta)
 
 
-_ORIGIN_DIRECTION = operator.attrgetter("origin.x", "origin.y", "origin.z", "direction.x", "direction.y", "direction.z")
-_ROW = operator.attrgetter("_row")
+_ARRAYS, _ROW = operator.attrgetter("_arrays"), operator.attrgetter("_row")
 
 
 def _ray_arrays(rays: Sequence[Ray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Origins and directions (N x 3) of ``rays``.
-
-    Rays that all come from the rows of one trace or bundle are gathered
-    from its arrays; other rays are read one by one.
-    """
+    """Origins and directions (N x 3) of ``rays``, gathered from the arrays
+    they are rows of: one index when all come from one trace or bundle,
+    else stacked row by row."""
     if isinstance(rays, RayBundle):
         return rays.origins, rays.directions
-    try:
-        rows = list(map(_ROW, rays))
-    except AttributeError:
-        rows = []
-    if rows:
-        arrays = rows[0][0]
-        if all(map(operator.is_, map(operator.itemgetter(0), rows), repeat(arrays))):
-            index = np.fromiter(map(operator.itemgetter(1), rows), np.intp, len(rows))
-            return arrays[0][index], arrays[1][index]
-    flat = np.fromiter(chain.from_iterable(map(_ORIGIN_DIRECTION, rays)), float, 6 * len(rays)).reshape(-1, 6)
-    return flat[:, :3], flat[:, 3:]
+    arrays = list(map(_ARRAYS, rays))
+    rows = np.fromiter(map(_ROW, rays), np.intp, len(arrays))
+    if arrays and all(map(operator.is_, arrays, repeat(arrays[0]))):
+        return arrays[0][0][rows], arrays[0][1][rows]
+    return tuple(np.array([a[k][i] for a, i in zip(arrays, rows.tolist())]).reshape(-1, 3) for k in (0, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +478,7 @@ def write_rays_csv(trace: Trace, path) -> None:
                *trace.direction.T.tolist(), format_column(trace.eta, "%.17g"))
     rows = template % tuple(chain.from_iterable(zip(*columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RAYS_HEADER + "\n" + (rows + "\n" if rows else ""))
+        fh.writelines([RAYS_HEADER + "\n", rows, "\n" if rows else ""])  # in pieces: the rows are never copied
 
 
 _STATUS_CODES = {status.value: code for code, status in enumerate(STATUSES)}
@@ -467,9 +510,7 @@ def read_rays_csv(path) -> RayBundle:
     numbers = chain.from_iterable(map(_RAY_NUMBERS, compress(rows, live)))
     values = np.array([_float_or_nan(v) for v in numbers], dtype=float).reshape(-1, 7)
     origins, directions, weights = values[:, :3], values[:, 3:6], values[:, 6]
-    with np.errstate(over="ignore"):  # |d| overflows to inf, as in float math
-        bad[live] |= ~(np.isfinite(values[:, :6]).all(axis=1) & (np.abs(norms(directions) - 1.0) <= 1e-12)
-                       & (weights >= 0.0) & (weights <= 1.0))
+    bad[live] |= _broken_rays(origins, directions, weights)
     i = first_index(bad)
     if i is not None:
         parts, where = rows[i], f"rays file {path} line {i + 2}"

@@ -261,15 +261,16 @@ def _sphere_cap_roots(cz: float, radius: float, rp: np.ndarray) -> np.ndarray:
     c = Cz (Cz - 2R), whose discriminant is B^2 - A c = Cz (Cz R^2 - rp^2 (Cz - 2R)).
     The lower cap is the larger root (B + sqrt(disc))/A, taken as
     c / (B - sqrt(disc)) when B < 0 so that neither form subtracts
-    nearly equal numbers. Lengths are divided by max(Cz, R) first, so no
+    nearly equal numbers. Lengths are in units of max(Cz, R), so no
     square of a distant center overflows. A row with rp beyond that scale
     solves for tau*rp instead, the quadratic divided by rp^2, which squares
-    f = 1/rp and not rp; on nearer rows f = 1 and u = rp give the plain quadratic.
+    f = scale/rp, not rp or rp/scale (which overflows for a scale below 1);
+    on nearer rows f = 1 and u = rp/scale give the plain quadratic.
     """
     scale = max(cz, radius)
-    cz, radius, rp = cz / scale, radius / scale, rp / scale
+    cz, radius = cz / scale, radius / scale
     b = cz * (cz - radius)
-    f, u = 1.0 / np.maximum(rp, 1.0), np.minimum(rp, 1.0)
+    f, u = scale / np.maximum(rp, scale), np.minimum(rp, scale) / scale
     root = np.sqrt(np.maximum(cz * (cz * radius * radius * f * f - u * u * (cz - 2.0 * radius)), 0.0))
     if b >= 0.0:
         return f * (b * f + root) / (u * u + (cz * f) * (cz * f))
@@ -277,13 +278,13 @@ def _sphere_cap_roots(cz: float, radius: float, rp: np.ndarray) -> np.ndarray:
 
 
 def _bracketed_roots(gap: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     dgap: Callable[[np.ndarray, np.ndarray], np.ndarray], hi: np.ndarray) -> np.ndarray:
+                     step: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], hi: np.ndarray) -> np.ndarray:
     """Roots of ``gap`` in [0, hi] given gap(0) > 0 >= gap(hi), one per entry of ``hi``.
 
-    ``gap(tau, rows)`` and ``dgap(tau, rows)`` evaluate the rows still being
-    solved. Newton steps from ``hi``; a step that leaves the shrinking
-    sign-change bracket is replaced by bisection. A row stops when a step
-    moves its tau by at most four ulps.
+    ``gap(tau, rows)`` and the Newton step ``step(tau, rows, gap)`` evaluate
+    the rows still being solved. Newton steps from ``hi``; a step that leaves
+    the shrinking sign-change bracket (or is 0) is replaced by bisection. A
+    row stops when a step moves its tau by at most four ulps.
     """
     hi = hi.copy()
     lo = np.zeros_like(hi)
@@ -297,11 +298,8 @@ def _bracketed_roots(gap: Callable[[np.ndarray, np.ndarray], np.ndarray],
         above = g > 0.0
         lo[rows[above]] = t[above]
         hi[rows[~above]] = t[~above]
-        d = dgap(t, rows)
-        with np.errstate(over="ignore"):  # an overflowing step falls back to bisection
-            step = np.divide(g, d, out=np.zeros_like(g), where=d != 0.0)
-        nxt = t - step
-        bisect = (d == 0.0) | ~((lo[rows] < nxt) & (nxt < hi[rows]))
+        nxt = t - step(t, rows, g)
+        bisect = ~((lo[rows] < nxt) & (nxt < hi[rows]))
         nxt[bisect] = 0.5 * (lo[rows][bisect] + hi[rows][bisect])
         exact = g == 0.0
         nxt[exact] = t[exact]
@@ -361,8 +359,15 @@ def project_points(proj: Projection, profile: SurfaceProfile, p: np.ndarray) -> 
     def gap(tau, rows):
         return (1.0 - tau) * cz - profile.heights(np.minimum(tau * rp_safe[rows], d_dom))
 
-    def dgap(tau, rows):
-        return -cz - profile.slopes(np.minimum(tau * rp_safe[rows], d_dom)) * rp_safe[rows]
+    # gap' = -Cz - h'*rp overflows for rp near the float range, so it is
+    # evaluated divided by k, a power of two (exact) that is 1 below rp = 2^511
+    k = np.ldexp(1.0, np.maximum(np.frexp(rp_safe)[1] - 511, 0))
+
+    def step(tau, rows, g):  # the Newton step g / gap'(tau), 0 where gap' = 0
+        kr = k[rows]
+        d = -cz / kr - profile.slopes(np.minimum(tau * rp_safe[rows], d_dom)) * (rp_safe[rows] / kr)
+        with np.errstate(over="ignore"):  # an overflowing step leaves the bracket, and the polish skips it
+            return np.divide(g, d, out=np.zeros_like(g), where=d != 0.0) / kr
 
     every = np.arange(rp.size)
     tau_hi = np.minimum(1.0, (d_dom / rp_safe) * (1.0 + DOMAIN_GUARD))
@@ -378,11 +383,11 @@ def project_points(proj: Projection, profile: SurfaceProfile, p: np.ndarray) -> 
         if profile.kind == "sphere_cap":
             t0 = np.minimum(_sphere_cap_roots(cz, profile.radius, rp[rows]), tau_hi[rows])
         else:
-            t0 = _bracketed_roots(lambda t, sub: gap(t, rows[sub]), lambda t, sub: dgap(t, rows[sub]), tau_hi[rows])
+            t0 = _bracketed_roots(lambda t, sub: gap(t, rows[sub]), lambda t, sub, g: step(t, rows[sub], g),
+                                  tau_hi[rows])
         # one Newton step sharpens the root to machine precision
-        dg = dgap(t0, rows)
-        t_n = t0 - np.divide(gap(t0, rows), dg, out=np.zeros_like(dg), where=dg != 0.0)
-        polish = (dg != 0.0) & (t_n >= 0.0) & (t_n <= tau_hi[rows])
+        t_n = t0 - step(t0, rows, gap(t0, rows))
+        polish = (t_n >= 0.0) & (t_n <= tau_hi[rows])
         tau[rows] = np.where(polish, t_n, t0)
     q = np.column_stack((tau * x, tau * y, profile.heights(tau * rp)))
     q[axis] = (0.0, 0.0, h0)

@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import io
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -436,3 +438,96 @@ class TestRayValidation:
     def test_weight_bounds(self):
         with pytest.raises(ValueError):
             Ray(Vec3(0, 0, 0), Vec3(0, 0, 1), weight=1.5)
+
+
+def _bent_trace(grid=(10, 16)):
+    """The README's bent element, traced: its rays focus near z = 86 mm."""
+    field = record(W65, W0, SurfaceProfile.planar(10.0), PolarGrid(*grid))
+    return trace_field(induce_forward(field, SurfaceProfile.sphere_cap(50.0, 10.0), Projection.orthogonal()), W65)
+
+
+def _hand_built(bundle, i):
+    return Ray(Vec3(*bundle.origins[i].tolist()), Vec3(*bundle.directions[i].tolist()), float(bundle.weights[i]))
+
+
+def _copy(bundle, rows):
+    return RayBundle(bundle.origins[rows].copy(), bundle.directions[rows].copy(), bundle.weights[rows].copy())
+
+
+class TestRayViews:
+    def test_hand_built_ray_equals_its_views(self):
+        trace = _bent_trace()
+        bundle = trace.rays()
+        ray = _hand_built(bundle, 7)
+        for view in (bundle[7], trace[7].ray, _copy(bundle, slice(None))[7]):
+            assert view == ray and ray == view and hash(view) == hash(ray)
+            assert (view.origin, view.direction, view.weight) == (ray.origin, ray.direction, ray.weight)
+        assert bundle[6] != ray and ray != (ray.origin, ray.direction, ray.weight)
+
+    def test_repr_of_a_float_built_ray(self):
+        ray = Ray(Vec3(0.5, -1.25, 0.0), Vec3(0.6, 0.0, 0.8), 0.75)
+        assert repr(ray) == ("Ray(origin=Vec3(x=0.5, y=-1.25, z=0.0), direction=Vec3(x=0.6, y=0.0, z=0.8), "
+                             "weight=0.75)")
+        assert repr(RayBundle(np.array([[0.5, -1.25, 0.0]]), np.array([[0.6, 0.0, 0.8]]), np.array([0.75]))[0]) == \
+            repr(ray)
+        assert Ray(Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.0)).weight == 1.0
+
+    def test_rays_are_immutable(self):
+        trace = _bent_trace((2, 4))
+        for ray in (Ray(Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.0)), trace.rays()[0], trace[0].ray):
+            with pytest.raises(AttributeError):
+                ray.origin = Vec3(1.0, 0.0, 0.0)
+            with pytest.raises(AttributeError):
+                ray._row = 1
+            assert ray.origin == trace.rays()[0].origin
+            assert copy.copy(ray) == ray and pickle.loads(pickle.dumps(ray)) == ray
+
+    def test_bundle_views_and_mixed_lists_analyse_alike(self):
+        trace = _bent_trace()
+        bundle = trace.rays()
+        views = [rec.ray for rec in trace if rec.ray is not None]
+        n = len(bundle)
+        a, b = _copy(bundle, slice(n // 3, 2 * n // 3)), _copy(bundle, slice(2 * n // 3, n))
+        mixed = [_hand_built(bundle, i) for i in range(n // 3)] + list(a) + [b[i] for i in range(len(b))]
+        assert bundle == views == mixed
+        results = []
+        for rays in (bundle, views, mixed):
+            hits = intersect_plane(rays, 86.0)
+            results.append((hits.z0, hits.index.tolist(), hits.xy.tolist(), hits.parallel, hits.behind,
+                            focal_scan(rays, (80.0, 92.0), 241)))
+        assert results[0] == results[1] == results[2]
+        assert results[0][5].z_min_rms_x == pytest.approx(85.75, abs=1e-9)
+
+    @pytest.mark.parametrize("row", [
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 2.0], 1.0),
+        ([0.0, 0.0, 0.0], [0.0, 0.6, 0.8], 1.5),
+        ([math.nan, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0),
+    ], ids=["non_unit_direction", "weight", "nan_origin"])
+    def test_bundle_rejects_the_rows_a_ray_rejects(self, row):
+        origin, direction, weight = row
+        with pytest.raises(ValueError) as alone:
+            Ray(Vec3(*origin), Vec3(*direction), weight)
+        good = ([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], 0.5)
+        rows = [good, row, good, ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2.0)]  # the first bad row is named
+        with pytest.raises(ValueError) as bundle:
+            RayBundle(*(np.array([r[k] for r in rows], dtype=float) for k in range(3)))
+        assert str(bundle.value) == str(alone.value)
+
+
+def test_trace_views_build_no_vec3(monkeypatch):
+    # a Ray view reads its row of the trace arrays; building the list of
+    # views and intersecting it constructs no Vec3 (eager views built 2 per ray)
+    trace = _bent_trace((40, 64))
+    built = []
+    post_init = Vec3.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Vec3, "__post_init__", counting)
+    rays = [rec.ray for rec in trace if rec.ray is not None]
+    hits = intersect_plane(rays, 86.0)
+    assert len(rays) == 2561 and hits.index.size == 2561
+    assert built == []
+    assert rays[0].origin == Vec3(*trace.pos[0].tolist()) and len(built) == 2  # reading builds them

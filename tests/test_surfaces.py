@@ -247,6 +247,40 @@ class TestProjection:
         assert abs(q[2] - cap.radial_height(math.hypot(q[0], q[1]))) <= 1e-10
 
 
+# A cap smaller than 1 mm, so max(Cz, R) < 1, and its custom_convex copy.
+SMALL_CAP = SurfaceProfile.sphere_cap(0.9, 0.85)
+SMALL_CAP_CUSTOM = SurfaceProfile.custom_convex(lambda s: 0.9 - math.sqrt(0.81 - s * s), 0.85,
+                                                lambda s: s / math.sqrt(0.81 - s * s))
+
+
+@pytest.mark.parametrize("profile", [SMALL_CAP, SMALL_CAP_CUSTOM], ids=["cap", "custom"])
+@pytest.mark.parametrize("r", [1e307, 1e308, 1.7e308])
+def test_plane_point_near_the_float_range_meets_a_small_cap_at_the_center_height(profile, r):
+    # the line z = 0.5 meets the R = 0.9 sphere at s^2 = 0.9^2 - 0.4^2 = 0.65
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = project_points(Projection.from_center_z(0.5), profile, _points((r, 0.0)))[0]
+    want = np.array([math.sqrt(0.65), 0.0, 0.5])
+    assert np.linalg.norm(q - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_deform_cli_bends_a_sample_near_the_float_range_onto_a_small_cap(tmp_path, capsys):
+    lam = Wavelength(500.0)
+    field = record(Wave.plane(Vec3(0, 0, 1), lam), Wave.plane(Vec3(0.6, 0, 0.8), lam),
+                   SurfaceProfile.planar(1.75e308), PolarGrid(1, 1, s_max=1.7e308))
+    planar, cfg, out = tmp_path / "field.json", tmp_path / "scene.json", tmp_path / "out"
+    save_field(field, planar)
+    cfg.write_text(json.dumps({"wavelength": {"lambda_nm": 500.0}, "deformation": {
+        "target_profile": {"kind": "sphere_cap", "radius_mm": 0.9, "domain_radius_mm": 0.85},
+        "projection": {"center_z_mm": 0.5}}}))
+    capsys.readouterr()
+    assert cli.main(["deform", "--config", str(cfg), "--out", str(out), "--field", str(planar)]) == 0
+    assert capsys.readouterr().err == ""
+    bent = load_field(out / "field_deformed.json")
+    assert bent.s.tolist() == [0.0, pytest.approx(math.sqrt(0.65), rel=1e-12)]
+    assert np.linalg.norm(bent.pos[1] - (math.sqrt(0.65), 0.0, 0.5)) <= 1e-12
+
+
 def test_deform_cli_bends_a_distant_sample_onto_the_cap(tmp_path, capsys):
     lam = Wavelength(500.0)
     field = record(Wave.plane(Vec3(0, 0, 1), lam), Wave.plane(Vec3(0.6, 0, 0.8), lam),
