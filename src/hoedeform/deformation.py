@@ -82,9 +82,9 @@ def rescale(
     """Scale grating vectors per sample (shrinkage/stretch compensation hook).
 
     ``factor`` is a positive number or a function of the sample (called on
-    the materialized samples); positions and frames are untouched,
-    magnitudes scale accordingly (so the fringe period divides by the
-    factor).
+    each record of ``field.samples``, in order); positions and frames are
+    untouched, magnitudes scale accordingly (so the fringe period divides by
+    the factor).
     """
     if callable(factor):
         f = np.array([float(factor(smp)) for smp in field.samples], dtype=float)

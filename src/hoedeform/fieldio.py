@@ -7,7 +7,10 @@ through Python's shortest round-trip repr, so save -> load reproduces every
 sample bit-exactly; frames are rebuilt deterministically from the carrier.
 
 ``save_field`` writes the bytes ``json.dump(field_to_dict(field), indent=1)``
-would, formatting all samples through one template. Loading validates a
+would, formatting the samples through one template. :func:`write_rows` is
+the text writer of every per-sample file (field, rays.csv, hits.csv): it
+formats and writes ``CHUNK_ROWS`` rows at a time, so a write holds one chunk
+of text, never the document. Loading validates a
 document by the rules of a scene config, column by column: the carrier, grid
 and projection descriptors go through the config parsers, and every
 malformed value raises ConfigError naming its key path and, for samples,
@@ -19,14 +22,14 @@ from __future__ import annotations
 import json
 import os
 from itertools import chain
-from typing import Union
+from typing import Sequence, TextIO, Union
 
 import numpy as np
 
 from .config import _check_keys, _is_finite_number, _number, parse_field_grid, parse_profile, read_input
 from .errors import ConfigError, HoedeformError
 from .geometry import TWO_PI
-from .recording import GratingVectorField
+from .recording import CHUNK_ROWS, GratingVectorField
 
 FORMAT_TAG = "hoe-field-v1"
 
@@ -43,12 +46,24 @@ _SAMPLE_TEMPLATE = (
 )
 
 
-def format_column(values: np.ndarray, fmt: str) -> list:
-    """``fmt % v`` for every entry of ``values``, formatting each distinct
-    value (bit pattern, so -0.0 is not 0.0) once."""
+def format_column(values: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt % v`` for every entry of ``values`` as an object array, formatting
+    each distinct value (bit pattern, so -0.0 is not 0.0) once."""
     bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64), return_inverse=True)
     texts = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse.ravel()].tolist()
+    return texts[inverse.ravel()]
+
+
+def write_rows(fh: TextIO, template: Union[str, Sequence[str]], columns: Sequence[np.ndarray], sep: str = "") -> None:
+    """Write one row per entry of the 1-D ``columns``, row i being
+    ``template % (the column values at i)`` (``template[i]`` when given per
+    row), rows separated by ``sep``; formatted ``CHUNK_ROWS`` rows at a time."""
+    n = len(columns[0])
+    for lo in range(0, n, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, n)
+        rows = [template] * (hi - lo) if isinstance(template, str) else template[lo:hi]
+        values = chain.from_iterable(zip(*(c[lo:hi].tolist() for c in columns)))
+        fh.write((sep if lo else "") + sep.join(rows) % tuple(values))
 
 
 def _header(field: GratingVectorField) -> dict:
@@ -125,14 +140,12 @@ def field_from_dict(doc: dict) -> GratingVectorField:
 
 def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None:
     text = json.dumps({**_header(field), "samples": []}, indent=1)
-    pieces = [text + "\n"]
-    if len(field):
-        columns = (format_column(field.s, "%r"), format_column(field.phi, "%r"), *field.pos.T.tolist(),
-                   *field.g.T.tolist())
-        samples = ",\n".join([_SAMPLE_TEMPLATE] * len(field)) % tuple(chain.from_iterable(zip(*columns)))
-        pieces = [text[:-len("[]\n}")] + "[\n", samples, "\n ]\n}\n"]
+    head, tail = (text[:-len("[]\n}")] + "[\n", "\n ]\n}\n") if len(field) else (text + "\n", "")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(pieces)  # in pieces: the samples are never copied into one document string
+        fh.write(head)
+        write_rows(fh, _SAMPLE_TEMPLATE, (format_column(field.s, "%r"), format_column(field.phi, "%r"),
+                                          *field.pos.T, *field.g.T), sep=",\n")
+        fh.write(tail)
 
 
 def load_field(path: Union[str, os.PathLike]) -> GratingVectorField:

@@ -8,9 +8,10 @@ deformation transport acts on; the world-space vector is derived on demand.
 A field stores its samples as arrays: footprints ``s`` and ``phi`` (N),
 world positions ``pos`` and frame coordinates ``g`` (N x 3), 64 bytes per
 sample. Frames are recomputed from the carrier's closed form on demand.
-``GratingVectorField.samples`` builds per-sample :class:`GratingSample`
-views, which the callable rescale factor and the efficiency hook receive;
-fields are only ever built from arrays.
+``GratingVectorField.samples`` is a lazy sequence of per-sample
+:class:`GratingSample` records, built ``CHUNK_ROWS`` rows at a time, which
+the callable rescale factor and the efficiency hook iterate; fields are only
+ever built from arrays.
 
 Two recording geometries get dedicated diagnostics here:
 
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
+from collections import abc
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple, Union
 
@@ -37,6 +40,9 @@ from .units import path_mm_to_um
 from .waves import Wave, WaveKind, local_wavevectors, require_same_wavelength
 
 TWO_PI = 2.0 * math.pi
+# Rows per chunk wherever per-sample records or text rows are built from
+# arrays, so that their transient memory does not grow with the sample count.
+CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -212,17 +218,53 @@ class GratingVectorField:
         return norms(self.g)
 
     @property
-    def samples(self) -> Tuple[GratingSample, ...]:
-        """The samples as :class:`GratingSample` objects, built on each access."""
-        t, b, n = (v.tolist() for v in self.frames())
-        return tuple(
-            GratingSample(s, phi, Vec3(*p), Vec3(*ti), Vec3(*bi), Vec3(*ni), tuple(g), m)
-            for s, phi, p, ti, bi, ni, g, m in zip(self.s.tolist(), self.phi.tolist(), self.pos.tolist(),
-                                                   t, b, n, self.g.tolist(), self.magnitudes.tolist())
-        )
+    def samples(self) -> "FieldSamples":
+        """The samples as a lazy sequence of :class:`GratingSample` records."""
+        return FieldSamples(self)
 
     def __len__(self) -> int:
         return self.s.shape[0]
+
+
+class FieldSamples(abc.Sequence):
+    """Read-only sequence of the :class:`GratingSample` records of a field.
+
+    Records are built from the field's arrays on access: iteration builds
+    ``CHUNK_ROWS`` at a time, an index one, a slice a tuple of its rows.
+    Equal to any sequence of equal records, in order.
+    """
+
+    __slots__ = ("_field",)
+
+    def __init__(self, field: GratingVectorField):
+        self._field = field
+
+    def __len__(self) -> int:
+        return len(self._field)
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return tuple(self._records(np.arange(rows.start, rows.stop, rows.step)))
+        return self._records(slice(rows, rows + 1))[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self), CHUNK_ROWS):
+            yield from self._records(slice(lo, lo + CHUNK_ROWS))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, abc.Sequence) and len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def _records(self, rows) -> list:
+        """The records of ``rows`` (a slice or an index array) of the field."""
+        f = self._field
+        s, phi, g = f.s[rows], f.phi[rows], f.g[rows]
+        t, b, n = (v.tolist() for v in frames(f.carrier, s, phi))
+        return [GratingSample(si, pi, Vec3(*p), Vec3(*ti), Vec3(*bi), Vec3(*ni), tuple(gi), m)
+                for si, pi, p, ti, bi, ni, gi, m in zip(s.tolist(), phi.tolist(), f.pos[rows].tolist(),
+                                                        t, b, n, g.tolist(), norms(g).tolist())]
 
 
 @contextlib.contextmanager

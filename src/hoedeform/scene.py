@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import abc
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -24,11 +24,11 @@ import numpy as np
 
 from .config import read_input
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
-from .fieldio import format_column
-from .geometry import Vec3, first_index, norms
+from .fieldio import format_column, write_rows
+from .geometry import TWO_PI, Vec3, first_index, norms
 from .diffraction import (EVANESCENT, MODES, STATUSES, DiffractionResult, DiffractionStatus, EfficiencyHook,
                           diffract)
-from .recording import GratingVectorField, sample_context
+from .recording import CHUNK_ROWS, GratingVectorField, sample_context
 from .waves import Wave, local_wavevectors
 
 # Unit ray directions with |dz| at or below this never reach a z plane.
@@ -231,7 +231,8 @@ def trace_field(
 ) -> Trace:
     """Diffract ``probe`` at every sample of ``field`` and emit rays.
 
-    ``efficiency``, when given, is called with each materialized sample.
+    ``efficiency``, when given, is called with each record of
+    ``field.samples``, in order.
     Errors name the first failing sample.
     """
     if mode not in MODES:
@@ -465,74 +466,106 @@ SPOTS_HEADER = "z,cx,cy,rms_x,rms_y,rms_total"
 # "%.0s" consumes a value and prints nothing, which leaves the direction of
 # evanescent rows empty and their weight 0.
 _RAY_ROWS = tuple(
-    "%s,%s,%.17g,%.17g,%.17g,%.0s,%.0s,%.0s,evanescent,0%.0s" if status is DiffractionStatus.EVANESCENT
-    else "%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," + status.value + ",%s"
+    "%s,%s,%.17g,%.17g,%.17g,%.0s,%.0s,%.0s,evanescent,0%.0s\n" if status is DiffractionStatus.EVANESCENT
+    else "%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," + status.value + ",%s\n"
     for status in STATUSES
 )
 
 
 def write_rays_csv(trace: Trace, path) -> None:
     """Write rays.csv, one row per sample, formatted from the trace arrays."""
-    template = "\n".join([_RAY_ROWS[code] for code in trace.status.tolist()])
-    columns = (format_column(trace.s, "%.17g"), format_column(trace.phi, "%.17g"), *trace.pos.T.tolist(),
-               *trace.direction.T.tolist(), format_column(trace.eta, "%.17g"))
-    rows = template % tuple(chain.from_iterable(zip(*columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines([RAYS_HEADER + "\n", rows, "\n" if rows else ""])  # in pieces: the rows are never copied
+        fh.write(RAYS_HEADER + "\n")
+        write_rows(fh, [_RAY_ROWS[code] for code in trace.status.tolist()],
+                   (format_column(trace.s, "%.17g"), format_column(trace.phi, "%.17g"), *trace.pos.T,
+                    *trace.direction.T, format_column(trace.eta, "%.17g")))
 
 
 _STATUS_CODES = {status.value: code for code, status in enumerate(STATUSES)}
-_RAY_NUMBERS = operator.itemgetter(2, 3, 4, 5, 6, 7, 9)  # x, y, z, dx, dy, dz and weight
 
 
 def _float_or_nan(text: str) -> float:
     try:
         return float(text)
-    except ValueError:  # a nan fails the finiteness check, and the row's error names the text
+    except ValueError:  # a nan fails the row's checks, and the row's error names the text
         return math.nan
+
+
+def _parse_column(cells: Sequence[str], repeats: bool) -> np.ndarray:
+    """The cells as floats, an empty or malformed cell as nan; with ``repeats``
+    each distinct text is parsed once."""
+    texts = list(dict.fromkeys(cells)) if repeats else cells
+    try:
+        values = [float(v) if v else math.nan for v in texts]
+    except ValueError:
+        values = [_float_or_nan(v) for v in texts]
+    if repeats:
+        values = list(map(dict(zip(texts, values)).__getitem__, cells))
+    return np.array(values, dtype=float)
+
+
+def _row_error(where: str, parts: list, code: int) -> ConfigError:
+    """The error of a malformed rays.csv row, checked as one row."""
+    if len(parts) != 10:
+        return ConfigError(f"{where}: expected 10 fields, got {len(parts)}")
+    if code < 0:
+        return ConfigError(f"{where}: unknown status {parts[8]!r}")
+    if (code == EVANESCENT) != (parts[5:8] == ["", "", ""]):
+        return ConfigError(f"{where}: the direction must be empty exactly on evanescent rows")
+    try:
+        origin = Vec3(*map(float, parts[2:5]))
+        if code != EVANESCENT:
+            Ray(origin, Vec3(*map(float, parts[5:8])), float(parts[9]))
+        elif float(parts[9]) != 0.0:
+            raise ValueError(f"evanescent rows must have weight 0, got {parts[9]}")
+        s, phi = float(parts[0]), float(parts[1])
+        if not (math.isfinite(s) and s >= 0.0):
+            raise ValueError(f"s must be finite and >= 0, got {parts[0]}")
+        if not 0.0 <= phi < TWO_PI:
+            raise ValueError(f"phi must lie in [0, 2*pi), got {parts[1]}")
+    except ValueError as exc:
+        return ConfigError(f"{where}: {exc}")
+    raise AssertionError(f"{where}: row flagged as malformed passes its checks")
 
 
 def read_rays_csv(path) -> RayBundle:
     """Rays (propagating and pass-through rows) from a rays.csv file.
 
-    Every row needs a known status; evanescent rows, and only they, have an
-    empty direction and yield no ray. All rows are checked at once; the first
-    malformed one is a ConfigError naming its line, which for a bad number
-    carries the error of the :class:`Ray` built from that row alone.
+    Every row needs a known status and finite numbers, s >= 0 and
+    0 <= phi < 2*pi; evanescent rows, and only they, have an empty direction
+    and weight 0, and yield no ray. Rows are parsed and checked
+    ``CHUNK_ROWS`` at a time; the first malformed one is a ConfigError
+    naming its line, which for a bad ray carries the error of the
+    :class:`Ray` built from that row alone.
     """
     lines = read_input(path, "rays").splitlines()
     if not lines or lines[0] != RAYS_HEADER:
         raise ConfigError(f"rays file {path} missing header {RAYS_HEADER!r}")
-    rows = [line.split(",") for line in lines[1:]]
-    code = np.array([_STATUS_CODES.get(parts[8], -1) if len(parts) == 10 else -1 for parts in rows], dtype=np.intp)
-    live = (code >= 0) & (code != EVANESCENT)
-    bad = (code < 0) | (live == np.array([parts[5:8] == ["", "", ""] for parts in rows], dtype=bool))
-    numbers = chain.from_iterable(map(_RAY_NUMBERS, compress(rows, live)))
-    values = np.array([_float_or_nan(v) for v in numbers], dtype=float).reshape(-1, 7)
-    origins, directions, weights = values[:, :3], values[:, 3:6], values[:, 6]
-    bad[live] |= _broken_rays(origins, directions, weights)
-    i = first_index(bad)
-    if i is not None:
-        parts, where = rows[i], f"rays file {path} line {i + 2}"
-        if len(parts) != 10:
-            raise ConfigError(f"{where}: expected 10 fields, got {len(parts)}")
-        if code[i] < 0:
-            raise ConfigError(f"{where}: unknown status {parts[8]!r}")
-        if code[i] == EVANESCENT or parts[5:8] == ["", "", ""]:
-            raise ConfigError(f"{where}: the direction must be empty exactly on evanescent rows")
-        try:
-            Ray(Vec3(*map(float, parts[2:5])), Vec3(*map(float, parts[5:8])), float(parts[9]))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    return RayBundle(origins, directions, weights)
+    kept = [np.empty((0, 7))]
+    for lo in range(1, len(lines), CHUNK_ROWS):
+        rows = [line.split(",") for line in lines[lo:lo + CHUNK_ROWS]]
+        code = np.array([_STATUS_CODES.get(p[8], -1) if len(p) == 10 else -1 for p in rows], dtype=np.intp)
+        bad = (code < 0) | ((code == EVANESCENT) != np.array([p[5:8] == ["", "", ""] for p in rows], dtype=bool))
+        ok = ~bad
+        columns = list(zip(*compress(rows, ok))) or [()] * 10
+        values = np.column_stack([_parse_column(columns[k], k in (0, 1, 9)) for k in (0, 1, 2, 3, 4, 5, 6, 7, 9)])
+        s, phi, pos, weights, live = values[:, 0], values[:, 1], values[:, 2:5], values[:, 8], code[ok] != EVANESCENT
+        bad[ok] |= (np.where(live, _broken_rays(pos, values[:, 5:8], weights),
+                             ~np.isfinite(pos).all(axis=1) | (weights != 0.0))
+                    | ~(np.isfinite(s) & (s >= 0.0) & (phi >= 0.0) & (phi < TWO_PI)))
+        i = first_index(bad)
+        if i is not None:
+            raise _row_error(f"rays file {path} line {lo + i + 1}", rows[i], int(code[i]))
+        kept.append(values[live, 2:])
+    values = np.concatenate(kept)
+    return RayBundle(values[:, :3], values[:, 3:6], values[:, 6])
 
 
 def write_hits_csv(plane_hits: Sequence[PlaneHits], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HITS_HEADER + "\n")
         for ph in plane_hits:
-            row = "%.17g" % ph.z0 + ",%.17g,%.17g,%d\n"
-            fh.write((row * ph.index.size) % tuple(np.column_stack((ph.xy, ph.index)).ravel().tolist()))
+            write_rows(fh, "%.17g" % ph.z0 + ",%.17g,%.17g,%d\n", (*ph.xy.T, ph.index))
 
 
 def write_spots_csv(reports: Sequence[SpotReport], path) -> None:

@@ -11,7 +11,10 @@ import bisect
 import math
 import sys
 
+from hoedeform.diffraction import STATUSES
 from hoedeform.errors import DomainError, NoIntersection, NoPreimage, NotOnSurface, PointNotOnEllipsoid, SingularPoint
+from hoedeform.geometry import Vec3
+from hoedeform.recording import GratingSample
 from hoedeform.surfaces import DOMAIN_GUARD
 from hoedeform.units import UM_PER_MM
 from hoedeform.waves import SOURCE_EXCLUSION_MM, WaveKind
@@ -197,6 +200,40 @@ def field_rows(field):
     """The same per-sample tuples read from an array field."""
     return [(s, phi, *p, *g) for s, phi, p, g in
             zip(field.s.tolist(), field.phi.tolist(), field.pos.tolist(), field.g.tolist())]
+
+
+def sample_records(field):
+    """The field's samples as :class:`GratingSample` records, built one row at a time."""
+    records = []
+    for s, phi, x, y, z, g1, g2, g3 in field_rows(field):
+        t, b, n = frame(field.carrier, s, phi)
+        g = (g1, g2, g3)
+        records.append(GratingSample(s, phi, Vec3(x, y, z), Vec3(*t), Vec3(*b), Vec3(*n), g, _norm(g)))
+    return records
+
+
+def rays_csv_text(trace):
+    """The rays.csv text of ``trace``, formatted one row at a time with %.17g."""
+    lines = ["s,phi,x,y,z,dx,dy,dz,status,weight"]
+    for s, phi, pos, d, code, w in zip(trace.s.tolist(), trace.phi.tolist(), trace.pos.tolist(),
+                                       trace.direction.tolist(), trace.status.tolist(), trace.eta.tolist()):
+        status = STATUSES[code].value
+        cells = ["%.17g" % v for v in (s, phi, *pos)]
+        if status == "evanescent":
+            cells += ["", "", "", status, "0"]
+        else:
+            cells += ["%.17g" % v for v in d] + [status, "%.17g" % w]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def hits_csv_text(plane_hits):
+    """The hits.csv text of ``plane_hits``, formatted one row at a time."""
+    lines = ["z0,x,y,ray_index"]
+    for ph in plane_hits:
+        for i, (x, y) in zip(ph.index.tolist(), ph.xy.tolist()):
+            lines.append("%.17g,%.17g,%.17g,%d" % (ph.z0, x, y, i))
+    return "\n".join(lines) + "\n"
 
 
 def induce_forward_rows(rows, target, proj):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hoedeform.deformation import induce_forward, induce_inverse
 from hoedeform.errors import ConfigError
 from hoedeform.fieldio import field_from_dict, field_to_dict, load_field, save_field
 from hoedeform.geometry import Vec3
-from hoedeform.recording import CartesianGrid, PolarGrid, record
+from hoedeform.recording import CHUNK_ROWS, CartesianGrid, GratingVectorField, PolarGrid, record
 from hoedeform.surfaces import Projection, SurfaceProfile
 from hoedeform.waves import Wave, Wavelength
 
@@ -163,16 +164,45 @@ def test_reference_field_save_load_save_byte_identical(tmp_path, path):
     assert twice.read_bytes() == once.read_bytes()
 
 
-@pytest.mark.parametrize("carrier,grid", [
-    (SurfaceProfile.planar(10.0), PolarGrid(3, 5)),
-    (SurfaceProfile.sphere_cap(50.0, 10.0), CartesianGrid(4, 4, 7.0)),
-    (SurfaceProfile.planar(10.0), PolarGrid(1, 1, include_vertex=False)),
-], ids=["polar", "cartesian", "one_sample"])
-def test_save_field_writes_json_dump_bytes(tmp_path, carrier, grid):
-    field = record(Wave.diverging(Vec3(-30, 0, -40), LAM), Wave.converging(Vec3(0, 0, 80), LAM), carrier, grid)
+def _combiner(carrier, grid):
+    return record(Wave.diverging(Vec3(-30, 0, -40), LAM), Wave.converging(Vec3(0, 0, 80), LAM), carrier, grid)
+
+
+def _first_rows(field, n):
+    """The field of the first ``n`` samples of ``field``."""
+    return GratingVectorField(field.carrier, field.s[:n], field.phi[:n], field.pos[:n], field.g[:n], field.grid,
+                              field.wavelength_nm)
+
+
+# row counts around the chunks of the text writers
+CHUNK_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _combiner(SurfaceProfile.planar(10.0), PolarGrid(3, 5)),
+    lambda: _combiner(SurfaceProfile.sphere_cap(50.0, 10.0), CartesianGrid(4, 4, 7.0)),
+    lambda: _combiner(SurfaceProfile.planar(10.0), PolarGrid(1, 1, include_vertex=False)),
+    *(lambda n=n: _first_rows(_combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(33, 32)), n)
+      for n in CHUNK_COUNTS),
+], ids=["polar", "cartesian", "one_sample", *(f"rows_{n}" for n in CHUNK_COUNTS)])
+def test_save_field_writes_json_dump_bytes(tmp_path, make):
+    field = make()
     path = tmp_path / "field.json"
     save_field(field, path)
     assert path.read_text() == json.dumps(field_to_dict(field), indent=1) + "\n"
+
+
+def test_save_field_holds_less_than_the_file(tmp_path):
+    field = _combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(100, 100))
+    assert len(field) == 10_001
+    path = tmp_path / "field.json"
+    tracemalloc.start()
+    try:
+        save_field(field, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, f"save_field peaked at {peak} bytes for a {path.stat().st_size} byte file"
 
 
 @pytest.mark.parametrize("value", [True, "1.0", float("inf"), float("nan"), 10 ** 400],

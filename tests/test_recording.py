@@ -1,11 +1,17 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from hoedeform.deformation import rescale
+
 from hoedeform.errors import PointNotOnEllipsoid, WavelengthMismatch, ZeroGrating
 from hoedeform.geometry import Vec3
 from hoedeform.recording import (
+    CHUNK_ROWS,
     BraggIsosurfaceSpec,
     CartesianGrid,
     GratingVectorField,
@@ -14,6 +20,7 @@ from hoedeform.recording import (
     grating_period,
     record,
 )
+from hoedeform.scene import trace_field
 from hoedeform.surfaces import SurfaceProfile
 from hoedeform.waves import Wave, Wavelength, local_wavevector
 
@@ -206,3 +213,68 @@ class TestFieldValidation:
         arrays["pos"][0, 2] += 1.0
         with pytest.raises(ValueError):
             _field(arrays, field)
+
+
+# a polar field on the cap spanning more than two chunks, and a cartesian one
+VIEW_FIELDS = {
+    "polar": lambda: record(Wave.diverging(Vec3(-30, 0, -40), LAM), Wave.converging(Vec3(0, 0, 80), LAM), CAP,
+                            PolarGrid(2 * CHUNK_ROWS // 32 + 1, 32)),
+    "cartesian": lambda: record(W0, W65, CAP, CartesianGrid(9, 7, 9.5)),
+}
+
+
+class TestSampleView:
+    @pytest.mark.parametrize("kind", sorted(VIEW_FIELDS))
+    def test_records_equal_the_per_row_oracle(self, kind):
+        field = VIEW_FIELDS[kind]()
+        want = oracles.sample_records(field)
+        assert len(field.samples) == len(field) == len(want)
+        assert list(field.samples) == want
+        for i in (0, CHUNK_ROWS - 1, CHUNK_ROWS, -1):
+            if i < len(want):
+                assert field.samples[i] == want[i]
+
+    def test_indexing_and_slices(self):
+        field = VIEW_FIELDS["cartesian"]()
+        want = oracles.sample_records(field)
+        view = field.samples
+        assert view[-1] == want[-1] and view[-len(want)] == want[0]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        for cut in (slice(1, 4), slice(None, None, -3), slice(5, 2), slice(-2, None), slice(None)):
+            assert view[cut] == tuple(want[cut])
+        assert len(view[2:9]) == 7
+
+    def test_equality_and_hash(self):
+        field = VIEW_FIELDS["cartesian"]()
+        want = oracles.sample_records(field)
+        assert field.samples == tuple(want)
+        assert field.samples == field.samples
+        changed = list(want)
+        changed[3] = dataclasses.replace(want[3], coords=(want[3].coords[0], want[3].coords[1] + 1e-9,
+                                                          want[3].coords[2]))
+        assert field.samples != tuple(changed)
+        assert field.samples != tuple(want[:-1])
+        assert not field.samples == (*want, want[0])
+        with pytest.raises(TypeError):
+            hash(field.samples)
+
+    def test_hooks_see_every_record_in_order(self):
+        field = VIEW_FIELDS["polar"]()
+        seen_rescale, seen_efficiency = [], []
+        rescale(field, lambda smp: seen_rescale.append(smp) or 1.0)
+        trace_field(field, W0, efficiency=lambda smp, probe: seen_efficiency.append(smp) or 0.5)
+        assert seen_rescale == seen_efficiency == oracles.sample_records(field)
+
+    def test_iterating_the_samples_holds_one_chunk(self):
+        field = record(W0, W65, CAP, PolarGrid(100, 100))
+        assert len(field) == 10_001
+        tracemalloc.start()
+        try:
+            for _ in field.samples:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"iterating {len(field)} samples peaked at {peak} bytes"

@@ -5,26 +5,31 @@ import json
 import math
 import pickle
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from hoedeform import cli
 from hoedeform.deformation import induce_forward
 from hoedeform.errors import ConfigError, EmptyBundle, NoMinimumInRange
 from hoedeform.geometry import Vec3
-from hoedeform.recording import PolarGrid, record
+from hoedeform.diffraction import EVANESCENT, PROPAGATING
+from hoedeform.recording import CHUNK_ROWS, GratingVectorField, PolarGrid, record
 from hoedeform.config import load_scene_config
 from hoedeform.pipeline import deform_stage, record_stage
 from hoedeform.scene import (
     PARALLEL_TOL,
+    PlaneHits,
     Ray,
     RayBundle,
     focal_scan,
     intersect_plane,
     read_rays_csv,
     trace_field,
+    write_hits_csv,
     write_rays_csv,
 )
 from hoedeform.surfaces import Projection, SurfaceProfile
@@ -380,7 +385,19 @@ MALFORMED_ROWS = {
     "propagating_without_direction": ("propagating", {5: "", 6: "", 7: ""}),
     "partial_direction": ("propagating", {6: ""}),
     "evanescent_with_direction": ("evanescent", {5: "0", 6: "0", 7: "1"}),
+    "s_not_a_number": ("propagating", {0: "banana"}),
+    "phi_nan": ("propagating", {1: "nan"}),
+    "negative_s": ("propagating", {0: "-5"}),
+    "evanescent_with_bad_cells": ("evanescent", {2: "abc", 3: "def", 4: "ghi", 9: "7"}),
 }
+
+
+def _malformed(line, case):
+    """``line`` with the edits of MALFORMED_ROWS[case]."""
+    parts = line.split(",")
+    for col, value in MALFORMED_ROWS[case][1].items():
+        parts[col] = value
+    return ",".join(parts)
 
 
 class TestRaysCsvBoundary:
@@ -394,13 +411,9 @@ class TestRaysCsvBoundary:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
     def test_malformed_row_is_config_error(self, tmp_path, case):
-        status, edits = MALFORMED_ROWS[case]
         lines = _mixed_rays_lines()
-        row = next(i for i, ln in enumerate(lines) if ln.split(",")[8] == status)
-        parts = lines[row].split(",")
-        for col, value in edits.items():
-            parts[col] = value
-        lines[row] = ",".join(parts)
+        row = next(i for i, ln in enumerate(lines) if ln.split(",")[8] == MALFORMED_ROWS[case][0])
+        lines[row] = _malformed(lines[row], case)
         with pytest.raises(ConfigError, match=f"line {row + 1}"):
             read_rays_csv(_write(tmp_path / "rays.csv", lines))
         code, err = _scan_rays(tmp_path, lines)
@@ -415,10 +428,7 @@ class TestRaysCsvBoundary:
         rows = [i for i, ln in enumerate(lines) if ln.split(",")[8] == "propagating"]
         edited = list(lines)
         for case, row in ((first, rows[1]), (second, rows[-1])):
-            parts = edited[row].split(",")
-            for col, value in MALFORMED_ROWS[case][1].items():
-                parts[col] = value
-            edited[row] = ",".join(parts)
+            edited[row] = _malformed(edited[row], case)
         path = tmp_path / "rays.csv"
         with pytest.raises(ConfigError) as both:
             read_rays_csv(_write(path, edited))
@@ -428,6 +438,82 @@ class TestRaysCsvBoundary:
         assert f"line {rows[1] + 1}: " in str(both.value)
         reason = {"non_unit_direction": "ray direction must be unit length", "unknown_status": "unknown status"}
         assert reason[first] in str(both.value)
+
+
+# row counts around the chunks of the text codecs
+CHUNK_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1)
+
+
+def _boundary_trace(n):
+    """The trace of the first ``n`` samples of a bent element, with evanescent rows and graded weights."""
+    field = record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(33, 32))
+    bent = induce_forward(field, SurfaceProfile.sphere_cap(50.0, 10.0), Projection.orthogonal())
+    first = GratingVectorField(bent.carrier, bent.s[:n], bent.phi[:n], bent.pos[:n], bent.g[:n], bent.grid,
+                               bent.wavelength_nm)
+    return trace_field(first, W0, efficiency=lambda smp, probe: 0.5 + 0.25 * math.cos(smp.phi))
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedCodecs:
+    @pytest.mark.parametrize("n", CHUNK_COUNTS)
+    def test_rays_csv_matches_the_row_by_row_oracle(self, tmp_path, n):
+        trace = _boundary_trace(n)
+        if n >= CHUNK_ROWS:
+            assert {EVANESCENT, PROPAGATING} <= set(trace.status[:CHUNK_ROWS].tolist())
+        path = tmp_path / "rays.csv"
+        write_rays_csv(trace, path)
+        assert path.read_text() == oracles.rays_csv_text(trace)
+
+    @pytest.mark.parametrize("n", CHUNK_COUNTS)
+    def test_hits_csv_matches_the_row_by_row_oracle(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        planes = [PlaneHits(z0, np.sort(rng.choice(4 * n + 4, size=k, replace=False)), rng.normal(size=(k, 2)), (), ())
+                  for z0, k in ((45.0, n), (52.5, n // 2 + 1), (-0.1, 0))]
+        path = tmp_path / "hits.csv"
+        write_hits_csv(planes, path)
+        assert path.read_text() == oracles.hits_csv_text(planes)
+
+    @pytest.mark.parametrize("rows, earliest", [
+        ((5, CHUNK_ROWS + 3), 5),
+        ((2 * CHUNK_ROWS, CHUNK_ROWS), CHUNK_ROWS),
+        ((CHUNK_ROWS, CHUNK_ROWS - 1), CHUNK_ROWS - 1),
+        ((CHUNK_ROWS,), CHUNK_ROWS),
+    ], ids=["first_and_second_chunk", "second_chunk_first_line", "across_the_boundary", "second_chunk_alone"])
+    def test_read_rays_names_the_earliest_bad_line(self, tmp_path, rows, earliest):
+        lines = rays_file_lines(_boundary_trace(2 * CHUNK_ROWS + 1))
+        cases = dict(zip(rows, ("s_not_a_number", "unknown_status")))
+        edited = [_malformed(ln, cases[i - 1]) if i - 1 in cases else ln for i, ln in enumerate(lines)]
+        alone = list(lines)
+        alone[earliest + 1] = edited[earliest + 1]
+        path = tmp_path / "rays.csv"
+        with pytest.raises(ConfigError) as both:
+            read_rays_csv(_write(path, edited))
+        with pytest.raises(ConfigError) as single:
+            read_rays_csv(_write(path, alone))
+        assert str(both.value) == str(single.value)
+        assert f"line {earliest + 2}: " in str(both.value)
+
+    def test_write_rays_csv_holds_less_than_the_file(self, tmp_path):
+        trace = _bent_trace((100, 100))
+        assert len(trace) == 10_001
+        path = tmp_path / "rays.csv"
+        peak = _traced_peak(lambda: write_rays_csv(trace, path))
+        assert peak < path.stat().st_size, f"peak {peak} bytes for a {path.stat().st_size} byte file"
+
+    def test_read_rays_csv_holds_less_than_three_files(self, tmp_path):
+        path = tmp_path / "rays.csv"
+        write_rays_csv(_bent_trace((100, 100)), path)
+        peak = _traced_peak(lambda: read_rays_csv(path))
+        assert peak < 3 * path.stat().st_size, f"peak {peak} bytes for a {path.stat().st_size} byte file"
 
 
 class TestRayValidation:
