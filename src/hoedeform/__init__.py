@@ -20,17 +20,9 @@ from .errors import (
     PointNotOnEllipsoid,
     SingularPoint,
     WavelengthMismatch,
-    ZeroGrating,
 )
 from .geometry import Vec3
-from .surfaces import (
-    BijectivityReport,
-    LensSpec,
-    Projection,
-    SurfaceProfile,
-    check_bijective,
-    lensmaker_focal,
-)
+from .surfaces import Projection, SurfaceProfile
 from .waves import Wave, WaveKind, Wavelength, interference_intensity, local_amplitude, local_wavevector
 from .recording import (
     BraggIsosurfaceSpec,
@@ -40,7 +32,6 @@ from .recording import (
     IsosurfaceReport,
     PolarGrid,
     check_isosurface,
-    grating_period,
     record,
 )
 from .deformation import induce_forward, induce_inverse, resample_field, rescale

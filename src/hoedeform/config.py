@@ -232,6 +232,11 @@ def parse_scene_config(doc: dict) -> SceneConfig:
             carrier=parse_profile(r["carrier"], "recording.carrier"),
             grid=parse_grid(r["grid"], "recording.grid"),
         )
+        if isinstance(recording.grid, PolarGrid):
+            try:
+                recording.grid.outer_radius(recording.carrier.domain_radius)
+            except ValueError as exc:
+                raise ConfigError(f"recording.grid: {exc}") from exc
 
     deformation = None
     if "deformation" in doc:

@@ -25,7 +25,7 @@ import numpy as np
 from .config import parse_field_grid
 from .errors import DomainError, NonPositiveFactor, NoPreimage, at_sample
 from .geometry import TWO_PI, combine, dot, first_index, frames, raise_first
-from .recording import GratingSample, GratingVectorField, GridSpec, PolarGrid, sample_context
+from .recording import GratingVectorField, GridSpec, PolarGrid, hook_values, sample_context
 from .surfaces import Projection, SurfaceProfile, inverse_project_points, project_points
 
 
@@ -77,17 +77,18 @@ def induce_inverse(target: GratingVectorField, proj: Projection) -> GratingVecto
 
 def rescale(
     field: GratingVectorField,
-    factor: Union[float, Callable[[GratingSample], float]],
+    factor: Union[float, Callable[[GratingVectorField], np.ndarray]],
 ) -> GratingVectorField:
     """Scale grating vectors per sample (shrinkage/stretch compensation hook).
 
-    ``factor`` is a positive number or a function of the sample (called on
-    each record of ``field.samples``, in order); positions and frames are
-    untouched, magnitudes scale accordingly (so the fringe period divides by
-    the factor).
+    ``factor`` is a positive number or a function called once as
+    ``factor(field)`` that returns the N positive factors, one per sample in
+    field order (``1 + a * field.s`` for a radial one); positions and frames
+    are untouched, magnitudes scale accordingly (so the fringe period divides
+    by the factor).
     """
     if callable(factor):
-        f = np.array([float(factor(smp)) for smp in field.samples], dtype=float)
+        f = hook_values(factor(field), len(field), "rescale factor")
     else:
         f = np.full(len(field), float(factor))
     i = first_index(~(np.isfinite(f) & (f > 0.0)))

@@ -9,9 +9,9 @@ tangential part already exceeds |kp| there is no real normal component and
 the order is evanescent. :func:`closure` works on rows of world-space
 wavevectors and frames, :func:`diffract` on rows of frame coordinates.
 
-Diffraction efficiency is a pluggable hook (sample, probe) -> eta in [0, 1],
-fixed at 1 by default; the zero order carries 1 - eta. Rigorous efficiency
-theories can be plugged in without touching this API.
+Diffraction efficiency is a pluggable hook (field, probe) -> eta, one value
+in [0, 1] per sample, fixed at 1 by default; the zero order carries 1 - eta.
+Rigorous efficiency theories can be plugged in without touching this API.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ import numpy as np
 
 from .errors import at_sample
 from .geometry import Vec3, combine, dot, first_index, norms
-from .recording import GratingSample
+from .recording import GratingVectorField
 from .waves import Wave
 
 MODES = ("basic", "energy")
 
-EfficiencyHook = Callable[[GratingSample, Wave], float]
+EfficiencyHook = Callable[[GratingVectorField, Wave], np.ndarray]
 
 
 class DiffractionStatus(str, Enum):
@@ -62,10 +62,6 @@ class DiffractionResult:
                 raise ValueError("evanescent results carry no diffracted wavevector")
         elif self.kd is None:
             raise ValueError(f"{self.status.value} results need a diffracted wavevector")
-
-    @property
-    def zero_order_weight(self) -> float:
-        return 1.0 - self.eta
 
 
 def closure(kp: np.ndarray, kg: np.ndarray, t: np.ndarray, b: np.ndarray, n: np.ndarray,

@@ -43,10 +43,6 @@ class WavelengthMismatch(HoedeformError):
     """Two waves that must share a wavelength do not."""
 
 
-class ZeroGrating(HoedeformError):
-    """An operation requiring a non-zero grating vector received |kg| = 0."""
-
-
 class PointNotOnEllipsoid(HoedeformError):
     """A probe point misses the two-focus isosurface it was checked against."""
 

@@ -47,7 +47,13 @@ def record_stage(spec: RecordingSpec, out: Path) -> GratingVectorField:
 
 
 def deform_stage(field: GratingVectorField, spec: DeformationSpec, out: Path) -> GratingVectorField:
-    """Push ``field`` onto the target profile, rescale it if asked, and write OUT/field_deformed.json."""
+    """Push ``field`` onto the target profile, rescale it if asked, and write OUT/field_deformed.json.
+
+    Only a field on a planar carrier can be bent; any other is a ConfigError.
+    """
+    if field.carrier.kind != "planar":
+        raise ConfigError(f"deformation: the field lies on a {field.carrier.kind} carrier, but only a planar "
+                          "field can be bent; use invert to pull a curved field back to the plane")
     deformed = induce_forward(field, spec.target_profile, spec.projection)
     if spec.rescale is not None:
         deformed = rescale(deformed, spec.rescale)

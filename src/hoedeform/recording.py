@@ -9,9 +9,8 @@ A field stores its samples as arrays: footprints ``s`` and ``phi`` (N),
 world positions ``pos`` and frame coordinates ``g`` (N x 3), 64 bytes per
 sample. Frames are recomputed from the carrier's closed form on demand.
 ``GratingVectorField.samples`` is a lazy sequence of per-sample
-:class:`GratingSample` records, built ``CHUNK_ROWS`` rows at a time, which
-the callable rescale factor and the efficiency hook iterate; fields are only
-ever built from arrays.
+:class:`GratingSample` records, built ``CHUNK_ROWS`` rows at a time; fields
+are only ever built from arrays.
 
 Two recording geometries get dedicated diagnostics here:
 
@@ -33,7 +32,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, HoedeformError, PointNotOnEllipsoid, ZeroGrating, at_sample
+from .errors import DomainError, HoedeformError, PointNotOnEllipsoid, at_sample
 from .geometry import Vec3, cross, dot, first_index, frames, norms, raise_first
 from .surfaces import DOMAIN_GUARD, SurfaceProfile
 from .units import path_mm_to_um
@@ -61,11 +60,17 @@ class PolarGrid:
         if self.s_max is not None and not self.s_max > 0.0:
             raise ValueError("s_max must be positive")
 
-    def footprint_arrays(self, domain_radius: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Footprints (s, phi): the vertex, then ring by ring outward, azimuths ascending."""
+    def outer_radius(self, domain_radius: float) -> float:
+        """Radius of the outermost ring on a carrier of ``domain_radius``;
+        an s_max beyond that domain raises ValueError."""
         s_max = self.s_max if self.s_max is not None else domain_radius
         if s_max > domain_radius * (1.0 + DOMAIN_GUARD):
             raise ValueError(f"grid s_max {s_max} exceeds carrier domain {domain_radius}")
+        return s_max
+
+    def footprint_arrays(self, domain_radius: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Footprints (s, phi): the vertex, then ring by ring outward, azimuths ascending."""
+        s_max = self.outer_radius(domain_radius)
         rings = s_max * np.arange(1, self.n_s + 1) / self.n_s
         azimuths = TWO_PI * np.arange(self.n_phi) / self.n_phi
         s = np.repeat(rings, self.n_phi)
@@ -280,6 +285,15 @@ def sample_context(s: np.ndarray, phi: np.ndarray):
         raise type(exc)(f"sample {i} (s={float(s[i])}, phi={float(phi[i])}): {exc}") from exc
 
 
+def hook_values(values, n: int, hook: str) -> np.ndarray:
+    """The values a hook returned for a field of ``n`` samples, as a new float
+    array; anything but ``n`` values, one per sample, raises ValueError."""
+    v = np.array(values, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{hook} must return {n} values, one per sample, got shape {v.shape}")
+    return v
+
+
 def _duplicates(s: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """True at every footprint that repeats an earlier one."""
     order = np.lexsort((phi, s))
@@ -308,14 +322,6 @@ def record(w1: Wave, w2: Wave, carrier: SurfaceProfile, grid: GridSpec) -> Grati
         t, b, n = frames(carrier, s, phi)
     g = np.column_stack((dot(kg, t), dot(kg, b), dot(kg, n)))
     return GratingVectorField(carrier, s, phi, pos, g, grid.descriptor(), w1.wavelength.lambda_nm)
-
-
-def grating_period(kg: Vec3) -> float:
-    """Fringe-plane spacing Lambda = 2*pi/|kg| in um; |kg| = 0 raises ZeroGrating."""
-    m = kg.norm()
-    if m == 0.0:
-        raise ZeroGrating("grating period undefined for |kg| = 0")
-    return TWO_PI / m
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .fieldio import format_column, write_rows
 from .geometry import TWO_PI, Vec3, first_index, norms
 from .diffraction import (EVANESCENT, MODES, STATUSES, DiffractionResult, DiffractionStatus, EfficiencyHook,
                           diffract)
-from .recording import CHUNK_ROWS, GratingVectorField, sample_context
+from .recording import CHUNK_ROWS, GratingVectorField, hook_values, sample_context
 from .waves import Wave, local_wavevectors
 
 # Unit ray directions with |dz| at or below this never reach a z plane.
@@ -231,17 +231,14 @@ def trace_field(
 ) -> Trace:
     """Diffract ``probe`` at every sample of ``field`` and emit rays.
 
-    ``efficiency``, when given, is called with each record of
-    ``field.samples``, in order.
+    ``efficiency``, when given, is called once as ``efficiency(field, probe)``
+    and returns the N efficiencies in [0, 1], one per sample in field order.
     Errors name the first failing sample.
     """
     if mode not in MODES:
         raise ValueError(f"unknown closure mode {mode!r}; expected one of {MODES}")
     n = len(field)
-    if efficiency is None:
-        eta = np.ones(n)
-    else:
-        eta = np.array([float(efficiency(smp, probe)) for smp in field.samples], dtype=float).reshape(n)
+    eta = np.ones(n) if efficiency is None else hook_values(efficiency(field, probe), n, "efficiency")
     with sample_context(field.s, field.phi):
         i = first_index(~((eta >= 0.0) & (eta <= 1.0)))
         if i is not None:

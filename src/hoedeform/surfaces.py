@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NoIntersection, NoPreimage, NotOnSurface, at_sample
-from .geometry import Vec3, first_index, raise_first
+from .geometry import Vec3, raise_first
 
 # Relative guard band on radial-domain checks; absorbs round-off from
 # projection round trips that land on the rim.
@@ -234,25 +234,6 @@ class Projection:
         return {"center_z_mm": self.center.z}
 
 
-@dataclass(frozen=True)
-class LensSpec:
-    """Meniscus lens data: index n > 1, positive radii R1, R2 (mm), center
-    thickness d >= 0 (mm); surrounding medium is air."""
-
-    n: float
-    r1: float
-    r2: float
-    d: float
-
-    def __post_init__(self):
-        if not self.n > 1.0:
-            raise ValueError("refractive index must exceed 1")
-        if not (self.r1 > 0.0 and self.r2 > 0.0):
-            raise ValueError("radii of curvature must be positive")
-        if self.d < 0.0:
-            raise ValueError("center thickness must be >= 0")
-
-
 def _sphere_cap_roots(cz: float, radius: float, rp: np.ndarray) -> np.ndarray:
     """Segment parameters where C + tau*(p - C) meets the lower cap of the sphere.
 
@@ -426,71 +407,3 @@ def inverse_project_points(proj: Projection, profile: SurfaceProfile, q: np.ndar
             NoPreimage("projection center lies below the surface point; no forward preimage"), i)),
     ])
     return np.column_stack((t * q[:, 0], t * q[:, 1], np.zeros_like(s)))
-
-
-@dataclass(frozen=True)
-class BijectivityReport:
-    """Outcome of a numeric injectivity scan of a projection."""
-
-    passed: bool
-    violation: Optional[str]
-    n_lines: int
-    samples_per_line: int
-
-
-def check_bijective(
-    proj: Projection,
-    profile: SurfaceProfile,
-    samples: int = 64,
-    azimuths: tuple = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi),
-) -> BijectivityReport:
-    """Scan radial lines and verify the projection hits the graph at strictly
-    increasing radii (numeric injectivity check); failures are reported, not
-    raised."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples per radial line")
-    d = profile.domain_radius
-    if proj.is_orthogonal:
-        r_max = d
-    else:
-        cz = proj.center.z
-        h_rim = profile.radial_height(d)
-        if cz <= h_rim:
-            # rays from a center at or below the rim height never reach the
-            # outer surface region: the map cannot be onto the graph
-            return BijectivityReport(
-                False,
-                f"center z = {cz} at or below the rim height {h_rim}: outer surface region has no plane preimage",
-                len(azimuths), samples,
-            )
-        r_max = d * cz / (cz - h_rim)
-    tol = 1e-12 * max(1.0, d)
-    r = r_max * np.arange(1, samples + 1) / samples
-    for phi in azimuths:
-        c, s = math.cos(phi), math.sin(phi)
-        try:
-            q = project_points(proj, profile, np.column_stack((r * c, r * s, np.zeros_like(r))))
-        except (NoIntersection, DomainError) as exc:
-            return BijectivityReport(False, f"phi={phi}, r={float(r[exc.index])}: {exc}", len(azimuths), samples)
-        sq = np.hypot(q[:, 0], q[:, 1])
-        i = first_index(sq <= np.concatenate(([0.0], sq[:-1])) - tol)
-        if i is not None:
-            prev = float(sq[i - 1]) if i else 0.0
-            return BijectivityReport(
-                False, f"phi={phi}, r={float(r[i])}: surface radius {float(sq[i])} not increasing past {prev}",
-                len(azimuths), samples,
-            )
-    return BijectivityReport(True, None, len(azimuths), samples)
-
-
-def lensmaker_focal(spec: LensSpec) -> float:
-    """Focal length (mm) of a thick meniscus lens in air.
-
-    1/f = (n - 1) * (1/R1 - 1/R2 + (n - 1) d / (n R1 R2)); a vanishing
-    right-hand side (no optical power) returns float('inf').
-    """
-    n, r1, r2, d = spec.n, spec.r1, spec.r2, spec.d
-    inv_f = (n - 1.0) * (1.0 / r1 - 1.0 / r2 + (n - 1.0) * d / (n * r1 * r2))
-    if inv_f == 0.0:
-        return math.inf
-    return 1.0 / inv_f

@@ -5,7 +5,6 @@ Everything in this package uses one fixed set of units:
 * positions, distances, surface coordinates: millimeters (mm)
 * wavevectors and grating vectors: rad/micrometer (rad/um)
 * wavelength input: nanometers (nm)
-* grating period output: micrometers (um)
 
 Any mm <-> um <-> nm conversion happens through the helpers below; other
 modules never carry their own conversion factors.

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SingularPoint, WavelengthMismatch, at_sample
 from .geometry import Vec3, first_index, norms
-from .units import path_mm_to_um, wavelength_nm_to_um, wavenumber_rad_per_um
+from .units import path_mm_to_um, wavenumber_rad_per_um
 
 # Spherical waves are singular at their source/target point; evaluations
 # closer than this (mm) are rejected.
@@ -40,10 +40,6 @@ class Wavelength:
             raise ValueError(f"wavelength must be positive and finite, got {self.lambda_nm}")
         if not math.isfinite(self.k):
             raise ValueError(f"wavelength {self.lambda_nm} nm is too small: k = 2*pi/lambda is not finite")
-
-    @property
-    def lambda_um(self) -> float:
-        return wavelength_nm_to_um(self.lambda_nm)
 
     @property
     def k(self) -> float:

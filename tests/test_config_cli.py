@@ -123,6 +123,8 @@ class TestConfigParsing:
         lambda d: d["probe"].update({"lambda_nm": 0.0}),
         # k = 2*pi/lambda overflows to inf
         lambda d: d["wavelength"].update({"lambda_nm": 1e-320}),
+        # polar rings beyond the 10 mm carrier
+        lambda d: d["recording"]["grid"].update({"s_max_mm": 20.0}),
     ])
     def test_invalid_values_rejected(self, mutate, tmp_path):
         doc = base_config()
@@ -258,6 +260,18 @@ class TestCliExitCodes:
         err = json.loads(res.stderr)
         assert err["error"]["type"] == "NoIntersection"
         assert "sample" in err["error"]["message"]
+
+    @pytest.mark.parametrize("verb", ["run", "deform"])
+    def test_bending_a_curved_field_exits_2(self, tmp_path, verb):
+        cfg = str(CONFIG_DIR / "combiner_invert.json")  # records on a sphere cap
+        out = str(tmp_path / "o")
+        if verb == "deform":
+            assert cli_main("record", "--config", cfg, "--out", out)[0] == 0
+        code, stdout, err = cli_main(verb, "--config", cfg, "--out", out)
+        assert code == 2 and stdout == ""
+        error = json.loads(err)["error"]
+        assert err.count("\n") == 1 and error["type"] == "ConfigError"
+        assert "sphere_cap carrier" in error["message"] and "invert" in error["message"]
 
     def test_scan_without_rays_exits_2(self, tmp_path):
         cfg = tmp_path / "scene.json"

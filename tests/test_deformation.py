@@ -10,7 +10,7 @@ from hoedeform.deformation import (
     rescale,
 )
 from hoedeform.errors import DomainError, NoIntersection, NonPositiveFactor
-from hoedeform.geometry import Vec3, norms
+from hoedeform.geometry import Vec3, combine, norms
 from hoedeform.recording import PolarGrid, record
 from hoedeform.scene import trace_field
 from hoedeform.surfaces import Projection, SurfaceProfile
@@ -157,27 +157,34 @@ class TestRescale:
         _fields_equal(field, out, pos_tol=0.0, coord_tol=0.0)
 
     def test_uniform_shrinkage_compensation(self):
-        from hoedeform.recording import grating_period
         field = record(W0, W65, FLAT, PolarGrid(3, 6))
         out = rescale(field, 1.02)
-        for src, dst in zip(field.samples, out.samples):
-            assert abs(dst.magnitude - 1.02 * src.magnitude) <= 1e-12 * src.magnitude
-            assert abs(grating_period(dst.kg_world()) * 1.02 - grating_period(src.kg_world())) \
-                <= 1e-12 * grating_period(src.kg_world())
+        src, dst = field.magnitudes, out.magnitudes
+        assert np.all(np.abs(dst - 1.02 * src) <= 1e-12 * src)
+        # fringe period 2*pi/|kg| of the world-space grating vectors
+        period_src = 2.0 * math.pi / norms(combine(*field.frames(), *field.g.T))
+        period_dst = 2.0 * math.pi / norms(combine(*out.frames(), *out.g.T))
+        assert np.all(np.abs(period_dst * 1.02 - period_src) <= 1e-12 * period_src)
 
     def test_radial_factor_closed_form(self):
         field = record(W0, W65, FLAT, PolarGrid(4, 6))
-        out = rescale(field, lambda s: 1.0 + 0.001 * s.s)
-        for src, dst in zip(field.samples, out.samples):
-            f = 1.0 + 0.001 * src.s
-            assert abs(dst.magnitude - f * src.magnitude) <= 1e-12 * max(1.0, src.magnitude)
+        out = rescale(field, lambda f: 1.0 + 0.001 * f.s)
+        src = field.magnitudes
+        assert np.all(np.abs(out.magnitudes - (1.0 + 0.001 * field.s) * src) <= 1e-12 * np.maximum(1.0, src))
 
     def test_non_positive_factor_rejected(self):
         field = record(W0, W65, FLAT, PolarGrid(2, 4))
         with pytest.raises(NonPositiveFactor):
             rescale(field, 0.0)
         with pytest.raises(NonPositiveFactor):
-            rescale(field, lambda s: -1.0)
+            rescale(field, lambda f: np.full(len(f), -1.0))
+
+    @pytest.mark.parametrize("values", [lambda f: 1.0, lambda f: np.ones(len(f) - 1),
+                                        lambda f: np.ones((len(f), 1))], ids=["scalar", "short", "column"])
+    def test_factor_of_the_wrong_shape_rejected(self, values):
+        field = record(W0, W65, FLAT, PolarGrid(2, 4))
+        with pytest.raises(ValueError, match="one per sample"):
+            rescale(field, values)
 
 
 class TestDesignTargetField:
@@ -252,7 +259,7 @@ class TestResample:
 
     def test_linear_radial_profile_interpolates(self):
         base = record(W0, W65, FLAT, PolarGrid(10, 8))
-        graded = rescale(base, lambda s: 1.0 + 0.05 * s.s)
+        graded = rescale(base, lambda f: 1.0 + 0.05 * f.s)
         out = resample_field(graded, PolarGrid(6, 8, s_max=8.5, include_vertex=False))
         k0 = base.samples[1].magnitude
         for smp in out.samples:

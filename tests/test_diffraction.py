@@ -228,9 +228,16 @@ class TestDiffractSample:
 
     def test_efficiency_hook(self):
         field = record(W65, W0, SurfaceProfile.planar(10.0), PolarGrid(2, 4))
-        trace = trace_field(field, W65, efficiency=lambda s, p: 0.25)
+        trace = trace_field(field, W65, efficiency=lambda f, p: np.full(len(f), 0.25))
         assert np.all(trace.eta == 0.25)
-        assert abs(trace[1].result.zero_order_weight - 0.75) < 1e-15
+        assert abs((1.0 - trace.eta[1]) - 0.75) < 1e-15
+
+    @pytest.mark.parametrize("values", [lambda f, p: 0.5, lambda f, p: np.full(len(f) + 1, 0.5),
+                                        lambda f, p: np.full((len(f), 1), 0.5)], ids=["scalar", "long", "column"])
+    def test_efficiency_of_the_wrong_shape_rejected(self, values):
+        field = record(W65, W0, SurfaceProfile.planar(10.0), PolarGrid(2, 4))
+        with pytest.raises(ValueError, match="one per sample"):
+            trace_field(field, W65, efficiency=values)
 
     def test_unknown_mode_rejected(self):
         field = record(W65, W0, SurfaceProfile.planar(10.0), PolarGrid(1, 1))

@@ -8,7 +8,8 @@ import pytest
 import oracles
 from hoedeform.deformation import rescale
 
-from hoedeform.errors import PointNotOnEllipsoid, WavelengthMismatch, ZeroGrating
+from hoedeform.diffraction import EVANESCENT
+from hoedeform.errors import PointNotOnEllipsoid, WavelengthMismatch
 from hoedeform.geometry import Vec3
 from hoedeform.recording import (
     CHUNK_ROWS,
@@ -17,10 +18,9 @@ from hoedeform.recording import (
     GratingVectorField,
     PolarGrid,
     check_isosurface,
-    grating_period,
     record,
 )
-from hoedeform.scene import trace_field
+from hoedeform.scene import read_rays_csv, trace_field, write_rays_csv
 from hoedeform.surfaces import SurfaceProfile
 from hoedeform.waves import Wave, Wavelength, local_wavevector
 
@@ -111,20 +111,6 @@ class TestRecord:
     def test_counter_propagating_reaches_bound(self):
         field = record(Wave.plane(Vec3(0, 0, 1), LAM), Wave.plane(Vec3(0, 0, -1), LAM), FLAT, PolarGrid(1, 1))
         assert abs(field.samples[0].magnitude - 2.0 * LAM.k) <= 1e-12 * LAM.k
-
-
-class TestGratingPeriod:
-    def test_unit_case(self):
-        assert abs(grating_period(Vec3(0, 0, 2.0 * math.pi)) - 1.0) < 1e-12
-
-    def test_recorded_pair(self):
-        kg = local_wavevector(W65, Vec3(0, 0, 0)) - local_wavevector(W0, Vec3(0, 0, 0))
-        assert abs(grating_period(kg) - 2.0 * math.pi / kg.norm()) == 0.0
-        assert abs(grating_period(kg) - 0.4653) < 1e-4
-
-    def test_zero_grating(self):
-        with pytest.raises(ZeroGrating):
-            grating_period(Vec3(0, 0, 0))
 
 
 class TestIsosurface:
@@ -260,12 +246,20 @@ class TestSampleView:
         with pytest.raises(TypeError):
             hash(field.samples)
 
-    def test_hooks_see_every_record_in_order(self):
+    def test_hooks_see_every_record_in_order(self, tmp_path):
+        # each hook is called once with the field itself; its values land row for row
         field = VIEW_FIELDS["polar"]()
-        seen_rescale, seen_efficiency = [], []
-        rescale(field, lambda smp: seen_rescale.append(smp) or 1.0)
-        trace_field(field, W0, efficiency=lambda smp, probe: seen_efficiency.append(smp) or 0.5)
-        assert seen_rescale == seen_efficiency == oracles.sample_records(field)
+        seen = []
+        factors = 1.0 + 0.01 * np.arange(len(field))
+        etas = np.linspace(0.0, 1.0, len(field))
+        scaled = rescale(field, lambda f: seen.append(f) or factors)
+        trace = trace_field(field, W0, efficiency=lambda f, probe: seen.append(f) or etas)
+        assert len(seen) == 2 and all(f is field for f in seen)
+        assert np.array_equal(scaled.g, field.g * factors[:, None])
+        assert np.all(np.abs(scaled.magnitudes - factors * field.magnitudes) <= 1e-15 * scaled.magnitudes)
+        assert np.array_equal(trace.eta, etas)
+        write_rays_csv(trace, tmp_path / "rays.csv")
+        assert np.array_equal(read_rays_csv(tmp_path / "rays.csv").weights, etas[trace.status != EVANESCENT])
 
     def test_iterating_the_samples_holds_one_chunk(self):
         field = record(W0, W65, CAP, PolarGrid(100, 100))

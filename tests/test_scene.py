@@ -78,7 +78,7 @@ class TestTraceField:
 
     def test_ray_weight_carries_efficiency(self):
         field = record(W65, W0, SurfaceProfile.planar(10.0), PolarGrid(2, 4))
-        records = trace_field(field, W65, efficiency=lambda s, p: 0.5)
+        records = trace_field(field, W65, efficiency=lambda f, p: np.full(len(f), 0.5))
         assert all(r.ray.weight == 0.5 for r in records)
 
 
@@ -87,23 +87,27 @@ def _rot_z(v: Vec3, a: float) -> Vec3:
     return Vec3(c * v.x - s * v.y, s * v.x + c * v.y, v.z)
 
 
-@pytest.mark.parametrize("proj", [Projection.orthogonal(), Projection.from_center_z(500.0)],
-                         ids=["orthogonal", "central"])
+def _bent_combiner_trace(proj, source: Vec3, target: Vec3, n_s: int = 10, n_phi: int = 16):
+    """Trace of an off-axis combiner recorded flat on an n_s x n_phi polar grid from
+    ``source`` to ``target``, bent onto the 50 mm cap through ``proj`` and probed by its source wave."""
+    w1, w2 = Wave.diverging(source, LAM), Wave.converging(target, LAM)
+    field = record(w1, w2, SurfaceProfile.planar(10.0), PolarGrid(n_s, n_phi))
+    return trace_field(induce_forward(field, SurfaceProfile.sphere_cap(50.0, 10.0), proj), w1)
+
+
+BENDS = pytest.mark.parametrize("proj", [Projection.orthogonal(), Projection.from_center_z(500.0)],
+                                ids=["orthogonal", "central"])
+
+
+@BENDS
 def test_rotating_the_scene_by_one_azimuth_step_permutes_the_trace(proj):
-    # the off-axis combiner recorded flat and bent onto the 50 mm cap; the
-    # carriers are rotationally symmetric, so turning both recording waves and
-    # the probe about z by 2*pi/n_phi moves every ring sample to the next azimuth
+    # the carriers are rotationally symmetric, so turning both recording waves
+    # and the probe about z by 2*pi/n_phi moves every ring sample to the next azimuth
     n_s, n_phi = 10, 16
     step = 2 * math.pi / n_phi
-    cap = SurfaceProfile.sphere_cap(50.0, 10.0)
-
-    def bent_trace(a):
-        source, target = _rot_z(Vec3(-30.0, 0.0, -40.0), a), _rot_z(Vec3(0.0, 0.0, 80.0), a)
-        w1, w2 = Wave.diverging(source, LAM), Wave.converging(target, LAM)
-        field = record(w1, w2, SurfaceProfile.planar(10.0), PolarGrid(n_s, n_phi))
-        return trace_field(induce_forward(field, cap, proj), w1)
-
-    base, turned = bent_trace(0.0), bent_trace(step)
+    source, target = Vec3(-30.0, 0.0, -40.0), Vec3(0.0, 0.0, 80.0)
+    base = _bent_combiner_trace(proj, source, target, n_s, n_phi)
+    turned = _bent_combiner_trace(proj, _rot_z(source, step), _rot_z(target, step), n_s, n_phi)
     ring, azimuth = np.divmod(np.arange(n_s * n_phi), n_phi)
     perm = np.concatenate(([0], 1 + ring * n_phi + (azimuth - 1) % n_phi))  # the vertex stays
     assert turned.status.tolist() == base.status[perm].tolist()
@@ -111,6 +115,21 @@ def test_rotating_the_scene_by_one_azimuth_step_permutes_the_trace(proj):
     d = base.direction[perm]
     want = np.column_stack((c * d[:, 0] - s * d[:, 1], s * d[:, 0] + c * d[:, 1], d[:, 2]))
     assert np.abs(turned.direction - want).max() <= 1e-12
+
+
+@BENDS
+def test_mirroring_the_scene_in_y_mirrors_the_trace(proj):
+    # the carriers are symmetric under y -> -y, which takes azimuth index j of
+    # every ring to (n_phi - j) mod n_phi; a source with y = 0 would mirror onto itself
+    n_s, n_phi = 10, 16
+    source, target = Vec3(-30.0, 12.0, -40.0), Vec3(4.0, -6.0, 80.0)
+    base = _bent_combiner_trace(proj, source, target, n_s, n_phi)
+    mirrored = _bent_combiner_trace(proj, Vec3(source.x, -source.y, source.z),
+                                    Vec3(target.x, -target.y, target.z), n_s, n_phi)
+    ring, azimuth = np.divmod(np.arange(n_s * n_phi), n_phi)
+    perm = np.concatenate(([0], 1 + ring * n_phi + (n_phi - azimuth) % n_phi))  # the vertex stays
+    assert mirrored.status.tolist() == base.status[perm].tolist()
+    assert np.abs(mirrored.direction - base.direction[perm] * [1.0, -1.0, 1.0]).max() <= 1e-12
 
 
 class TestIntersectPlane:
@@ -450,7 +469,7 @@ def _boundary_trace(n):
     bent = induce_forward(field, SurfaceProfile.sphere_cap(50.0, 10.0), Projection.orthogonal())
     first = GratingVectorField(bent.carrier, bent.s[:n], bent.phi[:n], bent.pos[:n], bent.g[:n], bent.grid,
                                bent.wavelength_nm)
-    return trace_field(first, W0, efficiency=lambda smp, probe: 0.5 + 0.25 * math.cos(smp.phi))
+    return trace_field(first, W0, efficiency=lambda f, probe: 0.5 + 0.25 * np.cos(f.phi))
 
 
 def _traced_peak(fn):

@@ -15,12 +15,9 @@ from hoedeform.fieldio import load_field, save_field
 from hoedeform.geometry import Vec3
 from hoedeform.surfaces import (
     DOMAIN_GUARD,
-    LensSpec,
     Projection,
     SurfaceProfile,
-    check_bijective,
     inverse_project_points,
-    lensmaker_focal,
     project_points,
 )
 from hoedeform.recording import PolarGrid, record
@@ -439,41 +436,3 @@ class TestInverseProject:
         q = _graph_points(CAP50, (s, 0.0))
         with pytest.raises(NoPreimage):
             inverse_project_points(Projection.from_center_z(0.25 * q[0, 2]), CAP50, q)
-
-
-class TestCheckBijective:
-    def test_orthogonal_passes(self):
-        report = check_bijective(Projection.orthogonal(), CAP50, samples=64)
-        assert report.passed and report.violation is None
-
-    def test_central_above_passes(self):
-        wide = SurfaceProfile.sphere_cap(50.0, 25.0)
-        report = check_bijective(Projection.from_center_z(100.0), wide, samples=64)
-        assert report.passed
-
-    def test_low_center_fails(self):
-        # center between the plane and the surface rim: rays graze the near
-        # side of the dome and the outer annulus is unreachable
-        wide = SurfaceProfile.sphere_cap(50.0, 25.0)  # rim height ~6.7
-        report = check_bijective(Projection.from_center_z(3.0), wide, samples=64)
-        assert not report.passed
-        assert "no plane preimage" in report.violation
-
-
-class TestLensmaker:
-    def test_symmetric_radii_thick(self):
-        assert abs(lensmaker_focal(LensSpec(1.5, 100.0, 100.0, 3.0)) - 20000.0) < 1e-9
-
-    def test_thin_equal_radii_has_no_power(self):
-        assert lensmaker_focal(LensSpec(1.5, 100.0, 100.0, 0.0)) == math.inf
-
-    def test_thin_lens_limit(self):
-        assert abs(lensmaker_focal(LensSpec(1.5, 100.0, 200.0, 0.0)) - 400.0) < 1e-9
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            LensSpec(1.0, 100.0, 100.0, 1.0)
-        with pytest.raises(ValueError):
-            LensSpec(1.5, -100.0, 100.0, 1.0)
-        with pytest.raises(ValueError):
-            LensSpec(1.5, 100.0, 100.0, -1.0)

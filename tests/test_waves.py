@@ -21,7 +21,7 @@ def test_wavenumber_definition():
     assert abs(LAM500.k - K500) < 1e-12
     for lam in (405.0, 532.0, 633.0):
         wl = Wavelength(lam)
-        assert abs(wl.k * wl.lambda_um - 2.0 * math.pi) <= 1e-12 * 2.0 * math.pi
+        assert abs(wl.k * (lam / 1000.0) - 2.0 * math.pi) <= 1e-12 * 2.0 * math.pi
 
 
 def test_wavelength_validation():
