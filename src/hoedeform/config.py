@@ -25,12 +25,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Iterator, List, Optional, TextIO, Tuple, Union
 
 from .errors import ConfigError
 from .geometry import Vec3
-from .recording import CartesianGrid, GridSpec, PolarGrid
+from .recording import CHUNK_ROWS, CartesianGrid, GridSpec, PolarGrid
 from .surfaces import Projection, SurfaceProfile
 from .waves import Wave, Wavelength
 
@@ -283,15 +284,80 @@ def parse_scene_config(doc: dict) -> SceneConfig:
     return SceneConfig(lam, recording, deformation, probe, analysis)
 
 
-def read_input(path: Union[str, os.PathLike], what: str) -> str:
-    """The text of the input file ``path``; a missing or unreadable file is a ConfigError naming the ``what`` file."""
+@contextmanager
+def _input_errors(path: Union[str, os.PathLike], what: str) -> Iterator[None]:
+    """Map a missing, unreadable or non-UTF-8 input file to a ConfigError naming the ``what`` file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        yield
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{what} file {path} cannot be read: {exc}") from exc
+
+
+def read_input(path: Union[str, os.PathLike], what: str) -> str:
+    """The text of the input file ``path``; a missing or unreadable file is a ConfigError naming the ``what`` file."""
+    with _input_errors(path, what), open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+# The characters str.splitlines breaks lines at; text read with universal
+# newlines holds no "\r".
+LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# Characters read_lines decodes per read.
+READ_BLOCK_CHARS = 1 << 16
+
+
+@contextmanager
+def read_lines(path: Union[str, os.PathLike], what: str) -> Iterator[Iterator[List[str]]]:
+    """The lines of ``read_input(path, what).splitlines()`` in lists of
+    ``CHUNK_ROWS`` (the last may be shorter), read ``READ_BLOCK_CHARS`` at a time.
+
+    File errors are read_input's, and so is a decode error anywhere in the
+    file when the ``with`` block raises a ConfigError: reading the text whole
+    meets the decode error first.
+    """
+    with _input_errors(path, what):
+        fh = open(path, "r", encoding="utf-8")
+    with fh:
+        chunks = _line_chunks(fh, path, what)
+        try:
+            yield chunks
+        except ConfigError:
+            for _ in chunks:
+                pass
+            raise
+
+
+def _line_chunks(fh: TextIO, path: Union[str, os.PathLike], what: str) -> Iterator[List[str]]:
+    """The lines of ``fh`` in lists of ``CHUNK_ROWS``; a line may span blocks."""
+    pending: List[str] = []
+    pieces: List[str] = []  # the line that no block read so far has ended
+    with _input_errors(path, what):
+        while True:
+            try:
+                block = fh.read(READ_BLOCK_CHARS)
+            except UnicodeDecodeError:
+                read_input(path, what)  # raises the error naming the byte offset in the file, not in the block
+                raise
+            if not block:
+                break
+            lines = block.splitlines()
+            ends = block[-1] in LINE_BREAKS
+            if pieces and (ends or len(lines) > 1):
+                pieces.append(lines[0])
+                lines[0] = "".join(pieces)
+                pieces = []
+            if not ends:
+                pieces.append(lines.pop())
+            pending += lines
+            while len(pending) >= CHUNK_ROWS:
+                yield pending[:CHUNK_ROWS]
+                del pending[:CHUNK_ROWS]
+    if pieces:
+        pending.append("".join(pieces))
+    if pending:
+        yield pending
 
 
 def load_scene_config(path: Union[str, os.PathLike]) -> SceneConfig:

@@ -10,19 +10,27 @@ sample bit-exactly; frames are rebuilt deterministically from the carrier.
 would, formatting the samples through one template. :func:`write_rows` is
 the text writer of every per-sample file (field, rays.csv, hits.csv): it
 formats and writes ``CHUNK_ROWS`` rows at a time, so a write holds one chunk
-of text, never the document. Loading validates a
-document by the rules of a scene config, column by column: the carrier, grid
-and projection descriptors go through the config parsers, and every
-malformed value raises ConfigError naming its key path and, for samples,
-the first failing index.
+of text, never the document.
+
+``load_field`` holds the file's text and the samples as flat floats: one
+``json.loads`` runs with a hook that moves the 8 numbers of each well-formed
+sample (:func:`_sample_row`, the rule ``field_from_dict`` applies too) into
+a float buffer as the sample is decoded, so the document never exists as
+one object per sample. Loading validates a document by the rules of a scene
+config: the carrier, grid and projection descriptors go through the config
+parsers, and every malformed value raises ConfigError naming its key path
+and, for samples, the first failing index. A document with a sample that is
+not well-formed, or with a sample-shaped object outside the samples list,
+is parsed again into plain objects, whose checks name the error.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from array import array
 from itertools import chain
-from typing import Sequence, TextIO, Union
+from typing import Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from .config import _check_keys, _is_finite_number, _number, parse_field_grid, p
 from .errors import ConfigError, HoedeformError
 from .geometry import TWO_PI
 from .recording import CHUNK_ROWS, GratingVectorField
+from .surfaces import SurfaceProfile
 
 FORMAT_TAG = "hoe-field-v1"
 
@@ -37,6 +46,8 @@ _HEADER_KEYS = {"format", "wavelength_nm", "carrier", "grid", "samples"}
 _SAMPLE_KEYS = {"s", "phi", "pos", "g"}
 # Exact types of JSON numbers; a type test rejects bools.
 _NUMBER_TYPES = {float, int}
+# What load_field leaves in the document in place of a well-formed sample.
+_TAKEN = object()
 
 # One sample as json.dump(indent=1) lays it out inside the samples list;
 # s and phi repeat along rings and azimuths and come preformatted.
@@ -85,8 +96,33 @@ def _is_triple(v) -> bool:
     return type(v) is list and len(v) == 3 and all(type(c) in _NUMBER_TYPES for c in v)
 
 
-def _typed(values, types) -> bool:
-    return set(map(type, values)) <= types
+def _is_float_value(v) -> bool:
+    """True for a float, or an int (not a bool) in the float range."""
+    return type(v) is float or type(v) is int and _is_finite_number(v)
+
+
+def _sample_row(rec) -> Optional[list]:
+    """s, phi, pos and g of a well-formed sample as a list of 8 numbers, else None.
+
+    A well-formed sample is an object with exactly the keys s, phi, pos and
+    g, where s and phi are numbers, pos and g lists of 3 numbers, and every
+    int lies in the float range. The one rule of both loaders.
+    """
+    if type(rec) is not dict or len(rec) != 4:
+        return None
+    try:
+        s, phi, pos, g = rec["s"], rec["phi"], rec["pos"], rec["g"]
+    except KeyError:
+        return None
+    if not (type(pos) is list and type(g) is list and len(pos) == 3 and len(g) == 3):
+        return None
+    (x, y, z), (a, b, c) = pos, g
+    row = [s, phi, x, y, z, a, b, c]
+    # the first test passes the all-float rows save_field writes
+    if float is type(s) is type(phi) is type(x) is type(y) is type(z) is type(a) is type(b) is type(c) \
+            or all(map(_is_float_value, row)):
+        return row
+    return None
 
 
 def _floats(values: list, width: int, what: str) -> np.ndarray:
@@ -98,7 +134,28 @@ def _floats(values: list, width: int, what: str) -> np.ndarray:
         raise ConfigError(f"field.samples[{i // width}].{what}: {exc}") from exc
 
 
-def field_from_dict(doc: dict) -> GratingVectorField:
+def _raise_sample_error(recs: list) -> None:
+    """Raise the error of samples of which one is not well-formed: the first
+    sample without exactly the sample keys, else the first with a value of
+    the wrong type, else the first int beyond the float range in s, then in
+    phi, pos and g."""
+    for i, rec in enumerate(recs):
+        if type(rec) is not dict or rec.keys() != _SAMPLE_KEYS:
+            got = sorted(rec) if type(rec) is dict else type(rec).__name__
+            raise ConfigError(f"field.samples[{i}]: expected an object with keys {sorted(_SAMPLE_KEYS)}, got {got}")
+    for i, rec in enumerate(recs):
+        if not (type(rec["s"]) in _NUMBER_TYPES and type(rec["phi"]) in _NUMBER_TYPES and _is_triple(rec["pos"])
+                and _is_triple(rec["g"])):
+            raise ConfigError(f"field.samples[{i}]: 's' and 'phi' must be numbers, 'pos' and 'g' lists of 3 numbers")
+    _floats([rec["s"] for rec in recs], 1, "s")
+    _floats([rec["phi"] for rec in recs], 1, "phi")
+    _floats([v for rec in recs for v in rec["pos"]], 3, "pos")
+    _floats([v for rec in recs for v in rec["g"]], 3, "g")
+    raise AssertionError("samples flagged as malformed pass their checks")
+
+
+def _check_header(doc: dict) -> Tuple[SurfaceProfile, float]:
+    """The carrier and wavelength of a field document whose header is valid."""
     _check_keys(doc, _HEADER_KEYS, "field")
     missing = _HEADER_KEYS - set(doc)
     if missing:
@@ -110,32 +167,28 @@ def field_from_dict(doc: dict) -> GratingVectorField:
         raise ConfigError(f"field.wavelength_nm: must be > 0, got {wavelength_nm}")
     carrier = parse_profile(doc["carrier"], "field.carrier")
     parse_field_grid(doc["grid"], "field.grid")
-    recs = doc["samples"]
-    if type(recs) is not list:
-        raise ConfigError(f"field.samples: expected a list, got {type(recs).__name__}")
+    if type(doc["samples"]) is not list:
+        raise ConfigError(f"field.samples: expected a list, got {type(doc['samples']).__name__}")
+    return carrier, wavelength_nm
 
-    for i, rec in enumerate(recs):
-        if type(rec) is not dict or rec.keys() != _SAMPLE_KEYS:
-            got = sorted(rec) if type(rec) is dict else type(rec).__name__
-            raise ConfigError(f"field.samples[{i}]: expected an object with keys {sorted(_SAMPLE_KEYS)}, got {got}")
-    s, phi, pos, g = ([rec[key] for rec in recs] for key in ("s", "phi", "pos", "g"))
-    ok = (_typed(s, _NUMBER_TYPES) and _typed(phi, _NUMBER_TYPES) and _typed(pos, {list}) and _typed(g, {list})
-          and set(map(len, pos)) <= {3} and set(map(len, g)) <= {3})
-    flat_pos, flat_g = (list(chain.from_iterable(v)) for v in (pos, g)) if ok else ([], [])
-    if not (ok and _typed(flat_pos, _NUMBER_TYPES) and _typed(flat_g, _NUMBER_TYPES)):
-        i = next(i for i, rec in enumerate(recs) if not (type(rec["s"]) in _NUMBER_TYPES and type(rec["phi"])
-                                                          in _NUMBER_TYPES and _is_triple(rec["pos"])
-                                                          and _is_triple(rec["g"])))
-        raise ConfigError(f"field.samples[{i}]: 's' and 'phi' must be numbers, 'pos' and 'g' lists of 3 numbers")
-    s, phi = _floats(s, 1, "s"), _floats(phi, 1, "phi")
-    pos, g = _floats(flat_pos, 3, "pos").reshape(-1, 3), _floats(flat_g, 3, "g").reshape(-1, 3)
+
+def _field(carrier: SurfaceProfile, grid: dict, wavelength_nm: float, rows: np.ndarray) -> GratingVectorField:
+    """The field of a checked header and the samples as rows of 8 numbers."""
     with np.errstate(invalid="ignore"):  # a non-finite phi stays nan and fails the field's check
-        phi = np.mod(phi, TWO_PI)
+        phi = np.mod(rows[:, 1], TWO_PI)
     try:
         # the grid dict is kept as stored, so save -> load -> save is bit-exact
-        return GratingVectorField(carrier, s, phi, pos, g, doc["grid"], wavelength_nm)
+        return GratingVectorField(carrier, rows[:, 0], phi, rows[:, 2:5], rows[:, 5:8], grid, wavelength_nm)
     except (ValueError, HoedeformError) as exc:
         raise ConfigError(f"field.samples: {exc}") from exc
+
+
+def field_from_dict(doc: dict) -> GratingVectorField:
+    carrier, wavelength_nm = _check_header(doc)
+    rows = list(map(_sample_row, doc["samples"]))
+    if None in rows:
+        _raise_sample_error(doc["samples"])
+    return _field(carrier, doc["grid"], wavelength_nm, np.array(rows, dtype=float).reshape(-1, 8))
 
 
 def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None:
@@ -149,8 +202,31 @@ def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None
 
 
 def load_field(path: Union[str, os.PathLike]) -> GratingVectorField:
+    """The field of a field file, which holds the file's text and the samples
+    as flat floats, never the samples as JSON objects."""
+    text = read_input(path, "field")
+    # CHUNK_ROWS samples per buffer: one buffer grown to the whole field is
+    # reallocated ~100 times, which fragments the heap and raises peak RSS
+    chunks = [array("d")]
+
+    def take(obj):  # a well-formed sample leaves its 8 numbers in ``chunks`` and a marker in the document
+        row = _sample_row(obj)
+        if row is None:
+            return obj
+        if len(chunks[-1]) == 8 * CHUNK_ROWS:
+            chunks.append(array("d"))
+        chunks[-1].fromlist(row)
+        return _TAKEN
+
     try:
-        doc = json.loads(read_input(path, "field"))
+        doc = json.loads(text, object_hook=take)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"field file {path} is not valid JSON: {exc}") from exc
-    return field_from_dict(doc)
+    numbers = np.concatenate([np.frombuffer(c, dtype=float) for c in chunks])
+    recs = doc.get("samples") if type(doc) is dict else None
+    if type(recs) is not list or 8 * len(recs) != len(numbers) or recs.count(_TAKEN) != len(recs):
+        # a malformed sample, or one outside the samples list: the checks of a plain document name the error
+        return field_from_dict(json.loads(text))
+    del text
+    carrier, wavelength_nm = _check_header(doc)
+    return _field(carrier, doc["grid"], wavelength_nm, numbers.reshape(-1, 8))

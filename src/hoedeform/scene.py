@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 import operator
 from collections import abc
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import read_input
+from .config import read_lines
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
 from .fieldio import format_column, write_rows
 from .geometry import TWO_PI, Vec3, first_index, norms
@@ -530,30 +530,35 @@ def read_rays_csv(path) -> RayBundle:
 
     Every row needs a known status and finite numbers, s >= 0 and
     0 <= phi < 2*pi; evanescent rows, and only they, have an empty direction
-    and weight 0, and yield no ray. Rows are parsed and checked
-    ``CHUNK_ROWS`` at a time; the first malformed one is a ConfigError
-    naming its line, which for a bad ray carries the error of the
-    :class:`Ray` built from that row alone.
+    and weight 0, and yield no ray. The lines are those ``str.splitlines``
+    gives; the file is read a block at a time and its rows are parsed and
+    checked ``CHUNK_ROWS`` at a time, so a read holds one chunk of the file,
+    never all of it. The first malformed row is a ConfigError naming its
+    line, which for a bad ray carries the error of the :class:`Ray` built
+    from that row alone; a file that is not UTF-8 is read_input's ConfigError.
     """
-    lines = read_input(path, "rays").splitlines()
-    if not lines or lines[0] != RAYS_HEADER:
-        raise ConfigError(f"rays file {path} missing header {RAYS_HEADER!r}")
-    kept = [np.empty((0, 7))]
-    for lo in range(1, len(lines), CHUNK_ROWS):
-        rows = [line.split(",") for line in lines[lo:lo + CHUNK_ROWS]]
-        code = np.array([_STATUS_CODES.get(p[8], -1) if len(p) == 10 else -1 for p in rows], dtype=np.intp)
-        bad = (code < 0) | ((code == EVANESCENT) != np.array([p[5:8] == ["", "", ""] for p in rows], dtype=bool))
-        ok = ~bad
-        columns = list(zip(*compress(rows, ok))) or [()] * 10
-        values = np.column_stack([_parse_column(columns[k], k in (0, 1, 9)) for k in (0, 1, 2, 3, 4, 5, 6, 7, 9)])
-        s, phi, pos, weights, live = values[:, 0], values[:, 1], values[:, 2:5], values[:, 8], code[ok] != EVANESCENT
-        bad[ok] |= (np.where(live, _broken_rays(pos, values[:, 5:8], weights),
-                             ~np.isfinite(pos).all(axis=1) | (weights != 0.0))
-                    | ~(np.isfinite(s) & (s >= 0.0) & (phi >= 0.0) & (phi < TWO_PI)))
-        i = first_index(bad)
-        if i is not None:
-            raise _row_error(f"rays file {path} line {lo + i + 1}", rows[i], int(code[i]))
-        kept.append(values[live, 2:])
+    with read_lines(path, "rays") as chunks:
+        first = next(chunks, [])
+        if not first or first[0] != RAYS_HEADER:
+            raise ConfigError(f"rays file {path} missing header {RAYS_HEADER!r}")
+        kept, lo = [np.empty((0, 7))], 1
+        for lines in chain([first[1:]], chunks):
+            rows = [line.split(",") for line in lines]
+            code = np.array([_STATUS_CODES.get(p[8], -1) if len(p) == 10 else -1 for p in rows], dtype=np.intp)
+            bad = (code < 0) | ((code == EVANESCENT) != np.array([p[5:8] == ["", "", ""] for p in rows], dtype=bool))
+            ok = ~bad
+            columns = list(zip(*compress(rows, ok))) or [()] * 10
+            values = np.column_stack([_parse_column(columns[k], k in (0, 1, 9)) for k in (0, 1, 2, 3, 4, 5, 6, 7, 9)])
+            s, phi, pos, weights = values[:, 0], values[:, 1], values[:, 2:5], values[:, 8]
+            live = code[ok] != EVANESCENT
+            bad[ok] |= (np.where(live, _broken_rays(pos, values[:, 5:8], weights),
+                                 ~np.isfinite(pos).all(axis=1) | (weights != 0.0))
+                        | ~(np.isfinite(s) & (s >= 0.0) & (phi >= 0.0) & (phi < TWO_PI)))
+            i = first_index(bad)
+            if i is not None:
+                raise _row_error(f"rays file {path} line {lo + i + 1}", rows[i], int(code[i]))
+            kept.append(values[live, 2:])
+            lo += len(lines)
     values = np.concatenate(kept)
     return RayBundle(values[:, :3], values[:, 3:6], values[:, 6])
 

@@ -1,9 +1,11 @@
+import copy
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from conftest import traced_peak
 
 from hoedeform import cli
 from hoedeform.deformation import induce_forward, induce_inverse
@@ -196,13 +198,15 @@ def test_save_field_holds_less_than_the_file(tmp_path):
     field = _combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(100, 100))
     assert len(field) == 10_001
     path = tmp_path / "field.json"
-    tracemalloc.start()
-    try:
-        save_field(field, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: save_field(field, path))
     assert peak < path.stat().st_size, f"save_field peaked at {peak} bytes for a {path.stat().st_size} byte file"
+
+
+def test_load_field_holds_less_than_two_and_a_half_files(tmp_path):
+    path = tmp_path / "field.json"
+    save_field(_combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(100, 100)), path)
+    peak = traced_peak(lambda: load_field(path))
+    assert peak < 2.5 * path.stat().st_size, f"load_field peaked at {peak} bytes for a {path.stat().st_size} byte file"
 
 
 @pytest.mark.parametrize("value", [True, "1.0", float("inf"), float("nan"), 10 ** 400],
@@ -227,3 +231,124 @@ def test_sample_value_rejected_through_cli(tmp_path, capsys, key, item, value):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and json.loads(err)["error"]["type"] == "ConfigError"
+
+
+def _deform_through_cli(tmp_path, capsys, path):
+    """Exit code and stderr of ``deform --field path``, run through cli.main."""
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps(DEFORM_CONFIG))
+    capsys.readouterr()
+    code = cli.main(["deform", "--config", str(cfg), "--out", str(tmp_path / "o"), "--field", str(path)])
+    return code, capsys.readouterr().err
+
+
+def _field_doc():
+    """The document of an 801-sample field, so that sample 600 follows good ones."""
+    return field_to_dict(record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(25, 32)))
+
+
+def _edited(*edits):
+    """The text of the 801-sample document after ``edits``, each a function of the document."""
+    def text():
+        doc = _field_doc()
+        for edit in edits:
+            edit(doc)
+        return json.dumps(doc)  # inf and nan as the JSON extensions Infinity and NaN
+    return text
+
+
+def _set(index, key, value, item=None):
+    def edit(doc):
+        if item is None:
+            doc["samples"][index][key] = value
+        else:
+            doc["samples"][index][key][item] = value
+    return edit
+
+
+def _duplicate_samples(first, second):
+    """A document whose samples key comes twice: ``first`` then ``second`` edits the list of each."""
+    def text():
+        docs = [_field_doc(), _field_doc()]
+        first(docs[0])
+        second(docs[1])
+        return json.dumps(docs[0])[:-1] + ', "samples": ' + json.dumps(docs[1]["samples"]) + "}"
+    return text
+
+
+def _keep(doc):
+    pass
+
+
+def _sample_as(key):
+    def edit(doc):
+        doc[key] = copy.deepcopy(doc["samples"][0])
+    return edit
+
+
+def _as_ints(doc):
+    """The vertex sample written with int coordinates."""
+    doc["samples"][0].update(s=0, phi=0, pos=[0, 0, 0])
+
+
+# Each document's exit code and message (<path> stands for the file) from
+# `deform --field`, as the reader gave them when it built every sample
+# object of the document before checking any.
+FIELD_FILE_CASES = {
+    "g_not_a_triple_at_600": (_edited(_set(600, "g", [1.0, 2.0])), 2,
+                              "field.samples[600]: 's' and 'phi' must be numbers, 'pos' and 'g' lists of 3 numbers"),
+    "sample_600_a_list": (_edited(lambda d: d["samples"].__setitem__(600, [1.0])), 2,
+                          "field.samples[600]: expected an object with keys ['g', 'phi', 'pos', 's'], got list"),
+    "bad_keys_after_bad_types": (_edited(_set(600, "s", True), _set(700, "kg", 1.0)), 2,
+                                 "field.samples[700]: expected an object with keys ['g', 'phi', 'pos', 's'], "
+                                 "got ['g', 'kg', 'phi', 'pos', 's']"),
+    "int_beyond_float_in_g_at_600": (_edited(_set(600, "g", 10 ** 400, 1)), 2,
+                                     "field.samples[600].g: int too large to convert to float"),
+    "s_column_before_g_column": (_edited(_set(600, "g", 10 ** 400, 1), _set(700, "s", -10 ** 400)), 2,
+                                 "field.samples[700].s: int too large to convert to float"),
+    "nan_phi_at_600": (_edited(_set(600, "phi", float("nan"))), 2,
+                       "field.samples: sample 600 (s=7.6, phi=nan): footprint, position and coordinates must be "
+                       "finite"),
+    "infinity_in_pos_at_600": (_edited(_set(600, "pos", float("inf"), 1)), 2,
+                               "field.samples: sample 600 (s=7.6, phi=4.516039439535327): footprint, position and "
+                               "coordinates must be finite"),
+    "duplicate_samples_key_second_bad": (_duplicate_samples(_keep, _set(600, "g", [1.0])), 2,
+                                         "field.samples[600]: 's' and 'phi' must be numbers, 'pos' and 'g' lists "
+                                         "of 3 numbers"),
+    "duplicate_samples_key_first_bad": (_duplicate_samples(_set(600, "g", [1.0]), _keep), 0, None),
+    "sample_as_carrier": (_edited(_sample_as("carrier")), 2,
+                          "field.carrier: profile descriptor must be an object with a 'kind'"),
+    "sample_in_a_sample": (_edited(lambda d: d["samples"][600].__setitem__("pos", copy.deepcopy(d["samples"][0]))),
+                           2, "field.samples[600]: 's' and 'phi' must be numbers, 'pos' and 'g' lists of 3 numbers"),
+    "document_a_sample": (lambda: json.dumps(_field_doc()["samples"][0]), 2,
+                          "field: unknown keys ['g', 'phi', 'pos', 's']"),
+    "header_error_before_samples": (_edited(_set(600, "g", [1.0]), lambda d: d.__setitem__("wavelength_nm", -5)),
+                                    2, "field.wavelength_nm: must be > 0, got -5.0"),
+    "int_coordinates": (_edited(_as_ints), 0, None),
+    "keys_reordered": (_edited(lambda d: d["samples"].__setitem__(5, dict(reversed(d["samples"][5].items())))),
+                       0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_FILE_CASES))
+def test_field_file_error_parity(tmp_path, capsys, case):
+    text, code, message = FIELD_FILE_CASES[case]
+    path = tmp_path / "field.json"
+    path.write_text(text())
+    got = _deform_through_cli(tmp_path, capsys, path)
+    expected = "" if message is None else json.dumps({"error": {"type": "ConfigError", "message": message}}) + "\n"
+    assert got == (code, expected)
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_FILE_CASES))
+def test_load_field_equals_the_plain_parse(tmp_path, case):
+    path = tmp_path / "field.json"
+    path.write_text(FIELD_FILE_CASES[case][0]())
+    outcomes = []
+    for load in (load_field, lambda p: field_from_dict(json.loads(p.read_text()))):
+        try:
+            field = load(path)
+            outcomes.append((field.s.tolist(), field.phi.tolist(), field.pos.tolist(), field.g.tolist(), field.grid))
+        except ConfigError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]

@@ -1,11 +1,11 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import traced_peak
 from hoedeform.deformation import rescale
 
 from hoedeform.diffraction import EVANESCENT
@@ -264,11 +264,10 @@ class TestSampleView:
     def test_iterating_the_samples_holds_one_chunk(self):
         field = record(W0, W65, CAP, PolarGrid(100, 100))
         assert len(field) == 10_001
-        tracemalloc.start()
-        try:
+
+        def iterate():
             for _ in field.samples:
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak(iterate)
         assert peak < 1_000_000, f"iterating {len(field)} samples peaked at {peak} bytes"

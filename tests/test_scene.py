@@ -1,24 +1,25 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
 import pickle
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import traced_peak
 from hoedeform import cli
 from hoedeform.deformation import induce_forward
 from hoedeform.errors import ConfigError, EmptyBundle, NoMinimumInRange
 from hoedeform.geometry import Vec3
 from hoedeform.diffraction import EVANESCENT, PROPAGATING
 from hoedeform.recording import CHUNK_ROWS, GratingVectorField, PolarGrid, record
-from hoedeform.config import load_scene_config
+from hoedeform.config import LINE_BREAKS, READ_BLOCK_CHARS, load_scene_config
 from hoedeform.pipeline import deform_stage, record_stage
 from hoedeform.scene import (
     PARALLEL_TOL,
@@ -386,9 +387,13 @@ def _write(path, lines):
 
 def _scan_rays(tmp_path, lines):
     """Exit code and stderr of ``scan --rays`` on ``lines``, run through cli.main."""
+    return _scan(tmp_path, _write(tmp_path / "rays.csv", lines))
+
+
+def _scan(tmp_path, rays):
+    """Exit code and stderr of ``scan --rays rays``, run through cli.main."""
     cfg = tmp_path / "scene.json"
     cfg.write_text(json.dumps({"wavelength": {"lambda_nm": 500.0}, "analysis": {"detector_z_mm": [50.0]}}))
-    rays = _write(tmp_path / "rays.csv", lines)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out"), "--rays", str(rays)])
@@ -472,16 +477,6 @@ def _boundary_trace(n):
     return trace_field(first, W0, efficiency=lambda f, probe: 0.5 + 0.25 * np.cos(f.phi))
 
 
-def _traced_peak(fn):
-    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestChunkedCodecs:
     @pytest.mark.parametrize("n", CHUNK_COUNTS)
     def test_rays_csv_matches_the_row_by_row_oracle(self, tmp_path, n):
@@ -525,14 +520,158 @@ class TestChunkedCodecs:
         trace = _bent_trace((100, 100))
         assert len(trace) == 10_001
         path = tmp_path / "rays.csv"
-        peak = _traced_peak(lambda: write_rays_csv(trace, path))
+        peak = traced_peak(lambda: write_rays_csv(trace, path))
         assert peak < path.stat().st_size, f"peak {peak} bytes for a {path.stat().st_size} byte file"
 
     def test_read_rays_csv_holds_less_than_three_files(self, tmp_path):
         path = tmp_path / "rays.csv"
         write_rays_csv(_bent_trace((100, 100)), path)
-        peak = _traced_peak(lambda: read_rays_csv(path))
+        peak = traced_peak(lambda: read_rays_csv(path))
         assert peak < 3 * path.stat().st_size, f"peak {peak} bytes for a {path.stat().st_size} byte file"
+
+    def test_read_rays_csv_holds_less_than_one_and_a_half_files(self, tmp_path):
+        path = tmp_path / "rays.csv"
+        write_rays_csv(_bent_trace((100, 100)), path)
+        peak = traced_peak(lambda: read_rays_csv(path))
+        assert peak < 1.5 * path.stat().st_size, f"peak {peak} bytes for a {path.stat().st_size} byte file"
+
+
+@functools.lru_cache(maxsize=None)
+def _long_rays():
+    return tuple(rays_file_lines(_boundary_trace(2 * CHUNK_ROWS + 1)))
+
+
+def _long_rays_lines():
+    """The lines of a rays.csv of 1 025 rows, about 2.8 read blocks long."""
+    return list(_long_rays())
+
+
+def _bad_rows(lines, rows):
+    """``lines`` with the malformed row ``rows[n]`` (a MALFORMED_ROWS case) on file line n."""
+    return [_malformed(ln, rows[i + 1]) if i + 1 in rows else ln for i, ln in enumerate(lines)]
+
+
+def _joined(lines, brk="\n", upto=None, edge=None):
+    """The text of ``lines``, the first ``upto`` (all by default) ended by ``brk`` and the rest by "\n".
+
+    With ``edge``, zeros lead the s cell of one row so that a ``brk`` starts at character ``edge``.
+    """
+    upto = len(lines) if upto is None else upto
+    ends = [brk] * upto + ["\n"] * (len(lines) - upto)
+    if edge is not None:
+        starts, at = [], 0
+        for ln, end in zip(lines, ends):
+            at += len(ln)
+            starts.append(at)
+            at += len(end)
+        row = max(i for i, at in enumerate(starts[:upto]) if at <= edge)
+        lines = _padded(lines, row + 1, edge - starts[row])
+    return "".join(ln + end for ln, end in zip(lines, ends))
+
+
+def _padded(lines, line, zeros):
+    """``lines`` with ``zeros`` zeros leading the s cell of file line ``line``."""
+    return lines[:line - 1] + ["0" * zeros + lines[line - 1]] + lines[line:]
+
+
+def _line_at(lines, offset):
+    """The file line number of the line that holds character ``offset`` of ``lines`` joined by "\n"."""
+    at = 0
+    for i, ln in enumerate(lines):
+        at += len(ln) + 1
+        if at > offset:
+            return i + 1
+
+
+def _with_byte(text, line, byte=b"\xff"):
+    """The UTF-8 bytes of ``text`` (lines ended by "\n") with ``byte`` two bytes into file line ``line``."""
+    data = text.encode("utf-8")
+    at = 0
+    for _ in range(line - 1):
+        at = data.index(b"\n", at) + 1
+    return data[:at + 2] + byte + data[at + 2:]
+
+
+def _status_across(lines, offset):
+    """``lines`` joined, with "é" ending the status cell of the row before the one that holds
+    character ``offset``, and zeros leading its s cell so that the two bytes of "é" straddle byte ``offset``."""
+    row = _line_at(lines, offset) - 2
+    parts = lines[row].split(",")
+    zeros = offset - 1 - sum(map(len, lines[:row])) - row - len(",".join(parts[:9]))
+    assert zeros >= 0
+    parts[0] = "0" * zeros + parts[0]
+    parts[8] += "é"
+    return ("\n".join(lines[:row] + [",".join(parts)] + lines[row + 1:]) + "\n").encode("utf-8")
+
+
+_B = READ_BLOCK_CHARS
+_STRAY_BREAKS = {"vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "nel": "\x85", "ls": "\u2028"}
+
+# Each file's exit code and message (<path> stands for the file) from
+# `scan --rays`, as the reader gave them when it read and split the whole
+# text before checking any row.
+RAYS_FILE_CASES = {
+    "rows_514_and_515": (lambda: _joined(_bad_rows(_long_rays_lines(), {514: "s_not_a_number",
+                                                                        515: "unknown_status"})),
+                         "rays file <path> line 514: could not convert string to float: 'banana'"),
+    "row_515": (lambda: _joined(_bad_rows(_long_rays_lines(), {515: "unknown_status"})),
+                "rays file <path> line 515: unknown status 'bogus'"),
+    "row_across_the_block_edge": (lambda: _joined(_bad_rows(_long_rays_lines(), {
+        _line_at(_long_rays_lines(), _B): "unknown_status"})), "rays file <path> line 347: unknown status 'bogus'"),
+    "row_starting_a_block": (lambda: _joined(_bad_rows(_long_rays_lines(), {
+        _line_at(_long_rays_lines(), _B): "unknown_status"}), edge=_B - 1),
+        "rays file <path> line 347: unknown status 'bogus'"),
+    **{f"{name}_breaks_then_bad_row": (lambda brk=brk: _joined(
+        _bad_rows(_long_rays_lines(), {700: "unknown_status"}), brk, upto=600, edge=_B - 1),
+        "rays file <path> line 700: unknown status 'bogus'") for name, brk in _STRAY_BREAKS.items()},
+    "crlf_across_the_block_edge": (lambda: _joined(_bad_rows(_long_rays_lines(), {700: "unknown_status"}), "\r\n",
+                                                   edge=_B - 1).encode("utf-8"),
+                                   "rays file <path> line 700: unknown status 'bogus'"),
+    "row_over_three_blocks_then_bad_row": (lambda: _joined(_bad_rows(_padded(_long_rays_lines(), 300, 2 * _B),
+                                                                     {700: "unknown_status"})),
+                                           "rays file <path> line 700: unknown status 'bogus'"),
+    "cr_newlines": (lambda: _joined(_bad_rows(_long_rays_lines(), {700: "unknown_status"}), "\r"),
+                    "rays file <path> line 700: unknown status 'bogus'"),
+    "two_byte_status_across_the_block_edge": (lambda: _status_across(_long_rays_lines(), _B),
+                                              "rays file <path> line 346: unknown status 'propagatingé'"),
+    "bad_utf8_after_a_bad_row": (lambda: _with_byte(_joined(_bad_rows(_long_rays_lines(),
+                                                                      {20: "unknown_status"})), 900),
+                                 "rays file <path> cannot be read: 'utf-8' codec can't decode byte 0xff in position "
+                                 "161264: invalid start byte"),
+    "bad_utf8_in_the_block_of_a_bad_row": (lambda: _with_byte(_joined(_bad_rows(_long_rays_lines(),
+                                                                                {20: "unknown_status"})), 25),
+                                           "rays file <path> cannot be read: 'utf-8' codec can't decode byte 0xff in "
+                                           "position 4345: invalid start byte"),
+    "bad_utf8_before_a_bad_row": (lambda: _with_byte(_joined(_bad_rows(_long_rays_lines(),
+                                                                       {900: "unknown_status"})), 10),
+                                  "rays file <path> cannot be read: 'utf-8' codec can't decode byte 0xff in position "
+                                  "1413: invalid start byte"),
+    "bad_utf8_after_a_bad_header": (lambda: _with_byte(_joined(["s,phi"] + _long_rays_lines()[1:]), 900),
+                                    "rays file <path> cannot be read: 'utf-8' codec can't decode byte 0xff in "
+                                    "position 161241: invalid start byte"),
+}
+
+
+class TestStreamedRaysCsv:
+    @pytest.mark.parametrize("case", sorted(RAYS_FILE_CASES))
+    def test_rays_file_error_parity(self, tmp_path, case):
+        content, message = RAYS_FILE_CASES[case]
+        path = tmp_path / "rays.csv"
+        content = content()
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content, newline="")
+        got = _scan(tmp_path, path)
+        message = message.replace("<path>", str(path))
+        assert got == (2, json.dumps({"error": {"type": "ConfigError", "message": message}}) + "\n")
+
+    @pytest.mark.parametrize("brk", [*_STRAY_BREAKS.values(), "\r", "\r\n"])
+    def test_line_breaks_on_the_block_edge_read_the_same_rays(self, tmp_path, brk):
+        lines = _long_rays_lines()
+        path = tmp_path / "rays.csv"
+        path.write_text(_joined(lines, brk, edge=_B - 1), newline="")
+        assert read_rays_csv(path) == read_rays_csv(_write(tmp_path / "plain.csv", lines))
+
+    def test_line_breaks_are_those_of_splitlines(self):
+        assert LINE_BREAKS == {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
 
 
 class TestRayValidation:
