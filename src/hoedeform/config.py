@@ -363,7 +363,7 @@ def _line_chunks(fh: TextIO, path: Union[str, os.PathLike], what: str) -> Iterat
 def load_scene_config(path: Union[str, os.PathLike]) -> SceneConfig:
     try:
         doc = json.loads(read_input(path, "config"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")

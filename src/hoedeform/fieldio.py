@@ -220,7 +220,7 @@ def load_field(path: Union[str, os.PathLike]) -> GratingVectorField:
 
     try:
         doc = json.loads(text, object_hook=take)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
         raise ConfigError(f"field file {path} is not valid JSON: {exc}") from exc
     numbers = np.concatenate([np.frombuffer(c, dtype=float) for c in chunks])
     recs = doc.get("samples") if type(doc) is dict else None

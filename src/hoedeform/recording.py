@@ -8,9 +8,9 @@ deformation transport acts on; the world-space vector is derived on demand.
 A field stores its samples as arrays: footprints ``s`` and ``phi`` (N),
 world positions ``pos`` and frame coordinates ``g`` (N x 3), 64 bytes per
 sample. Frames are recomputed from the carrier's closed form on demand.
-``GratingVectorField.samples`` is a lazy sequence of per-sample
-:class:`GratingSample` records, built ``CHUNK_ROWS`` rows at a time; fields
-are only ever built from arrays.
+Fields are only ever built from arrays. Iterating ``field.samples`` builds
+per-sample :class:`GratingSample` records ``CHUNK_ROWS`` rows at a time;
+they remain only for the benchmark harness in ``perfbench/``.
 
 Two recording geometries get dedicated diagnostics here:
 
@@ -24,7 +24,6 @@ Two recording geometries get dedicated diagnostics here:
 from __future__ import annotations
 
 import contextlib
-import math
 import operator
 from collections import abc
 from dataclasses import dataclass
@@ -33,12 +32,11 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, HoedeformError, PointNotOnEllipsoid, at_sample
-from .geometry import Vec3, cross, dot, first_index, frames, norms, raise_first
+from .geometry import TWO_PI, Vec3, cross, dot, first_index, frames, norms, raise_first
 from .surfaces import DOMAIN_GUARD, SurfaceProfile
 from .units import path_mm_to_um
 from .waves import Wave, WaveKind, local_wavevectors, require_same_wavelength
 
-TWO_PI = 2.0 * math.pi
 # Rows per chunk wherever per-sample records or text rows are built from
 # arrays, so that their transient memory does not grow with the sample count.
 CHUNK_ROWS = 512
@@ -224,20 +222,17 @@ class GratingVectorField:
 
     @property
     def samples(self) -> "FieldSamples":
-        """The samples as a lazy sequence of :class:`GratingSample` records."""
+        """The samples' :class:`GratingSample` records, built as they are iterated."""
         return FieldSamples(self)
 
     def __len__(self) -> int:
         return self.s.shape[0]
 
 
-class FieldSamples(abc.Sequence):
-    """Read-only sequence of the :class:`GratingSample` records of a field.
-
-    Records are built from the field's arrays on access: iteration builds
-    ``CHUNK_ROWS`` at a time, an index one, a slice a tuple of its rows.
-    Equal to any sequence of equal records, in order.
-    """
+class FieldSamples:
+    """The :class:`GratingSample` records of a field, built from its arrays
+    ``CHUNK_ROWS`` at a time as they are iterated. Equal to any sequence of
+    equal records, in order."""
 
     __slots__ = ("_field",)
 
@@ -247,23 +242,16 @@ class FieldSamples(abc.Sequence):
     def __len__(self) -> int:
         return len(self._field)
 
-    def __getitem__(self, i):
-        rows = range(len(self))[i]
-        if isinstance(rows, range):
-            return tuple(self._records(np.arange(rows.start, rows.stop, rows.step)))
-        return self._records(slice(rows, rows + 1))[0]
-
     def __iter__(self):
         for lo in range(0, len(self), CHUNK_ROWS):
             yield from self._records(slice(lo, lo + CHUNK_ROWS))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, abc.Sequence) and len(self) == len(other) and all(map(operator.eq, self, other))
+        return (isinstance(other, (abc.Sequence, FieldSamples)) and len(self) == len(other)
+                and all(map(operator.eq, self, other)))
 
-    __hash__ = None
-
-    def _records(self, rows) -> list:
-        """The records of ``rows`` (a slice or an index array) of the field."""
+    def _records(self, rows: slice) -> list:
+        """The records of the rows ``rows`` of the field."""
         f = self._field
         s, phi, g = f.s[rows], f.phi[rows], f.g[rows]
         t, b, n = (v.tolist() for v in frames(f.carrier, s, phi))

@@ -7,6 +7,10 @@ planes quantify focusing and astigmatism: the z positions minimizing the
 x and y RMS spot sizes are located separately, and their gap is the
 astigmatism measure.
 
+A :class:`Trace` and a :class:`RayBundle` hold arrays; the row views that
+iterating them yields (:class:`TraceRecord`, :class:`Ray`) remain only for
+the benchmark harness in ``perfbench/``.
+
 CSV emission is deterministic: fixed sample ordering, decimal values with
 17 significant digits, LF newlines.
 """
@@ -25,7 +29,7 @@ import numpy as np
 from .config import read_lines
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
 from .fieldio import format_column, write_rows
-from .geometry import TWO_PI, Vec3, first_index, norms
+from .geometry import TWO_PI, Vec3, first_index, norms, raise_first
 from .diffraction import (EVANESCENT, MODES, STATUSES, DiffractionResult, DiffractionStatus, EfficiencyHook,
                           diffract)
 from .recording import CHUNK_ROWS, GratingVectorField, hook_values, sample_context
@@ -36,23 +40,14 @@ PARALLEL_TOL = 1e-12
 
 
 class Ray:
-    """Propagation ray: origin (mm), unit direction, efficiency weight.
-
-    One row of (origins, directions, weights) arrays, read on access.
-    ``Ray(origin, direction, weight)`` checks its values and stores one-row
-    arrays; a :class:`Trace` or :class:`RayBundle` yields views of its rows.
-    """
+    """Propagation ray, a view of row ``row`` of (origins, directions,
+    weights) arrays: origin (mm), unit direction and efficiency weight, read
+    on access. A :class:`Trace` or :class:`RayBundle` yields them."""
 
     __slots__ = ("_arrays", "_row")
 
-    def __init__(self, origin: Vec3, direction: Vec3, weight: float = 1.0):
-        if abs(direction.norm() - 1.0) > 1e-12:
-            raise ValueError(f"ray direction must be unit length, |d| = {direction.norm()!r}")
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"ray weight must be in [0, 1], got {weight}")
-        row = np.array([[*origin.as_tuple(), *direction.as_tuple(), weight]], dtype=float)
-        _SET_ARRAYS(self, _read_only(row[:, :3], row[:, 3:6], row[:, 6]))
-        _SET_ROW(self, 0)
+    def __init__(self, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], row: int):
+        self._arrays, self._row = arrays, row
 
     @property
     def origin(self) -> Vec3:
@@ -73,29 +68,6 @@ class Ray:
     def __eq__(self, other):
         return self._values() == other._values() if other.__class__ is Ray else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"Ray(origin={self.origin!r}, direction={self.direction!r}, weight={self.weight!r})"
-
-    def __reduce__(self):
-        return Ray, (self.origin, self.direction, self.weight)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-
-_SET_ARRAYS, _SET_ROW = Ray._arrays.__set__, Ray._row.__set__
-
-
-def _row_ray(arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], row: int) -> Ray:
-    """The Ray that views row ``row`` of checked (origins, directions, weights) arrays."""
-    ray = object.__new__(Ray)
-    _SET_ARRAYS(ray, arrays)
-    _SET_ROW(ray, row)
-    return ray
-
 
 def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     """The arrays, made read-only: rays built from their rows must keep matching them."""
@@ -104,67 +76,65 @@ def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     return arrays
 
 
-def _broken_rays(origins: np.ndarray, directions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The rows that break the rules of a :class:`Ray`: finite values, |d| = 1
-    within 1e-12 and a weight in [0, 1]."""
+def _ray_checks(origins: np.ndarray, directions: np.ndarray, weights: np.ndarray) -> list:
+    """The rules of a ray as ``geometry.raise_first`` checks of the rows, in
+    the order they are reported: a finite origin, a finite direction,
+    |d| = 1 within 1e-12 and a weight in [0, 1]."""
     with np.errstate(over="ignore"):  # |d| overflows to inf, as in float math
-        return ~(np.isfinite(origins).all(axis=1) & np.isfinite(directions).all(axis=1)
-                 & (np.abs(norms(directions) - 1.0) <= 1e-12) & (weights >= 0.0) & (weights <= 1.0))
+        length = norms(directions)
+    return [
+        (~np.isfinite(origins).all(axis=1),
+         lambda i: ValueError(f"Vec3 components must be finite, got {tuple(origins[i].tolist())}")),
+        (~np.isfinite(directions).all(axis=1),
+         lambda i: ValueError(f"Vec3 components must be finite, got {tuple(directions[i].tolist())}")),
+        (~(np.abs(length - 1.0) <= 1e-12),
+         lambda i: ValueError(f"ray direction must be unit length, |d| = {float(length[i])!r}")),
+        (~((weights >= 0.0) & (weights <= 1.0)),
+         lambda i: ValueError(f"ray weight must be in [0, 1], got {float(weights[i])}")),
+    ]
 
 
-class RayBundle(abc.Sequence):
+class RayBundle:
     """Rays as arrays: origins and unit directions (N x 3) and weights (N).
 
-    The arrays are checked by the rules of a :class:`Ray` (the first failing
-    row raises its error) and made read-only; indexing yields views of rows.
+    The arrays are checked by ``_ray_checks`` (the first failing row raises)
+    and made read-only; iteration yields :class:`Ray` views of the rows.
     """
 
     __slots__ = ("origins", "directions", "weights", "_arrays")
 
     def __init__(self, origins: np.ndarray, directions: np.ndarray, weights: np.ndarray):
-        i = first_index(_broken_rays(origins, directions, weights))
-        if i is not None:
-            Ray(Vec3(*origins[i].tolist()), Vec3(*directions[i].tolist()), float(weights[i]))  # raises its error
+        raise_first(_ray_checks(origins, directions, weights))
         self._arrays = _read_only(origins, directions, weights)
         self.origins, self.directions, self.weights = self._arrays
 
     def __len__(self) -> int:
         return self.weights.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return RayBundle(self.origins[i], self.directions[i], self.weights[i])
-        return _row_ray(self._arrays, range(len(self))[i])
-
     def __iter__(self):
-        return map(_row_ray, repeat(self._arrays), range(len(self)))
+        return map(Ray, repeat(self._arrays), range(len(self)))
 
     def __eq__(self, other) -> bool:  # equal to any sequence of equal rays, in order
-        return isinstance(other, abc.Sequence) and len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
+        return (isinstance(other, (abc.Sequence, RayBundle)) and len(self) == len(other)
+                and all(map(operator.eq, self, other)))
 
 
 class TraceRecord:
-    """Per-sample trace outcome, a view of one row of a :class:`Trace`.
+    """Per-sample trace outcome, a view of row ``index`` of a :class:`Trace`.
 
     ``ray`` is None for evanescent samples; it is built on first access and
     kept. The other attributes are built on every access.
     """
 
-    __slots__ = ("_trace", "_row", "_code", "_ray")
+    __slots__ = ("_trace", "index", "_code", "_ray")
 
-    def __init__(self, trace: "Trace", row: int, code: int):
-        self._trace, self._row, self._code = trace, row, code
+    def __init__(self, trace: "Trace", index: int, code: int):
+        self._trace, self.index, self._code = trace, index, code
         self._ray = None if code == EVANESCENT else False
 
     @property
-    def index(self) -> int:
-        return int(self._trace.index[self._row])
-
-    @property
     def position(self) -> Vec3:
-        return Vec3(*self._trace.pos[self._row].tolist())
+        return Vec3(*self._trace.pos[self.index].tolist())
 
     @property
     def status(self) -> DiffractionStatus:
@@ -173,41 +143,35 @@ class TraceRecord:
     @property
     def ray(self) -> Optional[Ray]:
         if self._ray is False:
-            self._ray = _row_ray(self._trace._arrays, self._row)
+            self._ray = Ray(self._trace._arrays, self.index)
         return self._ray
 
     @property
     def result(self) -> DiffractionResult:
-        tr, i = self._trace, self._row
+        tr, i = self._trace, self.index
         kd = None if self._code == EVANESCENT else Vec3(*tr.kd[i].tolist())
         return DiffractionResult(kd, self.status, float(tr.mismatch[i]), float(tr.eta[i]))
 
 
-class Trace(abc.Sequence):
+class Trace:
     """The trace of a field, one row per sample, held as arrays.
 
-    ``index``, footprint ``s`` and ``phi``, position ``pos``, diffracted
-    wavevector ``kd`` and unit ``direction`` (N x 3, zero rows where
-    evanescent), ``status`` codes (``diffraction.STATUSES``), Bragg
-    ``mismatch`` and efficiency ``eta``. The arrays are authoritative and
-    read-only; indexing and iteration yield :class:`TraceRecord` views.
+    Footprint ``s`` and ``phi``, position ``pos``, diffracted wavevector
+    ``kd`` and unit ``direction`` (N x 3, zero rows where evanescent),
+    ``status`` codes (``diffraction.STATUSES``), Bragg ``mismatch`` and
+    efficiency ``eta``. The arrays are authoritative and read-only;
+    iteration yields :class:`TraceRecord` views.
     """
 
-    __slots__ = ("index", "s", "phi", "pos", "kd", "direction", "status", "mismatch", "eta", "_arrays")
+    __slots__ = ("s", "phi", "pos", "kd", "direction", "status", "mismatch", "eta", "_arrays")
 
-    def __init__(self, index, s, phi, pos, kd, direction, status, mismatch, eta):
-        self.index, self.s, self.phi, self.pos, self.kd, self.direction, self.status, self.mismatch, self.eta = (
-            _read_only(index, s, phi, pos, kd, direction, status, mismatch, eta))
+    def __init__(self, s, phi, pos, kd, direction, status, mismatch, eta):
+        self.s, self.phi, self.pos, self.kd, self.direction, self.status, self.mismatch, self.eta = (
+            _read_only(s, phi, pos, kd, direction, status, mismatch, eta))
         self._arrays = (pos, direction, eta)
 
     def __len__(self) -> int:
         return self.status.shape[0]
-
-    def __getitem__(self, i):
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError("trace index out of range")
-        return TraceRecord(self, i % n, int(self.status[i]))
 
     def __iter__(self):
         return map(TraceRecord, repeat(self), range(len(self)), self.status.tolist())
@@ -256,7 +220,7 @@ def trace_field(
         i = first_index(live & ~(np.abs(unit - 1.0) <= 1e-12))
         if i is not None:
             raise at_sample(ValueError(f"ray direction must be unit length, |d| = {float(unit[i])!r}"), i)
-    return Trace(np.arange(n), field.s, field.phi, field.pos, kd, direction, status, mismatch, eta)
+    return Trace(field.s, field.phi, field.pos, kd, direction, status, mismatch, eta)
 
 
 _ARRAYS, _ROW = operator.attrgetter("_arrays"), operator.attrgetter("_row")
@@ -509,11 +473,16 @@ def _row_error(where: str, parts: list, code: int) -> ConfigError:
         return ConfigError(f"{where}: unknown status {parts[8]!r}")
     if (code == EVANESCENT) != (parts[5:8] == ["", "", ""]):
         return ConfigError(f"{where}: the direction must be empty exactly on evanescent rows")
+    cells = (parts[2:5], parts[5:8], parts[9:10], [])
+    checks = _ray_checks(*(np.array([[_float_or_nan(v) for v in c]]) for c in cells[:2]),
+                         np.array([_float_or_nan(parts[9])]))
     try:
-        origin = Vec3(*map(float, parts[2:5]))
-        if code != EVANESCENT:
-            Ray(origin, Vec3(*map(float, parts[5:8])), float(parts[9]))
-        elif float(parts[9]) != 0.0:
+        # each group of cells parses (float's error) just before the next rule; the weight before |d| = 1
+        for group, (mask, make) in zip(cells, checks if code != EVANESCENT else checks[:1]):
+            list(map(float, group))
+            if mask[0]:
+                raise make(0)
+        if code == EVANESCENT and float(parts[9]) != 0.0:
             raise ValueError(f"evanescent rows must have weight 0, got {parts[9]}")
         s, phi = float(parts[0]), float(parts[1])
         if not (math.isfinite(s) and s >= 0.0):
@@ -534,8 +503,9 @@ def read_rays_csv(path) -> RayBundle:
     gives; the file is read a block at a time and its rows are parsed and
     checked ``CHUNK_ROWS`` at a time, so a read holds one chunk of the file,
     never all of it. The first malformed row is a ConfigError naming its
-    line, which for a bad ray carries the error of the :class:`Ray` built
-    from that row alone; a file that is not UTF-8 is read_input's ConfigError.
+    line, which for a bad ray carries the error of the first ray rule
+    (``_ray_checks``) that row breaks; a file that is not UTF-8 is
+    read_input's ConfigError.
     """
     with read_lines(path, "rays") as chunks:
         first = next(chunks, [])
@@ -551,8 +521,8 @@ def read_rays_csv(path) -> RayBundle:
             values = np.column_stack([_parse_column(columns[k], k in (0, 1, 9)) for k in (0, 1, 2, 3, 4, 5, 6, 7, 9)])
             s, phi, pos, weights = values[:, 0], values[:, 1], values[:, 2:5], values[:, 8]
             live = code[ok] != EVANESCENT
-            bad[ok] |= (np.where(live, _broken_rays(pos, values[:, 5:8], weights),
-                                 ~np.isfinite(pos).all(axis=1) | (weights != 0.0))
+            checks = _ray_checks(pos, values[:, 5:8], weights)  # an evanescent row keeps the origin rule
+            bad[ok] |= (np.where(live, np.logical_or.reduce([m for m, _ in checks]), checks[0][0] | (weights != 0.0))
                         | ~(np.isfinite(s) & (s >= 0.0) & (phi >= 0.0) & (phi < TWO_PI)))
             i = first_index(bad)
             if i is not None:

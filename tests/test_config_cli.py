@@ -300,6 +300,23 @@ class TestCliExitCodes:
         assert code == 2
         assert err.count("\n") == 1 and json.loads(err)["error"]["type"] == "ConfigError"
 
+    # 200 000 levels overflow the JSON decoder's recursion limit; 900 decode and fail the document checks
+    @pytest.mark.parametrize("depth", [200_000, 900], ids=["deep", "shallow"])
+    @pytest.mark.parametrize("verb, flag, shallow", [
+        ("run", "--config", "config root must be a JSON object"),
+        ("trace", "--field", "field: expected an object, got list"),
+    ], ids=["config", "field"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, depth, verb, flag, shallow):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * depth + "]" * depth)
+        args = ["--config", str(nested)] if flag == "--config" else [
+            "--config", str(CONFIG_DIR / "combiner_deformed.json"), flag, str(nested)]
+        res = run_cli(verb, *args, "--out", str(tmp_path / "o"))
+        message = shallow if depth == 900 else (f"{flag[2:]} file {nested} is not valid JSON: maximum recursion "
+                                                f"depth exceeded while decoding a JSON array from a unicode string")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == json.dumps({"error": {"type": "ConfigError", "message": message}}) + "\n"
+
     @pytest.mark.parametrize("argv", [
         ["run", "--out", "o"],
         ["run", "--config", "scene.json", "--out", "o", "--seed", "abc"],
@@ -388,9 +405,8 @@ class TestShippedConfigs:
         res = run_cli("run", "--config", str(CONFIG_DIR / "plane_wave_planar.json"), "--out", str(out))
         assert res.returncode == 0
         rays = read_rays_csv(out / "rays.csv")
-        ref = rays[0].direction
-        for ray in rays[1:]:
-            d = ray.direction
+        ref, *rest = (ray.direction for ray in rays)
+        for d in rest:
             assert math.atan2(d.cross(ref).norm(), d.dot(ref)) < 1e-9
 
     def test_deformed_scene_reports_astigmatic_focus(self, tmp_path):

@@ -46,9 +46,10 @@ class TestForward:
     def test_vertex_sample_unchanged(self):
         field = record(W0, W65, FLAT, PolarGrid(4, 8))
         out = induce_forward(field, CAP, Projection.orthogonal())
-        assert out.samples[0].position.as_tuple() == (0.0, 0.0, 0.0)
-        assert out.samples[0].coords == field.samples[0].coords
-        assert (out.samples[0].kg_world() - field.samples[0].kg_world()).norm() == 0.0
+        vertex, source = next(iter(out.samples)), next(iter(field.samples))
+        assert vertex.position.as_tuple() == (0.0, 0.0, 0.0)
+        assert vertex.coords == source.coords
+        assert (vertex.kg_world() - source.kg_world()).norm() == 0.0
 
     def test_world_vector_rotates_with_frame_tilt(self):
         field = record(W0, W65, FLAT, PolarGrid(5, 4))
@@ -232,7 +233,7 @@ class TestResample:
         # on a planar carrier; matching azimuths make the resample exact
         field = record(W0, W65, FLAT, PolarGrid(5, 8))
         out = resample_field(field, PolarGrid(7, 8, s_max=9.0))
-        ref = field.samples[0].kg_world()
+        ref = next(iter(field.samples)).kg_world()
         for smp in out.samples:
             assert (smp.kg_world() - ref).norm() <= 1e-11
 
@@ -261,7 +262,7 @@ class TestResample:
         base = record(W0, W65, FLAT, PolarGrid(10, 8))
         graded = rescale(base, lambda f: 1.0 + 0.05 * f.s)
         out = resample_field(graded, PolarGrid(6, 8, s_max=8.5, include_vertex=False))
-        k0 = base.samples[1].magnitude
+        k0 = float(base.magnitudes[1])
         for smp in out.samples:
             expected = (1.0 + 0.05 * smp.s) * k0
             assert abs(smp.magnitude - expected) <= 1e-6 * expected

@@ -9,9 +9,12 @@ vector raytrace equation for holograms on curved surfaces (W. T. Welford,
 Opt. Commun. 14, 322, 1975): the tangential part of kd - kp equals that of
 kg. In energy mode every propagating kd is as long as kp. Both are stated
 from the carrier frames of the bent field and the probe evaluated at the
-sample positions, not through the closure.
+sample positions, not through the closure. Replaying a recording on its own
+carrier with the first recording wave gives the second wave's direction,
+and mirroring the scene in y mirrors the trace.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from hoedeform.deformation import induce_forward
 from hoedeform.diffraction import EVANESCENT, PROPAGATING
-from hoedeform.geometry import Vec3, combine, dot, norms
+from hoedeform.geometry import TWO_PI, Vec3, combine, cross, dot, norms
 from hoedeform.recording import PolarGrid, record
 from hoedeform.scene import trace_field
 from hoedeform.surfaces import Projection, SurfaceProfile
@@ -58,8 +61,8 @@ def waves(draw, wavelength=LAM):
 
 
 @st.composite
-def scenes(draw):
-    """(bent field, probe, closure mode) of a drawn scene."""
+def setups(draw):
+    """(w1, w2, grid, carrier, projection, probe, closure mode) of a drawn scene."""
     radius = draw(st.floats(30.0, 200.0))
     carrier = _carrier(draw(st.sampled_from(["planar", "sphere_cap", "custom_convex"])), radius)
     regime = draw(st.sampled_from(["orthogonal", *CENTER_REGIMES]))
@@ -68,9 +71,26 @@ def scenes(draw):
     else:
         projection = Projection.from_center_z(draw(st.floats(*CENTER_REGIMES[regime])) * radius)
     grid = PolarGrid(draw(st.integers(1, 5)), draw(st.integers(1, 9)))
-    field = induce_forward(record(draw(waves()), draw(waves()), FILM, grid), carrier, projection)
+    w1, w2 = draw(waves()), draw(waves())
     probe = draw(waves(Wavelength(draw(st.floats(450.0, 650.0)))))
-    return field, probe, draw(st.sampled_from(["basic", "energy"]))
+    return w1, w2, grid, carrier, projection, probe, draw(st.sampled_from(["basic", "energy"]))
+
+
+def _bent(w1, w2, grid, carrier, projection):
+    """The field recorded on the planar film and bent onto ``carrier``."""
+    return induce_forward(record(w1, w2, FILM, grid), carrier, projection)
+
+
+def scenes():
+    """(bent field, probe, closure mode) of a drawn scene."""
+    return setups().map(lambda setup: (_bent(*setup[:5]), *setup[5:]))
+
+
+def _mirrored(wave):
+    """``wave`` mirrored in y -> -y."""
+    key = "direction" if wave.point is None else "point"
+    v = getattr(wave, key)
+    return dataclasses.replace(wave, **{key: Vec3(v.x, -v.y, v.z)})
 
 
 def _tangential(v, n):
@@ -100,3 +120,34 @@ def test_energy_mode_keeps_the_probe_length(scene):
     kp = norms(local_wavevectors(probe, field.pos))
     propagating = trace.status == PROPAGATING
     assert np.all(np.abs(norms(trace.kd) - kp)[propagating] <= 1e-12 * kp[propagating])
+
+
+@INVARIANTS
+@given(setup=setups())
+def test_on_bragg_replay_gives_the_second_wave(setup):
+    # recorded on the carrier itself (no bend) and replayed by w1: kd runs along w2
+    w1, w2, grid, carrier, _, _, _ = setup
+    field = record(w1, w2, carrier, grid)
+    trace = trace_field(field, w1, mode="energy")
+    assert not (trace.status == EVANESCENT).any()
+    k2 = local_wavevectors(w2, field.pos)
+    angle = np.arctan2(norms(cross(trace.direction, k2)), dot(trace.direction, k2))
+    assert np.all(angle <= 1e-9), angle.max()
+
+
+@INVARIANTS
+@given(setup=setups())
+def test_mirroring_the_scene_in_y_mirrors_the_trace(setup):
+    w1, w2, grid, carrier, projection, probe, mode = setup
+    base = trace_field(_bent(w1, w2, grid, carrier, projection), probe, mode)
+    mirrored = trace_field(_bent(_mirrored(w1), _mirrored(w2), grid, carrier, projection), _mirrored(probe), mode)
+    # azimuth index j of every ring goes to (n_phi - j) mod n_phi; the vertex stays
+    ring, azimuth = np.divmod(np.arange(grid.n_s * grid.n_phi), grid.n_phi)
+    perm = np.concatenate(([0], 1 + ring * grid.n_phi + (grid.n_phi - azimuth) % grid.n_phi))
+    assert np.all(np.abs(mirrored.s[perm] - base.s) <= 1e-12 * np.maximum(base.s, 1.0))
+    assert np.all(np.abs(mirrored.phi[perm] - np.mod(TWO_PI - base.phi, TWO_PI)) <= 1e-12)
+    assert np.array_equal(mirrored.status[perm], base.status)
+    flip = np.array([1.0, -1.0, 1.0])
+    for name in ("pos", "kd", "direction"):
+        a, b = getattr(mirrored, name)[perm], getattr(base, name) * flip
+        assert np.all(norms(a - b) <= 1e-12 * np.maximum(norms(b), 1.0)), name

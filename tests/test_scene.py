@@ -1,10 +1,8 @@
 import contextlib
-import copy
 import functools
 import io
 import json
 import math
-import pickle
 import tempfile
 from pathlib import Path
 
@@ -24,7 +22,6 @@ from hoedeform.pipeline import deform_stage, record_stage
 from hoedeform.scene import (
     PARALLEL_TOL,
     PlaneHits,
-    Ray,
     RayBundle,
     focal_scan,
     intersect_plane,
@@ -52,14 +49,20 @@ def _max_pairwise_angle(dirs):
     return worst
 
 
+def _bundle(rays):
+    """The RayBundle of (origin, direction) Vec3 pairs, each of weight 1."""
+    return RayBundle(np.array([o.as_tuple() for o, _ in rays], dtype=float).reshape(-1, 3),
+                     np.array([d.as_tuple() for _, d in rays], dtype=float).reshape(-1, 3), np.ones(len(rays)))
+
+
 def _converging_bundle(focus: Vec3, n=40, radius=8.0):
     rays = []
     for i in range(n):
         phi = 2 * math.pi * i / n
         r = radius * (0.3 + 0.7 * (i % 5) / 4.0)
         origin = Vec3(r * math.cos(phi), r * math.sin(phi), 0.0)
-        rays.append(Ray(origin, (focus - origin).normalized()))
-    return rays
+        rays.append((origin, (focus - origin).normalized()))
+    return _bundle(rays)
 
 
 class TestTraceField:
@@ -135,31 +138,31 @@ def test_mirroring_the_scene_in_y_mirrors_the_trace(proj):
 
 class TestIntersectPlane:
     def test_axial_ray(self):
-        hits = intersect_plane([Ray(Vec3(0, 0, 0), Vec3(0, 0, 1))], 10.0)
+        hits = intersect_plane(_bundle([(Vec3(0, 0, 0), Vec3(0, 0, 1))]), 10.0)
         assert hits.hits[0][1][0] == 0.0 and hits.hits[0][1][1] == 0.0
 
     def test_similar_triangles(self):
-        hits = intersect_plane([Ray(Vec3(0, 0, 0), Vec3(0.6, 0.0, 0.8))], 8.0)
+        hits = intersect_plane(_bundle([(Vec3(0, 0, 0), Vec3(0.6, 0.0, 0.8))]), 8.0)
         pt = hits.hits[0][1]
         assert abs(pt[0] - 6.0) < 1e-12 and pt[1] == 0.0
 
     def test_parallel_ray_flagged(self):
-        hits = intersect_plane([Ray(Vec3(0, 0, 0), Vec3(1, 0, 0))], 5.0)
+        hits = intersect_plane(_bundle([(Vec3(0, 0, 0), Vec3(1, 0, 0))]), 5.0)
         assert hits.parallel == (0,) and hits.hits == ()
 
     def test_behind_ray_flagged(self):
-        hits = intersect_plane([Ray(Vec3(0, 0, 10.0), Vec3(0, 0, 1))], 5.0)
+        hits = intersect_plane(_bundle([(Vec3(0, 0, 10.0), Vec3(0, 0, 1))]), 5.0)
         assert hits.behind == (0,)
 
     def test_hits_affine_in_z(self):
         rng = np.random.default_rng(51)
         for _ in range(20):
             d = Vec3(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 1.0).normalized()
-            ray = Ray(Vec3(*rng.uniform(-5, 5, 2), 0.0), d)
+            ray = _bundle([(Vec3(*rng.uniform(-5, 5, 2), 0.0), d)])
             z1, z2, z3 = 10.0, 20.0, 30.0
-            p1 = intersect_plane([ray], z1).hits[0][1]
-            p2 = intersect_plane([ray], z2).hits[0][1]
-            p3 = intersect_plane([ray], z3).hits[0][1]
+            p1 = intersect_plane(ray, z1).hits[0][1]
+            p2 = intersect_plane(ray, z2).hits[0][1]
+            p3 = intersect_plane(ray, z3).hits[0][1]
             # midpoint of p1 and p3 equals p2 for equispaced planes
             assert abs(0.5 * (p1[0] + p3[0]) - p2[0]) < 1e-12
             assert abs(0.5 * (p1[1] + p3[1]) - p2[1]) < 1e-12
@@ -206,8 +209,8 @@ def _astigmatic_bundle(n=24):
         phi = 2 * math.pi * (i + 0.3) / n
         x0, y0 = 6.0 * math.cos(phi), 6.0 * math.sin(phi)
         d = Vec3(-x0 / 60.0, -y0 / 80.0, 1.0).normalized()
-        rays.append(Ray(Vec3(x0, y0, 0.0), d))
-    return rays
+        rays.append((Vec3(x0, y0, 0.0), d))
+    return _bundle(rays)
 
 
 class TestFocalScan:
@@ -226,18 +229,18 @@ class TestFocalScan:
 
     def test_parallel_bundle_has_no_minimum(self):
         d = Vec3(0.1, 0.0, 1.0).normalized()
-        rays = [Ray(Vec3(x, y, 0.0), d) for x in (-3.0, 0.0, 3.0) for y in (-2.0, 2.0)]
+        rays = _bundle([(Vec3(x, y, 0.0), d) for x in (-3.0, 0.0, 3.0) for y in (-2.0, 2.0)])
         with pytest.raises(NoMinimumInRange):
             focal_scan(rays, (10.0, 50.0), 41)
 
     def test_diverging_bundle_has_no_interior_minimum(self):
-        rays = [Ray(Vec3(x, 0, 0.0), Vec3(x / 50.0, 0, 1.0).normalized()) for x in (-4.0, -2.0, 2.0, 4.0)]
+        rays = _bundle([(Vec3(x, 0, 0.0), Vec3(x / 50.0, 0, 1.0).normalized()) for x in (-4.0, -2.0, 2.0, 4.0)])
         with pytest.raises(NoMinimumInRange):
             focal_scan(rays, (10.0, 50.0), 41)
 
     def test_empty_bundle(self):
         with pytest.raises(EmptyBundle):
-            focal_scan([Ray(Vec3(0, 0, 0), Vec3(0, 0, 1))], (10.0, 50.0), 11)
+            focal_scan(_bundle([(Vec3(0, 0, 0), Vec3(0, 0, 1))]), (10.0, 50.0), 11)
 
     def test_range_must_be_forward_of_origins(self):
         rays = _converging_bundle(Vec3(0, 0, 55.0))
@@ -245,7 +248,7 @@ class TestFocalScan:
             focal_scan(rays, (-5.0, 50.0), 12)
 
     def test_overflowing_bundle_is_numeric_error(self):
-        rays = [Ray(Vec3(x, 0.0, 0.0), Vec3(-x / 50.0 / abs(x), 0.0, 1.0).normalized()) for x in (-1e200, 1e200)]
+        rays = _bundle([(Vec3(x, 0.0, 0.0), Vec3(-x / 50.0 / abs(x), 0.0, 1.0).normalized()) for x in (-1e200, 1e200)])
         with pytest.raises(ArithmeticError):
             focal_scan(rays, (10.0, 90.0), 81)
 
@@ -264,8 +267,8 @@ class TestFocalScan:
 
     def test_parallel_axis_has_no_exact_minimum(self):
         # slopes vary in x only: the y spot size is constant and has no z*
-        rays = [Ray(Vec3(x, y, 0.0), Vec3(-x / 50.0, 0.1, 1.0).normalized())
-                for x in (-3.0, 0.0, 3.0) for y in (-2.0, 2.0)]
+        rays = _bundle([(Vec3(x, y, 0.0), Vec3(-x / 50.0, 0.1, 1.0).normalized())
+                        for x in (-3.0, 0.0, 3.0) for y in (-2.0, 2.0)])
         scan = focal_scan(rays, (10.0, 90.0), 81)
         assert abs(scan.z_star_x - 50.0) <= 1e-12 * 50.0
         assert scan.z_star_y is None
@@ -337,7 +340,7 @@ class TestRaysCsv:
         parts[5] = repr(math.nextafter(float(parts[5]), math.inf))
         lines[row] = ",".join(parts)
         edited = read_rays_csv(_write(tmp_path / "edited.csv", lines))
-        assert edited != trace.rays() and edited[:-1] == trace.rays()[:-1]
+        assert edited != trace.rays() and list(edited)[:-1] == list(trace.rays())[:-1]
 
     def test_bundle_equals_sequences_of_equal_rays_in_order(self):
         rays = read_rays_csv(REF_DIR / "plane_wave_deformed" / "rays.csv")
@@ -345,6 +348,9 @@ class TestRaysCsv:
         assert rays == as_list and as_list == rays and rays == tuple(as_list)
         assert not rays != as_list
         assert rays != as_list[:-1] and rays != as_list[::-1] and rays != 5
+        assert rays == read_rays_csv(REF_DIR / "plane_wave_deformed" / "rays.csv")
+        assert rays != read_rays_csv(REF_DIR / "plane_wave_planar" / "rays.csv")
+        assert rays != object() and not rays == "abc"
         with pytest.raises(TypeError):
             hash(rays)
 
@@ -400,19 +406,38 @@ def _scan(tmp_path, rays):
     return code, err.getvalue()
 
 
-# (row status to edit, {column: new value}) for each malformed row
+# (row status to edit, {column: new value}, the error after "line N: ") for
+# each malformed row; the rows with two faults pin which one is reported
 MALFORMED_ROWS = {
-    "weight_above_one": ("propagating", {9: "2.0"}),
-    "non_unit_direction": ("propagating", {7: "2"}),
-    "non_finite_origin": ("propagating", {2: "nan"}),
-    "unknown_status": ("propagating", {8: "bogus"}),
-    "propagating_without_direction": ("propagating", {5: "", 6: "", 7: ""}),
-    "partial_direction": ("propagating", {6: ""}),
-    "evanescent_with_direction": ("evanescent", {5: "0", 6: "0", 7: "1"}),
-    "s_not_a_number": ("propagating", {0: "banana"}),
-    "phi_nan": ("propagating", {1: "nan"}),
-    "negative_s": ("propagating", {0: "-5"}),
-    "evanescent_with_bad_cells": ("evanescent", {2: "abc", 3: "def", 4: "ghi", 9: "7"}),
+    "weight_above_one": ("propagating", {9: "2.0"}, "ray weight must be in [0, 1], got 2.0"),
+    "non_unit_direction": ("propagating", {7: "2"}, "ray direction must be unit length, |d| = 2.1957672474201972"),
+    "non_finite_origin": ("propagating", {2: "nan"}, "Vec3 components must be finite, got (nan, 0.0, 0.0)"),
+    "unknown_status": ("propagating", {8: "bogus"}, "unknown status 'bogus'"),
+    "propagating_without_direction": ("propagating", {5: "", 6: "", 7: ""},
+                                      "the direction must be empty exactly on evanescent rows"),
+    "partial_direction": ("propagating", {6: ""}, "could not convert string to float: ''"),
+    "evanescent_with_direction": ("evanescent", {5: "0", 6: "0", 7: "1"},
+                                  "the direction must be empty exactly on evanescent rows"),
+    "s_not_a_number": ("propagating", {0: "banana"}, "could not convert string to float: 'banana'"),
+    "phi_nan": ("propagating", {1: "nan"}, "phi must lie in [0, 2*pi), got nan"),
+    "negative_s": ("propagating", {0: "-5"}, "s must be finite and >= 0, got -5"),
+    "evanescent_with_bad_cells": ("evanescent", {2: "abc", 3: "def", 4: "ghi", 9: "7"},
+                                  "could not convert string to float: 'abc'"),
+    "weight_nan": ("propagating", {9: "nan"}, "ray weight must be in [0, 1], got nan"),
+    "origin_inf": ("propagating", {4: "-inf"}, "Vec3 components must be finite, got (0.0, 0.0, -inf)"),
+    "evanescent_weight_seven": ("evanescent", {9: "7"}, "evanescent rows must have weight 0, got 7"),
+    "nan_origin_and_bad_direction": ("propagating", {2: "nan", 6: "abc"},
+                                     "Vec3 components must be finite, got (nan, 0.0, 0.0)"),
+    "non_unit_direction_and_weight_two": ("propagating", {7: "2", 9: "2"},
+                                          "ray direction must be unit length, |d| = 2.1957672474201972"),
+    "evanescent_bad_origin_and_weight_seven": ("evanescent", {2: "abc", 9: "7"},
+                                               "could not convert string to float: 'abc'"),
+    "evanescent_nan_origin_and_weight_seven": ("evanescent", {2: "nan", 9: "7"},
+                                               "Vec3 components must be finite, got (nan, 0.0, 0.36130541603657207)"),
+    "infinite_direction_and_bad_weight": ("propagating", {5: "inf", 9: "x"},
+                                          "Vec3 components must be finite, got (inf, 0.0, 0.42261826174069944)"),
+    "non_unit_direction_and_bad_weight": ("propagating", {7: "2", 9: "x"}, "could not convert string to float: 'x'"),
+    "weight_above_one_and_negative_s": ("propagating", {0: "-5", 9: "2.0"}, "ray weight must be in [0, 1], got 2.0"),
 }
 
 
@@ -438,11 +463,12 @@ class TestRaysCsvBoundary:
         lines = _mixed_rays_lines()
         row = next(i for i, ln in enumerate(lines) if ln.split(",")[8] == MALFORMED_ROWS[case][0])
         lines[row] = _malformed(lines[row], case)
-        with pytest.raises(ConfigError, match=f"line {row + 1}"):
-            read_rays_csv(_write(tmp_path / "rays.csv", lines))
-        code, err = _scan_rays(tmp_path, lines)
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "ConfigError"
+        path = _write(tmp_path / "rays.csv", lines)
+        message = f"rays file {path} line {row + 1}: {MALFORMED_ROWS[case][2]}"
+        with pytest.raises(ConfigError) as exc:
+            read_rays_csv(path)
+        assert str(exc.value) == message
+        assert _scan(tmp_path, path) == (2, json.dumps({"error": {"type": "ConfigError", "message": message}}) + "\n")
 
 
     @pytest.mark.parametrize("first, second", [("non_unit_direction", "unknown_status"),
@@ -676,12 +702,12 @@ class TestStreamedRaysCsv:
 
 class TestRayValidation:
     def test_direction_must_be_unit(self):
-        with pytest.raises(ValueError):
-            Ray(Vec3(0, 0, 0), Vec3(0, 0, 2.0))
+        with pytest.raises(ValueError, match=r"^ray direction must be unit length, \|d\| = 2\.0$"):
+            _bundle([(Vec3(0, 0, 0), Vec3(0, 0, 2.0))])
 
     def test_weight_bounds(self):
-        with pytest.raises(ValueError):
-            Ray(Vec3(0, 0, 0), Vec3(0, 0, 1), weight=1.5)
+        with pytest.raises(ValueError, match=r"^ray weight must be in \[0, 1\], got 1\.5$"):
+            RayBundle(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]), np.array([1.5]))
 
 
 def _bent_trace(grid=(10, 16)):
@@ -691,7 +717,10 @@ def _bent_trace(grid=(10, 16)):
 
 
 def _hand_built(bundle, i):
-    return Ray(Vec3(*bundle.origins[i].tolist()), Vec3(*bundle.directions[i].tolist()), float(bundle.weights[i]))
+    """The ray of a one-row bundle built from the values of row ``i`` of ``bundle``."""
+    (ray,) = RayBundle(np.array([bundle.origins[i].tolist()]), np.array([bundle.directions[i].tolist()]),
+                       np.array([float(bundle.weights[i])]))
+    return ray
 
 
 def _copy(bundle, rows):
@@ -703,28 +732,10 @@ class TestRayViews:
         trace = _bent_trace()
         bundle = trace.rays()
         ray = _hand_built(bundle, 7)
-        for view in (bundle[7], trace[7].ray, _copy(bundle, slice(None))[7]):
-            assert view == ray and ray == view and hash(view) == hash(ray)
+        for view in (list(bundle)[7], list(trace)[7].ray, list(_copy(bundle, slice(None)))[7]):
+            assert view == ray and ray == view
             assert (view.origin, view.direction, view.weight) == (ray.origin, ray.direction, ray.weight)
-        assert bundle[6] != ray and ray != (ray.origin, ray.direction, ray.weight)
-
-    def test_repr_of_a_float_built_ray(self):
-        ray = Ray(Vec3(0.5, -1.25, 0.0), Vec3(0.6, 0.0, 0.8), 0.75)
-        assert repr(ray) == ("Ray(origin=Vec3(x=0.5, y=-1.25, z=0.0), direction=Vec3(x=0.6, y=0.0, z=0.8), "
-                             "weight=0.75)")
-        assert repr(RayBundle(np.array([[0.5, -1.25, 0.0]]), np.array([[0.6, 0.0, 0.8]]), np.array([0.75]))[0]) == \
-            repr(ray)
-        assert Ray(Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.0)).weight == 1.0
-
-    def test_rays_are_immutable(self):
-        trace = _bent_trace((2, 4))
-        for ray in (Ray(Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, 1.0)), trace.rays()[0], trace[0].ray):
-            with pytest.raises(AttributeError):
-                ray.origin = Vec3(1.0, 0.0, 0.0)
-            with pytest.raises(AttributeError):
-                ray._row = 1
-            assert ray.origin == trace.rays()[0].origin
-            assert copy.copy(ray) == ray and pickle.loads(pickle.dumps(ray)) == ray
+        assert list(bundle)[6] != ray and ray != (ray.origin, ray.direction, ray.weight)
 
     def test_bundle_views_and_mixed_lists_analyse_alike(self):
         trace = _bent_trace()
@@ -732,7 +743,7 @@ class TestRayViews:
         views = [rec.ray for rec in trace if rec.ray is not None]
         n = len(bundle)
         a, b = _copy(bundle, slice(n // 3, 2 * n // 3)), _copy(bundle, slice(2 * n // 3, n))
-        mixed = [_hand_built(bundle, i) for i in range(n // 3)] + list(a) + [b[i] for i in range(len(b))]
+        mixed = [_hand_built(bundle, i) for i in range(n // 3)] + list(a) + list(b)
         assert bundle == views == mixed
         results = []
         for rays in (bundle, views, mixed):
@@ -742,20 +753,29 @@ class TestRayViews:
         assert results[0] == results[1] == results[2]
         assert results[0][5].z_min_rms_x == pytest.approx(85.75, abs=1e-9)
 
-    @pytest.mark.parametrize("row", [
-        ([0.0, 0.0, 0.0], [0.0, 0.0, 2.0], 1.0),
-        ([0.0, 0.0, 0.0], [0.0, 0.6, 0.8], 1.5),
-        ([math.nan, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0),
-    ], ids=["non_unit_direction", "weight", "nan_origin"])
-    def test_bundle_rejects_the_rows_a_ray_rejects(self, row):
-        origin, direction, weight = row
-        with pytest.raises(ValueError) as alone:
-            Ray(Vec3(*origin), Vec3(*direction), weight)
+    def test_views_read_read_only_arrays(self):
+        trace = _bent_trace((2, 4))
+        for a in (*trace.rays()._arrays, trace.pos, trace.direction, trace.eta, trace.status):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    @pytest.mark.parametrize("row, message", [
+        (([0.0, 0.0, 0.0], [0.0, 0.0, 2.0], 1.0), "ray direction must be unit length, |d| = 2.0"),
+        (([0.0, 0.0, 0.0], [0.0, 0.6, 0.8], 1.5), "ray weight must be in [0, 1], got 1.5"),
+        (([math.nan, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0), "Vec3 components must be finite, got (nan, 0.0, 0.0)"),
+        (([0.0, 0.0, 0.0], [math.inf, 0.0, 1.0], 1.0), "Vec3 components must be finite, got (inf, 0.0, 1.0)"),
+        (([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], math.nan), "ray weight must be in [0, 1], got nan"),
+        (([1e200, 0.0, 0.0], [1e200, 0.0, 1.0], -1.0), "ray direction must be unit length, |d| = inf"),
+        # within 1e-12 of unit length: the last row is the first bad one
+        (([0.0, 0.0, 0.0], [0.6, 0.0, 0.8 + 2e-16], 1.0), "ray direction must be unit length, |d| = 1.7320508075688772"),
+    ], ids=["non_unit_direction", "weight", "nan_origin", "infinite_direction", "nan_weight",
+            "overflowing_direction", "unit_within_tolerance"])
+    def test_bundle_rejects_the_rows_a_ray_rejects(self, row, message):
         good = ([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], 0.5)
         rows = [good, row, good, ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2.0)]  # the first bad row is named
         with pytest.raises(ValueError) as bundle:
             RayBundle(*(np.array([r[k] for r in rows], dtype=float) for k in range(3)))
-        assert str(bundle.value) == str(alone.value)
+        assert str(bundle.value) == message
 
 
 def test_trace_views_build_no_vec3(monkeypatch):
