@@ -360,11 +360,19 @@ def _line_chunks(fh: TextIO, path: Union[str, os.PathLike], what: str) -> Iterat
         yield pending
 
 
-def load_scene_config(path: Union[str, os.PathLike]) -> SceneConfig:
+def parse_json(text: str, path: Union[str, os.PathLike], what: str, **hooks):
+    """``json.loads(text, **hooks)``; a text the decoder rejects is a
+    ConfigError saying the ``what`` file is not valid JSON: malformed JSON
+    (JSONDecodeError, a ValueError), nesting too deep to decode, or an
+    integer literal longer than Python's 4 300-digit limit (ValueError)."""
     try:
-        doc = json.loads(read_input(path, "config"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        return json.loads(text, **hooks)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_scene_config(path: Union[str, os.PathLike]) -> SceneConfig:
+    doc = parse_json(read_input(path, "config"), path, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return parse_scene_config(doc)

@@ -7,10 +7,12 @@ through Python's shortest round-trip repr, so save -> load reproduces every
 sample bit-exactly; frames are rebuilt deterministically from the carrier.
 
 ``save_field`` writes the bytes ``json.dump(field_to_dict(field), indent=1)``
-would, formatting the samples through one template. :func:`write_rows` is
-the text writer of every per-sample file (field, rays.csv, hits.csv): it
-formats and writes ``CHUNK_ROWS`` rows at a time, so a write holds one chunk
-of text, never the document.
+would. :func:`write_rows` is the row assembler of every per-sample file
+(field, rays.csv, hits.csv, spots.csv): the numbers of a row come from the
+whole-array kernel of ``numtext`` (CPython's ``repr`` or ``%`` for each value
+it cannot certify), run on ``BLOCK_VALUES`` values at a time, and the rows
+are joined, their NUL padding dropped and written to the binary file in
+chunks under 120 KiB, so a write holds a block of text, never the document.
 
 ``load_field`` holds the file's text and the samples as flat floats: one
 ``json.loads`` runs with a hook that moves the 8 numbers of each well-formed
@@ -30,13 +32,15 @@ import json
 import os
 from array import array
 from itertools import chain
-from typing import Optional, Sequence, TextIO, Tuple, Union
+from typing import BinaryIO, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .config import _check_keys, _is_finite_number, _number, parse_field_grid, parse_profile, read_input
+from .config import (_check_keys, _is_finite_number, _number, parse_field_grid, parse_json, parse_profile,
+                     read_input)
 from .errors import ConfigError, HoedeformError
 from .geometry import TWO_PI
+from .numtext import BLOCK_VALUES, repr_text
 from .recording import CHUNK_ROWS, GratingVectorField
 from .surfaces import SurfaceProfile
 
@@ -49,32 +53,50 @@ _NUMBER_TYPES = {float, int}
 # What load_field leaves in the document in place of a well-formed sample.
 _TAKEN = object()
 
-# One sample as json.dump(indent=1) lays it out inside the samples list;
-# s and phi repeat along rings and azimuths and come preformatted.
-_SAMPLE_TEMPLATE = (
-    '  {\n   "s": %s,\n   "phi": %s,\n   "pos": [\n    %r,\n    %r,\n    %r\n   ],\n'
-    '   "g": [\n    %r,\n    %r,\n    %r\n   ]\n  }'
-)
+# One sample as json.dump(indent=1) lays it out inside the samples list,
+# between its eight numbers.
+_SAMPLE_TEXT = (b'  {\n   "s": ', b',\n   "phi": ', b',\n   "pos": [\n    ', b',\n    ', b',\n    ',
+                b'\n   ],\n   "g": [\n    ', b',\n    ', b',\n    ', b'\n   ]\n  }')
+# Bytes of row text joined at a time, under glibc's 128 KiB mmap threshold.
+_CHUNK_BYTES = 120 * 1024
 
 
-def format_column(values: np.ndarray, fmt: str) -> np.ndarray:
-    """``fmt % v`` for every entry of ``values`` as an object array, formatting
-    each distinct value (bit pattern, so -0.0 is not 0.0) once."""
-    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64), return_inverse=True)
-    texts = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return texts[inverse.ravel()]
+def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: bytes = b"") -> None:
+    """Write ``n`` rows to the binary file ``fh``, rows separated by ``sep``.
 
-
-def write_rows(fh: TextIO, template: Union[str, Sequence[str]], columns: Sequence[np.ndarray], sep: str = "") -> None:
-    """Write one row per entry of the 1-D ``columns``, row i being
-    ``template % (the column values at i)`` (``template[i]`` when given per
-    row), rows separated by ``sep``; formatted ``CHUNK_ROWS`` rows at a time."""
-    n = len(columns[0])
-    for lo in range(0, n, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, n)
-        rows = [template] * (hi - lo) if isinstance(template, str) else template[lo:hi]
-        values = chain.from_iterable(zip(*(c[lo:hi].tolist() for c in columns)))
-        fh.write((sep if lo else "") + sep.join(rows) % tuple(values))
+    Row i is the ``parts`` in order: a ``bytes`` part is the same on every
+    row; a ``(function, array, ...)`` part is row i of ``function(array,
+    ...)``, an (rows, width) uint8 block of text with NULs in it, such as
+    ``numtext.repr_text`` returns, whose row i depends on row i of the
+    arrays alone. The parts of one function run as one call on their
+    columns end to end, ``BLOCK_VALUES`` values at a time; the rows are
+    joined, their NULs dropped and written in chunks under 120 KiB.
+    """
+    parts = (sep, *parts)
+    calls = {}  # function -> the indexes of its parts
+    for i, part in enumerate(parts):
+        if not isinstance(part, bytes):
+            calls.setdefault(part[0], []).append(i)
+    block = max(1, BLOCK_VALUES // max(map(len, calls.values()), default=1))
+    cells = [np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else None for part in parts]
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        for function, where in calls.items():
+            args = (np.concatenate([parts[i][k][lo:hi] for i in where]) for k in range(1, len(parts[where[0]])))
+            text = function(*args)
+            for j, i in enumerate(where):
+                cells[i] = text[j * (hi - lo):(j + 1) * (hi - lo)]
+        width = sum(c.shape[-1] for c in cells)
+        step = max(1, _CHUNK_BYTES // width)
+        rows = np.empty((min(step, hi - lo), width), dtype=np.uint8)
+        for a in range(0, hi - lo, step):
+            b = min(a + step, hi - lo)
+            at = 0
+            for c in cells:
+                rows[:b - a, at:at + c.shape[-1]] = c if c.ndim == 1 else c[a:b]
+                at += c.shape[-1]
+            text = rows[:b - a].tobytes().translate(None, b"\0")
+            fh.write(text[len(sep):] if lo == a == 0 else text)
 
 
 def _header(field: GratingVectorField) -> dict:
@@ -194,11 +216,11 @@ def field_from_dict(doc: dict) -> GratingVectorField:
 def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None:
     text = json.dumps({**_header(field), "samples": []}, indent=1)
     head, tail = (text[:-len("[]\n}")] + "[\n", "\n ]\n}\n") if len(field) else (text + "\n", "")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
-        write_rows(fh, _SAMPLE_TEMPLATE, (format_column(field.s, "%r"), format_column(field.phi, "%r"),
-                                          *field.pos.T, *field.g.T), sep=",\n")
-        fh.write(tail)
+    numbers = [(repr_text, column) for column in (field.s, field.phi, *field.pos.T, *field.g.T)]
+    with open(path, "wb") as fh:
+        fh.write(head.encode("ascii"))
+        write_rows(fh, [*chain.from_iterable(zip(_SAMPLE_TEXT, numbers)), _SAMPLE_TEXT[-1]], len(field), sep=b",\n")
+        fh.write(tail.encode("ascii"))
 
 
 def load_field(path: Union[str, os.PathLike]) -> GratingVectorField:
@@ -218,15 +240,12 @@ def load_field(path: Union[str, os.PathLike]) -> GratingVectorField:
         chunks[-1].fromlist(row)
         return _TAKEN
 
-    try:
-        doc = json.loads(text, object_hook=take)
-    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
-        raise ConfigError(f"field file {path} is not valid JSON: {exc}") from exc
+    doc = parse_json(text, path, "field", object_hook=take)
     numbers = np.concatenate([np.frombuffer(c, dtype=float) for c in chunks])
     recs = doc.get("samples") if type(doc) is dict else None
     if type(recs) is not list or 8 * len(recs) != len(numbers) or recs.count(_TAKEN) != len(recs):
         # a malformed sample, or one outside the samples list: the checks of a plain document name the error
-        return field_from_dict(json.loads(text))
+        return field_from_dict(parse_json(text, path, "field"))
     del text
     carrier, wavelength_nm = _check_header(doc)
     return _field(carrier, doc["grid"], wavelength_nm, numbers.reshape(-1, 8))

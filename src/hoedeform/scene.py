@@ -12,7 +12,9 @@ iterating them yields (:class:`TraceRecord`, :class:`Ray`) remain only for
 the benchmark harness in ``perfbench/``.
 
 CSV emission is deterministic: fixed sample ordering, decimal values with
-17 significant digits, LF newlines.
+17 significant digits (``'%.17g'``), LF newlines. The writers hand their
+columns to ``fieldio.write_rows``, which formats them with the whole-array
+number kernel of ``numtext`` and joins the rows.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ import numpy as np
 
 from .config import read_lines
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
-from .fieldio import format_column, write_rows
+from .fieldio import write_rows
 from .geometry import TWO_PI, Vec3, first_index, norms, raise_first
 from .diffraction import (EVANESCENT, MODES, STATUSES, DiffractionResult, DiffractionStatus, EfficiencyHook,
                           diffract)
+from .numtext import g17_text, int_text
 from .recording import CHUNK_ROWS, GratingVectorField, hook_values, sample_context
 from .waves import Wave, local_wavevectors
 
@@ -422,24 +425,36 @@ HITS_HEADER = "z0,x,y,ray_index"
 SPOTS_HEADER = "z,cx,cy,rms_x,rms_y,rms_total"
 
 
-# One row template per status code, each consuming the same nine values: s,
-# phi and weight preformatted (they repeat), x, y, z, dx, dy, dz as floats.
-# "%.0s" consumes a value and prints nothing, which leaves the direction of
-# evanescent rows empty and their weight 0.
-_RAY_ROWS = tuple(
-    "%s,%s,%.17g,%.17g,%.17g,%.0s,%.0s,%.0s,evanescent,0%.0s\n" if status is DiffractionStatus.EVANESCENT
-    else "%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," + status.value + ",%s\n"
-    for status in STATUSES
-)
+def _live_text(values: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The text of a number that evanescent rows leave empty."""
+    cells = g17_text(values)
+    cells[~live] = 0
+    return cells
+
+
+# ",<status>," per status code, NUL-padded to one width; evanescent rows
+# leave the weight empty and write 0 here
+_STATUS_TEXT = np.array([f",{status.value},{'0' if status is DiffractionStatus.EVANESCENT else ''}".encode("ascii")
+                         for status in STATUSES]).view(np.uint8).reshape(len(STATUSES), -1)
+
+
+def _status_text(codes: np.ndarray) -> np.ndarray:
+    return _STATUS_TEXT[codes]
 
 
 def write_rays_csv(trace: Trace, path) -> None:
     """Write rays.csv, one row per sample, formatted from the trace arrays."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RAYS_HEADER + "\n")
-        write_rows(fh, [_RAY_ROWS[code] for code in trace.status.tolist()],
-                   (format_column(trace.s, "%.17g"), format_column(trace.phi, "%.17g"), *trace.pos.T,
-                    *trace.direction.T, format_column(trace.eta, "%.17g")))
+    live = trace.status != EVANESCENT
+    with open(path, "wb") as fh:
+        fh.write(RAYS_HEADER.encode("ascii") + b"\n")
+        write_rows(fh, [*_joined([(g17_text, column) for column in (trace.s, trace.phi, *trace.pos.T)], b","),
+                        b",", *_joined([(_live_text, column, live) for column in trace.direction.T], b","),
+                        (_status_text, trace.status), (_live_text, trace.eta, live), b"\n"], len(trace))
+
+
+def _joined(parts: list, sep: bytes) -> list:
+    """``parts`` with ``sep`` between each two."""
+    return [*chain.from_iterable(zip(parts, repeat(sep, len(parts) - 1))), parts[-1]]
 
 
 _STATUS_CODES = {status.value: code for code, status in enumerate(STATUSES)}
@@ -534,14 +549,15 @@ def read_rays_csv(path) -> RayBundle:
 
 
 def write_hits_csv(plane_hits: Sequence[PlaneHits], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(HITS_HEADER + "\n")
+    with open(path, "wb") as fh:
+        fh.write(HITS_HEADER.encode("ascii") + b"\n")
         for ph in plane_hits:
-            write_rows(fh, "%.17g" % ph.z0 + ",%.17g,%.17g,%d\n", (*ph.xy.T, ph.index))
+            write_rows(fh, [("%.17g," % ph.z0).encode("ascii"), (g17_text, ph.xy[:, 0]), b",",
+                            (g17_text, ph.xy[:, 1]), b",", (int_text, ph.index), b"\n"], len(ph.index))
 
 
 def write_spots_csv(reports: Sequence[SpotReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SPOTS_HEADER + "\n")
-        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (r.z, r.cx, r.cy, r.rms_x, r.rms_y, r.rms_total)
-                      for r in reports)
+    columns = np.array([(r.z, r.cx, r.cy, r.rms_x, r.rms_y, r.rms_total) for r in reports], dtype=float).reshape(-1, 6)
+    with open(path, "wb") as fh:
+        fh.write(SPOTS_HEADER.encode("ascii") + b"\n")
+        write_rows(fh, [*_joined([(g17_text, column) for column in columns.T], b","), b"\n"], len(reports))

@@ -227,6 +227,32 @@ def rays_csv_text(trace):
     return "\n".join(lines) + "\n"
 
 
+# The row templates the CSV writers formatted every row through before the
+# number kernel: CPython's '%.17g' and '%d'. "%.0s" consumes a value and
+# prints nothing, which leaves the direction of evanescent rows empty and
+# their weight 0.
+RAY_ROWS = tuple(
+    "%.17g,%.17g,%.17g,%.17g,%.17g,%.0s,%.0s,%.0s,evanescent,0%.0s\n" if status.value == "evanescent"
+    else "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g," + status.value + ",%.17g\n"
+    for status in STATUSES
+)
+HITS_ROW = "%.17g,%.17g,%.17g,%d\n"
+
+
+def rays_csv_template_text(trace):
+    """The rays.csv text of ``trace`` through the per-status row templates."""
+    return "s,phi,x,y,z,dx,dy,dz,status,weight\n" + "".join(
+        RAY_ROWS[code] % (s, phi, *pos, *d, w) for s, phi, pos, d, code, w in
+        zip(trace.s.tolist(), trace.phi.tolist(), trace.pos.tolist(), trace.direction.tolist(),
+            trace.status.tolist(), trace.eta.tolist()))
+
+
+def hits_csv_template_text(plane_hits):
+    """The hits.csv text of ``plane_hits`` through the row template."""
+    return "z0,x,y,ray_index\n" + "".join(
+        HITS_ROW % (ph.z0, x, y, i) for ph in plane_hits for i, (x, y) in zip(ph.index.tolist(), ph.xy.tolist()))
+
+
 def hits_csv_text(plane_hits):
     """The hits.csv text of ``plane_hits``, formatted one row at a time."""
     lines = ["z0,x,y,ray_index"]

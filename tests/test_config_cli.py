@@ -317,6 +317,26 @@ class TestCliExitCodes:
         assert (res.returncode, res.stdout) == (2, "")
         assert res.stderr == json.dumps({"error": {"type": "ConfigError", "message": message}}) + "\n"
 
+    # json.loads raises a plain ValueError for an integer literal over Python's 4 300-digit limit
+    @pytest.mark.parametrize("verb, flag", [("run", "--config"), ("trace", "--field")], ids=["config", "field"])
+    def test_integer_literal_over_the_digit_limit_exits_2(self, tmp_path, verb, flag):
+        config = CONFIG_DIR / "combiner_deformed.json"
+        if flag == "--config":
+            doc = config.read_text().replace('"lambda_nm": 500.0', '"lambda_nm": ' + "7" * 5000)
+        else:
+            assert run_cli("record", "--config", str(config), "--out", str(tmp_path)).returncode == 0
+            text = (tmp_path / "field.json").read_text()
+            doc = text.replace('"wavelength_nm": 500.0', '"wavelength_nm": ' + "7" * 5000, 1)
+            assert doc != text
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        args = ["--config", str(bad)] if flag == "--config" else ["--config", str(config), flag, str(bad)]
+        res = run_cli(verb, *args, "--out", str(tmp_path / "o"))
+        assert (res.returncode, res.stdout) == (2, "")
+        error = json.loads(res.stderr)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"{flag[2:]} file {bad} is not valid JSON: Exceeds the limit (4300 digits)")
+
     @pytest.mark.parametrize("argv", [
         ["run", "--out", "o"],
         ["run", "--config", "scene.json", "--out", "o", "--seed", "abc"],

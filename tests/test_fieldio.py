@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import traced_peak
@@ -176,6 +177,26 @@ def _first_rows(field, n):
                               field.wavelength_nm)
 
 
+def _with_g(field, rows):
+    """``field`` with its frame coordinates replaced by ``rows``, repeated down the samples."""
+    g = np.resize(np.array(rows, dtype=float), field.g.shape)
+    return GratingVectorField(field.carrier, field.s, field.phi, field.pos, g, field.grid, field.wavelength_nm)
+
+
+# frame coordinates the number kernel writes itself, and ones it leaves to CPython's repr
+EXACT_ROWS = [[0.0, -0.0, 1.0], [10.0, 100.0, 1e22], [-1e15, 0.5, -2.0], [1e16, 1e17, 1e-5]]
+REFUSED_ROWS = [[1e300, 5e-324, -1e-310], [1e23, 9007199254740993.0, 1.7976931348623157e308],
+                [2.2250738585072009e-308, -1e-281, 1e281]]
+
+
+def _refused_mid_block():
+    """A field with one value the kernel refuses in the middle of a block of values."""
+    field = _combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(33, 32))
+    g = field.g.copy()
+    g[700, 1] = -1e-310
+    return GratingVectorField(field.carrier, field.s, field.phi, field.pos, g, field.grid, field.wavelength_nm)
+
+
 # row counts around the chunks of the text writers
 CHUNK_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1)
 
@@ -186,7 +207,11 @@ CHUNK_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS
     lambda: _combiner(SurfaceProfile.planar(10.0), PolarGrid(1, 1, include_vertex=False)),
     *(lambda n=n: _first_rows(_combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(33, 32)), n)
       for n in CHUNK_COUNTS),
-], ids=["polar", "cartesian", "one_sample", *(f"rows_{n}" for n in CHUNK_COUNTS)])
+    lambda: _with_g(_combiner(SurfaceProfile.planar(10.0), PolarGrid(3, 5)), EXACT_ROWS),
+    lambda: _with_g(_combiner(SurfaceProfile.planar(10.0), PolarGrid(3, 5)), REFUSED_ROWS),
+    _refused_mid_block,
+], ids=["polar", "cartesian", "one_sample", *(f"rows_{n}" for n in CHUNK_COUNTS), "zeros_and_powers_of_ten",
+        "refused_values", "refused_value_mid_block"])
 def test_save_field_writes_json_dump_bytes(tmp_path, make):
     field = make()
     path = tmp_path / "field.json"

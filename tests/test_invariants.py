@@ -9,9 +9,12 @@ vector raytrace equation for holograms on curved surfaces (W. T. Welford,
 Opt. Commun. 14, 322, 1975): the tangential part of kd - kp equals that of
 kg. In energy mode every propagating kd is as long as kp. Both are stated
 from the carrier frames of the bent field and the probe evaluated at the
-sample positions, not through the closure. Replaying a recording on its own
-carrier with the first recording wave gives the second wave's direction,
-and mirroring the scene in y mirrors the trace.
+sample positions, not through the closure. Bending keeps the frame
+coordinates of kg bit for bit and the length of kg in the world, stated from
+the frames of the flat and the bent field; inverse then forward projection
+returns every position. Replaying a recording on its own carrier with the
+first recording wave gives the second wave's direction, and mirroring the
+scene in y mirrors the trace.
 """
 
 import dataclasses
@@ -21,7 +24,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoedeform.deformation import induce_forward
+from hoedeform.deformation import induce_forward, induce_inverse
 from hoedeform.diffraction import EVANESCENT, PROPAGATING
 from hoedeform.geometry import TWO_PI, Vec3, combine, cross, dot, norms
 from hoedeform.recording import PolarGrid, record
@@ -110,6 +113,28 @@ def test_tangential_kd_minus_kp_is_tangential_kg(scene):
     miss = norms(_tangential(trace.kd - kp, n) - _tangential(kg, n))[live]
     scale = (norms(kp) + norms(kg))[live]
     assert np.all(miss <= 1e-12 * scale), (miss / scale).max()
+
+
+@INVARIANTS
+@given(setup=setups())
+def test_bending_keeps_the_frame_coordinates_and_the_grating_length(setup):
+    # criterion 1: the bend moves each sample and turns its frame; kg's coordinates in the frame stay
+    w1, w2, grid, carrier, projection, _, _ = setup
+    flat = record(w1, w2, FILM, grid)
+    bent = induce_forward(flat, carrier, projection)
+    assert np.array_equal(bent.g, flat.g)
+    before, after = (norms(combine(*field.frames(), *field.g.T)) for field in (flat, bent))
+    assert np.all(np.abs(after - before) <= 1e-12 * before), (np.abs(after - before) / before).max()
+
+
+@INVARIANTS
+@given(setup=setups())
+def test_inverse_then_forward_returns_the_positions(setup):
+    # criterion 2: pulled back to the plane and bent again, every sample lands where it was
+    w1, w2, grid, carrier, projection, _, _ = setup
+    bent = _bent(w1, w2, grid, carrier, projection)
+    again = induce_forward(induce_inverse(bent, projection), carrier, projection)
+    assert np.all(norms(again.pos - bent.pos) <= 1e-9), norms(again.pos - bent.pos).max()
 
 
 @INVARIANTS

@@ -1,0 +1,160 @@
+"""The number kernel against CPython, which is its fallback and its oracle.
+
+``repr_text`` must give ``repr(v)``, ``g17_text`` ``'%.17g' % v`` and
+``int_text`` ``'%d' % v``, byte for byte. The values below stress its decisions:
+exact decimal ties (dyadic values with few significant bits), rounding
+interval boundaries (powers of two and ten and their neighbours), the
+range limits and subnormals it leaves to CPython.
+"""
+
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hoedeform import numtext
+from hoedeform.fieldio import write_rows
+from hoedeform.numtext import BLOCK_VALUES, g17_text, int_text, repr_text
+
+
+def _kernel_lines(values, shortest: bool) -> bytes:
+    """The kernel's text of ``values`` as ``_cpython_lines`` lays it out, joined by the writers' assembler."""
+    buf = io.BytesIO()
+    values = np.asarray(values, dtype=float)
+    if shortest:
+        write_rows(buf, [(repr_text, values)], len(values), sep=b", ")
+        return b"[" + buf.getvalue() + b"]"
+    write_rows(buf, [(g17_text, values), b"\n"], len(values))
+    return buf.getvalue()
+
+
+def _cpython_lines(values, shortest: bool) -> bytes:
+    """repr of the list of ``values`` (repr of each, the quickest way), or '%.17g' of each on its own line."""
+    values = list(values)
+    return (str(values) if shortest else ("%.17g\n" * len(values)) % tuple(values)).encode("ascii")
+
+
+def _edge_values():
+    """Powers of ten and of two with their neighbours, dyadic ties, the range limits and specials."""
+    tens = np.array([float(f"1e{k}") for k in range(-330, 311)])
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    rng = np.random.default_rng(1)
+    # at most 21 significant bits: a decimal with 17 or 18 digits, many of them exact ties
+    dyadic = np.ldexp(rng.integers(1, 2 ** 21, 2_000).astype(float), rng.integers(-60, 40, 2_000))
+    special = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e16, 1e17, 1e22, 1e23,
+               float(2 ** 53 + 1), 2.0 ** 53 + 2, 1e-280, 1e280, 9.999999999999999e279, 1.7976931348623157e308,
+               0.1, 0.3, 1.0, 123.0, 1e-5, 1e-4, 1 + 2.0 ** -17, 5e-5, 0.5, 2.5]
+    base = np.concatenate([tens, twos, dyadic, special])
+    with np.errstate(over="ignore"):
+        base = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, np.inf)])
+    base = base[np.isfinite(base)]
+    return np.concatenate([base, -base])
+
+
+def test_kernel_matches_cpython_on_a_million_values():
+    """10**6 seeded values: the edge values in both formats, the rest
+    (random bit patterns, values of every magnitude, dyadic ties) half
+    against repr and half against '%.17g'."""
+    rng = np.random.default_rng(20100601)
+    bits = rng.integers(-2 ** 63, 2 ** 63 - 1, 100_000, dtype=np.int64).view(np.float64)
+    spread = rng.standard_normal(600_000) * 10.0 ** rng.uniform(-15, 15, 600_000)
+    dyadic = np.ldexp(rng.integers(1, 2 ** 21, 280_000).astype(float), rng.integers(-70, 50, 280_000))
+    edge = _edge_values()
+    rest = np.concatenate([bits[np.isfinite(bits)], spread, dyadic])
+    rng.shuffle(rest)
+    assert len(edge) + len(rest) >= 10 ** 6
+    for shortest, values in ((True, np.concatenate([edge, rest[::2]])), (False, np.concatenate([edge, rest[1::2]]))):
+        got, want = _kernel_lines(values, shortest), _cpython_lines(values.tolist(), shortest)
+        if got != want:
+            got, want = got.strip(b"[]").split(), want.strip(b"[]").split()
+            bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+            pytest.fail(f"{'repr' if shortest else '%.17g'} of {values[bad]!r}: {got[bad]} != {want[bad]}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_kernel_matches_cpython_on_any_floats(values):
+    for shortest in (True, False):
+        assert _kernel_lines(values, shortest) == _cpython_lines(values, shortest)
+
+
+@pytest.mark.parametrize("value, shortest, text", [
+    (1 + 2.0 ** -17, False, "1.0000076293945312"),  # 1.00000762939453125: a tie, to even
+    (1 + 3 * 2.0 ** -17, False, "1.0000228881835938"),  # 1.00002288818359375: a tie, to even
+    (1e23, True, "1e+23"),  # 10**23 is exactly on the rounding interval's boundary
+    (9007199254740993.0, True, "9007199254740992.0"),
+    (5e-324, True, "5e-324"),
+    (1.7976931348623157e308, False, "1.7976931348623157e+308"),
+])
+def test_ties_and_boundaries(value, shortest, text):
+    assert _kernel_lines([value], shortest) == _cpython_lines([value], shortest)
+    assert (repr(value) if shortest else "%.17g" % value) == text
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The values the kernel leaves to CPython, recorded as it runs."""
+    seen = []
+    fallback = numtext._fallback
+
+    def record(out, rows, texts, at):
+        texts = list(texts)
+        seen.extend(texts)
+        return fallback(out, rows, texts, at)
+
+    monkeypatch.setattr(numtext, "_fallback", record)
+    return seen
+
+
+def test_zeros_and_powers_of_ten_need_no_fallback(fallbacks):
+    values = [0.0, -0.0, *(10.0 ** k for k in range(23)), *(-(10.0 ** k) for k in range(23)), 0.5, 0.25, 2.0]
+    for shortest in (True, False):
+        assert _kernel_lines(values, shortest) == _cpython_lines(values, shortest)
+    assert fallbacks == []
+
+
+def test_refused_values_go_to_cpython(fallbacks):
+    values = [1e300, 5e-324, 1e-300, 1 + 2.0 ** -17]
+    assert _kernel_lines(values, False) == _cpython_lines(values, False)
+    assert fallbacks == ["%.17g" % v for v in values]
+
+
+def test_a_refused_value_inside_a_block(fallbacks):
+    values = np.linspace(0.1, 1000.0, BLOCK_VALUES)
+    values[BLOCK_VALUES // 2] = -1e-310
+    for shortest in (True, False):
+        assert _kernel_lines(values, shortest) == _cpython_lines(values.tolist(), shortest)
+    assert fallbacks == [repr(-1e-310), "%.17g" % -1e-310]
+
+
+@pytest.mark.parametrize("values", [[], [math.nan, math.inf, -math.inf, -0.0]], ids=["empty", "non_finite"])
+def test_empty_and_non_finite_columns(values):
+    for shortest in (True, False):
+        assert _kernel_lines(values, shortest) == _cpython_lines(values, shortest)
+
+
+def test_the_text_is_the_rows_with_their_nuls_dropped():
+    cells = repr_text(np.array([-1.5, 2.0, 1e-7]))
+    assert cells.dtype == np.uint8 and cells.ndim == 2
+    assert [bytes(row).replace(b"\0", b"") for row in cells] == [b"-1.5", b"2.0", b"1e-07"]
+
+
+@pytest.mark.parametrize("values", [
+    [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 9999, 10000, 10001],
+    list(range(0, 130)),
+    [7, 10 ** 15 + 3, 10 ** 16 - 1, 10 ** 16, 2 ** 62, -1, -12345],
+    [],
+], ids=["decades", "0_to_129", "large_and_negative", "empty"])
+def test_int_text_matches_percent_d(values):
+    cells = int_text(np.array(values, dtype=np.int64))
+    assert [bytes(row).replace(b"\0", b"").decode() for row in cells] == ["%d" % v for v in values]
+
+
+def test_the_power_table_is_built_on_first_use():
+    numtext._tables.cache_clear()
+    assert numtext._tables.cache_info().currsize == 0
+    assert _kernel_lines([math.pi], True) == b"[3.141592653589793]"
+    assert numtext._tables.cache_info().currsize == 1

@@ -15,7 +15,7 @@ from hoedeform import cli
 from hoedeform.deformation import induce_forward
 from hoedeform.errors import ConfigError, EmptyBundle, NoMinimumInRange
 from hoedeform.geometry import Vec3
-from hoedeform.diffraction import EVANESCENT, PROPAGATING
+from hoedeform.diffraction import EVANESCENT, PASS_THROUGH, PROPAGATING
 from hoedeform.recording import CHUNK_ROWS, GratingVectorField, PolarGrid, record
 from hoedeform.config import LINE_BREAKS, READ_BLOCK_CHARS, load_scene_config
 from hoedeform.pipeline import deform_stage, record_stage
@@ -23,6 +23,7 @@ from hoedeform.scene import (
     PARALLEL_TOL,
     PlaneHits,
     RayBundle,
+    Trace,
     focal_scan,
     intersect_plane,
     read_rays_csv,
@@ -541,6 +542,36 @@ class TestChunkedCodecs:
             read_rays_csv(_write(path, alone))
         assert str(both.value) == str(single.value)
         assert f"line {earliest + 2}: " in str(both.value)
+
+    def test_rays_csv_matches_the_row_templates(self, tmp_path):
+        """Mixed evanescent, pass-through and propagating rows, with values the kernel refuses."""
+        n = 130
+        rng = np.random.default_rng(3)
+        direction = rng.normal(size=(n, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        status = np.array([EVANESCENT, PASS_THROUGH, PROPAGATING] * n)[:n]
+        direction[status == EVANESCENT] = 0.0
+        pos = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 8, size=(n, 3))
+        pos[5] = (0.0, -0.0, 1e22)
+        pos[6] = (1e300, -5e-324, 1e23)  # refused: out of range, subnormal
+        eta = np.round(rng.uniform(size=n), 3)
+        eta[7:10] = (1.0, 0.0, 1 + 2.0 ** -17)  # the last is a '%.17g' tie
+        trace = Trace(np.linspace(0.0, 10.0, n), np.linspace(0.0, 6.0, n), pos, direction * 7.0, direction,
+                      status, np.zeros(n), eta)
+        path = tmp_path / "rays.csv"
+        write_rays_csv(trace, path)
+        assert path.read_text() == oracles.rays_csv_template_text(trace)
+
+    def test_hits_csv_matches_the_row_template(self, tmp_path):
+        """Ray indices across 9 -> 10 and 99 -> 100, and an empty plane."""
+        rng = np.random.default_rng(4)
+        index = np.arange(0, 130)
+        planes = [PlaneHits(45.0, index, rng.normal(size=(130, 2)), (), ()),
+                  PlaneHits(-0.0, index[:0], np.empty((0, 2)), (), ()),
+                  PlaneHits(1e-7, index[95:105], np.array([[0.0, -0.0], [1e23, 5e-324]] * 5), (), ())]
+        path = tmp_path / "hits.csv"
+        write_hits_csv(planes, path)
+        assert path.read_text() == oracles.hits_csv_template_text(planes)
 
     def test_write_rays_csv_holds_less_than_the_file(self, tmp_path):
         trace = _bent_trace((100, 100))
