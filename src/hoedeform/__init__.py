@@ -6,6 +6,11 @@ onto a curved surface, solves the matching precompensation problem, and
 traces probe waves through either field with k-vector diffraction closures.
 """
 
+# first, so that the imports below already run under the fixed thresholds
+from .heap import fix_malloc_thresholds
+
+fix_malloc_thresholds()
+
 from .errors import (
     ConfigError,
     DegenerateFrame,

@@ -57,7 +57,8 @@ _TAKEN = object()
 # between its eight numbers.
 _SAMPLE_TEXT = (b'  {\n   "s": ', b',\n   "phi": ', b',\n   "pos": [\n    ', b',\n    ', b',\n    ',
                 b'\n   ],\n   "g": [\n    ', b',\n    ', b',\n    ', b'\n   ]\n  }')
-# Bytes of row text joined at a time, under glibc's 128 KiB mmap threshold.
+# Bytes of row text joined at a time, under glibc's default 128 KiB mmap
+# threshold (the package fixes it at 1 MiB, see ``heap``).
 _CHUNK_BYTES = 120 * 1024
 
 
