@@ -27,7 +27,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, TextIO, Tuple, Union
+from typing import BinaryIO, Iterator, List, Optional, TextIO, Tuple, Union
 
 from .errors import ConfigError
 from .geometry import Vec3
@@ -356,6 +356,24 @@ def _line_chunks(fh: TextIO, path: Union[str, os.PathLike], what: str) -> Iterat
                 del pending[:CHUNK_ROWS]
     if pieces:
         pending.append("".join(pieces))
+    if pending:
+        yield pending
+
+
+def byte_blocks(fh: BinaryIO, pending: bytes, end: bytes, size: int) -> Iterator[bytes]:
+    """``pending`` and the rest of the binary file ``fh``, read ``size``
+    bytes at a time, in blocks that each end just after the last ``end``
+    read so far; the last block is what follows the last ``end`` of the
+    file, if anything does."""
+    while True:
+        more = fh.read(size)
+        if not more:
+            break
+        cut = pending.rfind(end) + len(end)
+        if cut >= len(end):
+            yield pending[:cut]
+            pending = pending[cut:]
+        pending += more
     if pending:
         yield pending
 

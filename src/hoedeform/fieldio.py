@@ -14,7 +14,20 @@ it cannot certify), run on ``BLOCK_VALUES`` values at a time, and the rows
 are joined, their NUL padding dropped and written to the binary file in
 chunks under 120 KiB, so a write holds a block of text, never the document.
 
-``load_field`` holds the file's text and the samples as flat floats: one
+``load_field`` reads a file in save_field's layout (``_load_saved``) a
+block of ``READ_BLOCK_BYTES`` at a time: the header, up to the line that
+opens the samples list, is decoded as UTF-8 and parsed by ``json.loads``;
+the samples must match ``_SAMPLE_TEXT`` byte for byte between their numbers
+(``_saved_samples``), and ``numtext.read_floats`` turns the numbers into
+floats, a number it refuses going to ``float`` when it is a JSON float
+(``float`` is what ``json.loads`` applies to one). Any other file goes to
+the JSON text parser (``_load_text``): one that is not UTF-8, has a "\\r",
+a BOM, other whitespace, another key order, a JSON int such as ``-0`` (an
+int to ``json.loads``, not -0.0) or anything after the document, and one
+that fails any check. The text parser is thus the one source of error
+messages, and the values are the same either way.
+
+The text parser holds the file's text and the samples as flat floats: one
 ``json.loads`` runs with a hook that moves the 8 numbers of each well-formed
 sample (:func:`_sample_row`, the rule ``field_from_dict`` applies too) into
 a float buffer as the sample is decoded, so the document never exists as
@@ -30,17 +43,18 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from array import array
 from itertools import chain
 from typing import BinaryIO, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .config import (_check_keys, _is_finite_number, _number, parse_field_grid, parse_json, parse_profile,
-                     read_input)
+from .config import (_check_keys, _is_finite_number, _number, byte_blocks, parse_field_grid,
+                     parse_json, parse_profile, read_input)
 from .errors import ConfigError, HoedeformError
 from .geometry import TWO_PI
-from .numtext import BLOCK_VALUES, repr_text
+from .numtext import BLOCK_VALUES, float_tokens, read_floats, repr_text
 from .recording import CHUNK_ROWS, GratingVectorField
 from .surfaces import SurfaceProfile
 
@@ -57,6 +71,20 @@ _TAKEN = object()
 # between its eight numbers.
 _SAMPLE_TEXT = (b'  {\n   "s": ', b',\n   "phi": ', b',\n   "pos": [\n    ', b',\n    ', b',\n    ',
                 b'\n   ],\n   "g": [\n    ', b',\n    ', b',\n    ', b'\n   ]\n  }')
+# The rest of save_field's layout: the line that ends the header; the bytes
+# of a sample after the ",\n" that precedes it, its numbers deleted; the
+# lengths of the gaps before its 8 numbers, the first one counted from the
+# end of the sample before; and the end of the file.
+_SAMPLES_LINE = b'\n "samples": [\n'
+_UNIT_TEXT = b",\n" + b"".join(_SAMPLE_TEXT)
+_UNIT_GAPS = np.array([len(_SAMPLE_TEXT[-1] + b",\n" + _SAMPLE_TEXT[0]), *map(len, _SAMPLE_TEXT[1:-1])])
+_TAIL = b"\n ]\n}\n"
+_NUMBER_BYTES = b"0123456789.eE+-"
+_MINUS, _PLUS, _E = b"-+e"
+# A JSON number with a fraction or an exponent, which json.loads reads as float(text).
+_JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
+# Bytes of a field file read at a time: ~4 400 numbers of save_field's layout.
+READ_BLOCK_BYTES = 128 * 1024
 # Bytes of row text joined at a time, under glibc's default 128 KiB mmap
 # threshold (the package fixes it at 1 MiB, see ``heap``).
 _CHUNK_BYTES = 120 * 1024
@@ -224,7 +252,71 @@ def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None
         fh.write(tail.encode("ascii"))
 
 
+def _saved_samples(block: bytes) -> Optional[np.ndarray]:
+    """The (k, 8) numbers of ``block``, k samples each after its separator
+    in save_field's layout with numbers json.loads reads as floats, else None."""
+    b = np.frombuffer(block, dtype=np.uint8)
+    # the bytes of _NUMBER_BYTES: "-" to "9" but "/", "+", "e" and "E"
+    number = ((b - _MINUS) < 13) & (b != 0x2F) | (b == _PLUS) | ((b | 0x20) == _E)
+    edges = np.flatnonzero(number[1:] != number[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    k = len(ends) // 8
+    if not (0 < 16 * k == len(edges) and block.translate(None, _NUMBER_BYTES) == _UNIT_TEXT * k):
+        return None
+    gaps = starts - np.concatenate(([-len(_SAMPLE_TEXT[-1])], ends[:-1]))
+    if not ((gaps.reshape(k, 8) == _UNIT_GAPS).all() and len(block) - ends[-1] == len(_SAMPLE_TEXT[-1])):
+        return None
+    values, certified = read_floats(block, starts, ends, ints=False)
+    refused = np.flatnonzero(~certified)
+    if len(refused):
+        starts, ends = starts[refused], ends[refused]
+        if not all(_JSON_FLOAT.fullmatch(block, a, b) for a, b in zip(starts.tolist(), ends.tolist())):
+            return None  # a JSON int such as -0, which json.loads reads as int 0, or no JSON number
+        values[refused] = float_tokens(block, starts, ends)
+    return values.reshape(k, 8)
+
+
+def _load_saved(path: Union[str, os.PathLike]) -> Optional[GratingVectorField]:
+    """The field of a valid field file in save_field's layout, else None."""
+    try:
+        with open(path, "rb") as fh:
+            first = fh.read(READ_BLOCK_BYTES)
+            at = first.find(_SAMPLES_LINE)
+            if at < 0 or b"\r" in first[:at]:  # a text read would turn "\r" into "\n"
+                return None
+            doc = json.loads(first[:at].decode("utf-8") + '\n "samples": []\n}')
+            carrier, wavelength_nm = _check_header(doc)
+            chunks, tail = [], False
+            for block in byte_blocks(fh, b",\n" + first[at + len(_SAMPLES_LINE):], _SAMPLE_TEXT[-1], READ_BLOCK_BYTES):
+                if tail:
+                    return None
+                body = block.removesuffix(_TAIL) if block.endswith(_TAIL) else block.removesuffix(_TAIL[:-1])
+                tail = len(body) < len(block)
+                if body:
+                    rows = _saved_samples(body)
+                    if rows is None:
+                        return None
+                    chunks.append(rows)
+            if not (tail and chunks):
+                return None
+            return _field(carrier, doc["grid"], wavelength_nm, np.concatenate(chunks))
+    except (OSError, ValueError, RecursionError, ConfigError):  # not UTF-8, not JSON, or a failed check
+        return None
+
+
 def load_field(path: Union[str, os.PathLike]) -> GratingVectorField:
+    """The field of a field file.
+
+    A file in save_field's layout is read a block at a time by the number
+    kernel of ``numtext`` (``_load_saved``); any other file, and any file
+    that fails a check, is parsed as JSON text (``_load_text``), whose
+    checks name the error.
+    """
+    field = _load_saved(path)
+    return field if field is not None else _load_text(path)
+
+
+def _load_text(path: Union[str, os.PathLike]) -> GratingVectorField:
     """The field of a field file, which holds the file's text and the samples
     as flat floats, never the samples as JSON objects."""
     text = read_input(path, "field")

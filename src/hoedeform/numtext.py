@@ -1,4 +1,4 @@
-"""Decimal text of whole float64 and int64 columns.
+"""Decimal text of whole float64 and int64 columns, and floats of whole columns of decimal text.
 
 ``repr_text(values)`` gives, for a block of values, the text of ``repr(v)``
 (the shortest digits that read back as v, nearest to v), ``g17_text`` that
@@ -23,6 +23,29 @@ and a word on each side, and each step runs over whole columns of words.
 Callers pass blocks of a few thousand values (``BLOCK_VALUES``): numpy's
 cost per call dominates much smaller blocks, and every temporary of a block
 stays under 128 KiB.
+
+``read_floats(text, starts, ends)`` is the inverse: the values of the number
+tokens ``text[starts[i]:ends[i]]`` of a block of bytes, and the mask of the
+tokens it certifies. It takes the grammar ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?
+(e[+-]?[0-9]+)?`` (also without point and exponent unless ``ints`` is
+false), tokens of at most 24 bytes whose mantissa M (the digits, point
+dropped) is below 9e18 and whose exponent has at most 8 digits. The 24 bytes
+that end each token are read as three little-endian words of digit values;
+the integer digits move up one byte over the point, and M comes from the
+SWAR eight-digit step of Lemire's fast_float ("Number parsing at a gigabyte
+per second", Softw. Pract. Exp. 51(8), 2021). The value M * 10**k is then
+exact by Clinger's fast path (PLDI 1990) when M <= 2**53 and |k| <= 22: one
+correctly rounded product or quotient of two exact doubles. Otherwise, for
+k in [-265, 260], it is the double-double product of M and 10**k from the
+writers' table, in the pattern of Eisel-Lemire: it errs by under 2**-49 of
+half the spacing of doubles there, and is certified when it lies farther
+than ``_READ_MARGIN`` (32 times that) from a rounding boundary. Any other
+token (outside the grammar, beyond that range, an exact tie such as 1e23 or
+a subnormal) is left to the caller, which reads it with CPython's ``float``
+(``float_tokens``), so every value read is ``float``'s, bit for bit. The
+readers pass blocks of 64 to 128 KiB, 3 000 to 4 500 tokens: numpy's cost per
+call dominates smaller blocks, and larger ones outgrow the heap that the
+package keeps (``heap``).
 """
 
 from __future__ import annotations
@@ -47,6 +70,7 @@ _LIMITS = (1e-280, 1e280)
 # 10**p for every p the kernel can ask for: 16 - floor(log10 |x|), +-1
 _P_MIN, _P_MAX = -265, 297
 _EXACT_MAX = 22  # 10**22 is the largest power of ten that is a double
+_TOKEN_BYTES = 24  # the reader refuses a longer token
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves
 _EXPONENT_BITS, _FRACTION_BITS = 0x7FF << 52, (1 << 52) - 1
 _POINT, _ZERO, _MINUS, _PLUS, _E = b".0-+e"
@@ -107,8 +131,13 @@ def _tables():
     prefix[:, 3:5] = (_ZERO, _POINT)
     for zeros in range(4):
         prefix[zeros, 5:5 + zeros] = _ZERO
+    low = np.arange(_TOKEN_BYTES + 1)[:, None] > np.arange(_TOKEN_BYTES)
+    high = low[:, ::-1]
     return {
-        "pow10": (hi, *_split(hi), np.array(lo)),
+        "pow10": np.array([hi, *_split(hi), lo]),
+        "low": _word_table(low, 0xFF),
+        "high": _word_table(high, 0xFF),
+        "exact10": np.array([10.0 ** k for k in range(_EXACT_MAX + 1)]),
         "ascii4": ascii4.view(_WORD).ravel(),
         "lead4": lead4.view(_WORD).ravel(),
         "below": _word_table(at < k, 0xFF),
@@ -345,3 +374,175 @@ def int_text(values: np.ndarray) -> np.ndarray:
     if len(rows):
         cells = _fallback(cells, rows, map("%d".__mod__, v[rows].tolist()), 0)
     return cells
+
+
+# The reader: float(token) of whole columns of decimal tokens.
+_ROWS3 = np.arange(0, _TOKEN_BYTES, 8)[:, None]
+_ZEROS = np.uint64(0x3030303030303030)
+_BYTE, _TOP = np.uint64(8), np.uint64(56)
+# Word j of a row: the sum of the positions (8j + byte) of its bytes that are 1, in the top byte of the product
+_PLACES = np.array([[sum((7 - k + 8 * j) << 8 * k for k in range(8))] for j in range(3)], dtype=np.uint64)
+_M_MAX = np.uint64(9 * 10 ** 18)  # below this, M is exact as int64 and as hi + lo
+_CLINGER_MAX = np.uint64(2 ** 53)  # the largest M that is an exact double, with all below it
+_EXP_DIGITS = 8  # the most exponent digits, one word
+_K_MAX = 260  # M * 10**k stays below 1e280, and above 1e-265 for k >= _P_MIN
+# Error bound of M * 10**k as prod + low, relative to half the spacing of the
+# doubles around it: M = M_hi + M_lo exactly, 10**k as a double-double errs
+# by 2**-107, M_hi * lo(10**k) and M_lo * hi(10**k) each round by at most
+# 2**-106, the dropped M_lo * lo(10**k) is below 2**-158, and the two sums
+# of the low parts add at most 2**-105 and 2**-104.4: under 2**-103 of the
+# value, which is under 2**-49 of the half spacing. A result whose distance to
+# the nearest rounding boundary is below this margin, 32 times that bound,
+# goes to CPython.
+_READ_MARGIN = 2.0 ** -44
+# the constants of the SWAR eight-digit step
+_TEN, _PAIR, _PAIRS, _TIMES_HIGH, _TIMES_LOW, _HALF = (np.uint64(c) for c in (
+    10, 16, 0x000000FF000000FF, 100 + (1000000 << 32), 1 + (10000 << 32), 32))
+_TEN8 = np.uint64(10 ** 8)
+
+
+def _eight_digits(v: np.ndarray) -> np.ndarray:
+    """The numbers of words that each hold 8 digit values, the first in the
+    low byte, in place: the SWAR step of Lemire's fast_float."""
+    t = v >> _BYTE
+    v *= _TEN
+    v += t
+    np.right_shift(v, _PAIR, out=t)
+    t &= _PAIRS
+    t *= _TIMES_LOW
+    v &= _PAIRS
+    v *= _TIMES_HIGH
+    v += t
+    v >>= _HALF
+    return v
+
+
+def _count_and_place(other: np.ndarray, scratch: np.ndarray):
+    """How many bytes of each window are set, of (3, 8n) byte flags, and the
+    sum of their places; ``scratch`` is a (3, n) word array to overwrite."""
+    words = other.view(_WORD)
+    count = np.bitwise_count(words)
+    np.multiply(words, _PLACES, out=scratch)
+    scratch >>= _TOP
+    return (count[0] + count[1] + count[2]).astype(np.int64), (scratch[0] + scratch[1] + scratch[2]).view(np.int64)
+
+
+def _product(m: np.ndarray, m_hi: np.ndarray, k: np.ndarray):
+    """M * 10**k rounded to a double, and whether that is certified: the
+    double-double product of M = m_hi + m_lo and 10**k, within
+    ``_READ_MARGIN`` of no rounding boundary, for k in [-265, 260]."""
+    in_range = (k >= _P_MIN) & (k <= _K_MAX)
+    hi, hh, hl, lo = np.take(_tables()["pow10"], np.where(in_range, k - _P_MIN, 0), axis=1)
+    prod = m_hi * hi
+    m_lo = (m.view(np.int64) - m_hi.astype(np.int64)).astype(float)
+    ah, al = _split(m_hi)
+    low = (((ah * hh - prod) + ah * hl + al * hh) + al * hl) + (m_hi * lo + m_lo * hi)
+    total = prod + low
+    resid = low - (total - prod)  # prod + low - total, exactly
+    bits = total.view(np.int64)
+    # half the spacing of the doubles around total, which is no power of two
+    half = (bits & _EXPONENT_BITS).view(float) * (2.0 ** -53 * (1.0 - _READ_MARGIN))
+    return total, in_range & (np.abs(resid) < half) & (bits & _FRACTION_BITS != 0)
+
+
+def read_floats(text: bytes, starts: np.ndarray, ends: np.ndarray, ints: bool = True):
+    """``float(text[a:b])`` of every token (a, b) of ``starts`` and ``ends``,
+    and the mask of the tokens the kernel certifies; the other values are
+    undefined.
+
+    The kernel takes the tokens of the grammar ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?
+    (e[+-]?[0-9]+)?`` of at most 24 bytes, with a point or an exponent unless
+    ``ints``, whose mantissa M (the digits, point dropped) is below 9e18 and
+    whose exponent has at most 8 digits. Each value is M * 10**k: with M <= 2**53
+    and |k| <= 22, one correctly rounded product or quotient of two exact
+    doubles (Clinger's fast path); else, for k in [-265, 260], the
+    double-double product of M and 10**k, certified when it lies farther than
+    ``_READ_MARGIN`` from a rounding boundary.
+    """
+    tables = _tables()
+    high = tables["high"]
+    n = len(starts)
+    buf = np.zeros(len(text) + 2 * _TOKEN_BYTES, dtype=np.uint8)
+    buf[_TOKEN_BYTES:_TOKEN_BYTES + len(text)] = np.frombuffer(text, dtype=np.uint8)
+    words = np.ndarray((len(buf) - 7,), dtype=_WORD, buffer=buf, strides=(1,))  # the word at every byte
+    start = np.asarray(starts, dtype=np.int64) + _TOKEN_BYTES
+    end = np.asarray(ends, dtype=np.int64) + _TOKEN_BYTES
+    neg = buf[start] == _MINUS
+    start += neg
+    length = end - start  # of the token after its sign
+    first = _TOKEN_BYTES - np.minimum(length, _TOKEN_BYTES)  # where it starts in its window
+    # the 24 bytes that end each token, as digit values in (3, n) words, 0
+    # before the token: byte j of token i's window is d[j // 8, 8 * i + j % 8].
+    # A digit becomes its value, any other byte a value over 9.
+    d = words[end - _TOKEN_BYTES + _ROWS3]
+    d ^= _ZEROS
+    mask = np.take(high, _TOKEN_BYTES - first, axis=1)
+    d &= mask
+    n_other, point = _count_and_place(d.view(np.uint8) > 9, mask)  # the place of the one non-digit, if one
+    has_p = (n_other == 1) & (buf[np.minimum(end - _TOKEN_BYTES + point, len(buf) - 1)] == _POINT)
+    plain = has_p | (n_other == 0)
+    p = np.where(has_p, point, _TOKEN_BYTES)  # the end of the integer digits
+    del point
+    q = np.full(n, _TOKEN_BYTES)  # the end of the mantissa
+    k = np.zeros(n, dtype=np.int64)
+    rest = np.flatnonzero(~plain)
+    if len(rest):  # tokens with an exponent, or not in the grammar
+        rd = np.take(d, rest, axis=1)
+        is_p, is_e = rd.view(np.uint8) == _POINT ^ _ZERO, rd.view(np.uint8) == _E ^ _ZERO
+        n_p, p_e = _count_and_place(is_p, rd)
+        n_e, q_e = _count_and_place(is_e, rd)
+        p_e = np.where(n_p == 1, p_e, q_e)  # the point must come before the "e"
+        sign = buf[end[rest] - _TOKEN_BYTES + np.minimum(q_e + 1, _TOKEN_BYTES - 1)]
+        has_sign = (sign == _PLUS) | (sign == _MINUS)
+        n_exp = _TOKEN_BYTES - 1 - q_e - has_sign
+        # every byte besides one point and the exponent's "e" and sign is a digit
+        exp = ((n_e == 1) & (n_p <= 1) & (p_e <= q_e) & (n_other[rest] == n_p + 1 + has_sign) & (n_exp >= 1)
+               & (n_exp <= _EXP_DIGITS))
+        e = _eight_digits(d[2, rest] & high[2][np.where(exp, n_exp, 0)]).view(np.int64)
+        k[rest] = np.where(sign == _MINUS, -e, e)
+        plain[rest], has_p[rest] = exp, exp & (n_p == 1)
+        rest = rest[exp]
+        p[rest], q[rest] = p_e[exp], q_e[exp]
+        # the window that ends at the mantissa
+        rd = words[end[rest] - 2 * _TOKEN_BYTES + q[rest] + _ROWS3]
+        rd ^= _ZEROS
+        rd &= np.take(high, q[rest] - first[rest], axis=1)
+        d[:, rest] = rd
+    n_frac = np.where(has_p, q - p - 1, 0)
+    grammar = (plain & (length <= _TOKEN_BYTES) & (p - first >= 1) & (n_frac >= has_p)
+               & ((p - first == 1) | (buf[start] != _ZERO)))
+    if not ints:
+        grammar &= has_p | (q < _TOKEN_BYTES)
+    del plain, p, q, first, length, start, end
+    # the mantissa's digits, the point dropped, right-aligned in the 3 words;
+    # the integer digits move up one byte, over the point
+    np.take(tables["low"], _TOKEN_BYTES - n_frac - has_p, axis=1, out=mask)
+    whole = d & mask
+    np.take(high, n_frac, axis=1, out=mask)
+    d &= mask
+    del mask
+    carry = whole[:2] >> _TOP
+    carry *= has_p
+    whole <<= has_p.astype(_WORD) * _BYTE
+    d |= whole
+    d[1:] |= carry
+    del whole, carry
+    v = _eight_digits(d)
+    m = (v[0] * _TEN8 + v[1]) * _TEN8 + v[2]
+    grammar &= (v[0] < 1000) & (m < _M_MAX)  # at most 19 digits, and below 9e18
+    del v
+    k -= n_frac
+    m_hi = m.astype(float)
+    # Clinger: M and 10**|k| are exact doubles, so one operation rounds correctly
+    done = (m <= _CLINGER_MAX) & (np.abs(k) <= _EXACT_MAX)
+    power = tables["exact10"][np.minimum(np.abs(k), _EXACT_MAX)]
+    value = np.where(k >= 0, m_hi * power, m_hi / power)
+    dd = np.flatnonzero(grammar & ~done)
+    if len(dd):
+        value[dd], done[dd] = _product(m[dd], m_hi[dd], k[dd])
+    return np.where(neg, -value, value), grammar & done
+
+
+def float_tokens(text: bytes, starts: np.ndarray, ends: np.ndarray) -> list:
+    """CPython's ``float`` of every token: the reader's fallback and its oracle."""
+    return [float(text[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]

@@ -15,6 +15,15 @@ CSV emission is deterministic: fixed sample ordering, decimal values with
 17 significant digits (``'%.17g'``), LF newlines. The writers hand their
 columns to ``fieldio.write_rows``, which formats them with the whole-array
 number kernel of ``numtext`` and joins the rows.
+
+``read_rays_csv`` reads a rays.csv that is ASCII with "\\n" line breaks
+(``_read_plain``) a block of ``READ_BLOCK_BYTES`` cut at a "\\n" at a time:
+byte masks find the 9 commas of each row, ``numtext.read_floats`` turns the
+cells into floats (a cell it refuses goes to ``float``, an empty one is
+nan) and the rows go through the checks of the text reader
+(``_broken``). Any other file, or one with a row that breaks a rule or a
+cell ``float`` rejects, goes to the text reader (``_read_text``), whose
+checks name the error.
 """
 
 from __future__ import annotations
@@ -28,13 +37,13 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import read_lines
+from .config import LINE_BREAKS, byte_blocks, read_lines
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
 from .fieldio import write_rows
 from .geometry import TWO_PI, Vec3, first_index, norms, raise_first
 from .diffraction import (EVANESCENT, MODES, STATUSES, DiffractionResult, DiffractionStatus, EfficiencyHook,
                           diffract)
-from .numtext import g17_text, int_text
+from .numtext import float_tokens, g17_text, int_text, read_floats
 from .recording import CHUNK_ROWS, GratingVectorField, hook_values, sample_context
 from .waves import Wave, local_wavevectors
 
@@ -467,17 +476,19 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _parse_column(cells: Sequence[str], repeats: bool) -> np.ndarray:
-    """The cells as floats, an empty or malformed cell as nan; with ``repeats``
-    each distinct text is parsed once."""
-    texts = list(dict.fromkeys(cells)) if repeats else cells
-    try:
-        values = [float(v) if v else math.nan for v in texts]
-    except ValueError:
-        values = [_float_or_nan(v) for v in texts]
-    if repeats:
-        values = list(map(dict(zip(texts, values)).__getitem__, cells))
-    return np.array(values, dtype=float)
+def _parse_column(cells: Sequence[str]) -> np.ndarray:
+    """The cells as floats, an empty or malformed cell as nan."""
+    return np.array(list(map(_float_or_nan, cells)), dtype=float)
+
+
+def _broken(code: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The rows that break a rule of a ray, or of s and phi: rows of a known
+    status ``code`` whose direction is empty exactly on evanescent rows, with
+    the ``values`` of columns s, phi, x, y, z, dx, dy, dz and weight."""
+    s, phi, pos, weights = values[:, 0], values[:, 1], values[:, 2:5], values[:, 8]
+    checks = _ray_checks(pos, values[:, 5:8], weights)  # an evanescent row keeps the origin rule
+    return (np.where(code != EVANESCENT, np.logical_or.reduce([m for m, _ in checks]), checks[0][0] | (weights != 0.0))
+            | ~(np.isfinite(s) & (s >= 0.0) & (phi >= 0.0) & (phi < TWO_PI)))
 
 
 def _row_error(where: str, parts: list, code: int) -> ConfigError:
@@ -509,18 +520,105 @@ def _row_error(where: str, parts: list, code: int) -> ConfigError:
     raise AssertionError(f"{where}: row flagged as malformed passes its checks")
 
 
+# The bytes other than "\n" that str.splitlines breaks a line at and that
+# are ASCII; a line of a file that is ASCII ends at "\n" alone without them.
+_OTHER_BREAKS = [c.encode("ascii") for c in sorted(LINE_BREAKS - {"\n"}) if c.isascii()]
+_NUMBER_CELLS = [0, 1, 2, 3, 4, 5, 6, 7, 9]
+_COMMA, _NEWLINE = b",\n"
+# The status texts NUL-padded to 16 bytes, and the code of a status by the length of its text
+_STATUS_BYTES = np.array([s.value.encode("ascii") for s in STATUSES], dtype="S16").view(np.uint8).reshape(-1, 16)
+_STATUS_BY_LENGTH = np.full(17, -1)
+_STATUS_BY_LENGTH[[len(s.value) for s in STATUSES]] = range(len(STATUSES))
+_PAST = np.arange(17)[:, None] <= np.arange(16)  # the bytes past a text of each length
+# Bytes of a rays.csv read at a time: ~3 400 numbers of write_rays_csv's rows.
+READ_BLOCK_BYTES = 64 * 1024
+
+
+def _plain_rows(block: bytes) -> Optional[np.ndarray]:
+    """The (rows, 7) origins, directions and weights of the propagating and
+    pass-through rows of ``block``, rows of an ASCII rays.csv each ended by
+    "\\n", if every row is valid, else None."""
+    b = np.frombuffer(block, dtype=np.uint8)
+    newline = b == _NEWLINE
+    sep = np.flatnonzero(newline | (b == _COMMA))
+    rows = np.count_nonzero(newline)
+    if len(sep) != 10 * rows or not newline[sep[9::10]].all():
+        return None  # a row without 10 fields
+    del newline
+    ends = sep.reshape(rows, 10)
+    starts = np.empty_like(ends)
+    starts.flat[0], starts.flat[1:] = 0, sep[:-1] + 1
+    del sep
+    # the status: the text of its length
+    at, length = starts[:, 8], np.minimum(ends[:, 8] - starts[:, 8], 16)
+    code = _STATUS_BY_LENGTH[length]
+    text = b[np.minimum(at[:, None] + np.arange(16), len(b) - 1)]
+    known = (code >= 0) & ((text == _STATUS_BYTES[code]) | _PAST[length]).all(axis=1)
+    starts, ends = starts[:, _NUMBER_CELLS].ravel(), ends[:, _NUMBER_CELLS].ravel()
+    values, certified = read_floats(block, starts, ends)
+    empty = starts == ends
+    values[empty] = math.nan
+    refused = np.flatnonzero(~(certified | empty))
+    if len(refused):
+        try:
+            values[refused] = float_tokens(block, starts[refused], ends[refused])
+        except ValueError:
+            return None
+    values = values.reshape(rows, 9)
+    evanescent = code == EVANESCENT
+    misplaced = evanescent != empty.reshape(rows, 9)[:, 5:8].all(axis=1)  # the direction is empty on evanescent rows
+    if not known.all() or misplaced.any() or _broken(code, values).any():
+        return None
+    return values[~evanescent, 2:]
+
+
+def _read_plain(path) -> Optional[RayBundle]:
+    """The rays of a valid rays.csv that is ASCII with "\\n" line breaks, else None."""
+    try:
+        with open(path, "rb") as fh:
+            header = RAYS_HEADER.encode("ascii") + b"\n"
+            first = fh.read(READ_BLOCK_BYTES)
+            if not first.startswith(header):
+                return None
+            blocks = byte_blocks(fh, first[len(header):], b"\n", READ_BLOCK_BYTES)
+            del first
+            kept = [np.empty((0, 7))]
+            for block in blocks:
+                if not block.isascii() or any(c in block for c in _OTHER_BREAKS):
+                    return None
+                rows = _plain_rows(block if block.endswith(b"\n") else block + b"\n")
+                if rows is None:
+                    return None
+                kept.append(rows)
+    except OSError:
+        return None
+    values = np.concatenate(kept)
+    return RayBundle(values[:, :3], values[:, 3:6], values[:, 6])
+
+
 def read_rays_csv(path) -> RayBundle:
     """Rays (propagating and pass-through rows) from a rays.csv file.
 
     Every row needs a known status and finite numbers, s >= 0 and
     0 <= phi < 2*pi; evanescent rows, and only they, have an empty direction
-    and weight 0, and yield no ray. The lines are those ``str.splitlines``
-    gives; the file is read a block at a time and its rows are parsed and
-    checked ``CHUNK_ROWS`` at a time, so a read holds one chunk of the file,
-    never all of it. The first malformed row is a ConfigError naming its
-    line, which for a bad ray carries the error of the first ray rule
-    (``_ray_checks``) that row breaks; a file that is not UTF-8 is
-    read_input's ConfigError.
+    and weight 0, and yield no ray. A file that is ASCII with "\\n" line
+    breaks and every row valid is read a block at a time by the number
+    kernel of ``numtext`` (``_read_plain``); any other file is read as text
+    (``_read_text``), whose checks name the error.
+    """
+    rays = _read_plain(path)
+    return rays if rays is not None else _read_text(path)
+
+
+def _read_text(path) -> RayBundle:
+    """The rays of a rays.csv file read as text.
+
+    The lines are those ``str.splitlines`` gives; the file is read a block
+    at a time and its rows are parsed and checked ``CHUNK_ROWS`` at a time,
+    so a read holds one chunk of the file, never all of it. The first
+    malformed row is a ConfigError naming its line, which for a bad ray
+    carries the error of the first ray rule (``_ray_checks``) that row
+    breaks; a file that is not UTF-8 is read_input's ConfigError.
     """
     with read_lines(path, "rays") as chunks:
         first = next(chunks, [])
@@ -533,16 +631,12 @@ def read_rays_csv(path) -> RayBundle:
             bad = (code < 0) | ((code == EVANESCENT) != np.array([p[5:8] == ["", "", ""] for p in rows], dtype=bool))
             ok = ~bad
             columns = list(zip(*compress(rows, ok))) or [()] * 10
-            values = np.column_stack([_parse_column(columns[k], k in (0, 1, 9)) for k in (0, 1, 2, 3, 4, 5, 6, 7, 9)])
-            s, phi, pos, weights = values[:, 0], values[:, 1], values[:, 2:5], values[:, 8]
-            live = code[ok] != EVANESCENT
-            checks = _ray_checks(pos, values[:, 5:8], weights)  # an evanescent row keeps the origin rule
-            bad[ok] |= (np.where(live, np.logical_or.reduce([m for m, _ in checks]), checks[0][0] | (weights != 0.0))
-                        | ~(np.isfinite(s) & (s >= 0.0) & (phi >= 0.0) & (phi < TWO_PI)))
+            values = np.column_stack([_parse_column(columns[k]) for k in _NUMBER_CELLS])
+            bad[ok] |= _broken(code[ok], values)
             i = first_index(bad)
             if i is not None:
                 raise _row_error(f"rays file {path} line {lo + i + 1}", rows[i], int(code[i]))
-            kept.append(values[live, 2:])
+            kept.append(values[code[ok] != EVANESCENT, 2:])
             lo += len(lines)
     values = np.concatenate(kept)
     return RayBundle(values[:, :3], values[:, 3:6], values[:, 6])

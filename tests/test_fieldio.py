@@ -8,7 +8,7 @@ import pytest
 
 from conftest import traced_peak
 
-from hoedeform import cli
+from hoedeform import cli, fieldio, scene
 from hoedeform.deformation import induce_forward, induce_inverse
 from hoedeform.errors import ConfigError
 from hoedeform.fieldio import field_from_dict, field_to_dict, load_field, save_field
@@ -377,3 +377,128 @@ def test_load_field_equals_the_plain_parse(tmp_path, case):
         except ConfigError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+class _Pairs(list):
+    """A JSON object as its (key, value) pairs, duplicate keys kept."""
+
+
+def _indented(text):
+    """The document ``text`` laid out as ``json.dumps(doc, indent=1)`` lays it
+    out, duplicate keys kept, and ended by "\\n" as ``save_field`` ends a file."""
+    def dump(value, level):
+        pad = "\n" + " " * (level + 1)
+        if isinstance(value, _Pairs):
+            items = [json.dumps(k) + ": " + dump(v, level + 1) for k, v in value]
+        elif isinstance(value, list):
+            items = [dump(v, level + 1) for v in value]
+        else:
+            return json.dumps(value)
+        brackets = "{}" if isinstance(value, _Pairs) else "[]"
+        return brackets if not items else brackets[0] + ",".join(pad + item for item in items) + "\n" + " " * level \
+            + brackets[1]
+    return dump(json.loads(text, object_pairs_hook=_Pairs), 0) + "\n"
+
+
+def test_indented_documents_are_save_field_bytes(tmp_path):
+    field = record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(3, 5))
+    path = tmp_path / "field.json"
+    save_field(field, path)
+    assert _indented(json.dumps(field_to_dict(field))) == path.read_text()
+
+
+def _saved_bytes():
+    """The 801-sample document of ``_field_doc`` as save_field writes it."""
+    return (json.dumps(_field_doc(), indent=1) + "\n").encode("ascii")
+
+
+def _replace(old, new, count=1):
+    return lambda data: data.replace(old, new, count)
+
+
+# Byte edits of a saved field file: number spellings the block reader
+# must read as json.loads does, and edits that leave save_field's layout
+# and send the file to the text parser; the result must not change
+FIELD_BYTE_EDITS = {
+    "int_minus_zero": _replace(b'[\n    0.0,', b'[\n    -0,'),
+    "int_five": _replace(b'    0.0,\n    0.0\n   ],', b'    0.0,\n    5\n   ],'),
+    "upper_e": _replace(b'[\n    0.0,', b'[\n    0E5,'),
+    "exponent_007": _replace(b'[\n    0.0,', b'[\n    0e007,'),
+    "extra_space": _replace(b'"s": 0.4', b'"s":  0.4'),
+    "crlf": _replace(b"\n", b"\r\n", -1),
+    "utf8_bom": lambda data: b"\xef\xbb\xbf" + data,
+    "utf16": lambda data: data.decode("ascii").encode("utf-16"),
+    "byte_after_the_end": lambda data: data + b"x",
+    "space_after_the_end": lambda data: data + b" ",
+    "no_final_newline": lambda data: data[:-1],
+    "samples_in_a_header_string": _replace(b'"kind": "polar"', b'"kind": "polar \\"samples\\": ["'),
+    "samples_key_in_a_nested_object": _replace(b'\n "grid": {\n', b'\n "grid": {\n  "samples": [],\n'),
+}
+
+FIELD_FAST_CASES = {
+    **{f"indented_{case}": (lambda text=text: _indented(text()).encode("utf-8"))
+       for case, (text, _, _) in FIELD_FILE_CASES.items()},
+    **{f"edit_{name}": (lambda edit=edit: edit(_saved_bytes())) for name, edit in FIELD_BYTE_EDITS.items()},
+}
+
+
+def _outcome(load, path):
+    """The arrays of the field ``load`` reads from ``path``, or its error message."""
+    try:
+        field = load(path)
+    except ConfigError as exc:
+        return str(exc)
+    return [a.tobytes() for a in (field.s, field.phi, field.pos, field.g)] + [field.grid]
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_FAST_CASES))
+def test_field_fast_path_parity(tmp_path, capsys, monkeypatch, case):
+    """Documents in save_field's layout and byte edits of it read as the
+    text parser alone reads them: same arrays, bit for bit, same messages
+    and exit codes through ``deform --field``."""
+    path = tmp_path / "field.json"
+    path.write_bytes(FIELD_FAST_CASES[case]())
+    got, got_cli = _outcome(load_field, path), _deform_through_cli(tmp_path, capsys, path)
+    monkeypatch.setattr(fieldio, "_load_saved", lambda p: None)
+    assert got == _outcome(load_field, path)
+    assert got_cli == _deform_through_cli(tmp_path, capsys, path)
+    if not isinstance(got, str):
+        assert got == _outcome(lambda p: field_from_dict(json.loads(p.read_text(encoding="utf-8"))), path)
+
+
+def test_field_fast_path_takes_the_layout_and_json_floats(tmp_path):
+    """The files save_field writes, and float spellings such as 1E5, are
+    read without the text parser; int tokens and other layouts are not."""
+    path = tmp_path / "field.json"
+    for case, fast in [("indented_keys_reordered", False), ("indented_int_coordinates", False),
+                       ("indented_nan_phi_at_600", False), ("edit_upper_e", True), ("edit_exponent_007", True),
+                       ("edit_no_final_newline", True), ("edit_int_minus_zero", False), ("edit_crlf", False)]:
+        path.write_bytes(FIELD_FAST_CASES[case]())
+        assert (fieldio._load_saved(path) is not None) == fast, case
+    path.write_bytes(_saved_bytes())
+    assert fieldio._load_saved(path) is not None
+
+
+def _refuse(*args):
+    raise AssertionError("a plain file left the number kernel")
+
+
+def test_plain_files_never_fall_back(tmp_path, monkeypatch):
+    """The reference outputs, and a 16 001-sample field and its rays.csv as
+    the writers write them, are read by the number kernel alone: no token
+    goes to float and no file to the text parsers."""
+    for module, name in [(fieldio, "_load_text"), (fieldio, "float_tokens"), (scene, "_read_text"),
+                         (scene, "float_tokens")]:
+        monkeypatch.setattr(module, name, _refuse)
+    field = _combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(100, 160))
+    assert len(field) == 16_001
+    save_field(field, tmp_path / "field.json")
+    scene.write_rays_csv(scene.trace_field(field, W0), tmp_path / "rays.csv")
+    reference = Path(__file__).resolve().parent / "reference"
+    fields = [*REFERENCE_FIELDS, tmp_path / "field.json"]
+    rays = [*sorted(reference.glob("*/rays.csv")), tmp_path / "rays.csv"]
+    assert len(fields) == 9 and len(rays) == 5
+    for path in fields:
+        load_field(path)
+    for path in rays:
+        scene.read_rays_csv(path)

@@ -1,14 +1,16 @@
-"""The number kernel against CPython, which is its fallback and its oracle.
+"""The number kernels against CPython, which is their fallback and their oracle.
 
 ``repr_text`` must give ``repr(v)``, ``g17_text`` ``'%.17g' % v`` and
-``int_text`` ``'%d' % v``, byte for byte. The values below stress its decisions:
-exact decimal ties (dyadic values with few significant bits), rounding
-interval boundaries (powers of two and ten and their neighbours), the
-range limits and subnormals it leaves to CPython.
+``int_text`` ``'%d' % v``, byte for byte, and ``read_floats`` the bits of
+``float(token)`` for every token it certifies. The values below stress their
+decisions: exact decimal ties (dyadic values with few significant bits),
+rounding interval boundaries (powers of two and ten and their neighbours),
+the range limits and subnormals they leave to CPython.
 """
 
 import io
 import math
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from hoedeform import numtext
 from hoedeform.fieldio import write_rows
-from hoedeform.numtext import BLOCK_VALUES, g17_text, int_text, repr_text
+from hoedeform.numtext import BLOCK_VALUES, float_tokens, g17_text, int_text, read_floats, repr_text
 
 
 def _kernel_lines(values, shortest: bool) -> bytes:
@@ -54,10 +56,9 @@ def _edge_values():
     return np.concatenate([base, -base])
 
 
-def test_kernel_matches_cpython_on_a_million_values():
-    """10**6 seeded values: the edge values in both formats, the rest
-    (random bit patterns, values of every magnitude, dyadic ties) half
-    against repr and half against '%.17g'."""
+def _million_values():
+    """10**6 seeded values: the edge values, and the rest (random bit
+    patterns, values of every magnitude, dyadic ties) shuffled."""
     rng = np.random.default_rng(20100601)
     bits = rng.integers(-2 ** 63, 2 ** 63 - 1, 100_000, dtype=np.int64).view(np.float64)
     spread = rng.standard_normal(600_000) * 10.0 ** rng.uniform(-15, 15, 600_000)
@@ -66,6 +67,12 @@ def test_kernel_matches_cpython_on_a_million_values():
     rest = np.concatenate([bits[np.isfinite(bits)], spread, dyadic])
     rng.shuffle(rest)
     assert len(edge) + len(rest) >= 10 ** 6
+    return edge, rest
+
+
+def test_kernel_matches_cpython_on_a_million_values():
+    """The edge values in both formats, the rest half against repr and half against '%.17g'."""
+    edge, rest = _million_values()
     for shortest, values in ((True, np.concatenate([edge, rest[::2]])), (False, np.concatenate([edge, rest[1::2]]))):
         got, want = _kernel_lines(values, shortest), _cpython_lines(values.tolist(), shortest)
         if got != want:
@@ -158,3 +165,69 @@ def test_the_power_table_is_built_on_first_use():
     assert numtext._tables.cache_info().currsize == 0
     assert _kernel_lines([math.pi], True) == b"[3.141592653589793]"
     assert numtext._tables.cache_info().currsize == 1
+
+
+def _read(tokens, ints=True):
+    """The kernel's values and certificates of ``tokens``, read from one comma-separated text."""
+    text = b",".join(tokens)
+    ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
+    return (text, ends - [len(t) for t in tokens], ends), read_floats(text, ends - [len(t) for t in tokens], ends,
+                                                                      ints=ints)
+
+
+def test_reader_matches_float_on_a_million_values():
+    """repr(v) and '%.17g' % v of the writers' million values, a block of
+    BLOCK_VALUES tokens at a time: every certified value has the bits of
+    float(token), and the tokens refused go to float, as the readers send them."""
+    edge, rest = _million_values()
+    values = np.concatenate([edge, rest])
+    refused = 0
+    for fmt in (repr, "%.17g".__mod__):
+        tokens = [fmt(v).encode("ascii") for v in values.tolist()]
+        for lo in range(0, len(tokens), BLOCK_VALUES):
+            block = tokens[lo:lo + BLOCK_VALUES]
+            (text, starts, ends), (got, certified) = _read(block)
+            refused += int(np.count_nonzero(~certified))
+            got[~certified] = float_tokens(text, starts[~certified], ends[~certified])
+            want = values[lo:lo + BLOCK_VALUES]
+            if got.tobytes() != want.tobytes():
+                bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))[0]
+                pytest.fail(f"{block[bad]!r} read as {got[bad]!r}, float gives {want[bad]!r}")
+    assert refused < len(values) // 10  # out of range, exact ties and rounding boundaries
+
+
+# token, and whether the kernel certifies it: tokens outside the grammar,
+# and those it cannot decide (1e23 and 2**53 + 1 are exact ties), go to float
+EDGE_TOKENS = [
+    (b"-0", True), (b"0.0", True), (b"-0.0", True), (b"1E5", False), (b"1e+05", True), (b"1e-7", True),
+    (b"1e007", True), (b"01", False), (b".5", False), (b"5.", False), (b"+1", False), (b"1_0", False),
+    (b" 1", False), (b"1 ", False), (b"nan", False), (b"inf", False), (b"-", False), (b"", False), (b"1e", False),
+    (b"1.5.2", False), (b"1e5.2", False), (b"1-2", False), (b"1e5e3", False),
+    (b"12345678901234567890", False), (b"1234567890123456789", True), (b"0.000000000000000000001", True),
+    (b"1e23", False), (b"9007199254740993", False), (b"9007199254740992", True), (b"5e-324", False),
+    (b"2.2250738585072009e-308", False), (b"1.7976931348623157e308", False), (b"1e309", False),
+    (b"-0.00012345678901234567", True), (b"123456789012345678901234", False),
+]
+
+
+@pytest.mark.parametrize("token, certified", EDGE_TOKENS, ids=[t.decode() or "empty" for t, _ in EDGE_TOKENS])
+def test_reader_edge_tokens(token, certified):
+    (text, starts, ends), (got, ok) = _read([b"7", token, b"-3.25"])
+    assert ok.tolist() == [True, certified, True]
+    assert got[[0, 2]].tolist() == [7.0, -3.25]
+    if certified:
+        assert got[1].tobytes() == np.float64(float(token)).tobytes()
+
+
+def test_reader_edge_tokens_in_one_block():
+    tokens = [t for t, _ in EDGE_TOKENS]
+    (text, starts, ends), (got, ok) = _read(tokens)
+    assert ok.tolist() == [c for _, c in EDGE_TOKENS]
+    for token, value in zip(compress(tokens, ok), got[ok].tolist()):
+        assert np.float64(value).tobytes() == np.float64(float(token)).tobytes(), token
+
+
+def test_reader_without_ints_refuses_int_tokens():
+    (_, _, _), (got, ok) = _read([b"-0", b"5", b"1e5", b"5.0", b"-0.0"], ints=False)
+    assert ok.tolist() == [False, False, True, True, True]
+    assert got[2:].tolist() == [1e5, 5.0, -0.0] and np.signbit(got[4])

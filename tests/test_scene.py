@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from conftest import traced_peak
-from hoedeform import cli
+from hoedeform import cli, scene
 from hoedeform.deformation import induce_forward
 from hoedeform.errors import ConfigError, EmptyBundle, NoMinimumInRange
 from hoedeform.geometry import Vec3
@@ -729,6 +729,29 @@ class TestStreamedRaysCsv:
 
     def test_line_breaks_are_those_of_splitlines(self):
         assert LINE_BREAKS == {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
+
+
+# Spellings of a number that float takes, and with it the reader of
+# rays.csv as text: each reads as the number, not as an error
+RAYS_SPELLINGS = {"underscore": ("1_0", 10.0), "spaces": (" 1 ", 1.0), "plus": ("+1", 1.0), "upper_e": ("1E5", 1e5),
+                  "exponent_without_sign": ("1e5", 1e5), "arabic_indic_digit": ("\u0661", 1.0)}
+
+
+@pytest.mark.parametrize("name", sorted(RAYS_SPELLINGS))
+def test_rays_spellings_that_float_takes(tmp_path, name):
+    text, value = RAYS_SPELLINGS[name]
+    lines = _mixed_rays_lines()
+    row = next(i for i, ln in enumerate(lines) if ln.endswith(",propagating,1") and i > 3)
+    parts = lines[row].split(",")
+    parts[2] = text  # the origin's x
+    lines[row] = ",".join(parts)
+    path = tmp_path / "rays.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rays = read_rays_csv(path)
+    ray = sum(ln.split(",")[8] != "evanescent" for ln in lines[1:row])  # the row's ray
+    assert rays.origins[ray, 0] == value
+    assert rays == scene._read_text(path)
+    assert _scan(tmp_path, path)[0] == 0
 
 
 class TestRayValidation:
