@@ -14,18 +14,20 @@ it cannot certify), run on ``BLOCK_VALUES`` values at a time, and the rows
 are joined, their NUL padding dropped and written to the binary file in
 chunks under 120 KiB, so a write holds a block of text, never the document.
 
-``load_field`` reads a file in save_field's layout (``_load_saved``) a
-block of ``READ_BLOCK_BYTES`` at a time: the header, up to the line that
-opens the samples list, is decoded as UTF-8 and parsed by ``json.loads``;
-the samples must match ``_SAMPLE_TEXT`` byte for byte between their numbers
-(``_saved_samples``), and ``numtext.read_floats`` turns the numbers into
-floats, a number it refuses going to ``float`` when it is a JSON float
-(``float`` is what ``json.loads`` applies to one). Any other file goes to
-the JSON text parser (``_load_text``): one that is not UTF-8, has a "\\r",
-a BOM, other whitespace, another key order, a JSON int such as ``-0`` (an
-int to ``json.loads``, not -0.0) or anything after the document, and one
-that fails any check. The text parser is thus the one source of error
-messages, and the values are the same either way.
+``load_field`` reads a regular file in save_field's layout, final newline
+included (``_load_saved``), a block of ``READ_BLOCK_BYTES`` at a time: the
+header, up to the line that opens the samples list, is decoded as UTF-8
+and parsed by ``json.loads``; the samples must match ``_SAMPLE_TEXT`` byte
+for byte between their numbers (``_saved_samples``), and
+``numtext.read_floats`` turns the numbers into floats, a number it refuses
+going to ``float`` when it is a JSON float (``float`` is what
+``json.loads`` applies to one). Any other file goes to the JSON text
+parser (``_load_text``): a pipe or other input that can be read only once,
+one that is not UTF-8, has a "\\r", a BOM, other whitespace, another key
+order, a JSON int such as ``-0`` (an int to ``json.loads``, not -0.0) or
+anything after the document, and one that fails any check. The text
+parser is thus the one source of error messages, and the values are the
+same either way.
 
 The text parser holds the file's text and the samples as flat floats: one
 ``json.loads`` runs with a hook that moves the 8 numbers of each well-formed
@@ -44,6 +46,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 from array import array
 from itertools import chain
 from typing import BinaryIO, Optional, Sequence, Tuple, Union
@@ -277,8 +280,13 @@ def _saved_samples(block: bytes) -> Optional[np.ndarray]:
 
 
 def _load_saved(path: Union[str, os.PathLike]) -> Optional[GratingVectorField]:
-    """The field of a valid field file in save_field's layout, else None."""
+    """The field of a valid field file in save_field's layout, else None.
+
+    Only a regular file is read, so that the text parser still gets all of
+    an input that can be read once, such as a pipe."""
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
         with open(path, "rb") as fh:
             first = fh.read(READ_BLOCK_BYTES)
             at = first.find(_SAMPLES_LINE)
@@ -290,7 +298,7 @@ def _load_saved(path: Union[str, os.PathLike]) -> Optional[GratingVectorField]:
             for block in byte_blocks(fh, b",\n" + first[at + len(_SAMPLES_LINE):], _SAMPLE_TEXT[-1], READ_BLOCK_BYTES):
                 if tail:
                     return None
-                body = block.removesuffix(_TAIL) if block.endswith(_TAIL) else block.removesuffix(_TAIL[:-1])
+                body = block.removesuffix(_TAIL)
                 tail = len(body) < len(block)
                 if body:
                     rows = _saved_samples(body)

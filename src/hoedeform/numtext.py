@@ -382,6 +382,8 @@ _ZEROS = np.uint64(0x3030303030303030)
 _BYTE, _TOP = np.uint64(8), np.uint64(56)
 # Word j of a row: the sum of the positions (8j + byte) of its bytes that are 1, in the top byte of the product
 _PLACES = np.array([[sum((7 - k + 8 * j) << 8 * k for k in range(8))] for j in range(3)], dtype=np.uint64)
+# The sum of the bytes of a word, in the top byte of the product, while that sum is below 256
+_ONES = np.uint64(0x0101010101010101)
 _M_MAX = np.uint64(9 * 10 ** 18)  # below this, M is exact as int64 and as hi + lo
 _CLINGER_MAX = np.uint64(2 ** 53)  # the largest M that is an exact double, with all below it
 _EXP_DIGITS = 8  # the most exponent digits, one word
@@ -421,10 +423,13 @@ def _count_and_place(other: np.ndarray, scratch: np.ndarray):
     """How many bytes of each window are set, of (3, 8n) byte flags, and the
     sum of their places; ``scratch`` is a (3, n) word array to overwrite."""
     words = other.view(_WORD)
-    count = np.bitwise_count(words)
+    count = words[0] + words[1]  # each byte at most 3 after the third word
+    count += words[2]
+    count *= _ONES
+    count >>= _TOP
     np.multiply(words, _PLACES, out=scratch)
     scratch >>= _TOP
-    return (count[0] + count[1] + count[2]).astype(np.int64), (scratch[0] + scratch[1] + scratch[2]).view(np.int64)
+    return count.view(np.int64), (scratch[0] + scratch[1] + scratch[2]).view(np.int64)
 
 
 def _product(m: np.ndarray, m_hi: np.ndarray, k: np.ndarray):

@@ -16,20 +16,22 @@ CSV emission is deterministic: fixed sample ordering, decimal values with
 columns to ``fieldio.write_rows``, which formats them with the whole-array
 number kernel of ``numtext`` and joins the rows.
 
-``read_rays_csv`` reads a rays.csv that is ASCII with "\\n" line breaks
-(``_read_plain``) a block of ``READ_BLOCK_BYTES`` cut at a "\\n" at a time:
-byte masks find the 9 commas of each row, ``numtext.read_floats`` turns the
-cells into floats (a cell it refuses goes to ``float``, an empty one is
-nan) and the rows go through the checks of the text reader
-(``_broken``). Any other file, or one with a row that breaks a rule or a
-cell ``float`` rejects, goes to the text reader (``_read_text``), whose
-checks name the error.
+``read_rays_csv`` reads a regular rays.csv that is ASCII and ends every
+line, the last too, with "\\n" (``_read_plain``) a block of
+``READ_BLOCK_BYTES`` cut at a "\\n" at a time: byte masks find the 9
+commas of each row, ``numtext.read_floats`` turns the cells into floats (a
+cell it refuses goes to ``float``, an empty one is nan) and the rows go
+through the checks of the text reader (``_broken``). Any other file, or
+one with a row that breaks a rule or a cell ``float`` rejects, goes to the
+text reader (``_read_text``), whose checks name the error.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import stat
 from collections import abc
 from itertools import chain, compress, repeat
 from dataclasses import dataclass
@@ -573,8 +575,12 @@ def _plain_rows(block: bytes) -> Optional[np.ndarray]:
 
 
 def _read_plain(path) -> Optional[RayBundle]:
-    """The rays of a valid rays.csv that is ASCII with "\\n" line breaks, else None."""
+    """The rays of a valid rays.csv that is ASCII and ends every line with
+    "\\n", else None. Only a regular file is read, so that the text reader
+    still gets all of an input that can be read once, such as a pipe."""
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
         with open(path, "rb") as fh:
             header = RAYS_HEADER.encode("ascii") + b"\n"
             first = fh.read(READ_BLOCK_BYTES)
@@ -584,9 +590,9 @@ def _read_plain(path) -> Optional[RayBundle]:
             del first
             kept = [np.empty((0, 7))]
             for block in blocks:
-                if not block.isascii() or any(c in block for c in _OTHER_BREAKS):
+                if not block.endswith(b"\n") or not block.isascii() or any(c in block for c in _OTHER_BREAKS):
                     return None
-                rows = _plain_rows(block if block.endswith(b"\n") else block + b"\n")
+                rows = _plain_rows(block)
                 if rows is None:
                     return None
                 kept.append(rows)
@@ -601,10 +607,10 @@ def read_rays_csv(path) -> RayBundle:
 
     Every row needs a known status and finite numbers, s >= 0 and
     0 <= phi < 2*pi; evanescent rows, and only they, have an empty direction
-    and weight 0, and yield no ray. A file that is ASCII with "\\n" line
-    breaks and every row valid is read a block at a time by the number
-    kernel of ``numtext`` (``_read_plain``); any other file is read as text
-    (``_read_text``), whose checks name the error.
+    and weight 0, and yield no ray. A regular file that is ASCII, ends every
+    line with "\\n" and has every row valid is read a block at a time by the
+    number kernel of ``numtext`` (``_read_plain``); any other file is read
+    as text (``_read_text``), whose checks name the error.
     """
     rays = _read_plain(path)
     return rays if rays is not None else _read_text(path)

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -472,7 +474,7 @@ def test_field_fast_path_takes_the_layout_and_json_floats(tmp_path):
     path = tmp_path / "field.json"
     for case, fast in [("indented_keys_reordered", False), ("indented_int_coordinates", False),
                        ("indented_nan_phi_at_600", False), ("edit_upper_e", True), ("edit_exponent_007", True),
-                       ("edit_no_final_newline", True), ("edit_int_minus_zero", False), ("edit_crlf", False)]:
+                       ("edit_no_final_newline", False), ("edit_int_minus_zero", False), ("edit_crlf", False)]:
         path.write_bytes(FIELD_FAST_CASES[case]())
         assert (fieldio._load_saved(path) is not None) == fast, case
     path.write_bytes(_saved_bytes())
@@ -502,3 +504,55 @@ def test_plain_files_never_fall_back(tmp_path, monkeypatch):
         load_field(path)
     for path in rays:
         scene.read_rays_csv(path)
+
+
+def _read_through_a_pipe(pipe, data, read):
+    """What ``read`` returns for a new named pipe ``pipe`` that a thread
+    writes ``data`` to once; a pipe opened again after it has been read
+    waits for a writer that has gone, which fails the test."""
+    os.mkfifo(pipe)
+
+    def write():
+        with open(pipe, "wb") as fh:
+            fh.write(data)
+
+    def run():
+        try:
+            got.append(read(pipe))
+        except Exception as exc:  # raised again below
+            got.append(exc)
+
+    got = []
+    writer, reader = threading.Thread(target=write, daemon=True), threading.Thread(target=run, daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(10)
+    if reader.is_alive():
+        os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))  # an end of file for the second open
+        reader.join(10)
+        pytest.fail("the pipe was opened again after it was read")
+    writer.join(10)
+    if isinstance(got[0], Exception):
+        raise got[0]
+    return got[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_inputs_read_once_read_as_files(tmp_path):
+    """A field file or rays.csv that can be read only once reads as the same
+    bytes in a regular file: the text readers get all of it, whether or not
+    the block readers would take the file."""
+    field = _combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(25, 32))
+    save_field(field, tmp_path / "field.json")
+    scene.write_rays_csv(scene.trace_field(field, W0), tmp_path / "rays.csv")
+    saved, rays = (tmp_path / "field.json").read_bytes(), (tmp_path / "rays.csv").read_bytes()
+    path = tmp_path / "file"
+    def load(p):
+        return _outcome(load_field, p)
+
+    cases = [(saved, load), (json.dumps(json.loads(saved)).encode("ascii"), load),
+             (rays, scene.read_rays_csv), (rays.replace(b"\n", b"\r\n"), scene.read_rays_csv)]
+    for i, (data, read) in enumerate(cases):
+        assert len(data) > 64 * 1024  # more than a pipe holds, so the writer waits for the reader
+        path.write_bytes(data)
+        assert _read_through_a_pipe(tmp_path / f"pipe{i}", data, read) == read(path)

@@ -231,3 +231,26 @@ def test_reader_without_ints_refuses_int_tokens():
     (_, _, _), (got, ok) = _read([b"-0", b"5", b"1e5", b"5.0", b"-0.0"], ints=False)
     assert ok.tolist() == [False, False, True, True, True]
     assert got[2:].tolist() == [1e5, 5.0, -0.0] and np.signbit(got[4])
+
+
+def test_byte_flag_counts_and_places():
+    """How many bytes of each 24-byte window are set, and the sum of their
+    places, for windows with no, one, several and all 24 bytes set."""
+    rng = np.random.default_rng(5)
+    flags = rng.random((200, 24)) < rng.random((200, 1))
+    flags[:3] = [np.zeros(24, bool), np.ones(24, bool), np.arange(24) == 23]
+    windows = np.ascontiguousarray(flags.reshape(200, 3, 8).transpose(1, 0, 2)).reshape(3, 1600)
+    count, place = numtext._count_and_place(windows, np.empty((3, 200), dtype=np.uint64))
+    assert count.tolist() == flags.sum(axis=1).tolist()
+    one = count == 1
+    assert place[one].tolist() == np.argmax(flags[one], axis=1).tolist()
+
+
+def test_reader_needs_no_numpy_2_function(monkeypatch):
+    """The reader runs on the numpy versions the package declares (>= 1.23):
+    here without np.bitwise_count, which numpy 2.0 added."""
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    tokens = [t for t, _ in EDGE_TOKENS]
+    (_, _, _), (got, ok) = _read(tokens)
+    assert ok.tolist() == [c for _, c in EDGE_TOKENS]
+    assert got[ok].tobytes() == np.array([float(t) for t in compress(tokens, ok)]).tobytes()
