@@ -22,12 +22,14 @@ those descriptors: field files (``fieldio``) use them too.
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 
 from .errors import ConfigError
 from .geometry import Vec3
@@ -304,21 +306,22 @@ def read_input(path: Union[str, os.PathLike], what: str) -> str:
 # The characters str.splitlines breaks lines at; text read with universal
 # newlines holds no "\r".
 LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-# Characters read_lines decodes per read.
-READ_BLOCK_CHARS = 1 << 16
+# Bytes read_lines reads and decodes at a time.
+TEXT_BLOCK_BYTES = 1 << 16
 
 
 @contextmanager
 def read_lines(path: Union[str, os.PathLike], what: str) -> Iterator[Iterator[List[str]]]:
     """The lines of ``read_input(path, what).splitlines()`` in lists of
-    ``CHUNK_ROWS`` (the last may be shorter), read ``READ_BLOCK_CHARS`` at a time.
+    ``CHUNK_ROWS`` (the last may be shorter), read ``TEXT_BLOCK_BYTES`` at a time.
 
     File errors are read_input's, and so is a decode error anywhere in the
     file when the ``with`` block raises a ConfigError: reading the text whole
-    meets the decode error first.
+    meets the decode error first. The file is opened once, so a named pipe
+    reads like a regular file.
     """
     with _input_errors(path, what):
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     with fh:
         chunks = _line_chunks(fh, path, what)
         try:
@@ -329,19 +332,43 @@ def read_lines(path: Union[str, os.PathLike], what: str) -> Iterator[Iterator[Li
             raise
 
 
-def _line_chunks(fh: TextIO, path: Union[str, os.PathLike], what: str) -> Iterator[List[str]]:
-    """The lines of ``fh`` in lists of ``CHUNK_ROWS``; a line may span blocks."""
+def _decode_error(exc: UnicodeDecodeError, at: int) -> str:
+    """``str(exc)`` with its positions counted ``at`` bytes further on."""
+    if exc.end - exc.start == 1:
+        return (f"'{exc.encoding}' codec can't decode byte 0x{exc.object[exc.start]:02x} in position "
+                f"{at + exc.start}: {exc.reason}")
+    return f"'{exc.encoding}' codec can't decode bytes in position {at + exc.start}-{at + exc.end - 1}: {exc.reason}"
+
+
+def _text_blocks(fh: BinaryIO, path: Union[str, os.PathLike], what: str) -> Iterator[str]:
+    """The text of the binary file ``fh`` decoded as read_input decodes it
+    (UTF-8, universal newlines), in blocks that are not empty.
+
+    A byte that is not UTF-8 raises read_input's error, its position in the
+    file counted from the bytes read so far.
+    """
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    at = 0  # the bytes read before ``data``
+    while True:
+        data = fh.read(TEXT_BLOCK_BYTES)
+        held = len(decoder.getstate()[0])  # the first bytes of a character that the last block cut
+        try:
+            text = decoder.decode(data, final=not data)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{what} file {path} cannot be read: {_decode_error(exc, at - held)}") from exc
+        if text:
+            yield text
+        if not data:
+            return
+        at += len(data)
+
+
+def _line_chunks(fh: BinaryIO, path: Union[str, os.PathLike], what: str) -> Iterator[List[str]]:
+    """The lines of the text of ``fh`` in lists of ``CHUNK_ROWS``; a line may span blocks."""
     pending: List[str] = []
     pieces: List[str] = []  # the line that no block read so far has ended
     with _input_errors(path, what):
-        while True:
-            try:
-                block = fh.read(READ_BLOCK_CHARS)
-            except UnicodeDecodeError:
-                read_input(path, what)  # raises the error naming the byte offset in the file, not in the block
-                raise
-            if not block:
-                break
+        for block in _text_blocks(fh, path, what):
             lines = block.splitlines()
             ends = block[-1] in LINE_BREAKS
             if pieces and (ends or len(lines) > 1):

@@ -13,6 +13,9 @@ whole-array kernel of ``numtext`` (CPython's ``repr`` or ``%`` for each value
 it cannot certify), run on ``BLOCK_VALUES`` values at a time, and the rows
 are joined, their NUL padding dropped and written to the binary file in
 chunks under 120 KiB, so a write holds a block of text, never the document.
+A column that falls into few runs of equal rows, such as a polar grid's
+``s`` or the ``z`` of a planar field, is formatted once a run
+(``_run_starts``).
 
 ``load_field`` reads a regular file in save_field's layout, final newline
 included (``_load_saved``), a block of ``READ_BLOCK_BYTES`` at a time: the
@@ -93,6 +96,21 @@ READ_BLOCK_BYTES = 128 * 1024
 _CHUNK_BYTES = 120 * 1024
 
 
+def _run_starts(arrays: Sequence[np.ndarray], n: int) -> Optional[np.ndarray]:
+    """The flags of the rows at which a run of rows equal in every array
+    starts, floats compared by their bits (so 0.0 and -0.0 differ and equal
+    nans do not); None unless the runs are at most a quarter of the n rows."""
+    if n == 0:
+        return None
+    new = np.zeros(n, dtype=bool)
+    new[0] = True
+    for a in map(np.asarray, arrays):
+        if a.dtype.kind == "f":
+            a = a.view(f"i{a.dtype.itemsize}")
+        new[1:] |= a[1:n] != a[:n - 1]
+    return new if 4 * np.count_nonzero(new) <= n else None
+
+
 def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: bytes = b"") -> None:
     """Write ``n`` rows to the binary file ``fh``, rows separated by ``sep``.
 
@@ -101,23 +119,42 @@ def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: 
     ...)``, an (rows, width) uint8 block of text with NULs in it, such as
     ``numtext.repr_text`` returns, whose row i depends on row i of the
     arrays alone. The parts of one function run as one call on their
-    columns end to end, ``BLOCK_VALUES`` values at a time; the rows are
+    columns end to end, ``BLOCK_VALUES`` values at a time; a part whose rows
+    fall into at most n/4 runs of rows equal in every array (``_run_starts``)
+    gives the call one row of each run and repeats its text. The rows are
     joined, their NULs dropped and written in chunks under 120 KiB.
     """
     parts = (sep, *parts)
     calls = {}  # function -> the indexes of its parts
+    runs = {}  # the index of a part with few runs -> the flags of its run starts
     for i, part in enumerate(parts):
         if not isinstance(part, bytes):
             calls.setdefault(part[0], []).append(i)
+            new = _run_starts(part[1:], n)
+            if new is not None:
+                runs[i] = new
     block = max(1, BLOCK_VALUES // max(map(len, calls.values()), default=1))
     cells = [np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else None for part in parts]
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         for function, where in calls.items():
-            args = (np.concatenate([parts[i][k][lo:hi] for i in where]) for k in range(1, len(parts[where[0]])))
+            # the rows each part formats: all of the block's, or one of each run that meets it
+            picks = []
+            for i in where:
+                if i in runs:
+                    first = runs[i][lo:hi].copy()
+                    first[0] = True
+                    picks.append((lo + np.flatnonzero(first), np.cumsum(first) - 1))
+                else:
+                    picks.append((slice(lo, hi), None))
+            args = (np.concatenate([parts[i][k][rows] for i, (rows, _) in zip(where, picks)])
+                    for k in range(1, len(parts[where[0]])))
             text = function(*args)
-            for j, i in enumerate(where):
-                cells[i] = text[j * (hi - lo):(j + 1) * (hi - lo)]
+            at = 0
+            for i, (rows, run) in zip(where, picks):
+                count = hi - lo if run is None else len(rows)
+                cells[i] = text[at:at + count] if run is None else text[at:at + count][run]
+                at += count
         width = sum(c.shape[-1] for c in cells)
         step = max(1, _CHUNK_BYTES // width)
         rows = np.empty((min(step, hi - lo), width), dtype=np.uint8)

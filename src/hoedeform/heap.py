@@ -9,7 +9,7 @@ same chain of verbs on the same files peaks about 3 MB higher or lower with
 nothing changed but the length of the working directory's path.
 
 Fixing both thresholds ends that adjustment. At 1 MiB the block
-temporaries of the readers and writers (under 128 KiB) and the per-sample
+temporaries of the readers and writers (256 KiB at most) and the per-sample
 arrays of fields up to ~40 000 samples stay on the heap, buffers of 1 MiB and
 more get their own mapping and are returned when freed, and the heap is
 trimmed whenever 1 MiB at its top is free.

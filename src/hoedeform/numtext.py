@@ -19,10 +19,14 @@ formatted by CPython's ``repr`` or ``%`` instead. Zeros and exact powers of
 ten are exact and need no fallback.
 
 The text of a row is built in three little-endian 64-bit words of digits
-and a word on each side, and each step runs over whole columns of words.
-Callers pass blocks of a few thousand values (``BLOCK_VALUES``): numpy's
-cost per call dominates much smaller blocks, and every temporary of a block
-stays under 128 KiB.
+and a word on each side, and each step that most rows need runs over whole
+columns of words. The steps that few rows need (a zero, a rounding up to
+10**17, the exponent of exponent notation, repr's ".0") run on those rows
+alone, found with ``nonzero``: a block pays for them by the rows that need
+them, not by its length. Callers pass blocks of ``BLOCK_VALUES`` values:
+numpy's cost per call, ~0.1 ms, dominates much smaller blocks; the kernel
+holds ~100 bytes a value at its peak, under 1 MiB a block, the heap's
+thresholds (``heap``).
 
 ``read_floats(text, starts, ends)`` is the inverse: the values of the number
 tokens ``text[starts[i]:ends[i]]`` of a block of bytes, and the mask of the
@@ -54,9 +58,9 @@ import functools
 
 import numpy as np
 
-# Values per kernel call: its largest temporary, the text at 32 bytes a
-# value, stays under 128 KiB.
-BLOCK_VALUES = 4000
+# Values per kernel call: its temporaries, ~100 bytes a value at their
+# peak, stay under the heap's 1 MiB thresholds.
+BLOCK_VALUES = 8000
 
 # Error bound of y = hi + lo, in units of its 17th digit. With y < 2**57 the
 # product errs by at most 2.5 * 2**-106 * y < 2**-47 (the table's 10**p errs
@@ -83,9 +87,11 @@ _SIGN, _BODY, _DOT0, _EXP = 2, 8, 26, 27
 
 
 def _split(a: np.ndarray):
-    c = _SPLITTER * a
-    high = c - (c - a)
-    return high, a - high
+    high = _SPLITTER * a
+    low = high - a
+    high -= low  # c - (c - a), with c = _SPLITTER * a
+    np.subtract(a, high, out=low)
+    return high, low
 
 
 def _word_table(where: np.ndarray, byte: int) -> np.ndarray:
@@ -103,7 +109,8 @@ def _tables():
     as little-endian words, and ``lead4`` the same without leading zeros.
     Word tables, indexed by k: ``below``, the mask of bytes 0..k-1; ``dot``, a
     point at byte k (none for k = 18). ``zeros4``: the trailing zeros of 0000..9999;
-    ``prefix[k]``: "0." and k zeros at bytes 3..7 of a row.
+    ``front[2 * c + s]``: bytes 2..7 of a row, a minus sign if s, and for
+    c > 0 "0." and c - 1 zeros.
     """
     hi, lo = [], []
     for p in range(_P_MIN, _P_MAX + 1):
@@ -127,10 +134,11 @@ def _tables():
     groups = np.arange(10000)
     at = np.arange(24)
     k = np.arange(_NO_POINT + 1)[:, None]
-    prefix = np.zeros((4, 8), dtype=np.uint8)
-    prefix[:, 3:5] = (_ZERO, _POINT)
+    front = np.zeros((5, 2, 8), dtype=np.uint8)
+    front[:, 1, _SIGN] = _MINUS
+    front[1:, :, 3:5] = (_ZERO, _POINT)
     for zeros in range(4):
-        prefix[zeros, 5:5 + zeros] = _ZERO
+        front[1 + zeros, :, 5:5 + zeros] = _ZERO
     low = np.arange(_TOKEN_BYTES + 1)[:, None] > np.arange(_TOKEN_BYTES)
     high = low[:, ::-1]
     return {
@@ -143,7 +151,7 @@ def _tables():
         "below": _word_table(at < k, 0xFF),
         "dot": _word_table((at == k) & (k < _NO_POINT), _POINT),
         "zeros4": np.where(groups == 0, 4, sum(groups % 10 ** i == 0 for i in (1, 2, 3))),
-        "prefix": prefix.view(_WORD).ravel(),
+        "front": front.view(_WORD).ravel(),
     }
 
 
@@ -156,12 +164,25 @@ def _scaled(a: np.ndarray, p: np.ndarray):
     prod = a * scale
     ah, al = _split(a)
     hh, hl = t_hh[i], t_hl[i]
-    err = ((ah * hh - prod) + ah * hl + al * hh) + al * hl  # a * scale - prod, exactly
-    low = err + a * t_lo[i]
+    # err = ((ah * hh - prod) + ah * hl + al * hh) + al * hl = a * scale - prod, exactly
+    err = ah * hh
+    err -= prod
+    ah *= hl
+    err += ah
+    hh *= al
+    err += hh
+    hl *= al
+    err += hl
+    del ah, al, hh, hl
+    low = t_lo[i]  # a * lo(10**p) + err
+    del i
+    low *= a
+    low += err
     hi = prod + low
-    lo = low - (hi - prod)
+    lo = np.subtract(hi, prod, out=err)
+    np.subtract(low, lo, out=lo)  # low - (hi - prod)
     if a.max(initial=0.0) >= 1e16:  # some p may be negative
-        div = np.flatnonzero((p < 0) & (p >= -_EXACT_MAX))
+        div = ((p < 0) & (p >= -_EXACT_MAX)).nonzero()[0]
         if len(div):  # 10**-p is a double: divide by it, so that exact quotients stay exact
             q = t_hi[-p[div] - _P_MIN]
             num = a[div]
@@ -179,14 +200,21 @@ def _scale17(a: np.ndarray, kernel: np.ndarray):
     """floor(y), frac(y), p and 10**p of y = a * 10**p in [1e16, 1e17);
     rows whose y cannot be brought into that range leave ``kernel``."""
 
-    def split(hi, lo):  # hi is an integer-valued double
+    def split(hi, lo):  # hi is an integer-valued double; lo becomes the fraction
         floor_lo = np.floor(lo)
-        return hi.astype(np.int64) + floor_lo.astype(np.int64), lo - floor_lo
+        lo -= floor_lo
+        whole = hi.astype(np.int64)
+        whole += floor_lo.astype(np.int64)
+        return whole, lo
 
-    p = 16 - np.floor(np.log10(a)).astype(np.int64)
+    p = np.log10(a)
+    np.floor(p, out=p)
+    p = p.astype(np.int64)
+    np.subtract(16, p, out=p)
     hi, lo, scale = _scaled(a, p)
     whole, frac = split(hi, lo)
-    redo = np.flatnonzero((whole < 10 ** 16) | (whole >= 10 ** 17))
+    del hi
+    redo = ((whole < 10 ** 16) | (whole >= 10 ** 17)).nonzero()[0]
     if len(redo):  # log10 was one off
         p[redo] += np.where(whole[redo] < 10 ** 16, 1, -1)
         hi, lo, scale[redo] = _scaled(a[redo], p[redo])
@@ -195,9 +223,12 @@ def _scale17(a: np.ndarray, kernel: np.ndarray):
     return whole, frac, p, scale
 
 
-def _shortest(a, whole, frac, scale):
+def _shortest(whole, frac, w, pow2):
     """The multiple of the largest power of ten inside the rounding interval
-    of a, nearest to y, in units of y, and the rows that are uncertain.
+    of a, nearest to y, in units of y, and the rows that are uncertain;
+    ``w`` is half the spacing of the doubles above a, in units of y, which
+    this overwrites, and ``pow2`` the rows where a is a power of two, below
+    which the doubles are twice as dense.
 
     The interval is at most 22.2 units wide (half of a's spacing, times
     10**p, is at most y * 2**-53), so at most one multiple of 100 lies in
@@ -205,29 +236,50 @@ def _shortest(a, whole, frac, scale):
     the nearest multiple of 10 inside has 16 digits, and without that the
     nearest integer (always inside, the half width being over 0.55) has 17.
     """
-    bits = a.view(np.int64)
-    # half of a's spacing in units of y; below a power of two the doubles are twice as dense
-    w_hi = (bits & _EXPONENT_BITS).view(float) * scale * 2.0 ** -53
-    w_lo = np.where(bits & _FRACTION_BITS == 0, 0.5 * w_hi, w_hi)
     # the integers y - j inside are those with j < reach_lo, y + 1 + j those with j < reach_hi
-    reach_lo = w_lo - frac
-    reach_hi = (w_hi + frac) - 1.0
-    r100 = whole - whole // 100 * 100
-    r10 = r100 - r100 // 10 * 10
-    f100, f10 = r100.astype(float), r10.astype(float)
-    lo100, hi100 = f100 < reach_lo, 99.0 - f100 < reach_hi
-    lo10, hi10 = f10 < reach_lo, 9.0 - f10 < reach_hi
-    # both multiples of 10 inside: the nearer one
-    up10 = hi10 & ~(lo10 & (f10 + frac < 5.0))
+    reach_hi = w + frac
+    reach_hi -= 1.0
+    reach_lo = w
+    reach_lo[pow2] *= 0.5
+    reach_lo -= frac
+    r = whole // 100
+    r *= 100
+    np.subtract(whole, r, out=r)
+    f100 = r.astype(float)  # the last two digits of y
+    del r
+    f10 = f100 * 0.1  # 0.1 is a little above 1/10, so the floor is exact
+    np.floor(f10, out=f10)
+    f10 *= -10.0
+    f10 += f100  # the last digit
+    # each candidate is inside when its distance d to a bound is below 0,
+    # and a hit when |d| is below the margin
+    d = f100 - reach_lo
+    lo100 = d < 0.0
+    hit100 = np.abs(d, out=d) < _MARGIN
+    np.subtract(99.0, f100, out=d)
+    d -= reach_hi
+    hi100 = d < 0.0
+    hit100 |= np.abs(d, out=d) < _MARGIN
+    np.subtract(f10, reach_lo, out=d)
+    lo10 = d < 0.0
+    hit10 = np.abs(d, out=d) < _MARGIN
+    np.subtract(9.0, f10, out=d)
+    d -= reach_hi
+    hi10 = d < 0.0
+    hit10 |= np.abs(d, out=d) < _MARGIN
+    del reach_lo, reach_hi
+    # both multiples of 10 inside: the nearer one, and a near-tie between them
+    np.add(f10, frac, out=d)
+    d -= 5.0
+    both = lo10 & hi10
+    up10 = hi10 & ~(both & (d < 0.0))
+    hit10 |= both & (np.abs(d, out=d) < _MARGIN)
     in100, in10 = lo100 | hi100, lo10 | hi10
-    out = np.where(in100, whole + (100 * hi100 - r100),
-                   np.where(in10, whole + (10 * up10 - r10), whole + (frac > 0.5)))
-    # a boundary hit of a candidate that decides, a near-tie between the two
-    # multiples of 10 inside, or a near-tie of the nearest integer
-    hit100 = (np.abs(f100 - reach_lo) < _MARGIN) | (np.abs(99.0 - f100 - reach_hi) < _MARGIN)
-    hit10 = ((np.abs(f10 - reach_lo) < _MARGIN) | (np.abs(9.0 - f10 - reach_hi) < _MARGIN)
-             | lo10 & hi10 & (np.abs(f10 + frac - 5.0) < _MARGIN))
-    uncertain = hit100 | ~in100 & (hit10 | ~in10 & (np.abs(frac - 0.5) < _MARGIN))
+    out = np.where(in100, 100 * hi100 - f100, np.where(in10, 10 * up10 - f10, frac > 0.5)).astype(np.int64)
+    out += whole
+    # a boundary hit of a candidate that decides, or a near-tie of the nearest integer
+    np.subtract(frac, 0.5, out=d)
+    uncertain = hit100 | ~in100 & (hit10 | ~in10 & (np.abs(d, out=d) < _MARGIN))
     return out, uncertain
 
 
@@ -241,22 +293,38 @@ def _digit_words(number: np.ndarray):
     rest = number
     for _ in range(4):
         high = rest // 10000
-        groups.append(rest - high * 10000)
+        group = high * 10000
+        groups.append(np.subtract(rest, group, out=group))
         rest = high
-    g4, g3, g2, g1 = (ascii4[g] for g in groups)
-    out = np.empty((3, len(number)), dtype=_WORD)
-    out[0] = (rest + _ZERO).astype(_WORD) | (g1 << 8) | (g2 << 40)
-    out[1] = (g2 >> 24) | (g3 << 8) | (g4 << 40)
-    out[2] = g4 >> 24
     zeros4 = tables["zeros4"]
     sig = 17 - zeros4[groups[0]]
-    deep = np.flatnonzero(groups[0] == 0)
+    deep = (groups[0] == 0).nonzero()[0]
     if len(deep):  # the last four digits are 0: count the zeros further up
         zeros = rest[deep] == 0
         for group in reversed(groups):
             group = group[deep]
             zeros = zeros4[group] + (group == 0) * zeros
         sig[deep] = 17 - zeros
+    # the first digit at byte 0, then the groups, first to last, at bytes 1, 5, 9 and 13
+    out = np.empty((3, len(number)), dtype=_WORD)
+    w0, w1, w2 = out
+    w0[...] = rest
+    w0 += _ZERO
+    del rest, high
+    g = ascii4[groups.pop()]
+    g <<= 8
+    w0 |= g
+    g = ascii4[groups.pop()]
+    np.right_shift(g, 24, out=w1)
+    g <<= 40
+    w0 |= g
+    g = ascii4[groups.pop()]
+    g <<= 8
+    w1 |= g
+    g = ascii4[groups.pop()]
+    np.right_shift(g, 24, out=w2)
+    g <<= 40
+    w1 |= g
     return out, sig
 
 
@@ -282,74 +350,103 @@ def g17_text(values: np.ndarray) -> np.ndarray:
 
 
 def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
-    """``repr(v)`` (``shortest``) or ``'%.17g' % v`` of every value."""
+    """``repr(v)`` (``shortest``) or ``'%.17g' % v`` of every value.
+
+    The steps every row needs run on whole columns; the rare ones (the
+    rows outside the kernel's range, zeros, a rounding up to 10**17, the
+    exponent, repr's ".0" and the "0." of fixed notation below 1) run only
+    on the rows that need them, found with ``nonzero``.
+    """
     tables = _tables()
     x = np.ascontiguousarray(values, dtype=float)
     n = len(x)
     a = np.abs(x)
     kernel = (a >= _LIMITS[0]) & (a <= _LIMITS[1])  # False for nan
-    zero = a == 0.0
-    a[~kernel] = 1.0  # zero, like 1.0, has its point after the first digit
-    kernel |= zero
+    odd = (~kernel).nonzero()[0]
+    zero = odd[a[odd] == 0.0]
+    a[odd] = 1.0  # zero, like 1.0, has its point after the first digit
+    kernel[zero] = True
     whole, frac, p, scale = _scale17(a, kernel)
+    bits = a.view(np.int64)
     if shortest:
-        number, uncertain = _shortest(a, whole, frac, scale)
+        w = (bits & _EXPONENT_BITS).view(float)  # half the spacing of the doubles above a, in units of y
+        w *= scale
+        w *= 2.0 ** -53
+        pow2 = (bits & _FRACTION_BITS == 0).nonzero()[0]
+        del a, bits, scale  # each step frees what it no longer needs, to bound the peak
+        number, uncertain = _shortest(whole, frac, w, pow2)
+        del w
     else:
-        number, uncertain = whole + (frac > 0.5), np.abs(frac - 0.5) < _MARGIN
-    del a, whole, frac, scale  # each step frees what it no longer needs, to bound the peak
+        del a, bits, scale
+        number = whole
+        number += frac > 0.5
+        frac -= 0.5
+        uncertain = np.abs(frac, out=frac) < _MARGIN
+    del whole, frac
     kernel &= ~uncertain
-    carry = number == 10 ** 17
+    point = np.subtract(17, p, out=p)  # |x| = 0.d1d2...d17 * 10**point
+    carry = (number == 10 ** 17).nonzero()[0]
     number[carry] = 10 ** 16
+    point[carry] += 1
     number[zero] = 0
-    point = (17 + carry) - p  # |x| = 0.d1d2...d17 * 10**point
-    del p, carry
     digits, sig = _digit_words(number)
     del number
     np.maximum(sig, 1, out=sig)  # zero has one significant digit
     # exponent = point - 1 below -4, or at 16 (repr) or 17 ('%.17g') and above
-    sci = (point < -3) | (point > (16 if shortest else 17))
-    fixed = ~sci
+    sci = ((point < -3) | (point > (16 if shortest else 17))).nonzero()[0]
     # the digits kept: the significant ones, and an integer's zeros before the point
-    kept = np.where(fixed, np.maximum(sig, point), sig)
-    pos = np.where(fixed, np.where((point >= 1) & ((sig > point) | shortest), point, _NO_POINT),
-                   np.where(sig > 1, 1, _NO_POINT))
-    digits &= np.take(tables["below"], kept, axis=1)
-    under = digits & np.take(tables["below"], pos, axis=1)
-    digits ^= under  # the digits after the point, which move up one byte
-    under |= np.take(tables["dot"], pos, axis=1)
-    out = np.zeros((n, 4), dtype=_WORD)
-    out[:, 1] = under[0] | (digits[0] << 8)
-    out[:, 2] = under[1] | (digits[1] << 8) | (digits[0] >> 56)
-    out[:, 3] = under[2] | (digits[2] << 8) | (digits[1] >> 56)
-    del digits, under
-    first, last = _BODY, _BODY + min(int(np.max(kept, initial=0)) + 1, 18)
+    kept = np.maximum(sig, point)
+    pos = np.where((point >= 1) & ((sig > point) | shortest), point, _NO_POINT)
+    kept[sci] = sig[sci]
+    pos[sci] = np.where(sig[sci] > 1, 1, _NO_POINT)
+    first, last = _BODY, _BODY + min(int(kept.max(initial=0)) + 1, 18)
+    mask = np.take(tables["below"], kept, axis=1)
+    del kept
+    digits &= mask
+    words = np.take(tables["dot"], pos, axis=1)  # bytes 8..31 of each row: the digits and the point
+    np.take(tables["below"], pos, axis=1, out=mask, mode="clip")  # unbuffered; pos is in range
+    del pos
+    mask &= digits  # the digits before the point
+    digits ^= mask  # the digits after it, which move up one byte
+    words |= mask
+    del mask
+    words[1:] |= digits[:2] >> 56
+    digits <<= 8
+    words |= digits
+    del digits
+    out = np.empty((n, 4), dtype=_WORD)
+    out[:, 1:] = words.T
+    del words
+    # bytes 2..7: the sign, and "0." and -point zeros in fixed notation below 1
+    front = 1 - point
+    np.maximum(front, 0, out=front)
+    np.minimum(front, 4, out=front)
+    front[sci] = 0
+    front <<= 1
     signed = np.signbit(x)
-    small = fixed & (point <= 0)
-    if signed.any() or small.any():
-        # -point is 0..3 on the rows below 1
-        lead = np.where(small, tables["prefix"][-point & 3], np.uint64(0))
-        lead |= signed.view(np.uint8).astype(_WORD) * np.uint64(_MINUS << 8 * _SIGN)
-        out[:, 0] = lead
-        first = _SIGN if signed.any() else 3
-    ints = fixed & (point >= 1) & (sig <= point) & shortest  # repr's ".0"
-    if ints.any():
-        out[:, 3] |= np.where(ints, np.uint64(_ZERO << 8 * (_DOT0 - 24)), np.uint64(0))
-        last = _DOT0 + 1
-    if sci.any():
-        exponent = point - 1
+    front += signed
+    out[:, 0] = tables["front"][front]
+    first = _SIGN if signed.any() else 3 if front.any() else first
+    if shortest:
+        ints = ((point >= 1) & (point <= 16) & (sig <= point)).nonzero()[0]  # repr's ".0"
+        if len(ints):
+            out[ints, 3] |= np.uint64(_ZERO << 8 * (_DOT0 - 24))
+            last = _DOT0 + 1
+    if len(sci):
+        exponent = point[sci] - 1
         e = np.abs(exponent).astype(_WORD)
         text = (np.uint64(_E) | np.where(exponent < 0, np.uint64(_MINUS << 8), np.uint64(_PLUS << 8))
                 | np.where(e >= 100, (e // 100 + _ZERO) << 16, np.uint64(0))
                 | (e // 10 % 10 + _ZERO) << 24 | (e % 10 + _ZERO) << 32)
-        out[:, 3] |= np.where(sci, text << 8 * (_EXP - 24), np.uint64(0))
+        out[sci, 3] |= text << 8 * (_EXP - 24)
         last = 32
     cells = out.view(np.uint8)
-    rows = np.flatnonzero(~kernel)
+    rows = (~kernel).nonzero()[0]
     if len(rows):
         fmt = repr if shortest else "%.17g".__mod__
         cells = _fallback(cells, rows, map(fmt, x[rows].tolist()), _SIGN)
         first, last = _SIGN, cells.shape[1]
-    return np.ascontiguousarray(cells[:, first:last])
+    return cells[:, first:last]
 
 
 def int_text(values: np.ndarray) -> np.ndarray:

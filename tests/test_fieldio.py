@@ -513,8 +513,11 @@ def _read_through_a_pipe(pipe, data, read):
     os.mkfifo(pipe)
 
     def write():
-        with open(pipe, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(pipe, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # a reader that stops at an error closes the pipe early
+            pass
 
     def run():
         try:
@@ -556,3 +559,37 @@ def test_inputs_read_once_read_as_files(tmp_path):
         assert len(data) > 64 * 1024  # more than a pipe holds, so the writer waits for the reader
         path.write_bytes(data)
         assert _read_through_a_pipe(tmp_path / f"pipe{i}", data, read) == read(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_that_is_not_utf8_fails_as_the_file_does(tmp_path, capsys):
+    """A rays.csv with a byte that is not UTF-8 two thirds in fails through a
+    named pipe with the error of the same bytes in a regular file, which
+    names the byte's offset in the file, and ``scan --rays`` on the pipe
+    exits 2: the text reader counts the offset without opening the pipe again."""
+    field = _combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(60, 64))
+    scene.write_rays_csv(scene.trace_field(field, W0), tmp_path / "rays.csv")
+    data = (tmp_path / "rays.csv").read_bytes()
+    at = data.index(b"\n", 2 * len(data) // 3) + 3
+    data = data[:at] + b"\xff" + data[at:]
+    assert len(data) > 600_000
+    path = tmp_path / "file"
+    path.write_bytes(data)
+
+    def error(p):
+        with pytest.raises(ConfigError) as exc:
+            scene.read_rays_csv(p)
+        return str(exc.value).replace(str(p), "<path>")
+
+    want = error(path)
+    assert want == f"rays file <path> cannot be read: 'utf-8' codec can't decode byte 0xff in position {at}: " \
+                   "invalid start byte"
+    assert _read_through_a_pipe(tmp_path / "pipe0", data, error) == want
+    cfg = tmp_path / "scene.json"
+    cfg.write_text(json.dumps({"wavelength": {"lambda_nm": 500.0}, "analysis": {"detector_z_mm": [50.0]}}))
+    capsys.readouterr()
+    pipe = tmp_path / "pipe1"
+    code = _read_through_a_pipe(pipe, data, lambda p: cli.main(["scan", "--config", str(cfg), "--out",
+                                                                    str(tmp_path / "out"), "--rays", str(p)]))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == want.replace("<path>", str(pipe))

@@ -10,16 +10,23 @@ the range limits and subnormals they leave to CPython.
 
 import io
 import math
+import os
+import subprocess
+import sys
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoedeform import numtext
+from hoedeform import fieldio, numtext, scene
 from hoedeform.fieldio import write_rows
 from hoedeform.numtext import BLOCK_VALUES, float_tokens, g17_text, int_text, read_floats, repr_text
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _kernel_lines(values, shortest: bool) -> bytes:
@@ -167,6 +174,119 @@ def test_the_power_table_is_built_on_first_use():
     assert numtext._tables.cache_info().currsize == 1
 
 
+# Rows that the kernel's rare steps patch: exponent notation, repr's ".0",
+# zeros, the decades where y reaches 10**17, and the values left to CPython
+_EXPONENT = st.one_of(st.floats(1e-300, 9.99e-5), st.floats(1e17, 1e300), st.sampled_from([1e-5, 1e16, 1e22, 5e-324]))
+_RARE = st.one_of(_EXPONENT, st.integers(-2 ** 53, 2 ** 53).map(float),
+                  st.sampled_from([0.0, -0.0, 1e16, 1e17, 9999999999999998.0, 99999999999999999.0, 1e-280, 1e280,
+                                   9.999999999999999e279, 2.2250738585072014e-308, 1e-310, 1e-4, 0.0001, 1e15]))
+_COMMON = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rare_rows_among_common_ones(data):
+    """Blocks of common values with rare rows drawn in, exponent rows first
+    and last: every row is CPython's text, in both formats."""
+    n = data.draw(st.integers(2, 300))
+    values = data.draw(st.lists(_COMMON, min_size=n, max_size=n))
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=30)):
+        values[i] = data.draw(_RARE)
+    values[0], values[-1] = data.draw(_EXPONENT), data.draw(_EXPONENT)
+    values = [-v if flip else v for v, flip in zip(values, data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))]
+    x = np.array(values)
+    for kernel, fmt in ((repr_text, repr), (g17_text, "%.17g".__mod__)):
+        assert [bytes(row).replace(b"\0", b"").decode() for row in kernel(x)] == list(map(fmt, values))
+
+
+def _row_by_row(parts, n, sep=b""):
+    """What ``write_rows(fh, parts, n, sep)`` writes, formatted one value at a
+    time by CPython; a ``_live_text`` cell is empty on a row that is not live."""
+    fmt = {repr_text: repr, g17_text: "%.17g".__mod__, int_text: "%d".__mod__, scene._live_text: "%.17g".__mod__}
+    rows = []
+    for i in range(n):
+        cells = []
+        for part in parts:
+            if isinstance(part, bytes):
+                cells.append(part)
+            elif part[0] is scene._live_text and not part[2][i]:
+                cells.append(b"")
+            else:
+                cells.append(fmt[part[0]](part[1][i].item()).encode("ascii"))
+        rows.append(b"".join(cells))
+    return sep.join(rows)
+
+
+def _written(parts, n, sep=b""):
+    buf = io.BytesIO()
+    write_rows(buf, parts, n, sep)
+    return buf.getvalue()
+
+
+def _runs(rng, n, values):
+    """n values in runs of 1 to 40 equal rows, each run a value of ``values``."""
+    lengths = rng.integers(1, 41, n)
+    return np.repeat(rng.choice(values, len(lengths)), lengths)[:n]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, BLOCK_VALUES // 3 + 5, 3 * BLOCK_VALUES + 11])
+def test_write_rows_with_run_parts(n):
+    """Parts in runs of equal rows, among parts without, of the same and of
+    other functions: the bytes are those of formatting every row, however
+    the runs meet the block edges (a block of these parts is
+    BLOCK_VALUES // 3 rows)."""
+    rng = np.random.default_rng(n)
+    distinct = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+    stepped = _runs(rng, n, rng.standard_normal(50))
+    flat = np.full(n, 2.5)
+    ints = _runs(rng, n, np.arange(-3, 1000)).astype(np.int64)
+    parts = [(repr_text, stepped), b",", (repr_text, distinct), b";", (repr_text, flat), b" ", (int_text, ints),
+             b"|", (g17_text, stepped), b"\n"]
+    assert _written(parts, n, b"#") == _row_by_row(parts, n, b"#")
+    if n >= 4:
+        assert all(fieldio._run_starts((a,), n) is not None for a in (stepped, flat, ints))
+        assert fieldio._run_starts((distinct,), n) is None
+
+
+def test_a_run_across_a_block_edge():
+    """A run that starts at row 0, one that spans the edge between the first
+    two blocks, and one that ends at the last row."""
+    block = BLOCK_VALUES // 2
+    n = 2 * block + 9
+    column = np.full(n, 1.25)
+    column[block - 3:block + 4] = -7.5
+    column[-2:] = 1e-9
+    other = np.linspace(1.0, 2.0, n)
+    parts = [(g17_text, column), b",", (g17_text, other), b"\n"]
+    assert fieldio._run_starts((column,), n) is not None
+    assert _written(parts, n) == _row_by_row(parts, n)
+
+
+@pytest.mark.parametrize("column", [[0.0] * 6 + [-0.0] * 6 + [0.0] * 6, [math.nan] * 12, [-0.0, 0.0] + [0.0] * 10,
+                                    [math.inf] * 5 + [-math.inf] * 5 + [math.nan] * 5],
+                         ids=["zero_next_to_minus_zero", "equal_nans", "minus_zero_first", "non_finite_runs"])
+def test_runs_compare_bits(column):
+    """Runs are of bit-identical values: 0.0 and -0.0 differ, equal nans do not."""
+    column = np.array(column)
+    parts = [(repr_text, column), b"\n"]
+    assert fieldio._run_starts((column,), len(column)) is not None
+    assert _written(parts, len(column)) == _row_by_row(parts, len(column))
+
+
+def test_an_evanescent_row_splits_a_run_of_eta():
+    """rays.csv leaves the efficiency of an evanescent row empty: the live
+    mask ends a run of equal eta, so the row inside it is written empty."""
+    n = 40
+    eta = np.ones(n)
+    live = np.ones(n, dtype=bool)
+    live[17] = False
+    assert np.count_nonzero(fieldio._run_starts((eta, live), n)) == 3
+    parts = [(g17_text, np.arange(n, dtype=float)), b",", (scene._live_text, eta, live), b"\n"]
+    written = _written(parts, n)
+    assert written == _row_by_row(parts, n)
+    assert written.split(b"\n")[17] == b"17,"
+
+
 def _read(tokens, ints=True):
     """The kernel's values and certificates of ``tokens``, read from one comma-separated text."""
     text = b",".join(tokens)
@@ -254,3 +374,14 @@ def test_reader_needs_no_numpy_2_function(monkeypatch):
     (_, _, _), (got, ok) = _read(tokens)
     assert ok.tolist() == [c for _, c in EDGE_TOKENS]
     assert got[ok].tobytes() == np.array([float(t) for t in compress(tokens, ok)]).tobytes()
+
+
+def test_import_builds_no_tables():
+    """A fresh ``import hoedeform`` leaves the kernel's tables unbuilt: they
+    cost milliseconds, which would go to every run's start-up time."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import hoedeform; from hoedeform import numtext; print(numtext._tables.cache_info().currsize)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0"]

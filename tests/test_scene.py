@@ -17,7 +17,7 @@ from hoedeform.errors import ConfigError, EmptyBundle, NoMinimumInRange
 from hoedeform.geometry import Vec3
 from hoedeform.diffraction import EVANESCENT, PASS_THROUGH, PROPAGATING
 from hoedeform.recording import CHUNK_ROWS, GratingVectorField, PolarGrid, record
-from hoedeform.config import LINE_BREAKS, READ_BLOCK_CHARS, load_scene_config
+from hoedeform.config import LINE_BREAKS, TEXT_BLOCK_BYTES, load_scene_config, read_input, read_lines
 from hoedeform.pipeline import deform_stage, record_stage
 from hoedeform.scene import (
     PARALLEL_TOL,
@@ -661,7 +661,7 @@ def _status_across(lines, offset):
     return ("\n".join(lines[:row] + [",".join(parts)] + lines[row + 1:]) + "\n").encode("utf-8")
 
 
-_B = READ_BLOCK_CHARS
+_B = TEXT_BLOCK_BYTES
 _STRAY_BREAKS = {"vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "nel": "\x85", "ls": "\u2028"}
 
 # Each file's exit code and message (<path> stands for the file) from
@@ -726,6 +726,27 @@ class TestStreamedRaysCsv:
         path = tmp_path / "rays.csv"
         path.write_text(_joined(lines, brk, edge=_B - 1), newline="")
         assert read_rays_csv(path) == read_rays_csv(_write(tmp_path / "plain.csv", lines))
+
+    @pytest.mark.parametrize("at, bad", [(_B - 1, b"\xff"), (_B, b"\xff"), (_B - 1, b"\xe2("),
+                                         (_B - 2, b"\xe2\x82("), (_B - 1, b"\xed\xa0\x80"), (2 * _B - 1, b"\xf0\x9f\x98"),
+                                         (None, b"\xe2\x82")],
+                             ids=["last_byte_of_a_block", "first_byte_of_a_block", "cut_before_a_bad_continuation",
+                                  "cut_inside_a_bad_continuation", "surrogate_across_the_edge",
+                                  "four_bytes_cut_short_at_the_edge", "cut_short_at_the_end"])
+    def test_decode_errors_count_bytes_in_the_file(self, tmp_path, at, bad):
+        """A byte that is not UTF-8 fails the line reader with read_input's
+        error for the whole file, wherever the read blocks cut the text."""
+        data = _joined(_long_rays_lines()).encode("utf-8")
+        at = len(data) if at is None else at
+        path = tmp_path / "rays.csv"
+        path.write_bytes(data[:at] + bad + data[at:])
+        with pytest.raises(ConfigError) as want:
+            read_input(path, "rays")
+        with pytest.raises(ConfigError) as got:
+            with read_lines(path, "rays") as chunks:
+                for _ in chunks:
+                    pass
+        assert str(got.value) == str(want.value)
 
     def test_line_breaks_are_those_of_splitlines(self):
         assert LINE_BREAKS == {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
