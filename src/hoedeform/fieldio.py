@@ -138,22 +138,24 @@ def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: 
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         for function, where in calls.items():
-            # the rows each part formats: all of the block's, or one of each run that meets it
+            # the rows each part formats, all of the block's or one of each run
+            # that meets it, and then the run of each row of the block
             picks = []
             for i in where:
                 if i in runs:
-                    first = runs[i][lo:hi].copy()
-                    first[0] = True
-                    picks.append((lo + np.flatnonzero(first), np.cumsum(first) - 1))
+                    new = runs[i][lo:hi].copy()
+                    new[0] = True
+                    picks.append((lo + np.flatnonzero(new), np.cumsum(new) - 1))
                 else:
                     picks.append((slice(lo, hi), None))
-            args = (np.concatenate([parts[i][k][rows] for i, (rows, _) in zip(where, picks)])
+            args = (np.concatenate([parts[i][k][taken] for i, (taken, _) in zip(where, picks)])
                     for k in range(1, len(parts[where[0]])))
             text = function(*args)
             at = 0
-            for i, (rows, run) in zip(where, picks):
-                count = hi - lo if run is None else len(rows)
-                cells[i] = text[at:at + count] if run is None else text[at:at + count][run]
+            for i, (taken, run) in zip(where, picks):
+                count = hi - lo if run is None else len(taken)
+                cell = text[at:at + count]
+                cells[i] = cell if run is None else cell[run]
                 at += count
         width = sum(c.shape[-1] for c in cells)
         step = max(1, _CHUNK_BYTES // width)

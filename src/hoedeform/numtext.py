@@ -354,8 +354,7 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
 
     The steps every row needs run on whole columns; the rare ones (the
     rows outside the kernel's range, zeros, a rounding up to 10**17, the
-    exponent, repr's ".0" and the "0." of fixed notation below 1) run only
-    on the rows that need them, found with ``nonzero``.
+    exponent and repr's ".0") run only on the rows that need them.
     """
     tables = _tables()
     x = np.ascontiguousarray(values, dtype=float)
