@@ -87,11 +87,9 @@ _SIGN, _BODY, _DOT0, _EXP = 2, 8, 26, 27
 
 
 def _split(a: np.ndarray):
-    high = _SPLITTER * a
-    low = high - a
-    high -= low  # c - (c - a), with c = _SPLITTER * a
-    np.subtract(a, high, out=low)
-    return high, low
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
 
 
 def _word_table(where: np.ndarray, byte: int) -> np.ndarray:
@@ -164,23 +162,11 @@ def _scaled(a: np.ndarray, p: np.ndarray):
     prod = a * scale
     ah, al = _split(a)
     hh, hl = t_hh[i], t_hl[i]
-    # err = ((ah * hh - prod) + ah * hl + al * hh) + al * hl = a * scale - prod, exactly
-    err = ah * hh
-    err -= prod
-    ah *= hl
-    err += ah
-    hh *= al
-    err += hh
-    hl *= al
-    err += hl
+    err = ((ah * hh - prod) + ah * hl + al * hh) + al * hl  # a * scale - prod, exactly
     del ah, al, hh, hl
-    low = t_lo[i]  # a * lo(10**p) + err
-    del i
-    low *= a
-    low += err
+    low = err + a * t_lo[i]
     hi = prod + low
-    lo = np.subtract(hi, prod, out=err)
-    np.subtract(low, lo, out=lo)  # low - (hi - prod)
+    lo = low - (hi - prod)
     if a.max(initial=0.0) >= 1e16:  # some p may be negative
         div = ((p < 0) & (p >= -_EXACT_MAX)).nonzero()[0]
         if len(div):  # 10**-p is a double: divide by it, so that exact quotients stay exact
@@ -200,20 +186,13 @@ def _scale17(a: np.ndarray, kernel: np.ndarray):
     """floor(y), frac(y), p and 10**p of y = a * 10**p in [1e16, 1e17);
     rows whose y cannot be brought into that range leave ``kernel``."""
 
-    def split(hi, lo):  # hi is an integer-valued double; lo becomes the fraction
+    def split(hi, lo):  # hi is an integer-valued double
         floor_lo = np.floor(lo)
-        lo -= floor_lo
-        whole = hi.astype(np.int64)
-        whole += floor_lo.astype(np.int64)
-        return whole, lo
+        return hi.astype(np.int64) + floor_lo.astype(np.int64), lo - floor_lo
 
-    p = np.log10(a)
-    np.floor(p, out=p)
-    p = p.astype(np.int64)
-    np.subtract(16, p, out=p)
+    p = 16 - np.floor(np.log10(a)).astype(np.int64)
     hi, lo, scale = _scaled(a, p)
     whole, frac = split(hi, lo)
-    del hi
     redo = ((whole < 10 ** 16) | (whole >= 10 ** 17)).nonzero()[0]
     if len(redo):  # log10 was one off
         p[redo] += np.where(whole[redo] < 10 ** 16, 1, -1)
@@ -237,49 +216,25 @@ def _shortest(whole, frac, w, pow2):
     nearest integer (always inside, the half width being over 0.55) has 17.
     """
     # the integers y - j inside are those with j < reach_lo, y + 1 + j those with j < reach_hi
-    reach_hi = w + frac
-    reach_hi -= 1.0
+    reach_hi = (w + frac) - 1.0
     reach_lo = w
     reach_lo[pow2] *= 0.5
     reach_lo -= frac
-    r = whole // 100
-    r *= 100
-    np.subtract(whole, r, out=r)
-    f100 = r.astype(float)  # the last two digits of y
-    del r
-    f10 = f100 * 0.1  # 0.1 is a little above 1/10, so the floor is exact
-    np.floor(f10, out=f10)
-    f10 *= -10.0
-    f10 += f100  # the last digit
-    # each candidate is inside when its distance d to a bound is below 0,
-    # and a hit when |d| is below the margin
-    d = f100 - reach_lo
-    lo100 = d < 0.0
-    hit100 = np.abs(d, out=d) < _MARGIN
-    np.subtract(99.0, f100, out=d)
-    d -= reach_hi
-    hi100 = d < 0.0
-    hit100 |= np.abs(d, out=d) < _MARGIN
-    np.subtract(f10, reach_lo, out=d)
-    lo10 = d < 0.0
-    hit10 = np.abs(d, out=d) < _MARGIN
-    np.subtract(9.0, f10, out=d)
-    d -= reach_hi
-    hi10 = d < 0.0
-    hit10 |= np.abs(d, out=d) < _MARGIN
-    del reach_lo, reach_hi
-    # both multiples of 10 inside: the nearer one, and a near-tie between them
-    np.add(f10, frac, out=d)
-    d -= 5.0
-    both = lo10 & hi10
-    up10 = hi10 & ~(both & (d < 0.0))
-    hit10 |= both & (np.abs(d, out=d) < _MARGIN)
+    f100 = (whole - whole // 100 * 100).astype(float)  # the last two digits of y
+    f10 = f100 - np.floor(f100 * 0.1) * 10.0  # and the last one: 0.1 is a little above 1/10, so the floor is exact
+    lo100, hi100 = f100 < reach_lo, 99.0 - f100 < reach_hi
+    lo10, hi10 = f10 < reach_lo, 9.0 - f10 < reach_hi
+    # both multiples of 10 inside: the nearer one
+    up10 = hi10 & ~(lo10 & (f10 + frac < 5.0))
     in100, in10 = lo100 | hi100, lo10 | hi10
     out = np.where(in100, 100 * hi100 - f100, np.where(in10, 10 * up10 - f10, frac > 0.5)).astype(np.int64)
     out += whole
-    # a boundary hit of a candidate that decides, or a near-tie of the nearest integer
-    np.subtract(frac, 0.5, out=d)
-    uncertain = hit100 | ~in100 & (hit10 | ~in10 & (np.abs(d, out=d) < _MARGIN))
+    # a boundary hit of a candidate that decides, a near-tie between the two
+    # multiples of 10 inside, or a near-tie of the nearest integer
+    hit100 = (np.abs(f100 - reach_lo) < _MARGIN) | (np.abs(99.0 - f100 - reach_hi) < _MARGIN)
+    hit10 = ((np.abs(f10 - reach_lo) < _MARGIN) | (np.abs(9.0 - f10 - reach_hi) < _MARGIN)
+             | lo10 & hi10 & (np.abs(f10 + frac - 5.0) < _MARGIN))
+    uncertain = hit100 | ~in100 & (hit10 | ~in10 & (np.abs(frac - 0.5) < _MARGIN))
     return out, uncertain
 
 
@@ -293,8 +248,7 @@ def _digit_words(number: np.ndarray):
     rest = number
     for _ in range(4):
         high = rest // 10000
-        group = high * 10000
-        groups.append(np.subtract(rest, group, out=group))
+        groups.append(rest - high * 10000)
         rest = high
     zeros4 = tables["zeros4"]
     sig = 17 - zeros4[groups[0]]
@@ -306,25 +260,14 @@ def _digit_words(number: np.ndarray):
             zeros = zeros4[group] + (group == 0) * zeros
         sig[deep] = 17 - zeros
     # the first digit at byte 0, then the groups, first to last, at bytes 1, 5, 9 and 13
-    out = np.empty((3, len(number)), dtype=_WORD)
-    w0, w1, w2 = out
-    w0[...] = rest
-    w0 += _ZERO
+    out = np.zeros((3, len(number)), dtype=_WORD)
+    out[0] = rest + _ZERO
     del rest, high
-    g = ascii4[groups.pop()]
-    g <<= 8
-    w0 |= g
-    g = ascii4[groups.pop()]
-    np.right_shift(g, 24, out=w1)
-    g <<= 40
-    w0 |= g
-    g = ascii4[groups.pop()]
-    g <<= 8
-    w1 |= g
-    g = ascii4[groups.pop()]
-    np.right_shift(g, 24, out=w2)
-    g <<= 40
-    w1 |= g
+    for bit in (8, 40, 72, 104):
+        group = ascii4[groups.pop()]
+        out[bit // 64] |= group << (bit % 64)
+        if bit % 64 > 32:  # the group spans two words
+            out[bit // 64 + 1] |= group >> (64 - bit % 64)
     return out, sig
 
 
@@ -377,10 +320,7 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
         del w
     else:
         del a, bits, scale
-        number = whole
-        number += frac > 0.5
-        frac -= 0.5
-        uncertain = np.abs(frac, out=frac) < _MARGIN
+        number, uncertain = whole + (frac > 0.5), np.abs(frac - 0.5) < _MARGIN
     del whole, frac
     kernel &= ~uncertain
     point = np.subtract(17, p, out=p)  # |x| = 0.d1d2...d17 * 10**point
@@ -417,9 +357,7 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
     out[:, 1:] = words.T
     del words
     # bytes 2..7: the sign, and "0." and -point zeros in fixed notation below 1
-    front = 1 - point
-    np.maximum(front, 0, out=front)
-    np.minimum(front, 4, out=front)
+    front = np.clip(1 - point, 0, 4)
     front[sci] = 0
     front <<= 1
     signed = np.signbit(x)
