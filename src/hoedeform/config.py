@@ -391,15 +391,17 @@ def byte_blocks(fh: BinaryIO, pending: bytes, end: bytes, size: int) -> Iterator
     """``pending`` and the rest of the binary file ``fh``, read ``size``
     bytes at a time, in blocks that each end just after the last ``end``
     read so far; the last block is what follows the last ``end`` of the
-    file, if anything does."""
+    file, if anything does. The next bytes are read only when the caller
+    asks for the next block, so that while it works on one the generator
+    holds no more than what follows it up to the next ``end``."""
     while True:
+        cut = pending.rfind(end) + len(end)
+        if cut >= len(end):
+            block, pending = pending[:cut], pending[cut:]
+            yield block
         more = fh.read(size)
         if not more:
             break
-        cut = pending.rfind(end) + len(end)
-        if cut >= len(end):
-            yield pending[:cut]
-            pending = pending[cut:]
         pending += more
     if pending:
         yield pending

@@ -89,8 +89,10 @@ _NUMBER_BYTES = b"0123456789.eE+-"
 _MINUS, _PLUS, _E = b"-+e"
 # A JSON number with a fraction or an exponent, which json.loads reads as float(text).
 _JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
-# Bytes of a field file read at a time: ~4 400 numbers of save_field's layout.
-READ_BLOCK_BYTES = 128 * 1024
+# Bytes of a field file read at a time: ~7 000 numbers of save_field's layout,
+# whose per-block peak with the block stays under the heap's 1 MiB thresholds
+# (``hoedeform.heap``).
+READ_BLOCK_BYTES = 192 * 1024
 # Bytes of row text joined at a time, under glibc's default 128 KiB mmap
 # threshold (the package fixes it at 1 MiB, see ``heap``).
 _CHUNK_BYTES = 120 * 1024
@@ -265,13 +267,20 @@ def _check_header(doc: dict) -> Tuple[SurfaceProfile, float]:
     return carrier, wavelength_nm
 
 
-def _field(carrier: SurfaceProfile, grid: dict, wavelength_nm: float, rows: np.ndarray) -> GratingVectorField:
-    """The field of a checked header and the samples as rows of 8 numbers."""
+def _field(carrier: SurfaceProfile, grid: dict, wavelength_nm: float, blocks: list) -> GratingVectorField:
+    """The field of a checked header and the samples as a list of blocks of
+    rows of 8 numbers. The list is emptied once the field's arrays are
+    built, read-only so that the field shares them: the rows are gone
+    before the field's checks run."""
+    s, phi, pos, g = (np.concatenate([rows[:, cols] for rows in blocks]) for cols in (0, 1, slice(2, 5), slice(5, 8)))
+    blocks.clear()
     with np.errstate(invalid="ignore"):  # a non-finite phi stays nan and fails the field's check
-        phi = np.mod(rows[:, 1], TWO_PI)
+        np.mod(phi, TWO_PI, out=phi)
+    for a in (s, phi, pos, g):
+        a.flags.writeable = False
     try:
         # the grid dict is kept as stored, so save -> load -> save is bit-exact
-        return GratingVectorField(carrier, rows[:, 0], phi, rows[:, 2:5], rows[:, 5:8], grid, wavelength_nm)
+        return GratingVectorField(carrier, s, phi, pos, g, grid, wavelength_nm)
     except (ValueError, HoedeformError) as exc:
         raise ConfigError(f"field.samples: {exc}") from exc
 
@@ -281,7 +290,7 @@ def field_from_dict(doc: dict) -> GratingVectorField:
     rows = list(map(_sample_row, doc["samples"]))
     if None in rows:
         _raise_sample_error(doc["samples"])
-    return _field(carrier, doc["grid"], wavelength_nm, np.array(rows, dtype=float).reshape(-1, 8))
+    return _field(carrier, doc["grid"], wavelength_nm, [np.array(rows, dtype=float).reshape(-1, 8)])
 
 
 def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None:
@@ -300,7 +309,9 @@ def _saved_samples(block: bytes) -> Optional[np.ndarray]:
     b = np.frombuffer(block, dtype=np.uint8)
     # the bytes of _NUMBER_BYTES: "-" to "9" but "/", "+", "e" and "E"
     number = ((b - _MINUS) < 13) & (b != 0x2F) | (b == _PLUS) | ((b | 0x20) == _E)
-    edges = np.flatnonzero(number[1:] != number[:-1]) + 1
+    edges = np.flatnonzero(number[1:] != number[:-1])
+    del number  # before the kernel runs, as are the gaps
+    edges += 1
     starts, ends = edges[0::2], edges[1::2]
     k = len(ends) // 8
     if not (0 < 16 * k == len(edges) and block.translate(None, _NUMBER_BYTES) == _UNIT_TEXT * k):
@@ -308,6 +319,7 @@ def _saved_samples(block: bytes) -> Optional[np.ndarray]:
     gaps = starts - np.concatenate(([-len(_SAMPLE_TEXT[-1])], ends[:-1]))
     if not ((gaps.reshape(k, 8) == _UNIT_GAPS).all() and len(block) - ends[-1] == len(_SAMPLE_TEXT[-1])):
         return None
+    del gaps
     values, certified = read_floats(block, starts, ends, ints=False)
     refused = np.flatnonzero(~certified)
     if len(refused):
@@ -333,8 +345,10 @@ def _load_saved(path: Union[str, os.PathLike]) -> Optional[GratingVectorField]:
                 return None
             doc = json.loads(first[:at].decode("utf-8") + '\n "samples": []\n}')
             carrier, wavelength_nm = _check_header(doc)
+            blocks = byte_blocks(fh, b",\n" + first[at + len(_SAMPLES_LINE):], _SAMPLE_TEXT[-1], READ_BLOCK_BYTES)
+            del first
             chunks, tail = [], False
-            for block in byte_blocks(fh, b",\n" + first[at + len(_SAMPLES_LINE):], _SAMPLE_TEXT[-1], READ_BLOCK_BYTES):
+            for block in blocks:
                 if tail:
                     return None
                 body = block.removesuffix(_TAIL)
@@ -346,7 +360,7 @@ def _load_saved(path: Union[str, os.PathLike]) -> Optional[GratingVectorField]:
                     chunks.append(rows)
             if not (tail and chunks):
                 return None
-            return _field(carrier, doc["grid"], wavelength_nm, np.concatenate(chunks))
+            return _field(carrier, doc["grid"], wavelength_nm, chunks)
     except (OSError, ValueError, RecursionError, ConfigError):  # not UTF-8, not JSON, or a failed check
         return None
 
@@ -382,10 +396,13 @@ def _load_text(path: Union[str, os.PathLike]) -> GratingVectorField:
 
     doc = parse_json(text, path, "field", object_hook=take)
     numbers = np.concatenate([np.frombuffer(c, dtype=float) for c in chunks])
+    del chunks
     recs = doc.get("samples") if type(doc) is dict else None
     if type(recs) is not list or 8 * len(recs) != len(numbers) or recs.count(_TAKEN) != len(recs):
         # a malformed sample, or one outside the samples list: the checks of a plain document name the error
         return field_from_dict(parse_json(text, path, "field"))
     del text
     carrier, wavelength_nm = _check_header(doc)
-    return _field(carrier, doc["grid"], wavelength_nm, numbers.reshape(-1, 8))
+    blocks = [numbers.reshape(-1, 8)]
+    del numbers
+    return _field(carrier, doc["grid"], wavelength_nm, blocks)

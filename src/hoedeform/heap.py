@@ -8,11 +8,12 @@ whether it does depends on where small long-lived blocks happen to land: the
 same chain of verbs on the same files peaks about 3 MB higher or lower with
 nothing changed but the length of the working directory's path.
 
-Fixing both thresholds ends that adjustment. At 1 MiB the block
-temporaries of the readers and writers (256 KiB at most) and the per-sample
-arrays of fields up to ~40 000 samples stay on the heap, buffers of 1 MiB and
-more get their own mapping and are returned when freed, and the heap is
-trimmed whenever 1 MiB at its top is free.
+Fixing both thresholds ends that adjustment. At 1 MiB a reader's block
+with all it holds while it reads it (the readers' ``READ_BLOCK_BYTES`` are
+sized for that: ~0.95 MB at most) and the per-sample arrays of fields up to
+~40 000 samples stay on the heap, buffers of 1 MiB and more get their own
+mapping and are returned when freed, and the heap is trimmed whenever 1 MiB
+at its top is free.
 """
 
 from __future__ import annotations

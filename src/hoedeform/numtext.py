@@ -37,19 +37,20 @@ dropped) is below 9e18 and whose exponent has at most 8 digits. The 24 bytes
 that end each token are read as three little-endian words of digit values;
 the integer digits move up one byte over the point, and M comes from the
 SWAR eight-digit step of Lemire's fast_float ("Number parsing at a gigabyte
-per second", Softw. Pract. Exp. 51(8), 2021). The value M * 10**k is then
-exact by Clinger's fast path (PLDI 1990) when M <= 2**53 and |k| <= 22: one
-correctly rounded product or quotient of two exact doubles. Otherwise, for
-k in [-265, 260], it is the double-double product of M and 10**k from the
-writers' table, in the pattern of Eisel-Lemire: it errs by under 2**-49 of
-half the spacing of doubles there, and is certified when it lies farther
-than ``_READ_MARGIN`` (32 times that) from a rounding boundary. Any other
-token (outside the grammar, beyond that range, an exact tie such as 1e23 or
-a subnormal) is left to the caller, which reads it with CPython's ``float``
-(``float_tokens``), so every value read is ``float``'s, bit for bit. The
-readers pass blocks of 64 to 128 KiB, 3 000 to 4 500 tokens: numpy's cost per
-call dominates smaller blocks, and larger ones outgrow the heap that the
-package keeps (``heap``).
+per second", Softw. Pract. Exp. 51(8), 2021). Every M then takes one path:
+for k in [-265, 260], the value M * 10**k is the double-double product of M
+and 10**k from the writers' table, in the pattern of Eisel-Lemire: it errs
+by under 2**-49 of half the spacing of doubles there, and is certified when
+it lies farther than ``_READ_MARGIN`` (32 times that) from a rounding
+boundary. Any other token (outside the grammar, beyond that range, an exact
+tie such as 1e23 or a subnormal) is left to the caller, which reads it with
+CPython's ``float`` (``float_tokens``), so every value read is ``float``'s,
+bit for bit. The steps update a few columns in place, with the small ones
+as int32 or bytes, and hold under 70 bytes a token besides a copy of the
+text. The readers pass blocks of 128 KiB (rays.csv) and 192 KiB (field
+files), about 7 000 tokens: numpy's cost per call dominates smaller blocks,
+and a block, what its reader holds and the kernel's temporaries then stay
+under the 1 MiB thresholds of the heap that the package keeps (``heap``).
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ def _tables():
     Word tables, indexed by k: ``below``, the mask of bytes 0..k-1; ``dot``, a
     point at byte k (none for k = 18). ``zeros4``: the trailing zeros of 0000..9999;
     ``front[2 * c + s]``: bytes 2..7 of a row, a minus sign if s, and for
-    c > 0 "0." and c - 1 zeros.
+    c > 0 "0." and c - 1 zeros. The reader's word tables of 24-byte windows:
+    ``high[n]``, the last n bytes; ``whole[c]``, the bytes before a point
+    with c - 1 digits after it, and none for c = 0 (no point).
     """
     hi, lo = [], []
     for p in range(_P_MIN, _P_MAX + 1):
@@ -139,11 +142,12 @@ def _tables():
         front[1 + zeros, :, 5:5 + zeros] = _ZERO
     low = np.arange(_TOKEN_BYTES + 1)[:, None] > np.arange(_TOKEN_BYTES)
     high = low[:, ::-1]
+    whole = low[::-1].copy()
+    whole[0] = False
     return {
         "pow10": np.array([hi, *_split(hi), lo]),
-        "low": _word_table(low, 0xFF),
+        "whole": _word_table(whole, 0xFF),
         "high": _word_table(high, 0xFF),
-        "exact10": np.array([10.0 ** k for k in range(_EXACT_MAX + 1)]),
         "ascii4": ascii4.view(_WORD).ravel(),
         "lead4": lead4.view(_WORD).ravel(),
         "below": _word_table(at < k, 0xFF),
@@ -411,16 +415,16 @@ def int_text(values: np.ndarray) -> np.ndarray:
 
 
 # The reader: float(token) of whole columns of decimal tokens.
-_ROWS3 = np.arange(0, _TOKEN_BYTES, 8)[:, None]
 _ZEROS = np.uint64(0x3030303030303030)
 _BYTE, _TOP = np.uint64(8), np.uint64(56)
 # Word j of a row: the sum of the positions (8j + byte) of its bytes that are 1, in the top byte of the product
 _PLACES = np.array([[sum((7 - k + 8 * j) << 8 * k for k in range(8))] for j in range(3)], dtype=np.uint64)
 # The sum of the bytes of a word, in the top byte of the product, while that sum is below 256
 _ONES = np.uint64(0x0101010101010101)
+_DOT = np.uint64(_POINT ^ _ZERO)  # a point, XORed with "0" as the digits are
 _M_MAX = np.uint64(9 * 10 ** 18)  # below this, M is exact as int64 and as hi + lo
-_CLINGER_MAX = np.uint64(2 ** 53)  # the largest M that is an exact double, with all below it
 _EXP_DIGITS = 8  # the most exponent digits, one word
+_EXP_PLACES = 10.0 ** np.arange(7, -1, -1)  # of the digits of the last word of a window
 _K_MAX = 260  # M * 10**k stays below 1e280, and above 1e-265 for k >= _P_MIN
 # Error bound of M * 10**k as prod + low, relative to half the spacing of the
 # doubles around it: M = M_hi + M_lo exactly, 10**k as a double-double errs
@@ -431,6 +435,8 @@ _K_MAX = 260  # M * 10**k stays below 1e280, and above 1e-265 for k >= _P_MIN
 # the nearest rounding boundary is below this margin, 32 times that bound,
 # goes to CPython.
 _READ_MARGIN = 2.0 ** -44
+# Half the spacing of the doubles in [2**e, 2**(e+1)) is 2**e times this, less the margin
+_HALF_SPACING = 2.0 ** -53 * (1.0 - _READ_MARGIN)
 # the constants of the SWAR eight-digit step
 _TEN, _PAIR, _PAIRS, _TIMES_HIGH, _TIMES_LOW, _HALF = (np.uint64(c) for c in (
     10, 16, 0x000000FF000000FF, 100 + (1000000 << 32), 1 + (10000 << 32), 32))
@@ -453,35 +459,78 @@ def _eight_digits(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _count_and_place(other: np.ndarray, scratch: np.ndarray):
+def _count_and_place(flags: np.ndarray, scratch: np.ndarray):
     """How many bytes of each window are set, of (3, 8n) byte flags, and the
-    sum of their places; ``scratch`` is a (3, n) word array to overwrite."""
-    words = other.view(_WORD)
+    sum of their places; ``scratch`` is a (3, n) word array to overwrite,
+    which may be the flags' own memory."""
+    words = flags.view(_WORD)
     count = words[0] + words[1]  # each byte at most 3 after the third word
     count += words[2]
     count *= _ONES
     count >>= _TOP
     np.multiply(words, _PLACES, out=scratch)
     scratch >>= _TOP
-    return count.view(np.int64), (scratch[0] + scratch[1] + scratch[2]).view(np.int64)
+    place = scratch[0]  # in place: the sums are the first row of ``scratch``
+    place += scratch[1]
+    place += scratch[2]
+    return count.view(np.int64), place.view(np.int64)
 
 
-def _product(m: np.ndarray, m_hi: np.ndarray, k: np.ndarray):
+def _windows(buf: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The 24 bytes of ``buf`` that end at each of ``ends``, XORed with "0"s
+    so that a digit is its value and any other byte over 9, as (3, n)
+    little-endian words: byte j of window i is in word j // 8 of column i.
+    One gather of 24-byte items costs as much as one of unaligned words."""
+    items = np.ndarray((len(buf) - _TOKEN_BYTES + 1,), dtype="V24", buffer=buf, strides=(1,))
+    d = np.ascontiguousarray(items[ends].view(_WORD).reshape(len(ends), 3).T)
+    d ^= _ZEROS
+    return d
+
+
+def _product(a: np.ndarray, a_lo: np.ndarray, k: np.ndarray):
     """M * 10**k rounded to a double, and whether that is certified: the
-    double-double product of M = m_hi + m_lo and 10**k, within
-    ``_READ_MARGIN`` of no rounding boundary, for k in [-265, 260]."""
-    in_range = (k >= _P_MIN) & (k <= _K_MAX)
-    hi, hh, hl, lo = np.take(_tables()["pow10"], np.where(in_range, k - _P_MIN, 0), axis=1)
-    prod = m_hi * hi
-    m_lo = (m.view(np.int64) - m_hi.astype(np.int64)).astype(float)
-    ah, al = _split(m_hi)
-    low = (((ah * hh - prod) + ah * hl + al * hh) + al * hl) + (m_hi * lo + m_lo * hi)
-    total = prod + low
-    resid = low - (total - prod)  # prod + low - total, exactly
-    bits = total.view(np.int64)
-    # half the spacing of the doubles around total, which is no power of two
-    half = (bits & _EXPONENT_BITS).view(float) * (2.0 ** -53 * (1.0 - _READ_MARGIN))
-    return total, in_range & (np.abs(resid) < half) & (bits & _FRACTION_BITS != 0)
+    double-double product of M = a + a_lo and 10**k, within
+    ``_READ_MARGIN`` of no rounding boundary, for k in [-265, 260]. Each
+    step works in place: ``a``, ``a_lo`` and ``k`` are overwritten."""
+    t_hi, t_hh, t_hl, t_lo = _tables()["pow10"]
+    i = k
+    i -= _P_MIN
+    in_range = i.view(_WORD) <= _K_MAX - _P_MIN
+    hi = np.take(t_hi, i, mode="clip")
+    prod = a * hi
+    a_lo *= hi
+    low = np.take(t_lo, i, out=hi, mode="clip")
+    low *= a
+    low += a_lo  # M_hi * lo(10**k) + M_lo * hi(10**k)
+    # a * hi(10**k) - prod, exactly: Dekker's product of the 26-bit halves (Veltkamp's split)
+    ah = np.multiply(a, _SPLITTER, out=a_lo)
+    hh = ah - a
+    ah -= hh
+    al = np.subtract(a, ah, out=a)
+    np.take(t_hh, i, out=hh, mode="clip")
+    err = ah * hh
+    err -= prod
+    hl = np.take(t_hl, i, mode="clip")
+    ah *= hl
+    err += ah
+    hh *= al
+    err += hh
+    al *= hl
+    err += al
+    del hh, hl
+    err += low
+    total = np.add(prod, err, out=low)
+    resid = np.subtract(err, np.subtract(total, prod, out=prod), out=err)  # prod + low - total, exactly
+    # half the spacing of the doubles just below total: the smaller side
+    # when total is a power of two, and for zero, which is exact, infinity
+    half = np.subtract(total.view(np.int64), 1, out=prod.view(np.int64))
+    half &= _EXPONENT_BITS
+    half = half.view(float)
+    half *= _HALF_SPACING
+    np.abs(resid, out=resid)
+    certified = resid < half
+    certified &= in_range
+    return total, certified
 
 
 def read_floats(text: bytes, starts: np.ndarray, ends: np.ndarray, ints: bool = True):
@@ -492,94 +541,141 @@ def read_floats(text: bytes, starts: np.ndarray, ends: np.ndarray, ints: bool = 
     The kernel takes the tokens of the grammar ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?
     (e[+-]?[0-9]+)?`` of at most 24 bytes, with a point or an exponent unless
     ``ints``, whose mantissa M (the digits, point dropped) is below 9e18 and
-    whose exponent has at most 8 digits. Each value is M * 10**k: with M <= 2**53
-    and |k| <= 22, one correctly rounded product or quotient of two exact
-    doubles (Clinger's fast path); else, for k in [-265, 260], the
-    double-double product of M and 10**k, certified when it lies farther than
-    ``_READ_MARGIN`` from a rounding boundary.
+    whose exponent has at most 8 digits. Each value is M * 10**k for k in
+    [-265, 260], the double-double product of M and 10**k (``_product``),
+    certified when it lies farther than ``_READ_MARGIN`` from a rounding
+    boundary. The steps work in place on a few columns: the kernel holds
+    under 70 bytes a token besides its copy of the text.
     """
     tables = _tables()
     high = tables["high"]
-    n = len(starts)
+    starts, ends = np.asarray(starts, dtype=np.intp), np.asarray(ends, dtype=np.intp)
+    # the text with _TOKEN_BYTES NULs on each side, so that the window of
+    # the 24 bytes that end a token lies inside it
     buf = np.zeros(len(text) + 2 * _TOKEN_BYTES, dtype=np.uint8)
     buf[_TOKEN_BYTES:_TOKEN_BYTES + len(text)] = np.frombuffer(text, dtype=np.uint8)
-    words = np.ndarray((len(buf) - 7,), dtype=_WORD, buffer=buf, strides=(1,))  # the word at every byte
-    start = np.asarray(starts, dtype=np.int64) + _TOKEN_BYTES
-    end = np.asarray(ends, dtype=np.int64) + _TOKEN_BYTES
-    neg = buf[start] == _MINUS
-    start += neg
-    length = end - start  # of the token after its sign
-    first = _TOKEN_BYTES - np.minimum(length, _TOKEN_BYTES)  # where it starts in its window
-    # the 24 bytes that end each token, as digit values in (3, n) words, 0
-    # before the token: byte j of token i's window is d[j // 8, 8 * i + j % 8].
-    # A digit becomes its value, any other byte a value over 9.
-    d = words[end - _TOKEN_BYTES + _ROWS3]
-    d ^= _ZEROS
-    mask = np.take(high, _TOKEN_BYTES - first, axis=1)
-    d &= mask
-    n_other, point = _count_and_place(d.view(np.uint8) > 9, mask)  # the place of the one non-digit, if one
-    has_p = (n_other == 1) & (buf[np.minimum(end - _TOKEN_BYTES + point, len(buf) - 1)] == _POINT)
-    plain = has_p | (n_other == 0)
-    p = np.where(has_p, point, _TOKEN_BYTES)  # the end of the integer digits
-    del point
-    q = np.full(n, _TOKEN_BYTES)  # the end of the mantissa
-    k = np.zeros(n, dtype=np.int64)
+    head = buf[_TOKEN_BYTES:]
+    neg = head[starts] == _MINUS
+    zero = head[starts + neg] == _ZERO  # a first digit 0
+    del head
+    length = np.subtract(ends, starts, dtype=np.int32)  # of the token after its sign
+    length -= neg
+    fits = length <= _TOKEN_BYTES
+    np.minimum(length, _TOKEN_BYTES, out=length)  # of its window
+    d = _windows(buf, ends)  # 0 before the token
+    scratch = np.empty_like(d)  # masks and byte flags, in turn
+    np.take(high, length, axis=1, out=scratch, mode="clip")
+    d &= scratch
+    flags = scratch.view(np.bool_)
+    np.greater(d.view(np.uint8), 9, out=flags)
+    n_other, place = _count_and_place(flags, scratch)  # the place of the one non-digit, if one
+    place += ends
+    point = np.take(buf, place, mode="clip") == _POINT  # the byte at that place
+    place -= ends
+    point &= n_other == 1
+    plain = n_other == 0
+    plain |= point
     rest = np.flatnonzero(~plain)
-    if len(rest):  # tokens with an exponent, or not in the grammar
-        rd = np.take(d, rest, axis=1)
-        is_p, is_e = rd.view(np.uint8) == _POINT ^ _ZERO, rd.view(np.uint8) == _E ^ _ZERO
-        n_p, p_e = _count_and_place(is_p, rd)
-        n_e, q_e = _count_and_place(is_e, rd)
-        p_e = np.where(n_p == 1, p_e, q_e)  # the point must come before the "e"
-        sign = buf[end[rest] - _TOKEN_BYTES + np.minimum(q_e + 1, _TOKEN_BYTES - 1)]
-        has_sign = (sign == _PLUS) | (sign == _MINUS)
-        n_exp = _TOKEN_BYTES - 1 - q_e - has_sign
-        # every byte besides one point and the exponent's "e" and sign is a digit
-        exp = ((n_e == 1) & (n_p <= 1) & (p_e <= q_e) & (n_other[rest] == n_p + 1 + has_sign) & (n_exp >= 1)
-               & (n_exp <= _EXP_DIGITS))
-        e = _eight_digits(d[2, rest] & high[2][np.where(exp, n_exp, 0)]).view(np.int64)
-        k[rest] = np.where(sign == _MINUS, -e, e)
-        plain[rest], has_p[rest] = exp, exp & (n_p == 1)
-        rest = rest[exp]
-        p[rest], q[rest] = p_e[exp], q_e[exp]
-        # the window that ends at the mantissa
-        rd = words[end[rest] - 2 * _TOKEN_BYTES + q[rest] + _ROWS3]
-        rd ^= _ZEROS
-        rd &= np.take(high, q[rest] - first[rest], axis=1)
-        d[:, rest] = rd
-    n_frac = np.where(has_p, q - p - 1, 0)
-    grammar = (plain & (length <= _TOKEN_BYTES) & (p - first >= 1) & (n_frac >= has_p)
-               & ((p - first == 1) | (buf[start] != _ZERO)))
+    n_other = n_other[rest]
+    # the code of the point: 0 without one, else 1 + the digits after it
+    code = np.subtract(_TOKEN_BYTES, place, dtype=np.int32)
+    code *= point
+    del place, point, flags, scratch
+    # The integer digits: one, or more of which the first is not 0. A point
+    # needs a digit after it, and a float without one an exponent.
+    digits = length - code
+    ok = digits > 1
+    ok &= ~zero
+    ok |= digits == 1
+    del digits
+    ok &= plain
+    ok &= code != 1
     if not ints:
-        grammar &= has_p | (q < _TOKEN_BYTES)
-    del plain, p, q, first, length, start, end
-    # the mantissa's digits, the point dropped, right-aligned in the 3 words;
-    # the integer digits move up one byte, over the point
-    np.take(tables["low"], _TOKEN_BYTES - n_frac - has_p, axis=1, out=mask)
-    whole = d & mask
-    np.take(high, n_frac, axis=1, out=mask)
-    d &= mask
-    del mask
-    carry = whole[:2] >> _TOP
-    carry *= has_p
-    whole <<= has_p.astype(_WORD) * _BYTE
+        ok &= code > 0
+    del plain
+    if len(rest):  # tokens with an exponent, or not in the grammar
+        exponent, windows, code[rest], ok[rest] = _exponents(buf, np.take(d, rest, axis=1), ends[rest],
+                                                             length[rest], zero[rest], n_other)
+    ok &= fits
+    del n_other, zero, length, fits, buf
+    # zero the point, the one non-digit of a plain token
+    scratch = np.empty_like(d)
+    flags = scratch.view(np.bool_)
+    np.greater(d.view(np.uint8), 9, out=flags)
+    scratch *= _DOT
+    d ^= scratch
+    if len(rest):
+        d[:, rest] = windows
+        del windows
+    # the mantissa's digits, right-aligned in the 3 words: the integer digits
+    # move up one byte, over the point (none without a point)
+    whole = np.take(tables["whole"], code, axis=1, out=scratch, mode="clip")
+    whole &= d
+    d ^= whole
+    d[1:] |= whole[:2] >> _TOP
+    whole <<= _BYTE
     d |= whole
-    d[1:] |= carry
-    del whole, carry
+    del whole, scratch, flags
     v = _eight_digits(d)
-    m = (v[0] * _TEN8 + v[1]) * _TEN8 + v[2]
-    grammar &= (v[0] < 1000) & (m < _M_MAX)  # at most 19 digits, and below 9e18
-    del v
-    k -= n_frac
+    m = v[0] * _TEN8
+    m += v[1]
+    m *= _TEN8
+    m += v[2]
+    ok &= v[0] < 1000  # at most 19 digits
+    ok &= m < _M_MAX
+    del v, d
+    # k: the exponent less the digits after the point
+    k = np.subtract(1, code, dtype=np.int64)
+    np.minimum(k, 0, out=k)
+    del code
+    if len(rest):
+        k[rest] += exponent
     m_hi = m.astype(float)
-    # Clinger: M and 10**|k| are exact doubles, so one operation rounds correctly
-    done = (m <= _CLINGER_MAX) & (np.abs(k) <= _EXACT_MAX)
-    power = tables["exact10"][np.minimum(np.abs(k), _EXACT_MAX)]
-    value = np.where(k >= 0, m_hi * power, m_hi / power)
-    dd = np.flatnonzero(grammar & ~done)
-    if len(dd):
-        value[dd], done[dd] = _product(m[dd], m_hi[dd], k[dd])
-    return np.where(neg, -value, value), grammar & done
+    m -= m_hi.astype(_WORD)
+    m_lo = m.view(np.int64).astype(float)
+    del m
+    value, certified = _product(m_hi, m_lo, k)
+    ok &= certified
+    sign = neg.view(np.uint8).astype(_WORD)
+    sign <<= np.uint64(63)
+    bits = value.view(_WORD)
+    bits |= sign
+    return value, ok
+
+
+def _exponents(buf, rd, ends, length, zero, n_other):
+    """For the tokens that are not plain, given their windows ``rd``,
+    ``ends``, window ``length``, ``zero`` and ``n_other``: their exponents,
+    the windows of the 24 bytes that end their mantissas with the point
+    zeroed, their point codes, and which of them are in the grammar."""
+    high = _tables()["high"]
+    r = len(ends)
+    # the points and the "e"s of the windows, counted and placed in one call
+    flags = np.empty((3, 2 * r), dtype=_WORD)
+    np.equal(rd.view(np.uint8), _DOT, out=flags[:, :r].view(np.bool_))
+    np.equal(rd.view(np.uint8), _E ^ _ZERO, out=flags[:, r:].view(np.bool_))
+    count, place = _count_and_place(flags.view(np.bool_), flags)
+    n_p, n_e, q = count[:r], count[r:], place[r:]
+    p = np.where(n_p == 1, place[:r], q)  # the end of the integer digits
+    sign = buf[ends + np.minimum(q + 1, _TOKEN_BYTES - 1)]
+    signed = (sign == _PLUS) | (sign == _MINUS)
+    n_exp = _TOKEN_BYTES - 1 - q - signed
+    # one "e" after at most one point, then a sign or none and 1 to 8
+    # digits; every other byte a digit
+    exp = ((n_e == 1) & (n_p <= 1) & (p <= q) & (n_other == n_p + 1 + signed) & (n_exp >= 1)
+           & (n_exp <= _EXP_DIGITS))
+    e = (rd[2] & high[2][n_exp * exp]).view(np.uint8).reshape(r, 8) @ _EXP_PLACES
+    first = _TOKEN_BYTES - length
+    digits = p - first  # before the point, or the "e"
+    code = (q - p) * (exp & (n_p == 1))
+    ok = exp & ((digits == 1) | (digits > 1) & ~zero) & (code != 1)
+    # the window that ends at the mantissa, its point zeroed
+    rd = _windows(buf, np.maximum(ends - _TOKEN_BYTES + q, 0))
+    rd &= np.take(high, q - first, axis=1, mode="clip")
+    rd ^= np.greater(rd.view(np.uint8), 9).view(_WORD) * _DOT
+    exponent = e.astype(np.int64)
+    np.negative(exponent, out=exponent, where=sign == _MINUS)
+    return exponent, rd, code, ok
 
 
 def float_tokens(text: bytes, starts: np.ndarray, ends: np.ndarray) -> list:

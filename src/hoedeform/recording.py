@@ -209,6 +209,7 @@ class GratingVectorField:
             (off > 1e-10, lambda i: at_sample(ValueError(
                 f"position {tuple(pos[i].tolist())} off carrier point {tuple(on_surface[i].tolist())}"), i)),
         ])
+        del x, y, on_surface, off  # before the frames, to bound the peak
         self.frames()
 
     def frames(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,11 +19,13 @@ number kernel of ``numtext`` and joins the rows.
 ``read_rays_csv`` reads a regular rays.csv that is ASCII and ends every
 line, the last too, with "\\n" (``_read_plain``) a block of
 ``READ_BLOCK_BYTES`` cut at a "\\n" at a time: byte masks find the 9
-commas of each row, ``numtext.read_floats`` turns the cells into floats (a
-cell it refuses goes to ``float``, an empty one is nan) and the rows go
-through the checks of the text reader (``_broken``). Any other file, or
-one with a row that breaks a rule or a cell ``float`` rejects, goes to the
-text reader (``_read_text``), whose checks name the error.
+commas and the "\\n" of each row, the 16 bytes that end its status field
+are compared with the status of that length, ``numtext.read_floats`` turns
+the cells into floats (a cell it refuses goes to ``float``, an empty one is
+nan) and the rows go through the checks of the text reader (``_broken``).
+Any other file, or one with a row that breaks a rule or a cell ``float``
+rejects, goes to the text reader (``_read_text``), whose checks name the
+error.
 """
 
 from __future__ import annotations
@@ -527,19 +529,26 @@ def _row_error(where: str, parts: list, code: int) -> ConfigError:
 _OTHER_BREAKS = [c.encode("ascii") for c in sorted(LINE_BREAKS - {"\n"}) if c.isascii()]
 _NUMBER_CELLS = [0, 1, 2, 3, 4, 5, 6, 7, 9]
 _COMMA, _NEWLINE = b",\n"
-# The status texts NUL-padded to 16 bytes, and the code of a status by the length of its text
-_STATUS_BYTES = np.array([s.value.encode("ascii") for s in STATUSES], dtype="S16").view(np.uint8).reshape(-1, 16)
+# The status texts right-aligned in 16 bytes as two little-endian words (a
+# last row of NULs for an unknown status), the code of a status by the
+# length of its text, and the last n bytes of 16 as words, by n
+_STATUS_WORDS = np.array([s.value.encode("ascii").rjust(16, b"\0") for s in STATUSES] + [bytes(16)],
+                         dtype="S16").view(np.uint64).reshape(-1, 2)
 _STATUS_BY_LENGTH = np.full(17, -1)
 _STATUS_BY_LENGTH[[len(s.value) for s in STATUSES]] = range(len(STATUSES))
-_PAST = np.arange(17)[:, None] <= np.arange(16)  # the bytes past a text of each length
-# Bytes of a rays.csv read at a time: ~3 400 numbers of write_rays_csv's rows.
-READ_BLOCK_BYTES = 64 * 1024
+_LAST_BYTES = np.where(np.arange(17)[:, None] > np.arange(15, -1, -1), 0xFF, 0).astype(np.uint8).view(np.uint64)
+# Bytes of a rays.csv read at a time: ~7 000 numbers of write_rays_csv's
+# rows, whose per-block peak with the block stays under the heap's 1 MiB
+# thresholds (``hoedeform.heap``).
+READ_BLOCK_BYTES = 128 * 1024
 
 
 def _plain_rows(block: bytes) -> Optional[np.ndarray]:
     """The (rows, 7) origins, directions and weights of the propagating and
     pass-through rows of ``block``, rows of an ASCII rays.csv each ended by
     "\\n", if every row is valid, else None."""
+    if len(block) < 16:
+        return None  # shorter than any valid row
     b = np.frombuffer(block, dtype=np.uint8)
     newline = b == _NEWLINE
     sep = np.flatnonzero(newline | (b == _COMMA))
@@ -548,14 +557,22 @@ def _plain_rows(block: bytes) -> Optional[np.ndarray]:
         return None  # a row without 10 fields
     del newline
     ends = sep.reshape(rows, 10)
-    starts = np.empty_like(ends)
-    starts.flat[0], starts.flat[1:] = 0, sep[:-1] + 1
+    starts = np.empty_like(sep)
+    starts[0] = 0
+    np.add(sep[:-1], 1, out=starts[1:])
+    starts = starts.reshape(rows, 10)
     del sep
-    # the status: the text of its length
-    at, length = starts[:, 8], np.minimum(ends[:, 8] - starts[:, 8], 16)
+    # the status: the text of its length, in the 16 bytes that end the field
+    at = ends[:, 8]
+    length = np.minimum(at - starts[:, 8], 16)
     code = _STATUS_BY_LENGTH[length]
-    text = b[np.minimum(at[:, None] + np.arange(16), len(b) - 1)]
-    known = (code >= 0) & ((text == _STATUS_BYTES[code]) | _PAST[length]).all(axis=1)
+    text = np.ndarray((len(b) - 15,), dtype="V16", buffer=block, strides=(1,))[np.maximum(at, 16) - 16]
+    text = text.view(np.uint64).reshape(rows, 2)
+    text ^= _STATUS_WORDS[code]
+    text &= _LAST_BYTES[length]
+    known = (text[:, 0] | text[:, 1]) == 0
+    known &= code >= 0
+    del text
     starts, ends = starts[:, _NUMBER_CELLS].ravel(), ends[:, _NUMBER_CELLS].ravel()
     values, certified = read_floats(block, starts, ends)
     empty = starts == ends
@@ -568,7 +585,8 @@ def _plain_rows(block: bytes) -> Optional[np.ndarray]:
             return None
     values = values.reshape(rows, 9)
     evanescent = code == EVANESCENT
-    misplaced = evanescent != empty.reshape(rows, 9)[:, 5:8].all(axis=1)  # the direction is empty on evanescent rows
+    empty = empty.reshape(rows, 9)
+    misplaced = evanescent != (empty[:, 5] & empty[:, 6] & empty[:, 7])  # the direction is empty on evanescent rows
     if not known.all() or misplaced.any() or _broken(code, values).any():
         return None
     return values[~evanescent, 2:]

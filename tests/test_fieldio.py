@@ -481,6 +481,56 @@ def test_field_fast_path_takes_the_layout_and_json_floats(tmp_path):
     assert fieldio._load_saved(path) is not None
 
 
+def _bent_files(tmp_path):
+    """A bent field of 49 samples and its rays.csv with evanescent rows, as
+    the writers write them; both have numbers in exponent notation."""
+    field = induce_forward(record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(6, 8)),
+                           SurfaceProfile.sphere_cap(50.0, 10.0), Projection.orthogonal())
+    trace = scene.trace_field(field, W0, efficiency=lambda f, probe: 0.5 + 0.25 * np.cos(f.phi))
+    save_field(field, tmp_path / "field.json")
+    scene.write_rays_csv(trace, tmp_path / "rays.csv")
+    return tmp_path / "field.json", tmp_path / "rays.csv", len(field)
+
+
+def _block_rows(monkeypatch, module, name, row_end):
+    """The number of rows, each ended by ``row_end``, of every block that
+    ``module.name`` reads, recorded as it runs."""
+    rows = []
+    read = getattr(module, name)
+
+    def record_rows(block):
+        rows.append(block.count(row_end))
+        return read(block)
+
+    monkeypatch.setattr(module, name, record_rows)
+    return rows
+
+
+@pytest.mark.parametrize("per_block", [1.0, 1.5, 2.0])
+def test_blocks_of_a_few_samples_or_rows(tmp_path, monkeypatch, per_block):
+    """With READ_BLOCK_BYTES cut to the bytes of ``per_block`` samples or
+    rows, but a field's first read still holding its header, the block
+    readers take the files one to three samples or rows a block, and read
+    the arrays of the text readers bit for bit."""
+    field_path, rays_path, n = _bent_files(tmp_path)
+    data = field_path.read_bytes()
+    header = data.index(fieldio._SAMPLES_LINE) + len(fieldio._SAMPLES_LINE)
+    monkeypatch.setattr(fieldio, "READ_BLOCK_BYTES", max(header, int(per_block * (len(data) - header) / n)))
+    samples = _block_rows(monkeypatch, fieldio, "_saved_samples", fieldio._SAMPLE_TEXT[-1])
+    fast = fieldio._load_saved(field_path)
+    assert fast is not None
+    assert _outcome(lambda p: fast, field_path) == _outcome(fieldio._load_text, field_path)
+    assert len(samples) > n // 4 and 1 <= min(samples) and max(samples) <= 3
+    rays_bytes = rays_path.read_bytes()
+    monkeypatch.setattr(scene, "READ_BLOCK_BYTES", int(per_block * len(rays_bytes) / (n + 1)))
+    rows = _block_rows(monkeypatch, scene, "_plain_rows", b"\n")
+    rays, want = scene._read_plain(rays_path), scene._read_text(rays_path)
+    assert rays is not None
+    assert [a.tobytes() for a in (rays.origins, rays.directions, rays.weights)] == \
+        [a.tobytes() for a in (want.origins, want.directions, want.weights)]
+    assert len(rows) > n // 4 and 1 <= min(rows) and max(rows) <= 3
+
+
 def _refuse(*args):
     raise AssertionError("a plain file left the number kernel")
 

@@ -21,12 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hoedeform import fieldio, numtext, scene
+from conftest import traced_peak
+
+from hoedeform import fieldio, heap, numtext, scene
+from hoedeform.geometry import Vec3
+from hoedeform.recording import PolarGrid, record
+from hoedeform.surfaces import SurfaceProfile
+from hoedeform.waves import Wave, Wavelength
 from hoedeform.fieldio import write_rows
 from hoedeform.numtext import BLOCK_VALUES, float_tokens, g17_text, int_text, read_floats, repr_text
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+LAM = Wavelength(500.0)
 
 
 def _kernel_lines(values, shortest: bool) -> bytes:
@@ -374,6 +381,59 @@ def test_reader_needs_no_numpy_2_function(monkeypatch):
     (_, _, _), (got, ok) = _read(tokens)
     assert ok.tolist() == [c for _, c in EDGE_TOKENS]
     assert got[ok].tobytes() == np.array([float(t) for t in compress(tokens, ok)]).tobytes()
+
+
+def _production_blocks(tmp_path, monkeypatch):
+    """The largest block each block reader reads of a 16 001-sample field and
+    its rays.csv, as the writers write them, and the ``read_floats``
+    arguments its reader passes: {"field": (block, (args, kwargs)), "rays": ...}."""
+    field = record(Wave.diverging(Vec3(-30, 0, -40), LAM), Wave.converging(Vec3(0, 0, 80), LAM),
+                   SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(100, 160))
+    assert len(field) == 16_001
+    fieldio.save_field(field, tmp_path / "field.json")
+    scene.write_rays_csv(scene.trace_field(field, Wave.plane(Vec3(0, 0, 1), LAM)), tmp_path / "rays.csv")
+    blocks = {}
+    for name, module, reader, path in [("field", fieldio, "_saved_samples", "field.json"),
+                                       ("rays", scene, "_plain_rows", "rays.csv")]:
+        seen = []
+        read_block, kernel = getattr(module, reader), module.read_floats
+
+        def spy_block(block, read_block=read_block, seen=seen):
+            seen.append([block])
+            return read_block(block)
+
+        def spy_kernel(*args, kernel=kernel, seen=seen, **kwargs):
+            seen[-1].append((args, kwargs))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, reader, spy_block)
+        monkeypatch.setattr(module, "read_floats", spy_kernel)
+        (fieldio.load_field if name == "field" else scene.read_rays_csv)(tmp_path / path)
+        monkeypatch.undo()
+        blocks[name] = max(seen, key=lambda b: len(b[0]))
+        assert len(blocks[name][0]) > module.READ_BLOCK_BYTES - 1024
+    return blocks
+
+
+def test_reader_memory_budget(tmp_path, monkeypatch):
+    """On a block of READ_BLOCK_BYTES of each file format, read_floats holds
+    at most 109 bytes a token and _saved_samples 119, half of what they held
+    before the kernel worked in place (219 on rays.csv, 239 in
+    _saved_samples); and a block and all its reader holds while it reads it
+    stay under the heap's 1 MiB thresholds, so that a file read block after
+    block gets no memory mapped or trimmed, and faults none back in."""
+    blocks = _production_blocks(tmp_path, monkeypatch)
+    for name, (block, (args, kwargs)) in blocks.items():
+        tokens = len(args[1])
+        peak = traced_peak(lambda: read_floats(*args, **kwargs))
+        assert peak / tokens <= 109, f"read_floats held {peak / tokens:.0f} bytes a token on a {name} block"
+    block, ((_, starts, _), _) = blocks["field"]
+    peak = traced_peak(lambda: fieldio._saved_samples(block))
+    assert peak / len(starts) <= 119, f"_saved_samples held {peak / len(starts):.0f} bytes a token"
+    for name, read in [("field", fieldio._saved_samples), ("rays", scene._plain_rows)]:
+        block = blocks[name][0]
+        whole = len(block) + traced_peak(lambda: read(block))
+        assert whole < heap.MALLOC_THRESHOLD_BYTES, f"a {name} block of {len(block)} bytes peaked at {whole} bytes"
 
 
 def test_import_builds_no_tables():

@@ -1,20 +1,23 @@
-"""Time the four per-sample writers of two checkouts and write a BENCH json.
+"""Time the per-sample file writers and readers of two checkouts and write a BENCH json.
 
 Run from the root of a checkout, with a second checkout to compare with:
 
-    python3 tools/bench_writers.py --base ../parent --out BENCH_17.json
+    python3 tools/bench_io.py --base ../parent --out BENCH_18.json
 
 The scene is ``combiner_deformed.json`` on the polar grids 10x16, 40x64
 and 100x160 (161, 2 561 and 16 001 samples). For each grid and round, one
 fresh interpreter per checkout (the base first, then this one) records
 the field, deforms and traces it, intersects the detector planes and runs
-the focal scan, then times ``--reps`` calls of each writer: ``fieldio.save``
-(the field and the deformed field, as one op saves them),
-``scene.write_rays``, ``scene.write_hits`` and ``scene.write_spots``. Each
+the focal scan, then times ``--reps`` calls of each writer and reader:
+``fieldio.save`` (the field and the deformed field, as one op saves
+them), ``scene.write_rays``, ``scene.write_hits``, ``scene.write_spots``,
+``fieldio.load`` (both field files again) and ``scene.read_rays``. Each
 call is stored raw and divided by the mean of ``perfbench.run``'s
 ``timed_reference_loop()`` run just before and after it, so that files
-taken on a host whose speed drifts stay comparable. The file holds the
-medians over all calls of all rounds and each writer's tracemalloc peak.
+taken on a host whose speed drifts stay comparable, with the minor page
+faults (``ru_minflt``) the call took. The file holds the medians over all
+calls of all rounds, the mean page faults per call and each writer's and
+reader's tracemalloc peak.
 """
 
 from __future__ import annotations
@@ -30,18 +33,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GRIDS = ((10, 16), (40, 64), (100, 160))
-WRITERS = ("fieldio.save", "scene.write_rays", "scene.write_hits", "scene.write_spots")
+OPS = ("fieldio.save", "scene.write_rays", "scene.write_hits", "scene.write_spots", "fieldio.load", "scene.read_rays")
 
 CHILD = r"""
-import atexit, json, shutil, sys, tempfile, time, tracemalloc
+import atexit, json, resource, shutil, sys, tempfile, time, tracemalloc
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from run import timed_reference_loop
 from hoedeform.config import load_scene_config
 from hoedeform.deformation import induce_forward
-from hoedeform.fieldio import save_field
+from hoedeform.fieldio import load_field, save_field
 from hoedeform.recording import record
-from hoedeform.scene import focal_scan, intersect_plane, trace_field, write_hits_csv, write_rays_csv, write_spots_csv
+from hoedeform.scene import (focal_scan, intersect_plane, read_rays_csv, trace_field, write_hits_csv, write_rays_csv,
+                             write_spots_csv)
 
 doc = json.loads(Path(sys.argv[2]).read_text())
 doc["recording"]["grid"].update(n_s=int(sys.argv[3]), n_phi=int(sys.argv[4]))
@@ -56,28 +60,33 @@ rays = trace.rays()
 planes = [intersect_plane(rays, z) for z in cfg.analysis.detector_z_mm]
 spec = cfg.analysis.focal_scan
 scan = focal_scan(rays, (spec.z_min, spec.z_max), spec.n_planes)
-writers = {
+ops = {
     "fieldio.save": lambda: (save_field(field, out / "field.json"), save_field(deformed, out / "deformed.json")),
     "scene.write_rays": lambda: write_rays_csv(trace, out / "rays.csv"),
     "scene.write_hits": lambda: write_hits_csv(planes, out / "hits.csv"),
     "scene.write_spots": lambda: write_spots_csv(scan.reports, out / "spots.csv"),
+    "fieldio.load": lambda: (load_field(out / "field.json"), load_field(out / "deformed.json")),
+    "scene.read_rays": lambda: read_rays_csv(out / "rays.csv"),
 }
 result = {"samples": len(field)}
-for name, write in writers.items():
-    write()
+for name, op in ops.items():
+    op()
     tracemalloc.start()
-    write()
+    op()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    calls, ref = [], timed_reference_loop()
+    op()  # the heap as it is after a call, not as tracemalloc leaves it
+    calls, faults, ref = [], 0, timed_reference_loop()
     for _ in range(int(sys.argv[5])):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        write()
+        op()
         dt = time.perf_counter() - t0
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
         after = timed_reference_loop()
         calls.append((dt, dt / ((ref + after) / 2)))
         ref = after
-    result[name] = {"calls": calls, "peak_bytes": peak}
+    result[name] = {"calls": calls, "peak_bytes": peak, "minflt": faults / len(calls)}
 print(json.dumps(result))
 """
 
@@ -113,23 +122,25 @@ def main() -> int:
     results = {}
     for grid in GRIDS:
         samples = runs["change", grid][0]["samples"]
-        by_writer = results[str(samples)] = {"grid": f"polar {grid[0]}x{grid[1]}"}
-        for name in WRITERS:
-            row = by_writer[name] = {}
+        by_op = results[str(samples)] = {"grid": f"polar {grid[0]}x{grid[1]}"}
+        for name in OPS:
+            row = by_op[name] = {}
             for tree in trees:
                 calls = [c for run in runs[tree, grid] for c in run[name]["calls"]]
                 row[tree] = {"median_s": statistics.median(c[0] for c in calls),
                              "median_ref": statistics.median(c[1] for c in calls),
+                             "minflt_per_call": statistics.mean(run[name]["minflt"] for run in runs[tree, grid]),
                              "peak_bytes": max(run[name]["peak_bytes"] for run in runs[tree, grid])}
             row["change_over_base_ref"] = row["change"]["median_ref"] / row["base"]["median_ref"]
     doc = {
-        "what": "median seconds of each writer, raw and divided by perfbench.run.timed_reference_loop() "
-                "run around it, and its tracemalloc peak; combiner_deformed.json on polar grids",
-        "command": f"python3 tools/bench_writers.py --base <checkout of the base commit> --out {args.out.name} "
+        "what": "median seconds of each writer and reader, raw and divided by perfbench.run.timed_reference_loop() "
+                "run around it, its minor page faults per call and its tracemalloc peak; combiner_deformed.json "
+                "on polar grids",
+        "command": f"python3 tools/bench_io.py --base <checkout of the base commit> --out {args.out.name} "
                    f"--rounds {args.rounds} --reps {args.reps}",
         "commits": {tree: git(checkout, "rev-parse", "HEAD") for tree, checkout in trees.items()},
         "env": {"python": platform.python_version(), "numpy": numpy.__version__, "nproc": os.cpu_count(),
-                "machine": platform.machine(), "calls_per_writer": args.rounds * args.reps},
+                "machine": platform.machine(), "calls_per_op": args.rounds * args.reps},
         "results": results,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
