@@ -334,6 +334,8 @@ EDGE_TOKENS = [
     (b"1e23", False), (b"9007199254740993", False), (b"9007199254740992", True), (b"5e-324", False),
     (b"2.2250738585072009e-308", False), (b"1.7976931348623157e308", False), (b"1e309", False),
     (b"-0.00012345678901234567", True), (b"123456789012345678901234", False),
+    (b"100000000000000000000000.5", False),  # 26 bytes: the window holds 0000000000000000000000.5
+    (b"1e5.", False),  # a point after the "e"
 ]
 
 
