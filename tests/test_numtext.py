@@ -419,11 +419,10 @@ def _production_blocks(tmp_path, monkeypatch):
 
 def test_reader_memory_budget(tmp_path, monkeypatch):
     """On a block of READ_BLOCK_BYTES of each file format, read_floats holds
-    at most 109 bytes a token and _saved_samples 119, half of what they held
-    before the kernel worked in place (219 on rays.csv, 239 in
-    _saved_samples); and a block and all its reader holds while it reads it
-    stay under the heap's 1 MiB thresholds, so that a file read block after
-    block gets no memory mapped or trimmed, and faults none back in."""
+    at most 109 bytes a token and _saved_samples at most 119; and a block
+    and all its reader holds while it reads it stay under the heap's 1 MiB
+    thresholds, so that the block sizes cannot outgrow the heap unnoticed
+    and a file read block after block gets no memory mapped or trimmed."""
     blocks = _production_blocks(tmp_path, monkeypatch)
     for name, (block, (args, kwargs)) in blocks.items():
         tokens = len(args[1])
