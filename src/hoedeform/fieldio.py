@@ -267,17 +267,19 @@ def _check_header(doc: dict) -> Tuple[SurfaceProfile, float]:
     return carrier, wavelength_nm
 
 
-def _field(carrier: SurfaceProfile, grid: dict, wavelength_nm: float, blocks: list) -> GratingVectorField:
-    """The field of a checked header and the samples as a list of blocks of
-    rows of 8 numbers. The list is emptied once the field's arrays are
-    built, read-only so that the field shares them: the rows are gone
-    before the field's checks run."""
-    s, phi, pos, g = (np.concatenate([rows[:, cols] for rows in blocks]) for cols in (0, 1, slice(2, 5), slice(5, 8)))
-    blocks.clear()
+def _field(carrier: SurfaceProfile, grid: dict, wavelength_nm: float, rows: np.ndarray) -> GratingVectorField:
+    """The field of a checked header and the samples as rows of 8 numbers."""
+    return _field_of_columns(carrier, grid, wavelength_nm, rows[:, 0], rows[:, 1].copy(), rows[:, 2:5], rows[:, 5:8])
+
+
+def _field_of_columns(carrier: SurfaceProfile, grid: dict, wavelength_nm: float, s: np.ndarray, phi: np.ndarray,
+                      pos: np.ndarray, g: np.ndarray) -> GratingVectorField:
+    """The field of a checked header and its sample columns. ``phi`` is
+    reduced mod 2 pi in place; the field shares read-only float columns and
+    copies the others."""
     with np.errstate(invalid="ignore"):  # a non-finite phi stays nan and fails the field's check
         np.mod(phi, TWO_PI, out=phi)
-    for a in (s, phi, pos, g):
-        a.flags.writeable = False
+    phi.flags.writeable = False
     try:
         # the grid dict is kept as stored, so save -> load -> save is bit-exact
         return GratingVectorField(carrier, s, phi, pos, g, grid, wavelength_nm)
@@ -290,7 +292,7 @@ def field_from_dict(doc: dict) -> GratingVectorField:
     rows = list(map(_sample_row, doc["samples"]))
     if None in rows:
         _raise_sample_error(doc["samples"])
-    return _field(carrier, doc["grid"], wavelength_nm, [np.array(rows, dtype=float).reshape(-1, 8)])
+    return _field(carrier, doc["grid"], wavelength_nm, np.array(rows, dtype=float).reshape(-1, 8))
 
 
 def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None:
@@ -360,7 +362,12 @@ def _load_saved(path: Union[str, os.PathLike]) -> Optional[GratingVectorField]:
                     chunks.append(rows)
             if not (tail and chunks):
                 return None
-            return _field(carrier, doc["grid"], wavelength_nm, chunks)
+            s, phi, pos, g = (np.concatenate([rows[:, cols] for rows in chunks])
+                              for cols in (0, 1, slice(2, 5), slice(5, 8)))
+            del chunks, rows  # the rows are gone before the field's checks run
+            for a in (s, pos, g):
+                a.flags.writeable = False  # so that the field shares them
+            return _field_of_columns(carrier, doc["grid"], wavelength_nm, s, phi, pos, g)
     except (OSError, ValueError, RecursionError, ConfigError):  # not UTF-8, not JSON, or a failed check
         return None
 
@@ -396,13 +403,10 @@ def _load_text(path: Union[str, os.PathLike]) -> GratingVectorField:
 
     doc = parse_json(text, path, "field", object_hook=take)
     numbers = np.concatenate([np.frombuffer(c, dtype=float) for c in chunks])
-    del chunks
     recs = doc.get("samples") if type(doc) is dict else None
     if type(recs) is not list or 8 * len(recs) != len(numbers) or recs.count(_TAKEN) != len(recs):
         # a malformed sample, or one outside the samples list: the checks of a plain document name the error
         return field_from_dict(parse_json(text, path, "field"))
     del text
     carrier, wavelength_nm = _check_header(doc)
-    blocks = [numbers.reshape(-1, 8)]
-    del numbers
-    return _field(carrier, doc["grid"], wavelength_nm, blocks)
+    return _field(carrier, doc["grid"], wavelength_nm, numbers.reshape(-1, 8))

@@ -496,6 +496,7 @@ def _product(a: np.ndarray, a_lo: np.ndarray, k: np.ndarray):
     i = k
     i -= _P_MIN
     in_range = i.view(_WORD) <= _K_MAX - _P_MIN
+    i *= in_range  # 10**-265 for a k out of range, so that no product overflows
     hi = np.take(t_hi, i, mode="clip")
     prod = a * hi
     a_lo *= hi
@@ -623,6 +624,7 @@ def read_floats(text: bytes, starts: np.ndarray, ends: np.ndarray, ints: bool = 
     m += v[2]
     ok &= v[0] < 1000  # at most 19 digits
     ok &= m < _M_MAX
+    np.minimum(m, _M_MAX, out=m)  # so that M near 2**64, refused, casts to a float and back in range
     del v, d
     # k: the exponent less the digits after the point
     k = np.subtract(1, code, dtype=np.int64)
@@ -664,6 +666,7 @@ def _exponents(buf, rd, ends, length, zero, n_other):
     # digits; every other byte a digit
     exp = ((n_e == 1) & (n_p <= 1) & (p <= q) & (n_other == n_p + 1 + signed) & (n_exp >= 1)
            & (n_exp <= _EXP_DIGITS))
+    q *= exp  # outside the grammar q is a sum of places, up to 276: keep its window inside the text
     e = (rd[2] & high[2][n_exp * exp]).view(np.uint8).reshape(r, 8) @ _EXP_PLACES
     first = _TOKEN_BYTES - length
     digits = p - first  # before the point, or the "e"

@@ -418,6 +418,14 @@ def _replace(old, new, count=1):
     return lambda data: data.replace(old, new, count)
 
 
+def _last_number_as(token):
+    """The file with the last number, the last sample's g[2], spelled ``token``."""
+    def edit(data):
+        head, _, tail = data.rpartition(b"\n    ")
+        return head + b"\n    " + token + tail[tail.index(b"\n"):]
+    return edit
+
+
 # Byte edits of a saved field file: number spellings the block reader
 # must read as json.loads does, and edits that leave save_field's layout
 # and send the file to the text parser; the result must not change
@@ -435,6 +443,8 @@ FIELD_BYTE_EDITS = {
     "no_final_newline": lambda data: data[:-1],
     "samples_in_a_header_string": _replace(b'"kind": "polar"', b'"kind": "polar \\"samples\\": ["'),
     "samples_key_in_a_nested_object": _replace(b'\n "grid": {\n', b'\n "grid": {\n  "samples": [],\n'),
+    "last_number_eee": _last_number_as(b"eee"),
+    "last_number_1eee": _last_number_as(b"1eee"),
 }
 
 FIELD_FAST_CASES = {

@@ -336,6 +336,9 @@ EDGE_TOKENS = [
     (b"-0.00012345678901234567", True), (b"123456789012345678901234", False),
     (b"100000000000000000000000.5", False),  # 26 bytes: the window holds 0000000000000000000000.5
     (b"1e5.", False),  # a point after the "e"
+    (b"8999999999999999999e297", False), (b"9999999999999999999e300", False),  # k past 260, M near its bound
+    (b"18446744073709551615", False), (b"18446744073709551615.5", False),  # M of 20 digits, near 2**64
+    (b"eee", False), (b"1eee", False),  # several "e"s, last in the one-block test
 ]
 
 
@@ -354,6 +357,14 @@ def test_reader_edge_tokens_in_one_block():
     assert ok.tolist() == [c for _, c in EDGE_TOKENS]
     for token, value in zip(compress(tokens, ok), got[ok].tolist()):
         assert np.float64(value).tobytes() == np.float64(float(token)).tobytes(), token
+
+
+@pytest.mark.parametrize("token", [b"eee", b"1eee", b"e" * 24, b"1e" * 12, b"-" + b"e" * 23])
+def test_reader_refuses_many_e_at_the_end_of_the_text(token):
+    """A token with several "e"s, last in the text: the window of its
+    mantissa stays inside the text and the token is refused."""
+    (_, _, _), (got, ok) = _read([b"7", token])
+    assert ok.tolist() == [True, False] and got[0] == 7.0
 
 
 def test_reader_without_ints_refuses_int_tokens():

@@ -661,6 +661,13 @@ def _status_across(lines, offset):
     return ("\n".join(lines[:row] + [",".join(parts)] + lines[row + 1:]) + "\n").encode("utf-8")
 
 
+def _last_cell_as(token):
+    """The text of the long rays.csv with its last cell, the weight of its last row, spelled ``token``."""
+    lines = _long_rays_lines()
+    lines[-1] = lines[-1].rpartition(",")[0] + "," + token
+    return _joined(lines)
+
+
 _B = TEXT_BLOCK_BYTES
 _STRAY_BREAKS = {"vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "nel": "\x85", "ls": "\u2028"}
 
@@ -706,6 +713,9 @@ RAYS_FILE_CASES = {
     "bad_utf8_after_a_bad_header": (lambda: _with_byte(_joined(["s,phi"] + _long_rays_lines()[1:]), 900),
                                     "rays file <path> cannot be read: 'utf-8' codec can't decode byte 0xff in "
                                     "position 161241: invalid start byte"),
+    **{f"last_cell_{token}": (lambda token=token: _last_cell_as(token),
+                              f"rays file <path> line 1026: could not convert string to float: '{token}'")
+       for token in ("eee", "1eee")},
 }
 
 

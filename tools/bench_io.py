@@ -16,8 +16,12 @@ call is stored raw and divided by the mean of ``perfbench.run``'s
 ``timed_reference_loop()`` run just before and after it, so that files
 taken on a host whose speed drifts stay comparable, with the minor page
 faults (``ru_minflt``) the call took. The file holds the medians over all
-calls of all rounds, the mean page faults per call and each writer's and
-reader's tracemalloc peak.
+calls of all rounds, the quartiles of the divided times, the mean page
+faults per call and each writer's and reader's tracemalloc peak. A change
+in an op is resolved when its two medians differ by more than the distance
+between the base's quartiles; an op that the two checkouts share, such as
+a writer that a reader change leaves alone, shows how far an op strays
+without a change.
 """
 
 from __future__ import annotations
@@ -129,13 +133,17 @@ def main() -> int:
                 calls = [c for run in runs[tree, grid] for c in run[name]["calls"]]
                 row[tree] = {"median_s": statistics.median(c[0] for c in calls),
                              "median_ref": statistics.median(c[1] for c in calls),
+                             "quartiles_ref": statistics.quantiles([c[1] for c in calls], n=4)[::2],
                              "minflt_per_call": statistics.mean(run[name]["minflt"] for run in runs[tree, grid]),
                              "peak_bytes": max(run[name]["peak_bytes"] for run in runs[tree, grid])}
             row["change_over_base_ref"] = row["change"]["median_ref"] / row["base"]["median_ref"]
+            q1, q3 = row["base"]["quartiles_ref"]
+            row["resolved"] = abs(row["change"]["median_ref"] - row["base"]["median_ref"]) > q3 - q1
     doc = {
         "what": "median seconds of each writer and reader, raw and divided by perfbench.run.timed_reference_loop() "
-                "run around it, its minor page faults per call and its tracemalloc peak; combiner_deformed.json "
-                "on polar grids",
+                "run around it, the quartiles of the divided times, its minor page faults per call and its "
+                "tracemalloc peak; combiner_deformed.json on polar grids. resolved: the medians differ by more "
+                "than the base's quartile distance",
         "command": f"python3 tools/bench_io.py --base <checkout of the base commit> --out {args.out.name} "
                    f"--rounds {args.rounds} --reps {args.reps}",
         "commits": {tree: git(checkout, "rev-parse", "HEAD") for tree, checkout in trees.items()},
