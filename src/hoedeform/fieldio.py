@@ -11,8 +11,10 @@ would. :func:`write_rows` is the row assembler of every per-sample file
 (field, rays.csv, hits.csv, spots.csv): the numbers of a row come from the
 whole-array kernel of ``numtext`` (CPython's ``repr`` or ``%`` for each value
 it cannot certify), run on ``BLOCK_VALUES`` values at a time, and the rows
-are joined, their NUL padding dropped and written to the binary file in
-chunks under 120 KiB, so a write holds a block of text, never the document.
+are assembled in a buffer under 120 KiB that holds their literal text once
+for each layout of cell widths, then written to the binary file with their
+NUL padding dropped, so a write holds a block of text, never the document;
+the block, its text and the buffer stay under the heap's 1 MiB thresholds.
 A column that falls into few runs of equal rows, such as a polar grid's
 ``s`` or the ``z`` of a planar field, is formatted once a run
 (``_run_starts``).
@@ -93,23 +95,50 @@ _JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[
 # whose per-block peak with the block stays under the heap's 1 MiB thresholds
 # (``hoedeform.heap``).
 READ_BLOCK_BYTES = 192 * 1024
-# Bytes of row text joined at a time, under glibc's default 128 KiB mmap
-# threshold (the package fixes it at 1 MiB, see ``heap``).
+# Bytes of the buffer that rows are assembled in and written from, under
+# glibc's default 128 KiB mmap threshold (the package fixes it at 1 MiB, see
+# ``heap``).
 _CHUNK_BYTES = 120 * 1024
 
 
-def _run_starts(arrays: Sequence[np.ndarray], n: int) -> Optional[np.ndarray]:
-    """The flags of the rows at which a run of rows equal in every array
+def _pieces(column) -> list:
+    """A part's column as the arrays it joins end to end: a list of them, or one array."""
+    return list(column) if isinstance(column, (list, tuple)) else [column]
+
+
+def _rows_of(column, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi of a column given as one array or as a list of arrays."""
+    pieces = _pieces(column)
+    if len(pieces) == 1:
+        return pieces[0][lo:hi]
+    taken, at = [], 0
+    for a in pieces:
+        if at < hi and at + len(a) > lo:
+            taken.append(a[max(lo - at, 0):hi - at])
+        at += len(a)
+    return np.concatenate(taken) if taken else pieces[0][:0]
+
+
+def _run_starts(columns: Sequence, n: int) -> Optional[np.ndarray]:
+    """The flags of the rows at which a run of rows equal in every column
     starts, floats compared by their bits (so 0.0 and -0.0 differ and equal
-    nans do not); None unless the runs are at most a quarter of the n rows."""
+    nans do not); None unless the runs are at most a quarter of the n rows.
+    A column is an array or a list of arrays joined end to end."""
     if n == 0:
         return None
     new = np.zeros(n, dtype=bool)
     new[0] = True
-    for a in map(np.asarray, arrays):
-        if a.dtype.kind == "f":
-            a = a.view(f"i{a.dtype.itemsize}")
-        new[1:] |= a[1:n] != a[:n - 1]
+    for column in columns:
+        at, last = 0, None
+        for a in map(np.asarray, _pieces(column)):
+            if a.dtype.kind == "f":
+                a = a.view(f"i{a.dtype.itemsize}")
+            if len(a):
+                if last is not None:
+                    new[at] |= a[0] != last
+                new[at + 1:at + len(a)] |= a[1:] != a[:-1]
+                last = a[-1]
+            at += len(a)
     return new if 4 * np.count_nonzero(new) <= n else None
 
 
@@ -117,14 +146,18 @@ def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: 
     """Write ``n`` rows to the binary file ``fh``, rows separated by ``sep``.
 
     Row i is the ``parts`` in order: a ``bytes`` part is the same on every
-    row; a ``(function, array, ...)`` part is row i of ``function(array,
+    row; a ``(function, column, ...)`` part is row i of ``function(column,
     ...)``, an (rows, width) uint8 block of text with NULs in it, such as
     ``numtext.repr_text`` returns, whose row i depends on row i of the
-    arrays alone. The parts of one function run as one call on their
-    columns end to end, ``BLOCK_VALUES`` values at a time; a part whose rows
-    fall into at most n/4 runs of rows equal in every array (``_run_starts``)
-    gives the call one row of each run and repeats its text. The rows are
-    joined, their NULs dropped and written in chunks under 120 KiB.
+    columns alone. A column is an array, or a list of arrays joined end to
+    end. The parts of one function run as one call on their columns end to
+    end, ``BLOCK_VALUES`` values at a time; a part whose rows fall into at
+    most n/4 runs of rows equal in every column (``_run_starts``) gives the
+    call one row of each run and repeats its text. The rows are assembled
+    in a buffer of under 120 KiB that holds the ``bytes`` parts once for
+    each layout of cell widths, so that a chunk of rows copies only its
+    number cells; each chunk is written with its NULs dropped. A block
+    frees its text before the next one is formatted.
     """
     parts = (sep, *parts)
     calls = {}  # function -> the indexes of its parts
@@ -136,9 +169,10 @@ def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: 
             if new is not None:
                 runs[i] = new
     block = max(1, BLOCK_VALUES // max(map(len, calls.values()), default=1))
-    cells = [np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else None for part in parts]
+    layout, filled, lead = None, 0, sep  # the rows of the buffer filled, and what the next chunk drops
     for lo in range(0, n, block):
         hi = min(lo + block, n)
+        cells = {}
         for function, where in calls.items():
             # the rows each part formats, all of the block's or one of each run
             # that meets it, and then the run of each row of the block
@@ -147,10 +181,10 @@ def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: 
                 if i in runs:
                     new = runs[i][lo:hi].copy()
                     new[0] = True
-                    picks.append((lo + np.flatnonzero(new), np.cumsum(new) - 1))
+                    picks.append((np.flatnonzero(new), np.cumsum(new) - 1))
                 else:
-                    picks.append((slice(lo, hi), None))
-            args = (np.concatenate([parts[i][k][taken] for i, (taken, _) in zip(where, picks)])
+                    picks.append((slice(None), None))
+            args = (np.concatenate([_rows_of(parts[i][k], lo, hi)[taken] for i, (taken, _) in zip(where, picks)])
                     for k in range(1, len(parts[where[0]])))
             text = function(*args)
             at = 0
@@ -159,17 +193,41 @@ def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: 
                 cell = text[at:at + count]
                 cells[i] = cell if run is None else cell[run]
                 at += count
-        width = sum(c.shape[-1] for c in cells)
-        step = max(1, _CHUNK_BYTES // width)
-        rows = np.empty((min(step, hi - lo), width), dtype=np.uint8)
-        for a in range(0, hi - lo, step):
-            b = min(a + step, hi - lo)
-            at = 0
-            for c in cells:
-                rows[:b - a, at:at + c.shape[-1]] = c if c.ndim == 1 else c[a:b]
-                at += c.shape[-1]
-            text = rows[:b - a].tobytes().translate(None, b"\0")
-            fh.write(text[len(sep):] if lo == a == 0 else text)
+            del text
+        widths = [cells[i].shape[1] if i in cells else len(part) for i, part in enumerate(parts)]
+        if widths != layout:
+            if filled:
+                _flush(fh, rows[:filled], lead)
+                filled, lead = 0, b""
+            layout, rows = widths, None
+            rows = np.empty((min(max(1, _CHUNK_BYTES // sum(widths)), n), sum(widths)), dtype=np.uint8)
+            spans, at = [], 0
+            for i, width in enumerate(widths):
+                if i in cells:
+                    spans.append((i, at, width))
+                else:
+                    rows[:, at:at + width] = np.frombuffer(parts[i], dtype=np.uint8)
+                at += width
+        a = 0
+        while a < hi - lo:  # a chunk of rows may hold rows of two blocks
+            b = min(a + len(rows) - filled, hi - lo)
+            for i, at, width in spans:
+                rows[filled:filled + b - a, at:at + width] = cells[i][a:b]
+            filled += b - a
+            a = b
+            if filled == len(rows):
+                _flush(fh, rows, lead)
+                filled, lead = 0, b""
+        del cells
+    if filled:
+        _flush(fh, rows[:filled], lead)
+
+
+def _flush(fh: BinaryIO, rows: np.ndarray, lead: bytes) -> None:
+    """Write the text of ``rows`` with its NULs dropped and its first
+    ``len(lead)`` bytes (the separator before the first row) left out."""
+    text = rows.tobytes().translate(None, b"\0")
+    fh.write(text[len(lead):] if lead else text)
 
 
 def _header(field: GratingVectorField) -> dict:

@@ -163,11 +163,7 @@ def frames(profile: "SurfaceProfile", s: np.ndarray, phi: np.ndarray) -> Tuple[n
     if the slope is not finite there, and ValueError if a frame is not
     orthonormal within ``DEFAULT_TOL``; each names the first failing row.
     """
-    profile.require_radii(s)
-    m = profile.slopes(s)
-    i = first_index(~np.isfinite(m))
-    if i is not None:
-        raise at_sample(DegenerateFrame(f"surface slope is not finite at s = {float(s[i])}"), i)
+    m = _finite_slopes(profile, s)
     c, sn = np.cos(phi), np.sin(phi)
     # a slope beyond 1e154 overflows m*m to inf, as float math does; the
     # orthonormality check then rejects the degenerate frame
@@ -179,3 +175,33 @@ def frames(profile: "SurfaceProfile", s: np.ndarray, phi: np.ndarray) -> Tuple[n
     check_orthonormal(t, b, n)
     return t, b, n
 
+
+def _finite_slopes(profile: "SurfaceProfile", s: np.ndarray) -> np.ndarray:
+    """dh/ds at ``s``; DomainError or DegenerateFrame for the first radius
+    outside the domain or with a slope that is not finite."""
+    profile.require_radii(s)
+    m = profile.slopes(s)
+    i = first_index(~np.isfinite(m))
+    if i is not None:
+        raise at_sample(DegenerateFrame(f"surface slope is not finite at s = {float(s[i])}"), i)
+    return m
+
+
+def check_frames(profile: "SurfaceProfile", s: np.ndarray, phi: np.ndarray) -> None:
+    """Raise what :func:`frames` raises for the footprints (s, phi), finite
+    phi, without building the frames.
+
+    By its closed form the frame of a finite slope m is orthonormal: with
+    m * m finite, each length and dot product is exact up to a few units
+    in the last place, far inside ``DEFAULT_TOL``. Only where m * m
+    overflows does the frame degenerate, so the first such row has its
+    frame built alone, to raise the orthonormality error ``frames`` would.
+    """
+    m = _finite_slopes(profile, s)
+    with np.errstate(over="ignore"):
+        i = first_index(~np.isfinite(m * m))
+    if i is not None:
+        try:
+            frames(profile, s[i:i + 1], phi[i:i + 1])
+        except (ValueError, DegenerateFrame) as exc:
+            raise at_sample(exc, i)

@@ -18,15 +18,19 @@ outside [1e-280, 1e280] (subnormals and non-finite values among them), is
 formatted by CPython's ``repr`` or ``%`` instead. Zeros and exact powers of
 ten are exact and need no fallback.
 
-The text of a row is built in three little-endian 64-bit words of digits
-and a word on each side, and each step that most rows need runs over whole
-columns of words. The steps that few rows need (a zero, a rounding up to
-10**17, the exponent of exponent notation, repr's ".0") run on those rows
-alone, found with ``nonzero``: a block pays for them by the rows that need
-them, not by its length. Callers pass blocks of ``BLOCK_VALUES`` values:
-numpy's cost per call, ~0.1 ms, dominates much smaller blocks; the kernel
-holds ~100 bytes a value at its peak, under 1 MiB a block, the heap's
-thresholds (``heap``).
+p itself comes from the exponent bits of x and one compare with a table of
+powers of ten; a row a decade off goes through the product again. The
+text of a row is built in three little-endian 64-bit words of digits and
+a word before them, and each step that most rows need runs in place over
+whole columns, the small ones as int16. The steps that few rows need (a
+zero, a rounding up to 10**17, an integer's zeros before the point, the
+exponent of exponent notation, repr's ".0") run on those rows alone, found
+with ``nonzero``: a block pays for them by the rows that need them, not by
+its length. Callers pass blocks of ``BLOCK_VALUES`` values: numpy's cost
+per call, ~0.1 ms, dominates much smaller blocks. The kernel holds at most
+80 bytes a value at its peak, and a block is the largest whose writer
+(``fieldio.write_rows``), with the kernel, the block's text and the rows it
+writes, stays under the 1 MiB thresholds of the heap (``heap``).
 
 ``read_floats(text, starts, ends)`` is the inverse: the values of the number
 tokens ``text[starts[i]:ends[i]]`` of a block of bytes, and the mask of the
@@ -59,9 +63,9 @@ import functools
 
 import numpy as np
 
-# Values per kernel call: its temporaries, ~100 bytes a value at their
-# peak, stay under the heap's 1 MiB thresholds.
-BLOCK_VALUES = 8000
+# Values per kernel call: the largest block whose writer, kernel and text
+# included, stays under the heap's 1 MiB thresholds (``heap``).
+BLOCK_VALUES = 9000
 
 # Error bound of y = hi + lo, in units of its 17th digit. With y < 2**57 the
 # product errs by at most 2.5 * 2**-106 * y < 2**-47 (the table's 10**p errs
@@ -80,10 +84,14 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's constant: splits a double into 
 _EXPONENT_BITS, _FRACTION_BITS = 0x7FF << 52, (1 << 52) - 1
 _POINT, _ZERO, _MINUS, _PLUS, _E = b".0-+e"
 _WORD = np.dtype("<u8")
+_ZEROS = np.uint64(0x3030303030303030)
+_BYTE, _TOP = np.uint64(8), np.uint64(56)
+_GROUP_HIGH, _GROUP_LOW = np.uint64(24), np.uint64(40)  # a group at byte 5 of a word: its last byte, and the rest
 _NO_POINT = 18  # the point position of a row without a point
-# The 32 bytes of a row: 2 unused, the sign, "0." and up to three zeros
-# (fixed notation below 1), 17 digits with a point among them, the "0" of
-# repr's ".0", then "e", the exponent's sign and three exponent digits.
+# The 32 bytes of a row: 2 unused, then up to 6 bytes that end at byte 7,
+# the sign, "0." and up to three zeros (fixed notation below 1), 17 digits
+# with a point among them, the "0" of repr's ".0", then "e", the exponent's
+# sign and three exponent digits.
 _SIGN, _BODY, _DOT0, _EXP = 2, 8, 26, 27
 
 
@@ -104,12 +112,16 @@ def _tables():
     """The powers of ten and the byte masks of the kernel, built on first use.
 
     ``pow10``: 10**p for p in [_P_MIN, _P_MAX] as double-double columns (hi,
-    hi's two halves, lo), indexed by p - _P_MIN. ``ascii4``: "0000".."9999"
-    as little-endian words, and ``lead4`` the same without leading zeros.
-    Word tables, indexed by k: ``below``, the mask of bytes 0..k-1; ``dot``, a
-    point at byte k (none for k = 18). ``zeros4``: the trailing zeros of 0000..9999;
-    ``front[2 * c + s]``: bytes 2..7 of a row, a minus sign if s, and for
-    c > 0 "0." and c - 1 zeros. The reader's word tables of 24-byte windows:
+    hi's two halves, lo), indexed by p - _P_MIN. For each biased exponent b
+    of a double, ``decade[b]``: the index in ``pow10`` of p = 16 - floor(log10
+    2**(b - 1023)), and ``tens[b]``: 10 to the power one above that floor,
+    rounded. ``ascii4``: "0000".."9999" as little-endian words, ``lead4`` the
+    same without leading zeros, and ``text4[2 * g + t]`` g's word, with its
+    trailing zeros NUL if t. Word tables, indexed by k: ``below``, the mask
+    of bytes 0..k-1; ``dot``, a point at byte k (none for k = 18).
+    ``zeros4``: the trailing zeros of 0000..9999;
+    ``front[2 * c + s]``: bytes 2..7 of a row, ending in a minus sign if s,
+    then for c > 0 "0." and c - 1 zeros. The reader's word tables of 24-byte windows:
     ``high[n]``, the last n bytes; ``whole[c]``, the bytes before a point
     with c - 1 digits after it, and none for c = 0 (no point).
     """
@@ -126,20 +138,24 @@ def _tables():
             lo.append((two - num * den) / (two * den))
         hi.append(h)
     hi = np.array(hi)
+    floors = [len(str(2 ** e)) - 1 if e >= 0 else len(str(5 ** -e)) - 1 + e for e in range(-1023, 1025)]
+    decade = np.clip(16 - np.array(floors) - _P_MIN, 0, _P_MAX - _P_MIN)
     ascii4 = np.zeros((10, 10, 10, 10, 8), dtype=np.uint8)
     for place in range(4):
         ascii4[..., place] = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8).reshape([10 if i == place else 1
                                                                                  for i in range(4)])
     ascii4 = ascii4.reshape(10000, 8)
     lead4 = np.where(np.logical_and.accumulate(ascii4 == _ZERO, axis=1), 0, ascii4).astype(np.uint8)
+    trail4 = np.where(np.logical_and.accumulate(((ascii4 == _ZERO) | (ascii4 == 0))[:, ::-1], axis=1)[:, ::-1], 0,
+                      ascii4)
     groups = np.arange(10000)
     at = np.arange(24)
     k = np.arange(_NO_POINT + 1)[:, None]
     front = np.zeros((5, 2, 8), dtype=np.uint8)
-    front[:, 1, _SIGN] = _MINUS
-    front[1:, :, 3:5] = (_ZERO, _POINT)
-    for zeros in range(4):
-        front[1 + zeros, :, 5:5 + zeros] = _ZERO
+    for c in range(5):
+        for s in range(2):
+            text = b"-"[:s] + (b"0." + b"0" * (c - 1) if c else b"")
+            front[c, s, _BODY - len(text):] = np.frombuffer(text, dtype=np.uint8)
     low = np.arange(_TOKEN_BYTES + 1)[:, None] > np.arange(_TOKEN_BYTES)
     high = low[:, ::-1]
     whole = low[::-1].copy()
@@ -148,33 +164,52 @@ def _tables():
         "pow10": np.array([hi, *_split(hi), lo]),
         "whole": _word_table(whole, 0xFF),
         "high": _word_table(high, 0xFF),
+        "decade": decade.astype(np.intp),
+        "tens": np.array([float(f"1e{floor + 1}") for floor in floors]),
         "ascii4": ascii4.view(_WORD).ravel(),
         "lead4": lead4.view(_WORD).ravel(),
+        "text4": np.stack([ascii4, trail4.astype(np.uint8)], axis=1).view(_WORD).ravel(),
         "below": _word_table(at < k, 0xFF),
         "dot": _word_table((at == k) & (k < _NO_POINT), _POINT),
-        "zeros4": np.where(groups == 0, 4, sum(groups % 10 ** i == 0 for i in (1, 2, 3))),
         "front": front.view(_WORD).ravel(),
+        "zeros4": np.where(groups == 0, 4, sum(groups % 10 ** i == 0 for i in (1, 2, 3))).astype(np.int16),
     }
 
 
-def _scaled(a: np.ndarray, p: np.ndarray):
-    """hi + lo = a * 10**p for positive a, within the error of ``_MARGIN``,
-    and 10**p rounded to a double."""
+def _scaled(a: np.ndarray, i: np.ndarray):
+    """floor(y) and frac(y) of y = a * 10**p for positive a, given the index
+    ``i`` = p - _P_MIN of 10**p in the power table, within the error of
+    ``_MARGIN``. The steps run in place on five columns besides ``a``."""
     t_hi, t_hh, t_hl, t_lo = _tables()["pow10"]
-    i = p - _P_MIN
-    scale = t_hi[i]
-    prod = a * scale
-    ah, al = _split(a)
-    hh, hl = t_hh[i], t_hl[i]
-    err = ((ah * hh - prod) + ah * hl + al * hh) + al * hl  # a * scale - prod, exactly
-    del ah, al, hh, hl
-    low = err + a * t_lo[i]
-    hi = prod + low
-    lo = low - (hi - prod)
+    prod = np.take(t_hi, i)
+    prod *= a
+    # a * hi(10**p) - prod, exactly: Dekker's product of Veltkamp's halves of
+    # a (ah + al) and of hi(10**p) (hh + hl, from the table)
+    ah = np.multiply(a, _SPLITTER)
+    al = np.subtract(ah, a)
+    ah -= al
+    np.subtract(a, ah, out=al)
+    part = np.take(t_hh, i)
+    err = np.multiply(ah, part)
+    err -= prod
+    part *= al
+    err += part
+    np.take(t_hl, i, out=part)
+    ah *= part
+    err += ah
+    al *= part
+    err += al
+    np.take(t_lo, i, out=part)  # and a * lo(10**p)
+    part *= a
+    err += part
+    del part, al
+    hi = np.add(prod, err, out=ah)
+    lo = np.subtract(err, np.subtract(hi, prod, out=prod), out=err)
+    del prod
     if a.max(initial=0.0) >= 1e16:  # some p may be negative
-        div = ((p < 0) & (p >= -_EXACT_MAX)).nonzero()[0]
+        div = ((i < -_P_MIN) & (i >= -_EXACT_MAX - _P_MIN)).nonzero()[0]
         if len(div):  # 10**-p is a double: divide by it, so that exact quotients stay exact
-            q = t_hi[-p[div] - _P_MIN]
+            q = t_hi[-i[div] - 2 * _P_MIN]
             num = a[div]
             quot = num / q
             prod = quot * q
@@ -183,35 +218,51 @@ def _scaled(a: np.ndarray, p: np.ndarray):
             err = ((qh * dh - prod) + qh * dl + ql * dh) + ql * dl
             hi[div] = quot
             lo[div] = ((num - prod) - err) / q
-    return hi, lo, scale
+    # hi is a whole number and |lo| <= 8: floor(y) = hi + floor(lo)
+    whole = hi.astype(np.int64)
+    floor_lo = np.floor(lo, out=hi)
+    lo -= floor_lo
+    whole += floor_lo.astype(np.int8)
+    return whole, lo
 
 
 def _scale17(a: np.ndarray, kernel: np.ndarray):
-    """floor(y), frac(y), p and 10**p of y = a * 10**p in [1e16, 1e17);
-    rows whose y cannot be brought into that range leave ``kernel``."""
+    """floor(y), frac(y) and the index i = p - _P_MIN of y = a * 10**p in
+    [1e16, 1e17); rows whose y cannot be brought into that range leave
+    ``kernel``.
 
-    def split(hi, lo):  # hi is an integer-valued double
-        floor_lo = np.floor(lo)
-        return hi.astype(np.int64) + floor_lo.astype(np.int64), lo - floor_lo
-
-    p = 16 - np.floor(np.log10(a)).astype(np.int64)
-    hi, lo, scale = _scaled(a, p)
-    whole, frac = split(hi, lo)
+    p = 16 - floor(log10 a) is read off the exponent bits of a: a binade
+    meets at most two decades, and the table gives p of the lower one and
+    the power of ten where the upper one starts. Outside 1e0..1e22 that
+    power is rounded, so a value next to it may come out a decade off: such
+    rows, whose y is out of range, are scaled again with p moved by one."""
+    tables = _tables()
+    binade = a.view(np.int64) >> 52
+    i = np.take(tables["decade"], binade)
+    i -= a >= np.take(tables["tens"], binade)
+    del binade
+    whole, frac = _scaled(a, i)
     redo = ((whole < 10 ** 16) | (whole >= 10 ** 17)).nonzero()[0]
-    if len(redo):  # log10 was one off
-        p[redo] += np.where(whole[redo] < 10 ** 16, 1, -1)
-        hi, lo, scale[redo] = _scaled(a[redo], p[redo])
-        whole[redo], frac[redo] = split(hi, lo)
+    if len(redo):
+        i[redo] += np.where(whole[redo] < 10 ** 16, 1, -1)
+        whole[redo], frac[redo] = _scaled(a[redo], i[redo])
         kernel[redo[(whole[redo] < 10 ** 16) | (whole[redo] >= 10 ** 17)]] = False
-    return whole, frac, p, scale
+    return whole, frac, i
+
+
+def _near(u, v) -> np.ndarray:
+    """|u - v| < _MARGIN."""
+    d = np.subtract(u, v)
+    np.abs(d, out=d)
+    return d < _MARGIN
 
 
 def _shortest(whole, frac, w, pow2):
     """The multiple of the largest power of ten inside the rounding interval
-    of a, nearest to y, in units of y, and the rows that are uncertain;
-    ``w`` is half the spacing of the doubles above a, in units of y, which
-    this overwrites, and ``pow2`` the rows where a is a power of two, below
-    which the doubles are twice as dense.
+    of a, nearest to y, in units of y, written over ``whole``, and the rows
+    that are uncertain; ``w`` is half the spacing of the doubles above a, in
+    units of y, which this overwrites, and ``pow2`` the rows where a is a
+    power of two, below which the doubles are twice as dense.
 
     The interval is at most 22.2 units wide (half of a's spacing, times
     10**p, is at most y * 2**-53), so at most one multiple of 100 lies in
@@ -219,60 +270,137 @@ def _shortest(whole, frac, w, pow2):
     the nearest multiple of 10 inside has 16 digits, and without that the
     nearest integer (always inside, the half width being over 0.55) has 17.
     """
-    # the integers y - j inside are those with j < reach_lo, y + 1 + j those with j < reach_hi
-    reach_hi = (w + frac) - 1.0
+    # y - j is inside for j < reach_lo, y + 1 + j for j < reach_hi: with f
+    # the last digits of y, the multiple below, y - f, is inside if f <
+    # reach_lo, and the one above if f > 99 - reach_hi (100s) or 9 - reach_hi (10s)
+    above = np.add(w, frac)
+    np.subtract(100.0, above, out=above)  # 99 - reach_hi
     reach_lo = w
     reach_lo[pow2] *= 0.5
     reach_lo -= frac
-    f100 = (whole - whole // 100 * 100).astype(float)  # the last two digits of y
-    f10 = f100 - np.floor(f100 * 0.1) * 10.0  # and the last one: 0.1 is a little above 1/10, so the floor is exact
-    lo100, hi100 = f100 < reach_lo, 99.0 - f100 < reach_hi
-    lo10, hi10 = f10 < reach_lo, 9.0 - f10 < reach_hi
-    # both multiples of 10 inside: the nearer one
-    up10 = hi10 & ~(lo10 & (f10 + frac < 5.0))
-    in100, in10 = lo100 | hi100, lo10 | hi10
-    out = np.where(in100, 100 * hi100 - f100, np.where(in10, 10 * up10 - f10, frac > 0.5)).astype(np.int64)
-    out += whole
-    # a boundary hit of a candidate that decides, a near-tie between the two
-    # multiples of 10 inside, or a near-tie of the nearest integer
-    hit100 = (np.abs(f100 - reach_lo) < _MARGIN) | (np.abs(99.0 - f100 - reach_hi) < _MARGIN)
-    hit10 = ((np.abs(f10 - reach_lo) < _MARGIN) | (np.abs(9.0 - f10 - reach_hi) < _MARGIN)
-             | lo10 & hi10 & (np.abs(f10 + frac - 5.0) < _MARGIN))
-    uncertain = hit100 | ~in100 & (hit10 | ~in10 & (np.abs(frac - 0.5) < _MARGIN))
-    return out, uncertain
+    f100 = whole // 100  # the last two digits of y, exact as float32
+    f100 *= -100
+    f100 += whole
+    f100 = f100.astype(np.float32)
+    f10 = np.multiply(f100, np.float32(0.1))  # and the last one: 0.1 is a little above 1/10, so the floor is exact
+    np.floor(f10, out=f10)
+    f10 *= -10.0
+    f10 += f100
+    # a boundary hit of a candidate that decides
+    lo100, hi100 = f100 < reach_lo, f100 > above
+    hit100 = _near(f100, reach_lo)
+    hit100 |= _near(f100, above)
+    above -= 90.0  # 9 - reach_hi
+    lo10, hi10 = f10 < reach_lo, f10 > above
+    hit10 = _near(f10, reach_lo)
+    hit10 |= _near(f10, above)
+    del above, reach_lo
+    in100 = lo100 | hi100
+    del lo100
+    # both multiples of 10 inside: the nearer one, and a near-tie between them
+    both10 = lo10 & hi10
+    step = np.add(f10, frac)
+    hit10 |= both10 & _near(step, 5.0)
+    up10 = step >= 5.0
+    up10 &= both10
+    in10 = lo10 | hi10
+    hi10 &= ~lo10
+    up10 |= hi10
+    del both10, lo10, hi10
+    # the step from y to the candidate: the multiple of 100, else of 10, else the nearest integer
+    np.multiply(up10, 10.0, out=step)
+    step -= f10
+    nearest = frac > 0.5
+    step -= nearest
+    step *= in10
+    step += nearest
+    to100 = np.multiply(hi100, np.float32(100.0))
+    to100 -= f100
+    to100 -= step
+    to100 *= in100
+    step += to100
+    del to100
+    whole += step.astype(np.int8)
+    # and a near-tie of the nearest integer
+    tie = _near(frac, 0.5)
+    tie &= ~in10
+    hit10 |= tie
+    hit10 &= ~in100
+    hit100 |= hit10
+    return whole, hit100
 
 
-def _digit_words(number: np.ndarray):
-    """The 17 ASCII digits of each number below 1e17 at bytes 0..16 of three
-    little-endian words (3, n), leading zeros kept, the other bytes NUL; and
-    the count of digits up to the last that is not 0 (0 for zero)."""
-    tables = _tables()
-    ascii4 = tables["ascii4"]
-    groups = []  # the four groups of four digits, last first
-    rest = number
-    for _ in range(4):
-        high = rest // 10000
-        groups.append(rest - high * 10000)
-        rest = high
-    zeros4 = tables["zeros4"]
-    sig = 17 - zeros4[groups[0]]
-    deep = (groups[0] == 0).nonzero()[0]
+def _groups(number: np.ndarray):
+    """The first digit and the four groups of four digits that follow it of
+    each number below 1e17, as int16 rows (5, n), and the count of digits
+    up to the last that is not 0 (0 for zero), as int16. ``number`` is
+    overwritten.
+
+    The groups are split in float64, exactly: each half of the number is
+    below 2**53, and 1e-4 is a little above 1/10**4, so the floor of a
+    product by it is the quotient."""
+    groups = np.empty((5, len(number)), dtype=np.int16)
+    top = number // 10 ** 8  # the first 9 digits
+    number -= top * 10 ** 8  # the last 8, in place
+    for half, row in ((number, 3), (top, 1)):
+        rest = half.astype(float)
+        high = np.multiply(rest, 1e-4)
+        np.floor(high, out=high)
+        rest -= high * 1e4
+        groups[row + 1] = rest
+        if row == 1:  # the first digit, and the first group
+            np.multiply(high, 1e-4, out=rest)
+            np.floor(rest, out=rest)
+            groups[0] = rest
+            rest *= 1e4
+            high -= rest
+        groups[row] = high
+        del rest, high
+    del top
+    zeros4 = _tables()["zeros4"]
+    sig = np.take(zeros4, groups[4])
+    np.subtract(17, sig, out=sig)
+    deep = (groups[4] == 0).nonzero()[0]
     if len(deep):  # the last four digits are 0: count the zeros further up
-        zeros = rest[deep] == 0
-        for group in reversed(groups):
-            group = group[deep]
+        zeros = groups[0, deep] == 0
+        for group in groups[1:, deep]:
             zeros = zeros4[group] + (group == 0) * zeros
         sig[deep] = 17 - zeros
-    # the first digit at byte 0, then the groups, first to last, at bytes 1, 5, 9 and 13
-    out = np.zeros((3, len(number)), dtype=_WORD)
-    out[0] = rest + _ZERO
-    del rest, high
-    for bit in (8, 40, 72, 104):
-        group = ascii4[groups.pop()]
-        out[bit // 64] |= group << (bit % 64)
-        if bit % 64 > 32:  # the group spans two words
-            out[bit // 64 + 1] |= group >> (64 - bit % 64)
-    return out, sig
+    return groups, sig
+
+
+def _digit_words(groups: np.ndarray) -> np.ndarray:
+    """The 17 ASCII digits of the (5, n) ``groups`` at bytes 8..24 of
+    little-endian words 1..3 of a row, (3, n), the other bytes NUL and so
+    are the zeros after the last digit that is not 0 (all but the first,
+    for zero). ``groups`` is overwritten."""
+    # a group after which every group is 0 drops its trailing zeros:
+    # text4[2 * g + 1] is g's text with them NUL
+    trailing = groups == 0
+    trailing[3] &= trailing[4]
+    trailing[2] &= trailing[3]
+    text = _tables()["text4"]
+    # the first digit at byte 8, then the groups, first to last, at bytes 9, 13, 17 and 21
+    out = np.empty((3, groups.shape[1]), dtype=_WORD)
+    index = np.left_shift(groups[4], 1, dtype=np.intp)
+    index += 1
+    group = np.take(text, index, mode="clip")
+    np.right_shift(group, _GROUP_HIGH, out=out[2])
+    np.left_shift(group, _GROUP_LOW, out=out[1])
+    for k in (3, 2, 1):
+        np.left_shift(groups[k], 1, out=index)
+        index += trailing[k + 1]
+        np.take(text, index, out=group, mode="clip")
+        if k == 2:  # across two words
+            out[1] |= group >> _GROUP_HIGH
+            np.left_shift(group, _GROUP_LOW, out=out[0])
+        else:  # at byte 1 of the word
+            group <<= _BYTE
+            out[(k - 1) // 2] |= group
+    del group, index, trailing
+    groups[0] += _ZERO
+    out[0] |= groups[0].astype(_WORD)
+    return out
 
 
 def _fallback(out: np.ndarray, rows: np.ndarray, texts, at: int) -> np.ndarray:
@@ -299,9 +427,13 @@ def g17_text(values: np.ndarray) -> np.ndarray:
 def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
     """``repr(v)`` (``shortest``) or ``'%.17g' % v`` of every value.
 
-    The steps every row needs run on whole columns; the rare ones (the
-    rows outside the kernel's range, zeros, a rounding up to 10**17, the
-    exponent and repr's ".0") run only on the rows that need them.
+    The steps every row needs run on whole columns, in place where they
+    can, with the small columns as int16; the rare ones (the rows outside
+    the kernel's range, zeros, a rounding up to 10**17, an integer's zeros
+    before the point, the exponent and repr's ".0") run only on the rows
+    that need them. The digits and the point are assembled in three rows
+    of words (3, n), their masks in the memory of the rows of text, which
+    they are then written to.
     """
     tables = _tables()
     x = np.ascontiguousarray(values, dtype=float)
@@ -312,69 +444,90 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
     zero = odd[a[odd] == 0.0]
     a[odd] = 1.0  # zero, like 1.0, has its point after the first digit
     kernel[zero] = True
-    whole, frac, p, scale = _scale17(a, kernel)
-    bits = a.view(np.int64)
+    number, frac, i = _scale17(a, kernel)
     if shortest:
-        w = (bits & _EXPONENT_BITS).view(float)  # half the spacing of the doubles above a, in units of y
-        w *= scale
-        w *= 2.0 ** -53
+        bits = a.view(np.int64)
         pow2 = (bits & _FRACTION_BITS == 0).nonzero()[0]
-        del a, bits, scale  # each step frees what it no longer needs, to bound the peak
-        number, uncertain = _shortest(whole, frac, w, pow2)
+        bits &= _EXPONENT_BITS  # a's binade starts at 2**e: half the spacing there, in units of y
+        w = a
+        w *= np.take(tables["pow10"][0], i)
+        w *= 2.0 ** -53
+        del a, bits
+    point = np.subtract(17 - _P_MIN, i, dtype=np.int16)  # |x| = 0.d1d2...d17 * 10**point
+    del i
+    if shortest:
+        number, uncertain = _shortest(number, frac, w, pow2)
         del w
     else:
-        del a, bits, scale
-        number, uncertain = whole + (frac > 0.5), np.abs(frac - 0.5) < _MARGIN
-    del whole, frac
+        del a
+        number += frac > 0.5
+        frac -= 0.5
+        uncertain = _near(frac, 0.0)
+    del frac
     kernel &= ~uncertain
-    point = np.subtract(17, p, out=p)  # |x| = 0.d1d2...d17 * 10**point
+    del uncertain
     carry = (number == 10 ** 17).nonzero()[0]
-    number[carry] = 10 ** 16
-    point[carry] += 1
+    if len(carry):
+        number[carry] = 10 ** 16
+        point[carry] += 1
     number[zero] = 0
-    digits, sig = _digit_words(number)
+    groups, sig = _groups(number)
     del number
+    digits = _digit_words(groups)
+    del groups
     np.maximum(sig, 1, out=sig)  # zero has one significant digit
-    # exponent = point - 1 below -4, or at 16 (repr) or 17 ('%.17g') and above
+    # exponent notation below 1e-4, and from 1e16 (repr) or 1e17 ('%.17g')
     sci = ((point < -3) | (point > (16 if shortest else 17))).nonzero()[0]
-    # the digits kept: the significant ones, and an integer's zeros before the point
-    kept = np.maximum(sig, point)
-    pos = np.where((point >= 1) & ((sig > point) | shortest), point, _NO_POINT)
-    kept[sci] = sig[sci]
-    pos[sci] = np.where(sig[sci] > 1, 1, _NO_POINT)
-    first, last = _BODY, _BODY + min(int(kept.max(initial=0)) + 1, 18)
-    mask = np.take(tables["below"], kept, axis=1)
-    del kept
-    digits &= mask
-    words = np.take(tables["dot"], pos, axis=1)  # bytes 8..31 of each row: the digits and the point
-    np.take(tables["below"], pos, axis=1, out=mask, mode="clip")  # unbuffered; pos is in range
-    del pos
+    if len(sci):
+        exponent = point[sci] - 1
+        point[sci] = 0
+    # an integer's zeros before the point, which the digits leave NUL
+    fill = (sig < point).nonzero()[0]
+    if len(fill):
+        below = tables["below"]
+        digits[:, fill] |= below[:, point[fill]] & ~below[:, sig[fill]] & _ZEROS
+    # the byte of the point: after the integer digits, none in fixed notation
+    # below 1 and none in '%.17g' of an integer
+    at_point = point >= 1
+    if not shortest:
+        at_point &= sig > point
+    pos = np.subtract(point, _NO_POINT, dtype=np.intp)
+    pos *= at_point
+    pos += _NO_POINT
+    if len(sci):
+        pos[sci] = np.where(sig[sci] > 1, 1, _NO_POINT)
+    last = _BODY + min(max(int(sig.max(initial=0)), int(point.max(initial=0))) + 1, 18)
+    out = np.empty((n, 4), dtype=_WORD)
+    scratch = out.reshape(4, n)  # out's memory, until the rows are written
+    mask = np.take(tables["below"], pos, axis=1, out=scratch[1:], mode="clip")
     mask &= digits  # the digits before the point
     digits ^= mask  # the digits after it, which move up one byte
-    words |= mask
-    del mask
-    words[1:] |= digits[:2] >> 56
-    digits <<= 8
-    words |= digits
+    for k in (1, 2):
+        mask[k] |= np.right_shift(digits[k - 1], _TOP, out=scratch[0])
+    digits <<= _BYTE
+    digits |= mask
+    digits |= np.take(tables["dot"], pos, axis=1, out=mask, mode="clip")
+    del mask, scratch, pos
+    for k in range(3):
+        out[:, k + 1] = digits[k]
     del digits
-    out = np.empty((n, 4), dtype=_WORD)
-    out[:, 1:] = words.T
-    del words
     # bytes 2..7: the sign, and "0." and -point zeros in fixed notation below 1
-    front = np.clip(1 - point, 0, 4)
-    front[sci] = 0
+    front = np.subtract(1, point)
+    np.maximum(front, 0, out=front)
+    if len(sci):
+        front[sci] = 0
     front <<= 1
     signed = np.signbit(x)
     front += signed
-    out[:, 0] = tables["front"][front]
-    first = _SIGN if signed.any() else 3 if front.any() else first
+    out[:, 0] = np.take(tables["front"], front, mode="clip")
+    widest = int(front.max(initial=0)) >> 1  # c of "0." and c - 1 zeros
+    first = _BODY - int(signed.any()) - (widest + 1 if widest else 0)
     if shortest:
-        ints = ((point >= 1) & (point <= 16) & (sig <= point)).nonzero()[0]  # repr's ".0"
+        ints = (at_point & (sig <= point)).nonzero()[0]  # repr's ".0"
         if len(ints):
             out[ints, 3] |= np.uint64(_ZERO << 8 * (_DOT0 - 24))
             last = _DOT0 + 1
     if len(sci):
-        exponent = point[sci] - 1
         e = np.abs(exponent).astype(_WORD)
         text = (np.uint64(_E) | np.where(exponent < 0, np.uint64(_MINUS << 8), np.uint64(_PLUS << 8))
                 | np.where(e >= 100, (e // 100 + _ZERO) << 16, np.uint64(0))
@@ -415,8 +568,6 @@ def int_text(values: np.ndarray) -> np.ndarray:
 
 
 # The reader: float(token) of whole columns of decimal tokens.
-_ZEROS = np.uint64(0x3030303030303030)
-_BYTE, _TOP = np.uint64(8), np.uint64(56)
 # Word j of a row: the sum of the positions (8j + byte) of its bytes that are 1, in the top byte of the product
 _PLACES = np.array([[sum((7 - k + 8 * j) << 8 * k for k in range(8))] for j in range(3)], dtype=np.uint64)
 # The sum of the bytes of a word, in the top byte of the product, while that sum is below 256

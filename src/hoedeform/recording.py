@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, HoedeformError, PointNotOnEllipsoid, at_sample
-from .geometry import TWO_PI, Vec3, cross, dot, first_index, frames, norms, raise_first
+from .geometry import TWO_PI, Vec3, check_frames, cross, dot, first_index, frames, norms, raise_first
 from .surfaces import DOMAIN_GUARD, SurfaceProfile
 from .units import path_mm_to_um
 from .waves import Wave, WaveKind, local_wavevectors, require_same_wavelength
@@ -209,8 +209,7 @@ class GratingVectorField:
             (off > 1e-10, lambda i: at_sample(ValueError(
                 f"position {tuple(pos[i].tolist())} off carrier point {tuple(on_surface[i].tolist())}"), i)),
         ])
-        del x, y, on_surface, off  # before the frames, to bound the peak
-        self.frames()
+        check_frames(self.carrier, s, phi)
 
     def frames(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Carrier frames {t, b, n} (each N x 3) at the sample footprints."""

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hoedeform.errors import DegenerateFrame, DomainError
-from hoedeform.geometry import Vec3, check_orthonormal, combine, cross, dot, frames, norms
-from hoedeform.recording import GratingSample
+from hoedeform.errors import DegenerateFrame, DomainError, HoedeformError
+from hoedeform.geometry import Vec3, check_frames, check_orthonormal, combine, cross, dot, frames, norms
+from hoedeform.recording import GratingSample, GratingVectorField, sample_context
 from hoedeform.surfaces import SurfaceProfile
 
 
@@ -193,3 +193,52 @@ class TestDecomposeRecompose:
         frame = frames(SurfaceProfile.sphere_cap(50.0, 20.0), np.full(100, 7.0), np.ones(100))
         g = rng.normal(0, 5, (100, 3))
         assert np.all(np.abs(norms(combine(*frame, *g.T)) - norms(g)) <= 1e-12 * np.maximum(1.0, norms(g)))
+
+
+def _outcome(check, *args):
+    """The type, message and sample index of what ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except (ValueError, HoedeformError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    return None
+
+
+def _flat_with_slopes(bad: float, later: float = 1e200) -> SurfaceProfile:
+    """A flat carrier whose slope is 0.1 s below s = 3, ``bad`` at 3 and ``later`` beyond."""
+    return SurfaceProfile("custom_convex", lambda s: 0.0, lambda s: 0.1 * s if s < 3.0 else bad if s == 3.0 else later,
+                          10.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e155, -1e155, 1.3e154, 1e-200])
+def test_check_frames_raises_what_building_the_frames_raises(bad):
+    """The closed-form check raises what ``frames`` (which builds the frames
+    and runs check_orthonormal on them) raises: DegenerateFrame for a slope
+    that is not finite, the orthonormality error of the first row whose
+    slope squared overflows (1e155, and 1e200 after a slope of 1.3e154 or
+    1e-200, whose squares are finite), and DomainError first."""
+    s, phi = np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    profile = _flat_with_slopes(bad)
+    want = _outcome(frames, profile, s, phi)
+    assert want is not None and want[2] == (2 if not math.isfinite(bad) or abs(bad) > 1.4e154 else 3)
+    assert _outcome(check_frames, profile, s, phi) == want
+    assert _outcome(check_frames, profile, s[:2], phi[:2]) is _outcome(frames, profile, s[:2], phi[:2]) is None
+    outside = np.array([1.0, 3.0, 11.0])
+    assert _outcome(check_frames, profile, outside, phi[:3]) == _outcome(frames, profile, outside, phi[:3])
+    assert _outcome(frames, profile, outside, phi[:3])[0] is DomainError
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e155])
+def test_a_field_names_the_sample_of_a_degenerate_frame(bad):
+    """A field on such a carrier fails with the message of its frames, named by sample."""
+    profile = _flat_with_slopes(bad)
+    s, phi = np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.0, 1.0, 2.0, 3.0])
+    pos = np.column_stack((s * np.cos(phi), s * np.sin(phi), np.zeros(4)))
+    with pytest.raises((ValueError, HoedeformError)) as got:
+        GratingVectorField(profile, s, phi, pos, np.ones((4, 3)), {}, 500.0)
+
+    def built():
+        with sample_context(s, phi):
+            frames(profile, s, phi)
+
+    assert (type(got.value), str(got.value)) == _outcome(built)[:2]

@@ -9,10 +9,12 @@ the range limits and subnormals they leave to CPython.
 """
 
 import io
+import json
 import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from itertools import compress
 from pathlib import Path
 
@@ -24,6 +26,8 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 
 from hoedeform import fieldio, heap, numtext, scene
+from hoedeform.config import load_scene_config
+from hoedeform.deformation import induce_forward
 from hoedeform.geometry import Vec3
 from hoedeform.recording import PolarGrid, record
 from hoedeform.surfaces import SurfaceProfile
@@ -446,6 +450,75 @@ def test_reader_memory_budget(tmp_path, monkeypatch):
         block = blocks[name][0]
         whole = len(block) + traced_peak(lambda: read(block))
         assert whole < heap.MALLOC_THRESHOLD_BYTES, f"a {name} block of {len(block)} bytes peaked at {whole} bytes"
+
+
+def _combiner_writes(tmp_path):
+    """The four writes of a 16 001-sample run of combiner_deformed.json, as
+    the benchmark's bent combiner makes them, and the columns they format."""
+    doc = json.loads((SRC / "hoedeform" / "configs" / "combiner_deformed.json").read_text())
+    doc["recording"]["grid"].update(n_s=100, n_phi=160)
+    (tmp_path / "scene.json").write_text(json.dumps(doc))
+    cfg = load_scene_config(tmp_path / "scene.json")
+    field = record(cfg.recording.w1, cfg.recording.w2, cfg.recording.carrier, cfg.recording.grid)
+    assert len(field) == 16_001
+    deformed = induce_forward(field, cfg.deformation.target_profile, cfg.deformation.projection)
+    trace = scene.trace_field(deformed, cfg.probe)
+    planes = [scene.intersect_plane(trace.rays(), z) for z in cfg.analysis.detector_z_mm]
+    writes = {"field": lambda: fieldio.save_field(field, tmp_path / "field.json"),
+              "deformed field": lambda: fieldio.save_field(deformed, tmp_path / "deformed.json"),
+              "rays": lambda: scene.write_rays_csv(trace, tmp_path / "rays.csv"),
+              "hits": lambda: scene.write_hits_csv(planes, tmp_path / "hits.csv")}
+    columns = {"field": (deformed.s, deformed.phi, *deformed.pos.T, *deformed.g.T),
+               "rays": (trace.s, trace.phi, *trace.pos.T, *trace.direction.T)}
+    return writes, columns
+
+
+def test_writer_memory_budget(tmp_path):
+    """On blocks of BLOCK_VALUES values of a field and of rays, repr_text and
+    g17_text hold at most 80 bytes a value; and each writer's whole-block
+    peak (the kernel, the block's text and the rows it writes) at 16 001
+    samples stays under the heap's 1 MiB thresholds, so that BLOCK_VALUES
+    cannot outgrow the heap unnoticed."""
+    writes, columns = _combiner_writes(tmp_path)
+    repr_text(np.ones(1))  # the tables, built once
+    for name, cols in columns.items():
+        values = np.concatenate(cols)
+        for lo in (0, len(values) // 2, len(values) - BLOCK_VALUES):
+            block = values[lo:lo + BLOCK_VALUES].copy()
+            for kernel in (repr_text, g17_text):
+                peak = traced_peak(lambda: kernel(block))
+                assert peak / BLOCK_VALUES <= 80, f"{kernel.__name__} held {peak / BLOCK_VALUES:.0f} bytes a value"
+    for name, write in writes.items():
+        write()
+        peak = traced_peak(write)
+        assert peak < heap.MALLOC_THRESHOLD_BYTES, f"writing the {name} peaked at {peak} bytes"
+
+
+def _decade_values() -> np.ndarray:
+    """Every power of ten from 1e-280 to 1e280 and its neighbours, the powers
+    of two between, and values whose y lies next to 1e16 and 1e17."""
+    tens = np.array([float(f"1e{k}") for k in range(-280, 281)])
+    twos = np.ldexp(1.0, np.arange(-930, 931))
+    edges = np.array([float(f"{m}e{k}") for k in range(-280, 264) for m in ("9.9999999999999999", "9.999999999999999",
+                                                                             "1.0000000000000001", "1.000000000000001")])
+    base = np.concatenate([tens, twos, edges])
+    base = np.concatenate([base, np.nextafter(base, 0.0), np.nextafter(base, np.inf)])
+    return base[(base >= 1e-280) & (base <= 1e280)]
+
+
+def test_decade_step_against_exact_decades():
+    """The decade read off the exponent bits and one table compare gives y =
+    |x| * 10**p in [1e16, 1e17) with p = 16 - floor(log10 |x|) exactly
+    (Decimal's exact exponent), the redo step included; and the kernel's
+    text of these values is repr's and '%.17g''s."""
+    values = _decade_values()
+    kernel = np.ones(len(values), dtype=bool)
+    whole, _, index = numtext._scale17(values.copy(), kernel)
+    assert kernel.all()
+    assert ((whole >= 10 ** 16) & (whole < 10 ** 17)).all()
+    assert (index + numtext._P_MIN).tolist() == [16 - Decimal(v).adjusted() for v in values.tolist()]
+    for shortest in (True, False):
+        assert _kernel_lines(values, shortest) == _cpython_lines(values.tolist(), shortest)
 
 
 def test_import_builds_no_tables():

@@ -18,6 +18,7 @@ from hoedeform.geometry import Vec3
 from hoedeform.diffraction import EVANESCENT, PASS_THROUGH, PROPAGATING
 from hoedeform.recording import CHUNK_ROWS, GratingVectorField, PolarGrid, record
 from hoedeform.config import LINE_BREAKS, TEXT_BLOCK_BYTES, load_scene_config, read_input, read_lines
+from hoedeform.numtext import BLOCK_VALUES
 from hoedeform.pipeline import deform_stage, record_stage
 from hoedeform.scene import (
     PARALLEL_TOL,
@@ -572,6 +573,24 @@ class TestChunkedCodecs:
         path = tmp_path / "hits.csv"
         write_hits_csv(planes, path)
         assert path.read_text() == oracles.hits_csv_template_text(planes)
+
+    @pytest.mark.parametrize("counts", [
+        (0, 0),
+        (BLOCK_VALUES // 3 + 7,) * 3,
+        (0, 5, BLOCK_VALUES // 2, 0, 1, 2 * BLOCK_VALUES + 3),
+        (1,) * 40,
+    ], ids=["no_hits", "equal_counts", "unequal_counts", "one_hit_each"])
+    def test_hits_csv_joins_the_planes_in_one_write(self, tmp_path, counts):
+        """All planes go through one row assembler call, the planes' columns
+        joined and each z0 a run of rows (no runs when the planes hold a hit
+        each): the bytes are those of the planes written one after another,
+        wherever the planes meet the kernel's blocks."""
+        rng = np.random.default_rng(len(counts))
+        planes = [PlaneHits(z0, np.sort(rng.choice(4 * k + 4, size=k, replace=False)), rng.normal(size=(k, 2)), (), ())
+                  for z0, k in zip(rng.normal(size=len(counts)) * 50.0, counts)]
+        path = tmp_path / "hits.csv"
+        write_hits_csv(planes, path)
+        assert path.read_text() == oracles.hits_csv_text(planes)
 
     def test_write_rays_csv_holds_less_than_the_file(self, tmp_path):
         trace = _bent_trace((100, 100))

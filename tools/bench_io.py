@@ -2,7 +2,7 @@
 
 Run from the root of a checkout, with a second checkout to compare with:
 
-    python3 tools/bench_io.py --base ../parent --out BENCH_18.json
+    python3 tools/bench_io.py --base ../parent --out BENCH_19.json
 
 The scene is ``combiner_deformed.json`` on the polar grids 10x16, 40x64
 and 100x160 (161, 2 561 and 16 001 samples). For each grid and round, one
@@ -15,19 +15,22 @@ them), ``scene.write_rays``, ``scene.write_hits``, ``scene.write_spots``,
 call is stored raw and divided by the mean of ``perfbench.run``'s
 ``timed_reference_loop()`` run just before and after it, so that files
 taken on a host whose speed drifts stay comparable, with the minor page
-faults (``ru_minflt``) the call took. The file holds the medians over all
-calls of all rounds, the quartiles of the divided times, the mean page
-faults per call and each writer's and reader's tracemalloc peak. A change
-in an op is resolved when its two medians differ by more than the distance
-between the base's quartiles; an op that the two checkouts share, such as
-a writer that a reader change leaves alone, shows how far an op strays
-without a change.
+faults (``ru_minflt``) the call took. The file holds the medians and the
+quartiles over all calls of all rounds, raw and divided, the mean page
+faults per call and each writer's and reader's tracemalloc peak. The
+divisor's own spread between processes can move a divided time of a few
+ms against its raw time, so a change in an op is resolved only when the
+raw and the divided medians move the same way, each by more than the
+distance between the base's quartiles of that kind; an op that the two
+checkouts share, such as a writer that a reader change leaves alone, shows
+how far an op strays without a change.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -132,18 +135,24 @@ def main() -> int:
             for tree in trees:
                 calls = [c for run in runs[tree, grid] for c in run[name]["calls"]]
                 row[tree] = {"median_s": statistics.median(c[0] for c in calls),
+                             "quartiles_s": statistics.quantiles([c[0] for c in calls], n=4)[::2],
                              "median_ref": statistics.median(c[1] for c in calls),
                              "quartiles_ref": statistics.quantiles([c[1] for c in calls], n=4)[::2],
                              "minflt_per_call": statistics.mean(run[name]["minflt"] for run in runs[tree, grid]),
                              "peak_bytes": max(run[name]["peak_bytes"] for run in runs[tree, grid])}
+            row["change_over_base_s"] = row["change"]["median_s"] / row["base"]["median_s"]
             row["change_over_base_ref"] = row["change"]["median_ref"] / row["base"]["median_ref"]
-            q1, q3 = row["base"]["quartiles_ref"]
-            row["resolved"] = abs(row["change"]["median_ref"] - row["base"]["median_ref"]) > q3 - q1
+            moves = []
+            for kind in ("s", "ref"):
+                q1, q3 = row["base"][f"quartiles_{kind}"]
+                move = row["change"][f"median_{kind}"] - row["base"][f"median_{kind}"]
+                moves.append(math.copysign(1.0, move) if abs(move) > q3 - q1 else 0.0)
+            row["resolved"] = moves[0] == moves[1] != 0.0
     doc = {
-        "what": "median seconds of each writer and reader, raw and divided by perfbench.run.timed_reference_loop() "
-                "run around it, the quartiles of the divided times, its minor page faults per call and its "
-                "tracemalloc peak; combiner_deformed.json on polar grids. resolved: the medians differ by more "
-                "than the base's quartile distance",
+        "what": "median and quartile seconds of each writer and reader, raw and divided by "
+                "perfbench.run.timed_reference_loop() run around it, its minor page faults per call and its "
+                "tracemalloc peak; combiner_deformed.json on polar grids. resolved: the raw and the divided "
+                "medians move the same way, each by more than the base's quartile distance of that kind",
         "command": f"python3 tools/bench_io.py --base <checkout of the base commit> --out {args.out.name} "
                    f"--rounds {args.rounds} --reps {args.reps}",
         "commits": {tree: git(checkout, "rev-parse", "HEAD") for tree, checkout in trees.items()},
