@@ -15,7 +15,8 @@ are assembled in a buffer under 120 KiB that holds their literal text once
 for each layout of cell widths, then written to the binary file with their
 NUL padding dropped, so a write holds a block of text, never the document;
 the block, its text and the buffer stay under the heap's 1 MiB thresholds.
-A column that falls into few runs of equal rows, such as a polar grid's
+The writers open their files with :func:`output_file`, which writes over an
+existing regular file in place instead of truncating it first. A column that falls into few runs of equal rows, such as a polar grid's
 ``s`` or the ``z`` of a planar field, is formatted once a run
 (``_run_starts``).
 
@@ -48,13 +49,14 @@ is parsed again into plain objects, whose checks name the error.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 import stat
 from array import array
 from itertools import chain
-from typing import BinaryIO, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,6 +103,28 @@ READ_BLOCK_BYTES = 192 * 1024
 _CHUNK_BYTES = 120 * 1024
 
 
+@contextlib.contextmanager
+def output_file(path: Union[str, os.PathLike]) -> Iterator[BinaryIO]:
+    """``path`` opened to be written from its start, in binary.
+
+    An existing regular file is written over in place and cut where the
+    writing stopped: opening it with "wb" frees its pages first, and for a
+    file written a moment ago, whose pages may still be going to disk, that
+    took ~1 ms a MB (a run writing into the directory of the last one). Any
+    other path is opened with "wb"."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # no such file yet; any other error is open's to raise
+        regular = False
+    fh = open(path, "r+b" if regular else "wb")
+    with fh:
+        try:
+            yield fh
+        finally:
+            if regular:
+                fh.truncate()
+
+
 def _pieces(column) -> list:
     """A part's column as the arrays it joins end to end: a list of them, or one array."""
     return list(column) if isinstance(column, (list, tuple)) else [column]
@@ -116,6 +140,8 @@ def _rows_of(column, lo: int, hi: int) -> np.ndarray:
         if at < hi and at + len(a) > lo:
             taken.append(a[max(lo - at, 0):hi - at])
         at += len(a)
+    if len(taken) == 1:
+        return taken[0]
     return np.concatenate(taken) if taken else pieces[0][:0]
 
 
@@ -145,18 +171,18 @@ def _run_starts(columns: Sequence, n: int) -> Optional[np.ndarray]:
 def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: bytes = b"") -> None:
     """Write ``n`` rows to the binary file ``fh``, rows separated by ``sep``.
 
-    Row i is the ``parts`` in order: a ``bytes`` part is the same on every
-    row; a ``(function, column, ...)`` part is row i of ``function(column,
-    ...)``, an (rows, width) uint8 block of text with NULs in it, such as
-    ``numtext.repr_text`` returns, whose row i depends on row i of the
-    columns alone. A column is an array, or a list of arrays joined end to
-    end. The parts of one function run as one call on their columns end to
-    end, ``BLOCK_VALUES`` values at a time; a part whose rows fall into at
-    most n/4 runs of rows equal in every column (``_run_starts``) gives the
-    call one row of each run and repeats its text. The rows are assembled
-    in a buffer of under 120 KiB that holds the ``bytes`` parts once for
-    each layout of cell widths, so that a chunk of rows copies only its
-    number cells; each chunk is written with its NULs dropped. A block
+    Row i is the ``parts`` in order: a ``bytes`` part is the same on every row;
+    a ``(function, column, ...)`` part is row i of ``function(column, ...)``,
+    an (rows, width) uint8 block of text with NULs in it, such as
+    ``numtext.repr_text`` returns, whose row i depends on row i of the columns
+    alone. A column is an array, or a list of arrays joined end to end. The
+    parts of one function run as one call on their columns end to end,
+    ``BLOCK_VALUES`` values at a time; a part whose rows fall into at most n/4
+    runs of rows equal in every column (``_run_starts``) gives the call one row
+    of each run and repeats its text, cut to the bytes its runs use. The rows
+    are assembled in a buffer of under 120 KiB that holds the ``bytes`` parts
+    once for each layout of cell widths, so that a chunk of rows copies only
+    its number cells; each chunk is written with its NULs dropped. A block
     frees its text before the next one is formatted.
     """
     parts = (sep, *parts)
@@ -174,24 +200,28 @@ def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: 
         hi = min(lo + block, n)
         cells = {}
         for function, where in calls.items():
-            # the rows each part formats, all of the block's or one of each run
-            # that meets it, and then the run of each row of the block
+            # the rows each part formats, all of the block's or the first of each
+            # run that meets it, and then the length of each such run
             picks = []
             for i in where:
                 if i in runs:
                     new = runs[i][lo:hi].copy()
                     new[0] = True
-                    picks.append((np.flatnonzero(new), np.cumsum(new) - 1))
+                    first = np.flatnonzero(new)
+                    picks.append((first, np.diff(first, append=hi - lo)))
                 else:
                     picks.append((slice(None), None))
             args = (np.concatenate([_rows_of(parts[i][k], lo, hi)[taken] for i, (taken, _) in zip(where, picks)])
                     for k in range(1, len(parts[where[0]])))
             text = function(*args)
             at = 0
-            for i, (taken, run) in zip(where, picks):
-                count = hi - lo if run is None else len(taken)
+            for i, (taken, lengths) in zip(where, picks):
+                count = hi - lo if lengths is None else len(taken)
                 cell = text[at:at + count]
-                cells[i] = cell if run is None else cell[run]
+                if lengths is not None:  # its own width, not that of the call, then a row for each row
+                    used = np.flatnonzero(cell.any(axis=0))
+                    cell = np.repeat(cell[:, used[0]:used[-1] + 1] if len(used) else cell[:, :0], lengths, axis=0)
+                cells[i] = cell
                 at += count
             del text
         widths = [cells[i].shape[1] if i in cells else len(part) for i, part in enumerate(parts)]
@@ -357,7 +387,7 @@ def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None
     text = json.dumps({**_header(field), "samples": []}, indent=1)
     head, tail = (text[:-len("[]\n}")] + "[\n", "\n ]\n}\n") if len(field) else (text + "\n", "")
     numbers = [(repr_text, column) for column in (field.s, field.phi, *field.pos.T, *field.g.T)]
-    with open(path, "wb") as fh:
+    with output_file(path) as fh:
         fh.write(head.encode("ascii"))
         write_rows(fh, [*chain.from_iterable(zip(_SAMPLE_TEXT, numbers)), _SAMPLE_TEXT[-1]], len(field), sep=b",\n")
         fh.write(tail.encode("ascii"))

@@ -19,18 +19,18 @@ formatted by CPython's ``repr`` or ``%`` instead. Zeros and exact powers of
 ten are exact and need no fallback.
 
 p itself comes from the exponent bits of x and one compare with a table of
-powers of ten; a row a decade off goes through the product again. The
-text of a row is built in three little-endian 64-bit words of digits and
-a word before them, and each step that most rows need runs in place over
-whole columns, the small ones as int16. The steps that few rows need (a
-zero, a rounding up to 10**17, an integer's zeros before the point, the
-exponent of exponent notation, repr's ".0") run on those rows alone, found
-with ``nonzero``: a block pays for them by the rows that need them, not by
-its length. Callers pass blocks of ``BLOCK_VALUES`` values: numpy's cost
-per call, ~0.1 ms, dominates much smaller blocks. The kernel holds at most
-80 bytes a value at its peak, and a block is the largest whose writer
-(``fieldio.write_rows``), with the kernel, the block's text and the rows it
-writes, stays under the 1 MiB thresholds of the heap (``heap``).
+powers of ten; a row a decade off goes through the product again. The text
+of a row is built in three little-endian 64-bit words of digits and a word
+before them, and each step that most rows need runs in place over whole
+columns, the small ones as int16. The steps that few rows need (a zero, a
+rounding up to 10**17, the exponent of exponent notation, repr's ".0") run
+on those rows alone, found with ``nonzero``: a block pays for them by the
+rows that need them, not by its length. Callers pass blocks of
+``BLOCK_VALUES`` values: numpy's cost per call, ~0.1 ms, dominates much
+smaller blocks. The kernel holds at most 80 bytes a value at its peak, and
+a block is the largest whose writer (``fieldio.write_rows``), with the
+kernel, the block's text and the rows it writes, stays under the 1 MiB
+thresholds of the heap (``heap``).
 
 ``read_floats(text, starts, ends)`` is the inverse: the values of the number
 tokens ``text[starts[i]:ends[i]]`` of a block of bytes, and the mask of the
@@ -115,9 +115,8 @@ def _tables():
     hi's two halves, lo), indexed by p - _P_MIN. For each biased exponent b
     of a double, ``decade[b]``: the index in ``pow10`` of p = 16 - floor(log10
     2**(b - 1023)), and ``tens[b]``: 10 to the power one above that floor,
-    rounded. ``ascii4``: "0000".."9999" as little-endian words, ``lead4`` the
-    same without leading zeros, and ``text4[2 * g + t]`` g's word, with its
-    trailing zeros NUL if t. Word tables, indexed by k: ``below``, the mask
+    rounded. ``ascii4``: "0000".."9999" as little-endian words, and ``lead4``
+    the same without leading zeros. Word tables, indexed by k: ``below``, the mask
     of bytes 0..k-1; ``dot``, a point at byte k (none for k = 18).
     ``zeros4``: the trailing zeros of 0000..9999;
     ``front[2 * c + s]``: bytes 2..7 of a row, ending in a minus sign if s,
@@ -146,8 +145,6 @@ def _tables():
                                                                                  for i in range(4)])
     ascii4 = ascii4.reshape(10000, 8)
     lead4 = np.where(np.logical_and.accumulate(ascii4 == _ZERO, axis=1), 0, ascii4).astype(np.uint8)
-    trail4 = np.where(np.logical_and.accumulate(((ascii4 == _ZERO) | (ascii4 == 0))[:, ::-1], axis=1)[:, ::-1], 0,
-                      ascii4)
     groups = np.arange(10000)
     at = np.arange(24)
     k = np.arange(_NO_POINT + 1)[:, None]
@@ -168,7 +165,6 @@ def _tables():
         "tens": np.array([float(f"1e{floor + 1}") for floor in floors]),
         "ascii4": ascii4.view(_WORD).ravel(),
         "lead4": lead4.view(_WORD).ravel(),
-        "text4": np.stack([ascii4, trail4.astype(np.uint8)], axis=1).view(_WORD).ravel(),
         "below": _word_table(at < k, 0xFF),
         "dot": _word_table((at == k) & (k < _NO_POINT), _POINT),
         "front": front.view(_WORD).ravel(),
@@ -370,34 +366,26 @@ def _groups(number: np.ndarray):
 
 
 def _digit_words(groups: np.ndarray) -> np.ndarray:
-    """The 17 ASCII digits of the (5, n) ``groups`` at bytes 8..24 of
-    little-endian words 1..3 of a row, (3, n), the other bytes NUL and so
-    are the zeros after the last digit that is not 0 (all but the first,
-    for zero). ``groups`` is overwritten."""
-    # a group after which every group is 0 drops its trailing zeros:
-    # text4[2 * g + 1] is g's text with them NUL
-    trailing = groups == 0
-    trailing[3] &= trailing[4]
-    trailing[2] &= trailing[3]
-    text = _tables()["text4"]
+    """The 17 ASCII digits of the (5, n) ``groups``, leading zeros kept, at
+    bytes 8..24 of little-endian words 1..3 of a row, (3, n), the other
+    bytes NUL. ``groups`` is overwritten."""
+    ascii4 = _tables()["ascii4"]
     # the first digit at byte 8, then the groups, first to last, at bytes 9, 13, 17 and 21
     out = np.empty((3, groups.shape[1]), dtype=_WORD)
-    index = np.left_shift(groups[4], 1, dtype=np.intp)
-    index += 1
-    group = np.take(text, index, mode="clip")
+    index = groups[4].astype(np.intp)
+    group = np.take(ascii4, index, mode="clip")
     np.right_shift(group, _GROUP_HIGH, out=out[2])
     np.left_shift(group, _GROUP_LOW, out=out[1])
     for k in (3, 2, 1):
-        np.left_shift(groups[k], 1, out=index)
-        index += trailing[k + 1]
-        np.take(text, index, out=group, mode="clip")
+        index[...] = groups[k]
+        np.take(ascii4, index, out=group, mode="clip")
         if k == 2:  # across two words
             out[1] |= group >> _GROUP_HIGH
             np.left_shift(group, _GROUP_LOW, out=out[0])
         else:  # at byte 1 of the word
             group <<= _BYTE
             out[(k - 1) // 2] |= group
-    del group, index, trailing
+    del group, index
     groups[0] += _ZERO
     out[0] |= groups[0].astype(_WORD)
     return out
@@ -429,9 +417,8 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
 
     The steps every row needs run on whole columns, in place where they
     can, with the small columns as int16; the rare ones (the rows outside
-    the kernel's range, zeros, a rounding up to 10**17, an integer's zeros
-    before the point, the exponent and repr's ".0") run only on the rows
-    that need them. The digits and the point are assembled in three rows
+    the kernel's range, zeros, a rounding up to 10**17, the exponent and
+    repr's ".0") run only on the rows that need them. The digits and the point are assembled in three rows
     of words (3, n), their masks in the memory of the rows of text, which
     they are then written to.
     """
@@ -481,11 +468,6 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
     if len(sci):
         exponent = point[sci] - 1
         point[sci] = 0
-    # an integer's zeros before the point, which the digits leave NUL
-    fill = (sig < point).nonzero()[0]
-    if len(fill):
-        below = tables["below"]
-        digits[:, fill] |= below[:, point[fill]] & ~below[:, sig[fill]] & _ZEROS
     # the byte of the point: after the integer digits, none in fixed notation
     # below 1 and none in '%.17g' of an integer
     at_point = point >= 1
@@ -496,10 +478,15 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
     pos += _NO_POINT
     if len(sci):
         pos[sci] = np.where(sig[sci] > 1, 1, _NO_POINT)
-    last = _BODY + min(max(int(sig.max(initial=0)), int(point.max(initial=0))) + 1, 18)
     out = np.empty((n, 4), dtype=_WORD)
     scratch = out.reshape(4, n)  # out's memory, until the rows are written
-    mask = np.take(tables["below"], pos, axis=1, out=scratch[1:], mode="clip")
+    # the digits kept: the significant ones, and an integer's zeros before the point
+    kept = np.maximum(sig, point, out=scratch[0].view(np.intp))
+    last = _BODY + min(int(kept.max(initial=0)) + 1, 18)
+    mask = np.take(tables["below"], kept, axis=1, out=scratch[1:], mode="clip")
+    del kept
+    digits &= mask
+    np.take(tables["below"], pos, axis=1, out=mask, mode="clip")
     mask &= digits  # the digits before the point
     digits ^= mask  # the digits after it, which move up one byte
     for k in (1, 2):

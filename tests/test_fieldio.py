@@ -600,6 +600,36 @@ def _read_through_a_pipe(pipe, data, read):
     return got[0]
 
 
+def _write_rays(field, path):
+    scene.write_rays_csv(scene.trace_field(field, W0), path)
+
+
+@pytest.mark.parametrize("write", [save_field, _write_rays], ids=["field", "rays"])
+def test_a_write_over_an_existing_file_leaves_only_its_bytes(tmp_path, write):
+    """A writer that writes over an existing file, longer or shorter than what
+    it writes, leaves the bytes it writes to a new file, in the same file; a
+    named pipe gets them too."""
+    fields = [_combiner(SurfaceProfile.sphere_cap(50.0, 10.0), grid) for grid in (PolarGrid(12, 16), PolarGrid(3, 4))]
+    path, fresh = tmp_path / "out", tmp_path / "fresh"
+    for field in (*fields, fields[0]):
+        write(field, fresh)
+        want = fresh.read_bytes()
+        fresh.unlink()
+        write(field, path)
+        assert path.read_bytes() == want
+    first = path.stat().st_ino
+    write(fields[1], path)
+    assert path.stat().st_ino == first
+    if hasattr(os, "mkfifo"):
+        os.mkfifo(tmp_path / "pipe")
+        got = []
+        reader = threading.Thread(target=lambda: got.append((tmp_path / "pipe").read_bytes()))
+        reader.start()
+        write(fields[0], tmp_path / "pipe")
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == [want]
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_inputs_read_once_read_as_files(tmp_path):
     """A field file or rays.csv that can be read only once reads as the same
