@@ -6,18 +6,19 @@ footprint, the world position and the frame coordinates of kg. Floats pass
 through Python's shortest round-trip repr, so save -> load reproduces every
 sample bit-exactly; frames are rebuilt deterministically from the carrier.
 
-``save_field`` writes the bytes ``json.dump(field_to_dict(field), indent=1)``
-would. :func:`write_rows` is the row assembler of every per-sample file
-(field, rays.csv, hits.csv, spots.csv): the numbers of a row come from the
-whole-array kernel of ``numtext`` (CPython's ``repr`` or ``%`` for each value
-it cannot certify), run on ``BLOCK_VALUES`` values at a time, and the rows
-are assembled in a buffer under 120 KiB that holds their literal text once
-for each layout of cell widths, then written to the binary file with their
-NUL padding dropped, so a write holds a block of text, never the document;
-the block, its text and the buffer stay under the heap's 1 MiB thresholds.
-The writers open their files with :func:`output_file`, which writes over an
-existing regular file in place instead of truncating it first. A column that falls into few runs of equal rows, such as a polar grid's
-``s`` or the ``z`` of a planar field, is formatted once a run
+``save_field`` writes the bytes ``json.dump(field_to_dict(field),
+indent=1)`` would. :func:`write_rows` is the row assembler of every
+per-sample file (field, rays.csv, hits.csv, spots.csv): the numbers of a row
+come from the whole-array kernel of ``numtext`` (CPython's ``repr`` or ``%``
+for each value it cannot certify), run on ``BLOCK_VALUES`` values at a time,
+and the rows are assembled in a buffer under 120 KiB that holds their
+literal text once for each layout of cell widths, then written to the binary
+file with their NUL padding dropped, so a write holds a block of text, never
+the document; the block, its text and the buffer stay under the heap's 1 MiB
+thresholds. The writers open their files with :func:`output_file`, which
+writes over an existing regular file in place instead of truncating it
+first. A column that falls into few runs of equal rows, such as a polar
+grid's ``s`` or the ``z`` of a planar field, is formatted once a run
 (``_run_starts``).
 
 ``load_field`` reads a regular file in save_field's layout, final newline
