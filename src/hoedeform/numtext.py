@@ -84,7 +84,6 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's constant: splits a double into 
 _EXPONENT_BITS, _FRACTION_BITS = 0x7FF << 52, (1 << 52) - 1
 _POINT, _ZERO, _MINUS, _PLUS, _E = b".0-+e"
 _WORD = np.dtype("<u8")
-_ZEROS = np.uint64(0x3030303030303030)
 _BYTE, _TOP = np.uint64(8), np.uint64(56)
 _GROUP_HIGH, _GROUP_LOW = np.uint64(24), np.uint64(40)  # a group at byte 5 of a word: its last byte, and the rest
 _NO_POINT = 18  # the point position of a row without a point
@@ -112,17 +111,18 @@ def _tables():
     """The powers of ten and the byte masks of the kernel, built on first use.
 
     ``pow10``: 10**p for p in [_P_MIN, _P_MAX] as double-double columns (hi,
-    hi's two halves, lo), indexed by p - _P_MIN. For each biased exponent b
-    of a double, ``decade[b]``: the index in ``pow10`` of p = 16 - floor(log10
+    hi's two halves, lo), indexed by p - _P_MIN. For each biased exponent b of
+    a double, ``decade[b]``: the index in ``pow10`` of p = 16 - floor(log10
     2**(b - 1023)), and ``tens[b]``: 10 to the power one above that floor,
-    rounded. ``ascii4``: "0000".."9999" as little-endian words, and ``lead4``
-    the same without leading zeros. Word tables, indexed by k: ``below``, the mask
-    of bytes 0..k-1; ``dot``, a point at byte k (none for k = 18).
-    ``zeros4``: the trailing zeros of 0000..9999;
+    rounded (10**-265 below 1e-265, where any threshold keeps the decade within
+    one of the right one). ``ascii4``: "0000".."9999" as little-endian words,
+    and ``lead4`` the same without leading zeros. Word tables, indexed by k:
+    ``below``, the mask of bytes 0..k-1; ``dot``, a point at byte k (none for
+    k = 18). ``zeros4``: the trailing zeros of 0000..9999;
     ``front[2 * c + s]``: bytes 2..7 of a row, ending in a minus sign if s,
-    then for c > 0 "0." and c - 1 zeros. The reader's word tables of 24-byte windows:
-    ``high[n]``, the last n bytes; ``whole[c]``, the bytes before a point
-    with c - 1 digits after it, and none for c = 0 (no point).
+    then for c > 0 "0." and c - 1 zeros. The reader's word tables of 24-byte
+    windows: ``high[n]``, the last n bytes; ``whole[c]``, the bytes before a
+    point with c - 1 digits after it, and none for c = 0 (no point).
     """
     hi, lo = [], []
     for p in range(_P_MIN, _P_MAX + 1):
@@ -137,8 +137,7 @@ def _tables():
             lo.append((two - num * den) / (two * den))
         hi.append(h)
     hi = np.array(hi)
-    floors = [len(str(2 ** e)) - 1 if e >= 0 else len(str(5 ** -e)) - 1 + e for e in range(-1023, 1025)]
-    decade = np.clip(16 - np.array(floors) - _P_MIN, 0, _P_MAX - _P_MIN)
+    floors = np.arange(-1023, 1025) * 78913 >> 18  # floor(e * log10(2)) for |e| < 1650 (Ryu's log10Pow2)
     ascii4 = np.zeros((10, 10, 10, 10, 8), dtype=np.uint8)
     for place in range(4):
         ascii4[..., place] = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8).reshape([10 if i == place else 1
@@ -161,8 +160,8 @@ def _tables():
         "pow10": np.array([hi, *_split(hi), lo]),
         "whole": _word_table(whole, 0xFF),
         "high": _word_table(high, 0xFF),
-        "decade": decade.astype(np.intp),
-        "tens": np.array([float(f"1e{floor + 1}") for floor in floors]),
+        "decade": np.clip(16 - floors - _P_MIN, 0, _P_MAX - _P_MIN).astype(np.intp),
+        "tens": hi[np.clip(floors + 1 - _P_MIN, 0, _P_MAX - _P_MIN)],
         "ascii4": ascii4.view(_WORD).ravel(),
         "lead4": lead4.view(_WORD).ravel(),
         "below": _word_table(at < k, 0xFF),
@@ -555,6 +554,7 @@ def int_text(values: np.ndarray) -> np.ndarray:
 
 
 # The reader: float(token) of whole columns of decimal tokens.
+_ZEROS = np.uint64(0x3030303030303030)
 # Word j of a row: the sum of the positions (8j + byte) of its bytes that are 1, in the top byte of the product
 _PLACES = np.array([[sum((7 - k + 8 * j) << 8 * k for k in range(8))] for j in range(3)], dtype=np.uint64)
 # The sum of the bytes of a word, in the top byte of the product, while that sum is below 256
