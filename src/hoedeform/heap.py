@@ -12,7 +12,7 @@ Fixing both thresholds ends that adjustment. At 1 MiB a reader's block
 with all it holds while it reads it (the readers' ``READ_BLOCK_BYTES`` are
 sized for that: ~0.95 MB at most), a writer's block with its kernel, its
 text and the rows it writes (``numtext.BLOCK_VALUES`` is sized for that:
-~1.03 MB at most, rays.csv at 16 001 samples) and the per-sample arrays of
+~0.98 MB at most, a field file at 16 001 samples) and the per-sample arrays of
 fields up to ~40 000 samples stay on the heap, buffers of 1 MiB and more
 get their own mapping and are returned when freed, and the heap is trimmed
 whenever 1 MiB at its top is free. A block that outgrew the thresholds
