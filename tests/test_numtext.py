@@ -240,12 +240,13 @@ def _runs(rng, n, values):
     return np.repeat(rng.choice(values, len(lengths)), lengths)[:n]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, BLOCK_VALUES // 3 + 5, 3 * BLOCK_VALUES + 11])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 2671, 24011, BLOCK_VALUES // 3 + 5, 3 * BLOCK_VALUES + 11])
 def test_write_rows_with_run_parts(n):
     """Parts in runs of equal rows, among parts without, of the same and of
     other functions: the bytes are those of formatting every row, however
     the runs meet the block edges (a block of these parts is
-    BLOCK_VALUES // 3 rows)."""
+    BLOCK_VALUES // 3 rows). The fixed sizes 2671 and 24011 keep their
+    seeded data whatever BLOCK_VALUES is; the last two sizes follow it."""
     rng = np.random.default_rng(n)
     distinct = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
     stepped = _runs(rng, n, rng.standard_normal(50))
