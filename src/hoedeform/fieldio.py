@@ -15,10 +15,8 @@ and the rows are assembled in a buffer under 120 KiB that holds their
 literal text once for each layout of cell widths, then written to the binary
 file with their NUL padding dropped, so a write holds a block of text, never
 the document; the block, its text and the buffer stay under the heap's 1 MiB
-thresholds. The writers open their files with :func:`output_file`, which
-writes over an existing regular file in place instead of truncating it
-first. A column that falls into few runs of equal rows, such as a polar
-grid's ``s`` or the ``z`` of a planar field, is formatted once a run
+thresholds. A column that falls into few runs of equal rows, such as a
+polar grid's ``s`` or the ``z`` of a planar field, is formatted once a run
 (``_run_starts``).
 
 ``load_field`` reads a regular file in save_field's layout, final newline
@@ -50,14 +48,13 @@ is parsed again into plain objects, whose checks name the error.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import re
 import stat
 from array import array
 from itertools import chain
-from typing import BinaryIO, Iterator, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,28 +99,6 @@ READ_BLOCK_BYTES = 192 * 1024
 # glibc's default 128 KiB mmap threshold (the package fixes it at 1 MiB, see
 # ``heap``).
 _CHUNK_BYTES = 120 * 1024
-
-
-@contextlib.contextmanager
-def output_file(path: Union[str, os.PathLike]) -> Iterator[BinaryIO]:
-    """``path`` opened to be written from its start, in binary.
-
-    An existing regular file is written over in place and cut where the
-    writing stopped: opening it with "wb" frees its pages first, and for a
-    file written a moment ago, whose pages may still be going to disk, that
-    took ~1 ms a MB (a run writing into the directory of the last one). Any
-    other path is opened with "wb"."""
-    try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:  # no such file yet; any other error is open's to raise
-        regular = False
-    fh = open(path, "r+b" if regular else "wb")
-    with fh:
-        try:
-            yield fh
-        finally:
-            if regular:
-                fh.truncate()
 
 
 def _pieces(column) -> list:
@@ -388,7 +363,7 @@ def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None
     text = json.dumps({**_header(field), "samples": []}, indent=1)
     head, tail = (text[:-len("[]\n}")] + "[\n", "\n ]\n}\n") if len(field) else (text + "\n", "")
     numbers = [(repr_text, column) for column in (field.s, field.phi, *field.pos.T, *field.g.T)]
-    with output_file(path) as fh:
+    with open(path, "wb") as fh:
         fh.write(head.encode("ascii"))
         write_rows(fh, [*chain.from_iterable(zip(_SAMPLE_TEXT, numbers)), _SAMPLE_TEXT[-1]], len(field), sep=b",\n")
         fh.write(tail.encode("ascii"))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import LINE_BREAKS, byte_blocks, read_lines
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
-from .fieldio import output_file, write_rows
+from .fieldio import write_rows
 from .geometry import TWO_PI, Vec3, first_index, norms, raise_first
 from .diffraction import (EVANESCENT, MODES, STATUSES, DiffractionResult, DiffractionStatus, EfficiencyHook,
                           diffract)
@@ -458,7 +458,7 @@ def _status_text(codes: np.ndarray) -> np.ndarray:
 def write_rays_csv(trace: Trace, path) -> None:
     """Write rays.csv, one row per sample, formatted from the trace arrays."""
     live = trace.status != EVANESCENT
-    with output_file(path) as fh:
+    with open(path, "wb") as fh:
         fh.write(RAYS_HEADER.encode("ascii") + b"\n")
         write_rows(fh, [*_joined([(g17_text, column) for column in (trace.s, trace.phi, *trace.pos.T)], b","),
                         b",", *_joined([(_live_text, column, live) for column in trace.direction.T], b","),
@@ -671,7 +671,7 @@ def write_hits_csv(plane_hits: Sequence[PlaneHits], path) -> None:
     are joined end to end, and each plane's z0 is a run of equal rows."""
     columns = [[np.broadcast_to(ph.z0, len(ph.index)) for ph in plane_hits],
                [ph.xy[:, 0] for ph in plane_hits], [ph.xy[:, 1] for ph in plane_hits]]
-    with output_file(path) as fh:
+    with open(path, "wb") as fh:
         fh.write(HITS_HEADER.encode("ascii") + b"\n")
         write_rows(fh, [*_joined([(g17_text, column) for column in columns], b","), b",",
                         (int_text, [ph.index for ph in plane_hits]), b"\n"], sum(len(ph.index) for ph in plane_hits))
@@ -679,6 +679,6 @@ def write_hits_csv(plane_hits: Sequence[PlaneHits], path) -> None:
 
 def write_spots_csv(reports: Sequence[SpotReport], path) -> None:
     columns = np.array([(r.z, r.cx, r.cy, r.rms_x, r.rms_y, r.rms_total) for r in reports], dtype=float).reshape(-1, 6)
-    with output_file(path) as fh:
+    with open(path, "wb") as fh:
         fh.write(SPOTS_HEADER.encode("ascii") + b"\n")
         write_rows(fh, [*_joined([(g17_text, column) for column in columns.T], b","), b"\n"], len(reports))

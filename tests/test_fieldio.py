@@ -607,8 +607,8 @@ def _write_rays(field, path):
 @pytest.mark.parametrize("write", [save_field, _write_rays], ids=["field", "rays"])
 def test_a_write_over_an_existing_file_leaves_only_its_bytes(tmp_path, write):
     """A writer that writes over an existing file, longer or shorter than what
-    it writes, leaves the bytes it writes to a new file, in the same file; a
-    named pipe gets them too."""
+    it writes, leaves the bytes it writes to a new file; a named pipe gets
+    them too."""
     fields = [_combiner(SurfaceProfile.sphere_cap(50.0, 10.0), grid) for grid in (PolarGrid(12, 16), PolarGrid(3, 4))]
     path, fresh = tmp_path / "out", tmp_path / "fresh"
     for field in (*fields, fields[0]):
@@ -617,9 +617,6 @@ def test_a_write_over_an_existing_file_leaves_only_its_bytes(tmp_path, write):
         fresh.unlink()
         write(field, path)
         assert path.read_bytes() == want
-    first = path.stat().st_ino
-    write(fields[1], path)
-    assert path.stat().st_ino == first
     if hasattr(os, "mkfifo"):
         os.mkfifo(tmp_path / "pipe")
         got = []
