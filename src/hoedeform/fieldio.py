@@ -184,7 +184,11 @@ def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: 
                     new = runs[i][lo:hi].copy()
                     new[0] = True
                     first = np.flatnonzero(new)
-                    picks.append((first, np.diff(first, append=hi - lo)))
+                    lengths = np.empty_like(first)
+                    lengths[:-1] = first[1:]
+                    lengths[-1] = hi - lo
+                    lengths -= first
+                    picks.append((first, lengths))
                 else:
                     picks.append((slice(None), None))
             args = (np.concatenate([_rows_of(parts[i][k], lo, hi)[taken] for i, (taken, _) in zip(where, picks)])

@@ -176,7 +176,7 @@ def _scaled(a: np.ndarray, i: np.ndarray):
     ``i`` = p - _P_MIN of 10**p in the power table, within the error of
     ``_MARGIN``. The steps run in place on five columns besides ``a``."""
     t_hi, t_hh, t_hl, t_lo = _tables()["pow10"]
-    prod = np.take(t_hi, i)
+    prod = t_hi.take(i)
     prod *= a
     # a * hi(10**p) - prod, exactly: Dekker's product of Veltkamp's halves of
     # a (ah + al) and of hi(10**p) (hh + hl, from the table)
@@ -184,17 +184,17 @@ def _scaled(a: np.ndarray, i: np.ndarray):
     al = np.subtract(ah, a)
     ah -= al
     np.subtract(a, ah, out=al)
-    part = np.take(t_hh, i)
+    part = t_hh.take(i)
     err = np.multiply(ah, part)
     err -= prod
     part *= al
     err += part
-    np.take(t_hl, i, out=part)
+    t_hl.take(i, out=part)
     ah *= part
     err += ah
     al *= part
     err += al
-    np.take(t_lo, i, out=part)  # and a * lo(10**p)
+    t_lo.take(i, out=part)  # and a * lo(10**p)
     part *= a
     err += part
     del part, al
@@ -233,8 +233,8 @@ def _scale17(a: np.ndarray, kernel: np.ndarray):
     rows, whose y is out of range, are scaled again with p moved by one."""
     tables = _tables()
     binade = a.view(np.int64) >> 52
-    i = np.take(tables["decade"], binade)
-    i -= a >= np.take(tables["tens"], binade)
+    i = tables["decade"].take(binade)
+    i -= a >= tables["tens"].take(binade)
     del binade
     whole, frac = _scaled(a, i)
     redo = ((whole < 10 ** 16) | (whole >= 10 ** 17)).nonzero()[0]
@@ -353,7 +353,7 @@ def _groups(number: np.ndarray):
         del rest, high
     del top
     zeros4 = _tables()["zeros4"]
-    sig = np.take(zeros4, groups[4])
+    sig = zeros4.take(groups[4])
     np.subtract(17, sig, out=sig)
     deep = (groups[4] == 0).nonzero()[0]
     if len(deep):  # the last four digits are 0: count the zeros further up
@@ -372,12 +372,12 @@ def _digit_words(groups: np.ndarray) -> np.ndarray:
     # the first digit at byte 8, then the groups, first to last, at bytes 9, 13, 17 and 21
     out = np.empty((3, groups.shape[1]), dtype=_WORD)
     index = groups[4].astype(np.intp)
-    group = np.take(ascii4, index, mode="clip")
+    group = ascii4.take(index, mode="clip")
     np.right_shift(group, _GROUP_HIGH, out=out[2])
     np.left_shift(group, _GROUP_LOW, out=out[1])
     for k in (3, 2, 1):
         index[...] = groups[k]
-        np.take(ascii4, index, out=group, mode="clip")
+        ascii4.take(index, out=group, mode="clip")
         if k == 2:  # across two words
             out[1] |= group >> _GROUP_HIGH
             np.left_shift(group, _GROUP_LOW, out=out[0])
@@ -436,7 +436,7 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
         pow2 = (bits & _FRACTION_BITS == 0).nonzero()[0]
         bits &= _EXPONENT_BITS  # a's binade starts at 2**e: half the spacing there, in units of y
         w = a
-        w *= np.take(tables["pow10"][0], i)
+        w *= tables["pow10"][0].take(i)
         w *= 2.0 ** -53
         del a, bits
     point = np.subtract(17 - _P_MIN, i, dtype=np.int16)  # |x| = 0.d1d2...d17 * 10**point
@@ -482,17 +482,17 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
     # the digits kept: the significant ones, and an integer's zeros before the point
     kept = np.maximum(sig, point, out=scratch[0].view(np.intp))
     last = _BODY + min(int(kept.max(initial=0)) + 1, 18)
-    mask = np.take(tables["below"], kept, axis=1, out=scratch[1:], mode="clip")
+    mask = tables["below"].take(kept, axis=1, out=scratch[1:], mode="clip")
     del kept
     digits &= mask
-    np.take(tables["below"], pos, axis=1, out=mask, mode="clip")
+    tables["below"].take(pos, axis=1, out=mask, mode="clip")
     mask &= digits  # the digits before the point
     digits ^= mask  # the digits after it, which move up one byte
     for k in (1, 2):
         mask[k] |= np.right_shift(digits[k - 1], _TOP, out=scratch[0])
     digits <<= _BYTE
     digits |= mask
-    digits |= np.take(tables["dot"], pos, axis=1, out=mask, mode="clip")
+    digits |= tables["dot"].take(pos, axis=1, out=mask, mode="clip")
     del mask, scratch, pos
     for k in range(3):
         out[:, k + 1] = digits[k]
@@ -505,7 +505,7 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
     front <<= 1
     signed = np.signbit(x)
     front += signed
-    out[:, 0] = np.take(tables["front"], front, mode="clip")
+    out[:, 0] = tables["front"].take(front, mode="clip")
     widest = int(front.max(initial=0)) >> 1  # c of "0." and c - 1 zeros
     first = _BODY - int(signed.any()) - (widest + 1 if widest else 0)
     if shortest:
