@@ -17,23 +17,23 @@ Wave descriptors: {"kind": "plane", "dir": [x, y, z]},
 that are not finite (JSON 1e400 reads as inf).
 
 The profile, grid and projection parsers here are the only decoders of
-those descriptors: field files (``fieldio``) use them too.
+those descriptors: field files (``fieldio``) use them too. ``read_input``
+reads an input file whole as text, for the config and for the text readers
+of field files and rays.csv; ``byte_blocks`` cuts a binary file into the
+blocks that their block readers stream.
 """
 
 from __future__ import annotations
 
-import codecs
-import io
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Iterator, Optional, Tuple, Union
 
 from .errors import ConfigError
 from .geometry import Vec3
-from .recording import CHUNK_ROWS, CartesianGrid, GridSpec, PolarGrid
+from .recording import CartesianGrid, GridSpec, PolarGrid
 from .surfaces import Projection, SurfaceProfile
 from .waves import Wave, Wavelength
 
@@ -286,105 +286,22 @@ def parse_scene_config(doc: dict) -> SceneConfig:
     return SceneConfig(lam, recording, deformation, probe, analysis)
 
 
-@contextmanager
-def _input_errors(path: Union[str, os.PathLike], what: str) -> Iterator[None]:
-    """Map a missing, unreadable or non-UTF-8 input file to a ConfigError naming the ``what`` file."""
+def read_input(path: Union[str, os.PathLike], what: str) -> str:
+    """The text of the input file ``path``, read whole as UTF-8 with
+    universal newlines; a missing, unreadable or non-UTF-8 file is a
+    ConfigError naming the ``what`` file, the one message of each such error."""
     try:
-        yield
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{what} file {path} cannot be read: {exc}") from exc
 
 
-def read_input(path: Union[str, os.PathLike], what: str) -> str:
-    """The text of the input file ``path``; a missing or unreadable file is a ConfigError naming the ``what`` file."""
-    with _input_errors(path, what), open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 # The characters str.splitlines breaks lines at; text read with universal
 # newlines holds no "\r".
 LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-# Bytes read_lines reads and decodes at a time.
-TEXT_BLOCK_BYTES = 1 << 16
-
-
-@contextmanager
-def read_lines(path: Union[str, os.PathLike], what: str) -> Iterator[Iterator[List[str]]]:
-    """The lines of ``read_input(path, what).splitlines()`` in lists of
-    ``CHUNK_ROWS`` (the last may be shorter), read ``TEXT_BLOCK_BYTES`` at a time.
-
-    File errors are read_input's, and so is a decode error anywhere in the
-    file when the ``with`` block raises a ConfigError: reading the text whole
-    meets the decode error first. The file is opened once, so a named pipe
-    reads like a regular file.
-    """
-    with _input_errors(path, what):
-        fh = open(path, "rb")
-    with fh:
-        chunks = _line_chunks(fh, path, what)
-        try:
-            yield chunks
-        except ConfigError:
-            for _ in chunks:
-                pass
-            raise
-
-
-def _decode_error(exc: UnicodeDecodeError, at: int) -> str:
-    """``str(exc)`` with its positions counted ``at`` bytes further on."""
-    if exc.end - exc.start == 1:
-        return (f"'{exc.encoding}' codec can't decode byte 0x{exc.object[exc.start]:02x} in position "
-                f"{at + exc.start}: {exc.reason}")
-    return f"'{exc.encoding}' codec can't decode bytes in position {at + exc.start}-{at + exc.end - 1}: {exc.reason}"
-
-
-def _text_blocks(fh: BinaryIO, path: Union[str, os.PathLike], what: str) -> Iterator[str]:
-    """The text of the binary file ``fh`` decoded as read_input decodes it
-    (UTF-8, universal newlines), in blocks that are not empty.
-
-    A byte that is not UTF-8 raises read_input's error, its position in the
-    file counted from the bytes read so far.
-    """
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-    at = 0  # the bytes read before ``data``
-    while True:
-        data = fh.read(TEXT_BLOCK_BYTES)
-        held = len(decoder.getstate()[0])  # the first bytes of a character that the last block cut
-        try:
-            text = decoder.decode(data, final=not data)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{what} file {path} cannot be read: {_decode_error(exc, at - held)}") from exc
-        if text:
-            yield text
-        if not data:
-            return
-        at += len(data)
-
-
-def _line_chunks(fh: BinaryIO, path: Union[str, os.PathLike], what: str) -> Iterator[List[str]]:
-    """The lines of the text of ``fh`` in lists of ``CHUNK_ROWS``; a line may span blocks."""
-    pending: List[str] = []
-    pieces: List[str] = []  # the line that no block read so far has ended
-    with _input_errors(path, what):
-        for block in _text_blocks(fh, path, what):
-            lines = block.splitlines()
-            ends = block[-1] in LINE_BREAKS
-            if pieces and (ends or len(lines) > 1):
-                pieces.append(lines[0])
-                lines[0] = "".join(pieces)
-                pieces = []
-            if not ends:
-                pieces.append(lines.pop())
-            pending += lines
-            while len(pending) >= CHUNK_ROWS:
-                yield pending[:CHUNK_ROWS]
-                del pending[:CHUNK_ROWS]
-    if pieces:
-        pending.append("".join(pieces))
-    if pending:
-        yield pending
 
 
 def byte_blocks(fh: BinaryIO, pending: bytes, end: bytes, size: int) -> Iterator[bytes]:
@@ -407,13 +324,13 @@ def byte_blocks(fh: BinaryIO, pending: bytes, end: bytes, size: int) -> Iterator
         yield pending
 
 
-def parse_json(text: str, path: Union[str, os.PathLike], what: str, **hooks):
-    """``json.loads(text, **hooks)``; a text the decoder rejects is a
+def parse_json(text: str, path: Union[str, os.PathLike], what: str):
+    """``json.loads(text)``; a text the decoder rejects is a
     ConfigError saying the ``what`` file is not valid JSON: malformed JSON
     (JSONDecodeError, a ValueError), nesting too deep to decode, or an
     integer literal longer than Python's 4 300-digit limit (ValueError)."""
     try:
-        return json.loads(text, **hooks)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
 

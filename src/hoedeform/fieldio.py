@@ -34,16 +34,14 @@ anything after the document, and one that fails any check. The text
 parser is thus the one source of error messages, and the values are the
 same either way.
 
-The text parser holds the file's text and the samples as flat floats: one
-``json.loads`` runs with a hook that moves the 8 numbers of each well-formed
-sample (:func:`_sample_row`, the rule ``field_from_dict`` applies too) into
-a float buffer as the sample is decoded, so the document never exists as
-one object per sample. Loading validates a document by the rules of a scene
-config: the carrier, grid and projection descriptors go through the config
-parsers, and every malformed value raises ConfigError naming its key path
-and, for samples, the first failing index. A document with a sample that is
-not well-formed, or with a sample-shaped object outside the samples list,
-is parsed again into plain objects, whose checks name the error.
+The text parser reads the file whole (``read_input``), parses it with one
+``json.loads`` into plain objects and checks them by ``field_from_dict``:
+at 10 001 samples it peaks at ~3.5 times the file and the block reader at
+~0.8 times it (tracemalloc). Loading validates a document by the
+rules of a scene config: the carrier, grid and projection descriptors go
+through the config parsers, and every malformed value raises ConfigError
+naming its key path and, for samples, the first failing index
+(``_sample_columns``, the one statement of the sample rule).
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ import json
 import os
 import re
 import stat
-from array import array
 from itertools import chain
 from typing import BinaryIO, Optional, Sequence, Tuple, Union
 
@@ -63,7 +60,7 @@ from .config import (_check_keys, _is_finite_number, _number, byte_blocks, parse
 from .errors import ConfigError, HoedeformError
 from .geometry import TWO_PI
 from .numtext import BLOCK_VALUES, float_tokens, read_floats, repr_text
-from .recording import CHUNK_ROWS, GratingVectorField
+from .recording import GratingVectorField
 from .surfaces import SurfaceProfile
 
 FORMAT_TAG = "hoe-field-v1"
@@ -72,8 +69,6 @@ _HEADER_KEYS = {"format", "wavelength_nm", "carrier", "grid", "samples"}
 _SAMPLE_KEYS = {"s", "phi", "pos", "g"}
 # Exact types of JSON numbers; a type test rejects bools.
 _NUMBER_TYPES = {float, int}
-# What load_field leaves in the document in place of a well-formed sample.
-_TAKEN = object()
 
 # One sample as json.dump(indent=1) lays it out inside the samples list,
 # between its eight numbers.
@@ -259,35 +254,6 @@ def _is_triple(v) -> bool:
     return type(v) is list and len(v) == 3 and all(type(c) in _NUMBER_TYPES for c in v)
 
 
-def _is_float_value(v) -> bool:
-    """True for a float, or an int (not a bool) in the float range."""
-    return type(v) is float or type(v) is int and _is_finite_number(v)
-
-
-def _sample_row(rec) -> Optional[list]:
-    """s, phi, pos and g of a well-formed sample as a list of 8 numbers, else None.
-
-    A well-formed sample is an object with exactly the keys s, phi, pos and
-    g, where s and phi are numbers, pos and g lists of 3 numbers, and every
-    int lies in the float range. The one rule of both loaders.
-    """
-    if type(rec) is not dict or len(rec) != 4:
-        return None
-    try:
-        s, phi, pos, g = rec["s"], rec["phi"], rec["pos"], rec["g"]
-    except KeyError:
-        return None
-    if not (type(pos) is list and type(g) is list and len(pos) == 3 and len(g) == 3):
-        return None
-    (x, y, z), (a, b, c) = pos, g
-    row = [s, phi, x, y, z, a, b, c]
-    # the first test passes the all-float rows save_field writes
-    if float is type(s) is type(phi) is type(x) is type(y) is type(z) is type(a) is type(b) is type(c) \
-            or all(map(_is_float_value, row)):
-        return row
-    return None
-
-
 def _floats(values: list, width: int, what: str) -> np.ndarray:
     """``values`` as floats; an int beyond the float range names its sample."""
     try:
@@ -297,11 +263,13 @@ def _floats(values: list, width: int, what: str) -> np.ndarray:
         raise ConfigError(f"field.samples[{i // width}].{what}: {exc}") from exc
 
 
-def _raise_sample_error(recs: list) -> None:
-    """Raise the error of samples of which one is not well-formed: the first
-    sample without exactly the sample keys, else the first with a value of
-    the wrong type, else the first int beyond the float range in s, then in
-    phi, pos and g."""
+def _sample_columns(recs: list) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The s, phi, pos and g columns of the samples ``recs``, each a sample
+    with exactly the keys s, phi, pos and g, where s and phi are numbers,
+    pos and g lists of 3 numbers, and every int lies in the float range.
+    The first error is that of the first sample without exactly the sample
+    keys, else the first with a value of the wrong type, else the first int
+    beyond the float range in s, then in phi, pos and g."""
     for i, rec in enumerate(recs):
         if type(rec) is not dict or rec.keys() != _SAMPLE_KEYS:
             got = sorted(rec) if type(rec) is dict else type(rec).__name__
@@ -310,11 +278,9 @@ def _raise_sample_error(recs: list) -> None:
         if not (type(rec["s"]) in _NUMBER_TYPES and type(rec["phi"]) in _NUMBER_TYPES and _is_triple(rec["pos"])
                 and _is_triple(rec["g"])):
             raise ConfigError(f"field.samples[{i}]: 's' and 'phi' must be numbers, 'pos' and 'g' lists of 3 numbers")
-    _floats([rec["s"] for rec in recs], 1, "s")
-    _floats([rec["phi"] for rec in recs], 1, "phi")
-    _floats([v for rec in recs for v in rec["pos"]], 3, "pos")
-    _floats([v for rec in recs for v in rec["g"]], 3, "g")
-    raise AssertionError("samples flagged as malformed pass their checks")
+    return (_floats([rec["s"] for rec in recs], 1, "s"), _floats([rec["phi"] for rec in recs], 1, "phi"),
+            _floats([v for rec in recs for v in rec["pos"]], 3, "pos").reshape(-1, 3),
+            _floats([v for rec in recs for v in rec["g"]], 3, "g").reshape(-1, 3))
 
 
 def _check_header(doc: dict) -> Tuple[SurfaceProfile, float]:
@@ -335,11 +301,6 @@ def _check_header(doc: dict) -> Tuple[SurfaceProfile, float]:
     return carrier, wavelength_nm
 
 
-def _field(carrier: SurfaceProfile, grid: dict, wavelength_nm: float, rows: np.ndarray) -> GratingVectorField:
-    """The field of a checked header and the samples as rows of 8 numbers."""
-    return _field_of_columns(carrier, grid, wavelength_nm, rows[:, 0], rows[:, 1].copy(), rows[:, 2:5], rows[:, 5:8])
-
-
 def _field_of_columns(carrier: SurfaceProfile, grid: dict, wavelength_nm: float, s: np.ndarray, phi: np.ndarray,
                       pos: np.ndarray, g: np.ndarray) -> GratingVectorField:
     """The field of a checked header and its sample columns. ``phi`` is
@@ -357,10 +318,10 @@ def _field_of_columns(carrier: SurfaceProfile, grid: dict, wavelength_nm: float,
 
 def field_from_dict(doc: dict) -> GratingVectorField:
     carrier, wavelength_nm = _check_header(doc)
-    rows = list(map(_sample_row, doc["samples"]))
-    if None in rows:
-        _raise_sample_error(doc["samples"])
-    return _field(carrier, doc["grid"], wavelength_nm, np.array(rows, dtype=float).reshape(-1, 8))
+    s, phi, pos, g = _sample_columns(doc["samples"])
+    for a in (s, pos, g):
+        a.flags.writeable = False  # so that the field shares them
+    return _field_of_columns(carrier, doc["grid"], wavelength_nm, s, phi, pos, g)
 
 
 def save_field(field: GratingVectorField, path: Union[str, os.PathLike]) -> None:
@@ -453,28 +414,5 @@ def load_field(path: Union[str, os.PathLike]) -> GratingVectorField:
 
 
 def _load_text(path: Union[str, os.PathLike]) -> GratingVectorField:
-    """The field of a field file, which holds the file's text and the samples
-    as flat floats, never the samples as JSON objects."""
-    text = read_input(path, "field")
-    # CHUNK_ROWS samples per buffer: one buffer grown to the whole field is
-    # reallocated ~100 times, which fragments the heap and raises peak RSS
-    chunks = [array("d")]
-
-    def take(obj):  # a well-formed sample leaves its 8 numbers in ``chunks`` and a marker in the document
-        row = _sample_row(obj)
-        if row is None:
-            return obj
-        if len(chunks[-1]) == 8 * CHUNK_ROWS:
-            chunks.append(array("d"))
-        chunks[-1].fromlist(row)
-        return _TAKEN
-
-    doc = parse_json(text, path, "field", object_hook=take)
-    numbers = np.concatenate([np.frombuffer(c, dtype=float) for c in chunks])
-    recs = doc.get("samples") if type(doc) is dict else None
-    if type(recs) is not list or 8 * len(recs) != len(numbers) or recs.count(_TAKEN) != len(recs):
-        # a malformed sample, or one outside the samples list: the checks of a plain document name the error
-        return field_from_dict(parse_json(text, path, "field"))
-    del text
-    carrier, wavelength_nm = _check_header(doc)
-    return _field(carrier, doc["grid"], wavelength_nm, numbers.reshape(-1, 8))
+    """The field of a field file read whole as JSON text, whose checks name the error."""
+    return field_from_dict(parse_json(read_input(path, "field"), path, "field"))

@@ -25,7 +25,9 @@ the cells into floats (a cell it refuses goes to ``float``, an empty one is
 nan) and the rows go through the checks of the text reader (``_broken``).
 Any other file, or one with a row that breaks a rule or a cell ``float``
 rejects, goes to the text reader (``_read_text``), whose checks name the
-error.
+error: it reads the file whole and checks its rows ``CHUNK_ROWS`` at a
+time. At 10 001 rows it peaks at ~2.3 times the file and the block
+reader at ~0.9 times it (tracemalloc).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import LINE_BREAKS, byte_blocks, read_lines
+from .config import LINE_BREAKS, byte_blocks, read_input
 from .errors import ConfigError, EmptyBundle, NoMinimumInRange, at_sample
 from .fieldio import write_rows
 from .geometry import TWO_PI, Vec3, first_index, norms, raise_first
@@ -635,33 +637,31 @@ def read_rays_csv(path) -> RayBundle:
 
 
 def _read_text(path) -> RayBundle:
-    """The rays of a rays.csv file read as text.
+    """The rays of a rays.csv file read whole as text (``read_input``).
 
-    The lines are those ``str.splitlines`` gives; the file is read a block
-    at a time and its rows are parsed and checked ``CHUNK_ROWS`` at a time,
-    so a read holds one chunk of the file, never all of it. The first
-    malformed row is a ConfigError naming its line, which for a bad ray
-    carries the error of the first ray rule (``_ray_checks``) that row
+    The lines are those ``str.splitlines`` gives, and the rows are parsed
+    and checked ``CHUNK_ROWS`` at a time, so that the strings of one chunk
+    of rows, never of the whole file, are held beside the lines. The
+    first malformed row is a ConfigError naming its line, which for a bad
+    ray carries the error of the first ray rule (``_ray_checks``) that row
     breaks; a file that is not UTF-8 is read_input's ConfigError.
     """
-    with read_lines(path, "rays") as chunks:
-        first = next(chunks, [])
-        if not first or first[0] != RAYS_HEADER:
-            raise ConfigError(f"rays file {path} missing header {RAYS_HEADER!r}")
-        kept, lo = [np.empty((0, 7))], 1
-        for lines in chain([first[1:]], chunks):
-            rows = [line.split(",") for line in lines]
-            code = np.array([_STATUS_CODES.get(p[8], -1) if len(p) == 10 else -1 for p in rows], dtype=np.intp)
-            bad = (code < 0) | ((code == EVANESCENT) != np.array([p[5:8] == ["", "", ""] for p in rows], dtype=bool))
-            ok = ~bad
-            columns = list(zip(*compress(rows, ok))) or [()] * 10
-            values = np.column_stack([_parse_column(columns[k]) for k in _NUMBER_CELLS])
-            bad[ok] |= _broken(code[ok], values)
-            i = first_index(bad)
-            if i is not None:
-                raise _row_error(f"rays file {path} line {lo + i + 1}", rows[i], int(code[i]))
-            kept.append(values[code[ok] != EVANESCENT, 2:])
-            lo += len(lines)
+    lines = read_input(path, "rays").splitlines()
+    if not lines or lines[0] != RAYS_HEADER:
+        raise ConfigError(f"rays file {path} missing header {RAYS_HEADER!r}")
+    kept = [np.empty((0, 7))]
+    for lo in range(1, len(lines), CHUNK_ROWS):
+        rows = [line.split(",") for line in lines[lo:lo + CHUNK_ROWS]]
+        code = np.array([_STATUS_CODES.get(p[8], -1) if len(p) == 10 else -1 for p in rows], dtype=np.intp)
+        bad = (code < 0) | ((code == EVANESCENT) != np.array([p[5:8] == ["", "", ""] for p in rows], dtype=bool))
+        ok = ~bad
+        columns = list(zip(*compress(rows, ok))) or [()] * 10
+        values = np.column_stack([_parse_column(columns[k]) for k in _NUMBER_CELLS])
+        bad[ok] |= _broken(code[ok], values)
+        i = first_index(bad)
+        if i is not None:
+            raise _row_error(f"rays file {path} line {lo + i + 1}", rows[i], int(code[i]))
+        kept.append(values[code[ok] != EVANESCENT, 2:])
     values = np.concatenate(kept)
     return RayBundle(values[:, :3], values[:, 3:6], values[:, 6])
 

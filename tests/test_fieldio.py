@@ -236,6 +236,15 @@ def test_load_field_holds_less_than_two_and_a_half_files(tmp_path):
     assert peak < 2.5 * path.stat().st_size, f"load_field peaked at {peak} bytes for a {path.stat().st_size} byte file"
 
 
+def test_load_text_holds_less_than_four_files(tmp_path):
+    """The text parser holds the text, the parsed document and the sample
+    columns at once: 3.47 files at 10 001 samples."""
+    path = tmp_path / "field.json"
+    save_field(_combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(100, 100)), path)
+    peak = traced_peak(lambda: fieldio._load_text(path))
+    assert peak < 4 * path.stat().st_size, f"_load_text peaked at {peak} bytes for a {path.stat().st_size} byte file"
+
+
 @pytest.mark.parametrize("value", [True, "1.0", float("inf"), float("nan"), 10 ** 400],
                          ids=["bool", "string", "inf", "nan", "int_beyond_float"])
 @pytest.mark.parametrize("key, item", [("s", None), ("phi", None), ("pos", 0), ("pos", 2), ("g", 1)])

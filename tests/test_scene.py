@@ -17,7 +17,7 @@ from hoedeform.errors import ConfigError, EmptyBundle, NoMinimumInRange
 from hoedeform.geometry import Vec3
 from hoedeform.diffraction import EVANESCENT, PASS_THROUGH, PROPAGATING
 from hoedeform.recording import CHUNK_ROWS, GratingVectorField, PolarGrid, record
-from hoedeform.config import LINE_BREAKS, TEXT_BLOCK_BYTES, load_scene_config, read_input, read_lines
+from hoedeform.config import LINE_BREAKS, load_scene_config, read_input
 from hoedeform.numtext import BLOCK_VALUES
 from hoedeform.pipeline import deform_stage, record_stage
 from hoedeform.scene import (
@@ -611,6 +611,14 @@ class TestChunkedCodecs:
         peak = traced_peak(lambda: read_rays_csv(path))
         assert peak < 1.5 * path.stat().st_size, f"peak {peak} bytes for a {path.stat().st_size} byte file"
 
+    def test_read_text_holds_less_than_three_files(self, tmp_path):
+        """The text reader holds the file's text and lines, and the strings
+        of one chunk of rows: 2.33 files at 10 001 samples."""
+        path = tmp_path / "rays.csv"
+        write_rays_csv(_bent_trace((100, 100)), path)
+        peak = traced_peak(lambda: scene._read_text(path))
+        assert peak < 3 * path.stat().st_size, f"peak {peak} bytes for a {path.stat().st_size} byte file"
+
 
 @functools.lru_cache(maxsize=None)
 def _long_rays():
@@ -687,7 +695,8 @@ def _last_cell_as(token):
     return _joined(lines)
 
 
-_B = TEXT_BLOCK_BYTES
+# 64 KiB: the edges at which the cases below place their rows and bytes
+_B = 1 << 16
 _STRAY_BREAKS = {"vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "nel": "\x85", "ls": "\u2028"}
 
 # Each file's exit code and message (<path> stands for the file) from
@@ -763,8 +772,8 @@ class TestStreamedRaysCsv:
                                   "cut_inside_a_bad_continuation", "surrogate_across_the_edge",
                                   "four_bytes_cut_short_at_the_edge", "cut_short_at_the_end"])
     def test_decode_errors_count_bytes_in_the_file(self, tmp_path, at, bad):
-        """A byte that is not UTF-8 fails the line reader with read_input's
-        error for the whole file, wherever the read blocks cut the text."""
+        """A byte that is not UTF-8 fails the reader of rays.csv with
+        read_input's error for the whole file, wherever it lies."""
         data = _joined(_long_rays_lines()).encode("utf-8")
         at = len(data) if at is None else at
         path = tmp_path / "rays.csv"
@@ -772,9 +781,7 @@ class TestStreamedRaysCsv:
         with pytest.raises(ConfigError) as want:
             read_input(path, "rays")
         with pytest.raises(ConfigError) as got:
-            with read_lines(path, "rays") as chunks:
-                for _ in chunks:
-                    pass
+            read_rays_csv(path)
         assert str(got.value) == str(want.value)
 
     def test_line_breaks_are_those_of_splitlines(self):

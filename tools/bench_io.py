@@ -2,7 +2,7 @@
 
 Run from the root of a checkout, with a second checkout to compare with:
 
-    python3 tools/bench_io.py --base ../parent --out BENCH_19.json
+    python3 tools/bench_io.py --base ../parent --out BENCH_20.json
 
 The scene is ``combiner_deformed.json`` on the polar grids 10x16, 40x64
 and 100x160 (161, 2 561 and 16 001 samples). For each grid and round, one
@@ -11,7 +11,10 @@ the field, deforms and traces it, intersects the detector planes and runs
 the focal scan, then times ``--reps`` calls of each writer and reader:
 ``fieldio.save`` (the field and the deformed field, as one op saves
 them), ``scene.write_rays``, ``scene.write_hits``, ``scene.write_spots``,
-``fieldio.load`` (both field files again) and ``scene.read_rays``. Each
+``fieldio.load`` (both field files again), ``scene.read_rays``, and the
+text readers that take the files the block readers refuse:
+``fieldio.load_text`` (``fieldio._load_text`` on both field files) and
+``scene.read_rays_text`` (``scene._read_text``). Each
 call is stored raw and divided by the mean of ``perfbench.run``'s
 ``timed_reference_loop()`` run just before and after it, so that files
 taken on a host whose speed drifts stay comparable, with the minor page
@@ -40,13 +43,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GRIDS = ((10, 16), (40, 64), (100, 160))
-OPS = ("fieldio.save", "scene.write_rays", "scene.write_hits", "scene.write_spots", "fieldio.load", "scene.read_rays")
+OPS = ("fieldio.save", "scene.write_rays", "scene.write_hits", "scene.write_spots", "fieldio.load", "scene.read_rays",
+       "fieldio.load_text", "scene.read_rays_text")
 
 CHILD = r"""
 import atexit, json, resource, shutil, sys, tempfile, time, tracemalloc
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from run import timed_reference_loop
+from hoedeform import fieldio, scene
 from hoedeform.config import load_scene_config
 from hoedeform.deformation import induce_forward
 from hoedeform.fieldio import load_field, save_field
@@ -74,6 +79,8 @@ ops = {
     "scene.write_spots": lambda: write_spots_csv(scan.reports, out / "spots.csv"),
     "fieldio.load": lambda: (load_field(out / "field.json"), load_field(out / "deformed.json")),
     "scene.read_rays": lambda: read_rays_csv(out / "rays.csv"),
+    "fieldio.load_text": lambda: (fieldio._load_text(out / "field.json"), fieldio._load_text(out / "deformed.json")),
+    "scene.read_rays_text": lambda: scene._read_text(out / "rays.csv"),
 }
 result = {"samples": len(field)}
 for name, op in ops.items():
