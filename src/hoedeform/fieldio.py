@@ -250,10 +250,6 @@ def field_to_dict(field: GratingVectorField) -> dict:
     return {**_header(field), "samples": samples}
 
 
-def _is_triple(v) -> bool:
-    return type(v) is list and len(v) == 3 and all(type(c) in _NUMBER_TYPES for c in v)
-
-
 def _floats(values: list, width: int, what: str) -> np.ndarray:
     """``values`` as floats; an int beyond the float range names its sample."""
     try:
@@ -275,8 +271,9 @@ def _sample_columns(recs: list) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.
             got = sorted(rec) if type(rec) is dict else type(rec).__name__
             raise ConfigError(f"field.samples[{i}]: expected an object with keys {sorted(_SAMPLE_KEYS)}, got {got}")
     for i, rec in enumerate(recs):
-        if not (type(rec["s"]) in _NUMBER_TYPES and type(rec["phi"]) in _NUMBER_TYPES and _is_triple(rec["pos"])
-                and _is_triple(rec["g"])):
+        pos, g = rec["pos"], rec["g"]
+        if not (type(pos) is list and type(g) is list and len(pos) == 3 and len(g) == 3
+                and _NUMBER_TYPES.issuperset(map(type, [rec["s"], rec["phi"], *pos, *g]))):
             raise ConfigError(f"field.samples[{i}]: 's' and 'phi' must be numbers, 'pos' and 'g' lists of 3 numbers")
     return (_floats([rec["s"] for rec in recs], 1, "s"), _floats([rec["phi"] for rec in recs], 1, "phi"),
             _floats([v for rec in recs for v in rec["pos"]], 3, "pos").reshape(-1, 3),
