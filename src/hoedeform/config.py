@@ -289,7 +289,7 @@ def parse_scene_config(doc: dict) -> SceneConfig:
 def read_input(path: Union[str, os.PathLike], what: str) -> str:
     """The text of the input file ``path``, read whole as UTF-8 with
     universal newlines; a missing, unreadable or non-UTF-8 file is a
-    ConfigError naming the ``what`` file, the one message of each such error."""
+    ConfigError naming the ``what`` file. Every reader's file errors come from here."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
