@@ -24,9 +24,9 @@ included (``_load_saved``), a block of ``READ_BLOCK_BYTES`` at a time: the
 header, up to the line that opens the samples list, is decoded as UTF-8
 and parsed by ``json.loads``; the samples must match ``_SAMPLE_TEXT`` byte
 for byte between their numbers (``_saved_samples``), and
-``numtext.read_floats`` turns the numbers into floats, a number it refuses
-going to ``float`` when it is a JSON float (``float`` is what
-``json.loads`` applies to one). Any other file goes to the JSON text
+``numtext.read_floats`` turns the plain decimals into floats; a number it
+refuses, any in exponent notation among them, goes to ``float`` when it is
+a JSON float (``float`` is what ``json.loads`` applies to one). Any other file goes to the JSON text
 parser (``_load_text``): a pipe or other input that can be read only once,
 one that is not UTF-8, has a "\\r", a BOM, other whitespace, another key
 order, a JSON int such as ``-0`` (an int to ``json.loads``, not -0.0) or

@@ -9,8 +9,9 @@ around the characters; the row assembler ``fieldio.write_rows`` drops them.
 
 The digits come from y = |x| * 10**p, with p chosen so that 1e16 <= y < 1e17,
 held as a double-double hi + lo: Dekker's exact product (Numer. Math. 18,
-1971) of x and 10**p as a double-double from a table, or, where 10**-p is a
-double, the quotient by it with its exact remainder. Every row is then
+1971) of x and 10**p as a double-double from a table (``_dd_product``, which
+the reader shares), or, where 10**-p is a double, the quotient by it with
+its exact remainder. Every row is then
 certified against the error bound of y (``_MARGIN``), in the pattern of
 Grisu3 (Loitsch, PLDI 2010): a row whose rounding, or whose rounding
 interval, lies too close to a decision boundary to decide, and every |x|
@@ -34,22 +35,22 @@ thresholds of the heap (``heap``).
 
 ``read_floats(text, starts, ends)`` is the inverse: the values of the number
 tokens ``text[starts[i]:ends[i]]`` of a block of bytes, and the mask of the
-tokens it certifies. It takes the grammar ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?
-(e[+-]?[0-9]+)?`` (also without point and exponent unless ``ints`` is
-false), tokens of at most 24 bytes whose mantissa M (the digits, point
-dropped) is below 9e18 and whose exponent has at most 8 digits. The 24 bytes
-that end each token are read as three little-endian words of digit values;
-the integer digits move up one byte over the point, and M comes from the
-SWAR eight-digit step of Lemire's fast_float ("Number parsing at a gigabyte
-per second", Softw. Pract. Exp. 51(8), 2021). Every M then takes one path:
-for k in [-265, 260], the value M * 10**k is the double-double product of M
-and 10**k from the writers' table, in the pattern of Eisel-Lemire: it errs
-by under 2**-49 of half the spacing of doubles there, and is certified when
-it lies farther than ``_READ_MARGIN`` (32 times that) from a rounding
-boundary. Any other token (outside the grammar, beyond that range, an exact
-tie such as 1e23 or a subnormal) is left to the caller, which reads it with
-CPython's ``float`` (``float_tokens``), so every value read is ``float``'s,
-bit for bit. The steps update a few columns in place, with the small ones
+tokens it certifies. It takes plain decimals, the grammar
+``-?(0|[1-9][0-9]*)(\\.[0-9]+)?`` (with the point required unless ``ints``),
+tokens of at most 24 bytes whose mantissa M (the digits, point dropped) is
+below 9e18. The 24 bytes that end each token are read as three
+little-endian words of digit values; the integer digits move up one byte
+over the point, and M comes from the SWAR eight-digit step of Lemire's
+fast_float ("Number parsing at a gigabyte per second", Softw. Pract. Exp.
+51(8), 2021). Every M then takes one path: the value M * 10**k, k minus the
+digits after the point, is the writers' double-double product of M and
+10**k (``_dd_product``), in the pattern of Eisel-Lemire: it errs by under
+2**-48 of half the spacing of doubles there, and is certified when it lies
+farther than ``_READ_MARGIN`` (16 times that) from a rounding boundary. Any
+other token (outside the grammar, exponent notation among it, or an exact
+tie between two doubles such as 9007199254740993) is left to the caller,
+which reads it with CPython's ``float`` (``float_tokens``), so every value
+read is ``float``'s, bit for bit. The steps update a few columns in place, with the small ones
 as int32 or bytes, and hold under 70 bytes a token besides a copy of the
 text. The readers pass blocks of 128 KiB (rays.csv) and 192 KiB (field
 files), about 7 000 tokens: numpy's cost per call dominates smaller blocks,
@@ -68,9 +69,10 @@ import numpy as np
 BLOCK_VALUES = 9000
 
 # Error bound of y = hi + lo, in units of its 17th digit. With y < 2**57 the
-# product errs by at most 2.5 * 2**-106 * y < 2**-47 (the table's 10**p errs
-# by 2**-107 relative, x * lo(10**p) and the sum of the low parts by 2**-107
-# and 1.5 * 2**-106), the quotient by at most 2**-48; the distances compared
+# product (``_dd_product``) errs by at most 3.5 * 2**-106 * y < 2**-47 (the
+# table's 10**p errs by 2**-107 relative, x * lo(10**p), at most 2**-53 y,
+# rounds by 2**-106 y, and its sum with Dekker's exact low part, at most
+# 2**-52 y, by 2**-105 y), the quotient by at most 2**-48; the distances compared
 # with the rounding interval add at most 2**-49 each in rounding, and the
 # interval's half width 2**-48. A decision closer than this margin to its
 # boundary, 8 times the sum of the errors, goes to CPython.
@@ -171,40 +173,53 @@ def _tables():
     }
 
 
-def _scaled(a: np.ndarray, i: np.ndarray):
-    """floor(y) and frac(y) of y = a * 10**p for positive a, given the index
-    ``i`` = p - _P_MIN of 10**p in the power table, within the error of
-    ``_MARGIN``. The steps run in place on five columns besides ``a``."""
+def _dd_product(a: np.ndarray, i: np.ndarray, low=None):
+    """(a + low) * 10**p as a double-double hi + lo, given the index ``i`` =
+    p - _P_MIN of 10**p in the power table (``low`` is 0 if None, else a
+    column that this overwrites): a * hi(10**p) exactly by Dekker's product of
+    Veltkamp's halves of a (ah + al) and of hi(10**p) (hh + hl, from the
+    table), plus a * lo(10**p) and low * hi(10**p). The steps run on five
+    columns besides ``a`` and ``low``."""
     t_hi, t_hh, t_hl, t_lo = _tables()["pow10"]
-    prod = t_hi.take(i)
+    prod = t_hi.take(i, mode="clip")
+    if low is not None:
+        low *= prod
     prod *= a
-    # a * hi(10**p) - prod, exactly: Dekker's product of Veltkamp's halves of
-    # a (ah + al) and of hi(10**p) (hh + hl, from the table)
     ah = np.multiply(a, _SPLITTER)
     al = np.subtract(ah, a)
     ah -= al
     np.subtract(a, ah, out=al)
-    part = t_hh.take(i)
+    part = t_hh.take(i, mode="clip")
     err = np.multiply(ah, part)
     err -= prod
     part *= al
     err += part
-    t_hl.take(i, out=part)
+    t_hl.take(i, out=part, mode="clip")
     ah *= part
     err += ah
     al *= part
     err += al
-    t_lo.take(i, out=part)  # and a * lo(10**p)
+    del al
+    t_lo.take(i, out=part, mode="clip")
     part *= a
+    if low is not None:
+        part += low
     err += part
-    del part, al
+    del part
     hi = np.add(prod, err, out=ah)
-    lo = np.subtract(err, np.subtract(hi, prod, out=prod), out=err)
-    del prod
+    lo = np.subtract(err, np.subtract(hi, prod, out=prod), out=err)  # prod + err - hi, exactly
+    return hi, lo
+
+
+def _scaled(a: np.ndarray, i: np.ndarray):
+    """floor(y) and frac(y) of y = a * 10**p for positive a, given the index
+    ``i`` = p - _P_MIN of 10**p in the power table, within the error of
+    ``_MARGIN``."""
+    hi, lo = _dd_product(a, i)
     if a.max(initial=0.0) >= 1e16:  # some p may be negative
         div = ((i < -_P_MIN) & (i >= -_EXACT_MAX - _P_MIN)).nonzero()[0]
         if len(div):  # 10**-p is a double: divide by it, so that exact quotients stay exact
-            q = t_hi[-i[div] - 2 * _P_MIN]
+            q = _tables()["pow10"][0][-i[div] - 2 * _P_MIN]
             num = a[div]
             quot = num / q
             prod = quot * q
@@ -561,17 +576,16 @@ _PLACES = np.array([[sum((7 - k + 8 * j) << 8 * k for k in range(8))] for j in r
 _ONES = np.uint64(0x0101010101010101)
 _DOT = np.uint64(_POINT ^ _ZERO)  # a point, XORed with "0" as the digits are
 _M_MAX = np.uint64(9 * 10 ** 18)  # below this, M is exact as int64 and as hi + lo
-_EXP_DIGITS = 8  # the most exponent digits, one word
-_EXP_PLACES = 10.0 ** np.arange(7, -1, -1)  # of the digits of the last word of a window
 _K_MAX = 260  # M * 10**k stays below 1e280, and above 1e-265 for k >= _P_MIN
-# Error bound of M * 10**k as prod + low, relative to half the spacing of the
-# doubles around it: M = M_hi + M_lo exactly, 10**k as a double-double errs
-# by 2**-107, M_hi * lo(10**k) and M_lo * hi(10**k) each round by at most
-# 2**-106, the dropped M_lo * lo(10**k) is below 2**-158, and the two sums
-# of the low parts add at most 2**-105 and 2**-104.4: under 2**-103 of the
-# value, which is under 2**-49 of the half spacing. A result whose distance to
-# the nearest rounding boundary is below this margin, 32 times that bound,
-# goes to CPython.
+# Error bound of M * 10**k as the hi + lo of ``_dd_product``, relative to half
+# the spacing of the doubles around it: M = M_hi + M_lo exactly with |M_lo|
+# at most 2**-53 M_hi, 10**k as a double-double errs by 2**-107, M_hi *
+# lo(10**k) and M_lo * hi(10**k) each round by at most 2**-106, the dropped
+# M_lo * lo(10**k) is below 2**-106, and the two sums of the low parts add
+# at most 2**-105 and 3 * 2**-106: 8.5 * 2**-106 of the value, which is under
+# 2**-48 of the half spacing (at least 2**-54 of the value). A result whose
+# distance to the nearest rounding boundary is below this margin, 16 times
+# that bound, goes to CPython.
 _READ_MARGIN = 2.0 ** -44
 # Half the spacing of the doubles in [2**e, 2**(e+1)) is 2**e times this, less the margin
 _HALF_SPACING = 2.0 ** -53 * (1.0 - _READ_MARGIN)
@@ -627,42 +641,17 @@ def _windows(buf: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 def _product(a: np.ndarray, a_lo: np.ndarray, k: np.ndarray):
     """M * 10**k rounded to a double, and whether that is certified: the
-    double-double product of M = a + a_lo and 10**k, within
-    ``_READ_MARGIN`` of no rounding boundary, for k in [-265, 260]. Each
-    step works in place: ``a``, ``a_lo`` and ``k`` are overwritten."""
-    t_hi, t_hh, t_hl, t_lo = _tables()["pow10"]
+    double-double product of M = a + a_lo and 10**k (``_dd_product``),
+    within ``_READ_MARGIN`` of no rounding boundary, for k in [-265, 260].
+    ``a_lo`` and ``k`` are overwritten."""
     i = k
     i -= _P_MIN
     in_range = i.view(_WORD) <= _K_MAX - _P_MIN
     i *= in_range  # 10**-265 for a k out of range, so that no product overflows
-    hi = np.take(t_hi, i, mode="clip")
-    prod = a * hi
-    a_lo *= hi
-    low = np.take(t_lo, i, out=hi, mode="clip")
-    low *= a
-    low += a_lo  # M_hi * lo(10**k) + M_lo * hi(10**k)
-    # a * hi(10**k) - prod, exactly: Dekker's product of the 26-bit halves (Veltkamp's split)
-    ah = np.multiply(a, _SPLITTER, out=a_lo)
-    hh = ah - a
-    ah -= hh
-    al = np.subtract(a, ah, out=a)
-    np.take(t_hh, i, out=hh, mode="clip")
-    err = ah * hh
-    err -= prod
-    hl = np.take(t_hl, i, mode="clip")
-    ah *= hl
-    err += ah
-    hh *= al
-    err += hh
-    al *= hl
-    err += al
-    del hh, hl
-    err += low
-    total = np.add(prod, err, out=low)
-    resid = np.subtract(err, np.subtract(total, prod, out=prod), out=err)  # prod + low - total, exactly
+    total, resid = _dd_product(a, i, a_lo)
     # half the spacing of the doubles just below total: the smaller side
     # when total is a power of two, and for zero, which is exact, infinity
-    half = np.subtract(total.view(np.int64), 1, out=prod.view(np.int64))
+    half = np.subtract(total.view(np.int64), 1, out=a_lo.view(np.int64))
     half &= _EXPONENT_BITS
     half = half.view(float)
     half *= _HALF_SPACING
@@ -677,14 +666,15 @@ def read_floats(text: bytes, starts: np.ndarray, ends: np.ndarray, ints: bool = 
     and the mask of the tokens the kernel certifies; the other values are
     undefined.
 
-    The kernel takes the tokens of the grammar ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?
-    (e[+-]?[0-9]+)?`` of at most 24 bytes, with a point or an exponent unless
-    ``ints``, whose mantissa M (the digits, point dropped) is below 9e18 and
-    whose exponent has at most 8 digits. Each value is M * 10**k for k in
-    [-265, 260], the double-double product of M and 10**k (``_product``),
-    certified when it lies farther than ``_READ_MARGIN`` from a rounding
-    boundary. The steps work in place on a few columns: the kernel holds
-    under 70 bytes a token besides its copy of the text.
+    The kernel takes the plain decimals of the grammar
+    ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?`` of at most 24 bytes, with a point unless
+    ``ints``, whose mantissa M (the digits, point dropped) is below 9e18; a
+    token with an exponent is refused like any other outside the grammar.
+    Each value is M * 10**k, k minus the digits after the point, the
+    double-double product of M and 10**k (``_product``), certified when it
+    lies farther than ``_READ_MARGIN`` from a rounding boundary. The steps
+    work in place on a few columns: the kernel holds under 70 bytes a token
+    besides its copy of the text.
     """
     tables = _tables()
     high = tables["high"]
@@ -714,14 +704,13 @@ def read_floats(text: bytes, starts: np.ndarray, ends: np.ndarray, ints: bool = 
     point &= n_other == 1
     plain = n_other == 0
     plain |= point
-    rest = np.flatnonzero(~plain)
-    n_other = n_other[rest]
+    del n_other
     # the code of the point: 0 without one, else 1 + the digits after it
     code = np.subtract(_TOKEN_BYTES, place, dtype=np.int32)
     code *= point
     del place, point, flags, scratch
     # The integer digits: one, or more of which the first is not 0. A point
-    # needs a digit after it, and a float without one an exponent.
+    # needs a digit after it, and a float a point.
     digits = length - code
     ok = digits > 1
     ok &= ~zero
@@ -731,21 +720,14 @@ def read_floats(text: bytes, starts: np.ndarray, ends: np.ndarray, ints: bool = 
     ok &= code != 1
     if not ints:
         ok &= code > 0
-    del plain
-    if len(rest):  # tokens with an exponent, or not in the grammar
-        exponent, windows, code[rest], ok[rest] = _exponents(buf, np.take(d, rest, axis=1), ends[rest],
-                                                             length[rest], zero[rest], n_other)
     ok &= fits
-    del n_other, zero, length, fits, buf
+    del plain, zero, length, fits, buf
     # zero the point, the one non-digit of a plain token
     scratch = np.empty_like(d)
     flags = scratch.view(np.bool_)
     np.greater(d.view(np.uint8), 9, out=flags)
     scratch *= _DOT
     d ^= scratch
-    if len(rest):
-        d[:, rest] = windows
-        del windows
     # the mantissa's digits, right-aligned in the 3 words: the integer digits
     # move up one byte, over the point (none without a point)
     whole = np.take(tables["whole"], code, axis=1, out=scratch, mode="clip")
@@ -764,12 +746,10 @@ def read_floats(text: bytes, starts: np.ndarray, ends: np.ndarray, ints: bool = 
     ok &= m < _M_MAX
     np.minimum(m, _M_MAX, out=m)  # so that M near 2**64, refused, casts to a float and back in range
     del v, d
-    # k: the exponent less the digits after the point
+    # k: minus the digits after the point
     k = np.subtract(1, code, dtype=np.int64)
     np.minimum(k, 0, out=k)
     del code
-    if len(rest):
-        k[rest] += exponent
     m_hi = m.astype(float)
     m -= m_hi.astype(_WORD)
     m_lo = m.view(np.int64).astype(float)
@@ -781,42 +761,6 @@ def read_floats(text: bytes, starts: np.ndarray, ends: np.ndarray, ints: bool = 
     bits = value.view(_WORD)
     bits |= sign
     return value, ok
-
-
-def _exponents(buf, rd, ends, length, zero, n_other):
-    """For the tokens that are not plain, given their windows ``rd``,
-    ``ends``, window ``length``, ``zero`` and ``n_other``: their exponents,
-    the windows of the 24 bytes that end their mantissas with the point
-    zeroed, their point codes, and which of them are in the grammar."""
-    high = _tables()["high"]
-    r = len(ends)
-    # the points and the "e"s of the windows, counted and placed in one call
-    flags = np.empty((3, 2 * r), dtype=_WORD)
-    np.equal(rd.view(np.uint8), _DOT, out=flags[:, :r].view(np.bool_))
-    np.equal(rd.view(np.uint8), _E ^ _ZERO, out=flags[:, r:].view(np.bool_))
-    count, place = _count_and_place(flags.view(np.bool_), flags)
-    n_p, n_e, q = count[:r], count[r:], place[r:]
-    p = np.where(n_p == 1, place[:r], q)  # the end of the integer digits
-    sign = buf[ends + np.minimum(q + 1, _TOKEN_BYTES - 1)]
-    signed = (sign == _PLUS) | (sign == _MINUS)
-    n_exp = _TOKEN_BYTES - 1 - q - signed
-    # one "e" after at most one point, then a sign or none and 1 to 8
-    # digits; every other byte a digit
-    exp = ((n_e == 1) & (n_p <= 1) & (p <= q) & (n_other == n_p + 1 + signed) & (n_exp >= 1)
-           & (n_exp <= _EXP_DIGITS))
-    q *= exp  # outside the grammar q is a sum of places, up to 276: keep its window inside the text
-    e = (rd[2] & high[2][n_exp * exp]).view(np.uint8).reshape(r, 8) @ _EXP_PLACES
-    first = _TOKEN_BYTES - length
-    digits = p - first  # before the point, or the "e"
-    code = (q - p) * (exp & (n_p == 1))
-    ok = exp & ((digits == 1) | (digits > 1) & ~zero) & (code != 1)
-    # the window that ends at the mantissa, its point zeroed
-    rd = _windows(buf, np.maximum(ends - _TOKEN_BYTES + q, 0))
-    rd &= np.take(high, q - first, axis=1, mode="clip")
-    rd ^= np.greater(rd.view(np.uint8), 9).view(_WORD) * _DOT
-    exponent = e.astype(np.int64)
-    np.negative(exponent, out=exponent, where=sign == _MINUS)
-    return exponent, rd, code, ok
 
 
 def float_tokens(text: bytes, starts: np.ndarray, ends: np.ndarray) -> list:

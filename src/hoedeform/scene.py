@@ -21,8 +21,9 @@ line, the last too, with "\\n" (``_read_plain``) a block of
 ``READ_BLOCK_BYTES`` cut at a "\\n" at a time: byte masks find the 9
 commas and the "\\n" of each row, the 16 bytes that end its status field
 are compared with the status of that length, ``numtext.read_floats`` turns
-the cells into floats (a cell it refuses goes to ``float``, an empty one is
-nan) and the rows go through the checks of the text reader (``_broken``).
+the plain decimals into floats (a cell it refuses, any in exponent notation
+among them, goes to ``float``, an empty one is nan) and the rows go through
+the checks of the text reader (``_broken``).
 Any other file, or one with a row that breaks a rule or a cell ``float``
 rejects, goes to the text reader (``_read_text``), whose checks name the
 error: it reads the file whole and checks its rows ``CHUNK_ROWS`` at a

@@ -14,6 +14,7 @@ from hoedeform import cli, fieldio, scene
 from hoedeform.deformation import induce_forward, induce_inverse
 from hoedeform.errors import ConfigError
 from hoedeform.fieldio import field_from_dict, field_to_dict, load_field, save_field
+from hoedeform.numtext import float_tokens
 from hoedeform.geometry import Vec3
 from hoedeform.recording import CHUNK_ROWS, CartesianGrid, GratingVectorField, PolarGrid, record
 from hoedeform.surfaces import Projection, SurfaceProfile
@@ -556,11 +557,21 @@ def _refuse(*args):
 
 def test_plain_files_never_fall_back(tmp_path, monkeypatch):
     """The reference outputs, and a 16 001-sample field and its rays.csv as
-    the writers write them, are read by the number kernel alone: no token
-    goes to float and no file to the text parsers."""
-    for module, name in [(fieldio, "_load_text"), (fieldio, "float_tokens"), (scene, "_read_text"),
-                         (scene, "float_tokens")]:
+    the writers write them, are read by the block readers: no file goes to
+    the text parsers, and the only tokens that go to float are those in
+    exponent notation, which the number kernel leaves to it."""
+    for module, name in [(fieldio, "_load_text"), (scene, "_read_text")]:
         monkeypatch.setattr(module, name, _refuse)
+    to_float = []
+
+    def exponents_only(text, starts, ends):
+        tokens = [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+        assert all(b"e" in t for t in tokens), "a plain token left the number kernel"
+        to_float.extend(tokens)
+        return float_tokens(text, starts, ends)
+
+    for module in (fieldio, scene):
+        monkeypatch.setattr(module, "float_tokens", exponents_only)
     field = _combiner(SurfaceProfile.sphere_cap(50.0, 10.0), PolarGrid(100, 160))
     assert len(field) == 16_001
     save_field(field, tmp_path / "field.json")
@@ -573,6 +584,23 @@ def test_plain_files_never_fall_back(tmp_path, monkeypatch):
         load_field(path)
     for path in rays:
         scene.read_rays_csv(path)
+    assert to_float  # the reference outputs hold numbers in exponent notation
+
+
+def test_a_tie_in_a_field_file_reads_as_float(tmp_path, monkeypatch):
+    """An exact tie between two adjacent doubles as a g value of a file in
+    save_field's layout: the block reader takes the file and reads the tie
+    as float does, rounded to even, not as the double just below it."""
+    field = record(W0, W65, SurfaceProfile.planar(10.0), PolarGrid(2, 4))
+    path = tmp_path / "field.json"
+    save_field(field, path)
+    data = path.read_bytes()
+    at = data.index(b'"g": [\n    ') + len(b'"g": [\n    ')
+    path.write_bytes(data[:at] + b"791063134009679.9375" + data[data.index(b",", at):])
+    monkeypatch.setattr(fieldio, "_load_text", _refuse)
+    g = load_field(path).g
+    assert g[0, 0] == float("791063134009679.9375") == 791063134009680.0
+    assert g[0, 1:].tobytes() == field.g[0, 1:].tobytes() and g[1:].tobytes() == field.g[1:].tobytes()
 
 
 def _read_through_a_pipe(pipe, data, read):

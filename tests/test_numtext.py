@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from itertools import compress
 from pathlib import Path
 
@@ -309,30 +310,34 @@ def _read(tokens, ints=True):
 
 def test_reader_matches_float_on_a_million_values():
     """repr(v) and '%.17g' % v of the writers' million values, a block of
-    BLOCK_VALUES tokens at a time: every certified value has the bits of
-    float(token), and the tokens refused go to float, as the readers send them."""
+    BLOCK_VALUES tokens at a time: the kernel certifies every token in plain
+    notation and refuses every one in exponent notation, which goes to float
+    as the readers send it, and every value has the bits of float(token)."""
     edge, rest = _million_values()
     values = np.concatenate([edge, rest])
-    refused = 0
     for fmt in (repr, "%.17g".__mod__):
         tokens = [fmt(v).encode("ascii") for v in values.tolist()]
+        plain = np.array([b"e" not in t for t in tokens])
+        assert plain.sum() > len(tokens) // 2
         for lo in range(0, len(tokens), BLOCK_VALUES):
             block = tokens[lo:lo + BLOCK_VALUES]
             (text, starts, ends), (got, certified) = _read(block)
-            refused += int(np.count_nonzero(~certified))
+            if (certified != plain[lo:lo + BLOCK_VALUES]).any():
+                bad = np.flatnonzero(certified != plain[lo:lo + BLOCK_VALUES])[0]
+                pytest.fail(f"{block[bad]!r} {'certified' if certified[bad] else 'refused'}")
             got[~certified] = float_tokens(text, starts[~certified], ends[~certified])
             want = values[lo:lo + BLOCK_VALUES]
             if got.tobytes() != want.tobytes():
                 bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))[0]
                 pytest.fail(f"{block[bad]!r} read as {got[bad]!r}, float gives {want[bad]!r}")
-    assert refused < len(values) // 10  # out of range, exact ties and rounding boundaries
 
 
-# token, and whether the kernel certifies it: tokens outside the grammar,
-# and those it cannot decide (1e23 and 2**53 + 1 are exact ties), go to float
+# token, and whether the kernel certifies it: tokens outside the grammar
+# (exponent notation among them), and those it cannot decide (exact ties
+# between two doubles such as 2**53 + 1), go to float
 EDGE_TOKENS = [
-    (b"-0", True), (b"0.0", True), (b"-0.0", True), (b"1E5", False), (b"1e+05", True), (b"1e-7", True),
-    (b"1e007", True), (b"01", False), (b".5", False), (b"5.", False), (b"+1", False), (b"1_0", False),
+    (b"-0", True), (b"0.0", True), (b"-0.0", True), (b"1E5", False), (b"1e+05", False), (b"1e-7", False),
+    (b"1e007", False), (b"01", False), (b".5", False), (b"5.", False), (b"+1", False), (b"1_0", False),
     (b" 1", False), (b"1 ", False), (b"nan", False), (b"inf", False), (b"-", False), (b"", False), (b"1e", False),
     (b"1.5.2", False), (b"1e5.2", False), (b"1-2", False), (b"1e5e3", False),
     (b"12345678901234567890", False), (b"1234567890123456789", True), (b"0.000000000000000000001", True),
@@ -343,6 +348,9 @@ EDGE_TOKENS = [
     (b"1e5.", False),  # a point after the "e"
     (b"8999999999999999999e297", False), (b"9999999999999999999e300", False),  # k past 260, M near its bound
     (b"18446744073709551615", False), (b"18446744073709551615.5", False),  # M of 20 digits, near 2**64
+    # exact ties between adjacent doubles (spacing 0.125), which a reader
+    # without the _READ_MARGIN certificate rounds down: float rounds them to even
+    (b"791063134009679.9375", False), (b"-575768912037131.9375", False), (b"842522472762870.4375", False),
     (b"eee", False), (b"1eee", False),  # several "e"s, last in the one-block test
 ]
 
@@ -373,9 +381,9 @@ def test_reader_refuses_many_e_at_the_end_of_the_text(token):
 
 
 def test_reader_without_ints_refuses_int_tokens():
-    (_, _, _), (got, ok) = _read([b"-0", b"5", b"1e5", b"5.0", b"-0.0"], ints=False)
-    assert ok.tolist() == [False, False, True, True, True]
-    assert got[2:].tolist() == [1e5, 5.0, -0.0] and np.signbit(got[4])
+    (_, _, _), (got, ok) = _read([b"-0", b"5", b"1e5", b"100000.0", b"5.0", b"-0.0"], ints=False)
+    assert ok.tolist() == [False, False, False, True, True, True]
+    assert got[3:].tolist() == [1e5, 5.0, -0.0] and np.signbit(got[5])
 
 
 def test_byte_flag_counts_and_places():
@@ -520,6 +528,25 @@ def test_decade_step_against_exact_decades():
     assert (index + numtext._P_MIN).tolist() == [16 - Decimal(v).adjusted() for v in values.tolist()]
     for shortest in (True, False):
         assert _kernel_lines(values, shortest) == _cpython_lines(values.tolist(), shortest)
+
+
+@pytest.mark.parametrize("low, bound", [(False, 3.5), (True, 8.5)], ids=["writer", "reader"])
+def test_double_double_product_against_exact_arithmetic(low, bound):
+    """hi + lo of (a + low) * 10**p (``_dd_product``) against Fraction's exact
+    value, for every p of the power table and seeded mantissas: within the
+    error bound of ``_MARGIN``'s comment without a low term (3.5 * 2**-106
+    of the value; the writers' y, in [1e16, 1e17)) and within that of
+    ``_READ_MARGIN``'s with one (8.5 * 2**-106; values from 1e-5 to 1e19, a
+    low term of up to half the spacing of a, as the reader's M_lo)."""
+    rng = np.random.default_rng(21)
+    p = np.repeat(np.arange(numtext._P_MIN, numtext._P_MAX + 1), 8)
+    y = 10.0 ** rng.uniform(-5, 19, len(p)) if low else rng.uniform(1e16, 1e17, len(p))
+    a = y / 10.0 ** p
+    lows = np.spacing(a) * rng.uniform(-0.5, 0.5, len(p)) if low else np.zeros(len(p))
+    hi, lo = numtext._dd_product(a, p - numtext._P_MIN, lows.copy() if low else None)
+    for a_, low_, p_, hi_, lo_ in zip(a.tolist(), lows.tolist(), p.tolist(), hi.tolist(), lo.tolist()):
+        exact = (Fraction(a_) + Fraction(low_)) * Fraction(10) ** p_
+        assert abs(Fraction(hi_) + Fraction(lo_) - exact) <= Fraction(bound) * 2 ** -106 * exact, (a_, low_, p_)
 
 
 def test_import_builds_no_tables():
