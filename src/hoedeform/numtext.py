@@ -11,12 +11,11 @@ The digits come from y = |x| * 10**p, with p chosen so that 1e16 <= y < 1e17,
 held as a double-double hi + lo: Dekker's exact product (Numer. Math. 18,
 1971) of x and 10**p as a double-double from a table (``_dd_product``, which
 the reader shares), or, where 10**-p is a double, the quotient by it with
-its exact remainder. Every row is then
-certified against the error bound of y (``_MARGIN``), in the pattern of
-Grisu3 (Loitsch, PLDI 2010): a row whose rounding, or whose rounding
-interval, lies too close to a decision boundary to decide, and every |x|
-outside [1e-280, 1e280] (subnormals and non-finite values among them), is
-formatted by CPython's ``repr`` or ``%`` instead. Zeros and exact powers of
+its exact remainder. Every row is then certified against the error bound of
+y (``_MARGIN``), in the pattern of Grisu3 (Loitsch, PLDI 2010): a row whose
+rounding, or whose rounding interval, lies too close to a decision boundary
+to decide, and every |x| outside [1e-280, 1e280] (subnormals and non-finite
+values among them), is formatted by CPython's ``repr`` or ``%`` instead. Zeros and exact powers of
 ten are exact and need no fallback.
 
 p itself comes from the exponent bits of x and one compare with a table of
@@ -50,12 +49,13 @@ farther than ``_READ_MARGIN`` (16 times that) from a rounding boundary. Any
 other token (outside the grammar, exponent notation among it, or an exact
 tie between two doubles such as 9007199254740993) is left to the caller,
 which reads it with CPython's ``float`` (``float_tokens``), so every value
-read is ``float``'s, bit for bit. The steps update a few columns in place, with the small ones
-as int32 or bytes, and hold under 70 bytes a token besides a copy of the
-text. The readers pass blocks of 128 KiB (rays.csv) and 192 KiB (field
-files), about 7 000 tokens: numpy's cost per call dominates smaller blocks,
-and a block, what its reader holds and the kernel's temporaries then stay
-under the 1 MiB thresholds of the heap that the package keeps (``heap``).
+read is ``float``'s, bit for bit. The steps update a few columns in place,
+with the small ones as int32 or bytes, and hold under 70 bytes a token
+besides a copy of the text. The readers pass blocks of 128 KiB (rays.csv)
+and 192 KiB (field files), about 7 000 tokens: numpy's cost per call
+dominates smaller blocks, and a block, what its reader holds and the
+kernel's temporaries then stay under the 1 MiB thresholds of the heap that
+the package keeps (``heap``).
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ BLOCK_VALUES = 9000
 # product (``_dd_product``) errs by at most 3.5 * 2**-106 * y < 2**-47 (the
 # table's 10**p errs by 2**-107 relative, x * lo(10**p), at most 2**-53 y,
 # rounds by 2**-106 y, and its sum with Dekker's exact low part, at most
-# 2**-52 y, by 2**-105 y), the quotient by at most 2**-48; the distances compared
-# with the rounding interval add at most 2**-49 each in rounding, and the
-# interval's half width 2**-48. A decision closer than this margin to its
-# boundary, 8 times the sum of the errors, goes to CPython.
+# 2**-52 y, by 2**-105 y), the quotient by at most 2**-48; the distances
+# compared with the rounding interval add at most 2**-49 each in rounding,
+# and the interval's half width 2**-48. A decision closer than this margin
+# to its boundary, 8 times the sum of the errors, goes to CPython.
 _MARGIN = 2.0 ** -44
 _LIMITS = (1e-280, 1e280)
 # 10**p for every p the kernel can ask for: 16 - floor(log10 |x|), +-1

@@ -349,7 +349,7 @@ EDGE_TOKENS = [
     (b"8999999999999999999e297", False), (b"9999999999999999999e300", False),  # k past 260, M near its bound
     (b"18446744073709551615", False), (b"18446744073709551615.5", False),  # M of 20 digits, near 2**64
     # exact ties between adjacent doubles (spacing 0.125), which a reader
-    # without the _READ_MARGIN certificate rounds down: float rounds them to even
+    # without the _READ_MARGIN certificate rounds the wrong way: float rounds them to even
     (b"791063134009679.9375", False), (b"-575768912037131.9375", False), (b"842522472762870.4375", False),
     (b"eee", False), (b"1eee", False),  # several "e"s, last in the one-block test
 ]
@@ -546,7 +546,7 @@ def test_double_double_product_against_exact_arithmetic(low, bound):
     hi, lo = numtext._dd_product(a, p - numtext._P_MIN, lows.copy() if low else None)
     for a_, low_, p_, hi_, lo_ in zip(a.tolist(), lows.tolist(), p.tolist(), hi.tolist(), lo.tolist()):
         exact = (Fraction(a_) + Fraction(low_)) * Fraction(10) ** p_
-        assert abs(Fraction(hi_) + Fraction(lo_) - exact) <= Fraction(bound) * 2 ** -106 * exact, (a_, low_, p_)
+        assert abs(Fraction(hi_) + Fraction(lo_) - exact) <= Fraction(bound) / 2 ** 106 * exact, (a_, low_, p_)
 
 
 def test_import_builds_no_tables():
