@@ -96,46 +96,18 @@ READ_BLOCK_BYTES = 192 * 1024
 _CHUNK_BYTES = 120 * 1024
 
 
-def _pieces(column) -> list:
-    """A part's column as the arrays it joins end to end: a list of them, or one array."""
-    return list(column) if isinstance(column, (list, tuple)) else [column]
-
-
-def _rows_of(column, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi of a column given as one array or as a list of arrays."""
-    pieces = _pieces(column)
-    if len(pieces) == 1:
-        return pieces[0][lo:hi]
-    taken, at = [], 0
-    for a in pieces:
-        if at < hi and at + len(a) > lo:
-            taken.append(a[max(lo - at, 0):hi - at])
-        at += len(a)
-    if len(taken) == 1:
-        return taken[0]
-    return np.concatenate(taken) if taken else pieces[0][:0]
-
-
 def _run_starts(columns: Sequence, n: int) -> Optional[np.ndarray]:
     """The flags of the rows at which a run of rows equal in every column
     starts, floats compared by their bits (so 0.0 and -0.0 differ and equal
-    nans do not); None unless the runs are at most a quarter of the n rows.
-    A column is an array or a list of arrays joined end to end."""
+    nans do not); None unless the runs are at most a quarter of the n rows."""
     if n == 0:
         return None
     new = np.zeros(n, dtype=bool)
     new[0] = True
-    for column in columns:
-        at, last = 0, None
-        for a in map(np.asarray, _pieces(column)):
-            if a.dtype.kind == "f":
-                a = a.view(f"i{a.dtype.itemsize}")
-            if len(a):
-                if last is not None:
-                    new[at] |= a[0] != last
-                new[at + 1:at + len(a)] |= a[1:] != a[:-1]
-                last = a[-1]
-            at += len(a)
+    for a in columns:
+        if a.dtype.kind == "f":
+            a = a.view(f"i{a.dtype.itemsize}")
+        new[1:] |= a[1:] != a[:-1]
     return new if 4 * np.count_nonzero(new) <= n else None
 
 
@@ -146,15 +118,15 @@ def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: 
     a ``(function, column, ...)`` part is row i of ``function(column, ...)``,
     an (rows, width) uint8 block of text with NULs in it, such as
     ``numtext.repr_text`` returns, whose row i depends on row i of the columns
-    alone. A column is an array, or a list of arrays joined end to end. The
-    parts of one function run as one call on their columns end to end,
-    ``BLOCK_VALUES`` values at a time; a part whose rows fall into at most n/4
-    runs of rows equal in every column (``_run_starts``) gives the call one row
-    of each run and repeats its text, cut to the bytes its runs use. The rows
-    are assembled in a buffer of under 120 KiB that holds the ``bytes`` parts
-    once for each layout of cell widths, so that a chunk of rows copies only
-    its number cells; each chunk is written with its NULs dropped. A block
-    frees its text before the next one is formatted.
+    alone. A column is an array. The parts of one function run as one call on
+    their columns end to end, ``BLOCK_VALUES`` values at a time; a part whose
+    rows fall into at most n/4 runs of rows equal in every column
+    (``_run_starts``) gives the call one row of each run and repeats its text,
+    cut to the bytes its runs use. The rows are assembled in a buffer of under
+    120 KiB that holds the ``bytes`` parts once for each layout of cell
+    widths, so that a chunk of rows copies only its number cells; each chunk
+    is written with its NULs dropped. A block frees its text before the next
+    one is formatted.
     """
     parts = (sep, *parts)
     calls = {}  # function -> the indexes of its parts
@@ -186,7 +158,7 @@ def write_rows(fh: BinaryIO, parts: Sequence[Union[bytes, tuple]], n: int, sep: 
                     picks.append((first, lengths))
                 else:
                     picks.append((slice(None), None))
-            args = (np.concatenate([_rows_of(parts[i][k], lo, hi)[taken] for i, (taken, _) in zip(where, picks)])
+            args = (np.concatenate([parts[i][k][lo:hi][taken] for i, (taken, _) in zip(where, picks)])
                     for k in range(1, len(parts[where[0]])))
             text = function(*args)
             at = 0

@@ -576,7 +576,6 @@ _PLACES = np.array([[sum((7 - k + 8 * j) << 8 * k for k in range(8))] for j in r
 _ONES = np.uint64(0x0101010101010101)
 _DOT = np.uint64(_POINT ^ _ZERO)  # a point, XORed with "0" as the digits are
 _M_MAX = np.uint64(9 * 10 ** 18)  # below this, M is exact as int64 and as hi + lo
-_K_MAX = 260  # M * 10**k stays below 1e280, and above 1e-265 for k >= _P_MIN
 # Error bound of M * 10**k as the hi + lo of ``_dd_product``, relative to half
 # the spacing of the doubles around it: M = M_hi + M_lo exactly with |M_lo|
 # at most 2**-53 M_hi, 10**k as a double-double errs by 2**-107, M_hi *
@@ -642,13 +641,10 @@ def _windows(buf: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def _product(a: np.ndarray, a_lo: np.ndarray, k: np.ndarray):
     """M * 10**k rounded to a double, and whether that is certified: the
     double-double product of M = a + a_lo and 10**k (``_dd_product``),
-    within ``_READ_MARGIN`` of no rounding boundary, for k in [-265, 260].
+    within ``_READ_MARGIN`` of no rounding boundary, for k in [-23, 0].
     ``a_lo`` and ``k`` are overwritten."""
-    i = k
-    i -= _P_MIN
-    in_range = i.view(_WORD) <= _K_MAX - _P_MIN
-    i *= in_range  # 10**-265 for a k out of range, so that no product overflows
-    total, resid = _dd_product(a, i, a_lo)
+    k -= _P_MIN
+    total, resid = _dd_product(a, k, a_lo)
     # half the spacing of the doubles just below total: the smaller side
     # when total is a power of two, and for zero, which is exact, infinity
     half = np.subtract(total.view(np.int64), 1, out=a_lo.view(np.int64))
@@ -657,7 +653,6 @@ def _product(a: np.ndarray, a_lo: np.ndarray, k: np.ndarray):
     half *= _HALF_SPACING
     np.abs(resid, out=resid)
     certified = resid < half
-    certified &= in_range
     return total, certified
 
 
@@ -746,7 +741,7 @@ def read_floats(text: bytes, starts: np.ndarray, ends: np.ndarray, ints: bool = 
     ok &= m < _M_MAX
     np.minimum(m, _M_MAX, out=m)  # so that M near 2**64, refused, casts to a float and back in range
     del v, d
-    # k: minus the digits after the point
+    # k: minus the digits after the point, in [-23, 0] (code is at most 24), inside the power table
     k = np.subtract(1, code, dtype=np.int64)
     np.minimum(k, 0, out=k)
     del code

@@ -668,14 +668,14 @@ def _read_text(path) -> RayBundle:
 
 
 def write_hits_csv(plane_hits: Sequence[PlaneHits], path) -> None:
-    """Write hits.csv, one row per hit, the planes in order: their columns
-    are joined end to end, and each plane's z0 is a run of equal rows."""
-    columns = [[np.broadcast_to(ph.z0, len(ph.index)) for ph in plane_hits],
-               [ph.xy[:, 0] for ph in plane_hits], [ph.xy[:, 1] for ph in plane_hits]]
+    """Write hits.csv, one row per hit, the planes in order: one row
+    assembler call a plane, its z0 in the row's literal text as
+    ``'%.17g'`` (CPython's, which ``g17_text`` matches)."""
     with open(path, "wb") as fh:
         fh.write(HITS_HEADER.encode("ascii") + b"\n")
-        write_rows(fh, [*_joined([(g17_text, column) for column in columns], b","), b",",
-                        (int_text, [ph.index for ph in plane_hits]), b"\n"], sum(len(ph.index) for ph in plane_hits))
+        for ph in plane_hits:
+            write_rows(fh, [b"%.17g," % ph.z0, (g17_text, ph.xy[:, 0]), b",", (g17_text, ph.xy[:, 1]), b",",
+                            (int_text, ph.index), b"\n"], len(ph.index))
 
 
 def write_spots_csv(reports: Sequence[SpotReport], path) -> None:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hoedeform.config import load_scene_config, parse_grid, parse_scene_config
@@ -445,3 +446,17 @@ class TestShippedConfigs:
         scan = json.loads((out / "scan.json").read_text())
         assert scan["z_min_rms_total_mm"] < 80.0  # design focus of the target wave
         assert scan["astigmatism_mm"] > 3.0 * scan["plane_spacing_mm"]
+
+    def test_rescale_scales_the_deformed_field(self, tmp_path):
+        """A valid ``deformation.rescale`` runs end to end: field_deformed.json
+        holds the unscaled run's g times the factor, at the same positions."""
+        from hoedeform.fieldio import load_field
+        from hoedeform.pipeline import run_scene
+        doc = json.loads((CONFIG_DIR / "combiner_deformed.json").read_text())
+        doc["deformation"]["rescale"] = 1.25
+        (tmp_path / "scene.json").write_text(json.dumps(doc))
+        run_scene(CONFIG_DIR / "combiner_deformed.json", tmp_path / "plain")
+        run_scene(tmp_path / "scene.json", tmp_path / "scaled")
+        plain, scaled = (load_field(tmp_path / run / "field_deformed.json") for run in ("plain", "scaled"))
+        assert np.array_equal(scaled.g, plain.g * 1.25)
+        assert np.array_equal(scaled.pos, plain.pos)

@@ -173,7 +173,8 @@ def test_the_text_is_the_rows_with_their_nuls_dropped():
     list(range(0, 130)),
     [7, 10 ** 15 + 3, 10 ** 16 - 1, 10 ** 16, 2 ** 62, -1, -12345],
     [],
-], ids=["decades", "0_to_129", "large_and_negative", "empty"])
+    [5, -1234567890123],
+], ids=["decades", "0_to_129", "large_and_negative", "empty", "fallback_widens_the_cells"])
 def test_int_text_matches_percent_d(values):
     cells = int_text(np.array(values, dtype=np.int64))
     assert [bytes(row).replace(b"\0", b"").decode() for row in cells] == ["%d" % v for v in values]
@@ -346,7 +347,8 @@ EDGE_TOKENS = [
     (b"-0.00012345678901234567", True), (b"123456789012345678901234", False),
     (b"100000000000000000000000.5", False),  # 26 bytes: the window holds 0000000000000000000000.5
     (b"1e5.", False),  # a point after the "e"
-    (b"8999999999999999999e297", False), (b"9999999999999999999e300", False),  # k past 260, M near its bound
+    (b"8999999999999999999e297", False), (b"9999999999999999999e300", False),
+    (b"0.0000000000000000000001", True),  # 24 bytes: k = -22, the least a token in the grammar has
     (b"18446744073709551615", False), (b"18446744073709551615.5", False),  # M of 20 digits, near 2**64
     # exact ties between adjacent doubles (spacing 0.125), which a reader
     # without the _READ_MARGIN certificate rounds the wrong way: float rounds them to even

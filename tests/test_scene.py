@@ -576,15 +576,15 @@ class TestChunkedCodecs:
 
     @pytest.mark.parametrize("counts", [
         (0, 0),
-        (BLOCK_VALUES // 3 + 7,) * 3,
-        (0, 5, BLOCK_VALUES // 2, 0, 1, 2 * BLOCK_VALUES + 3),
+        (BLOCK_VALUES // 2 - 3, BLOCK_VALUES // 2, BLOCK_VALUES // 2 + 4),
+        (0, 5, BLOCK_VALUES // 2 + 1, 0, 1, 2 * BLOCK_VALUES + 3),
         (1,) * 40,
-    ], ids=["no_hits", "equal_counts", "unequal_counts", "one_hit_each"])
-    def test_hits_csv_joins_the_planes_in_one_write(self, tmp_path, counts):
-        """All planes go through one row assembler call, the planes' columns
-        joined and each z0 a run of rows (no runs when the planes hold a hit
-        each): the bytes are those of the planes written one after another,
-        wherever the planes meet the kernel's blocks."""
+    ], ids=["no_hits", "around_a_block", "unequal_counts", "one_hit_each"])
+    def test_hits_csv_writes_the_planes_one_after_another(self, tmp_path, counts):
+        """Each plane goes through its own row assembler call, whose block is
+        BLOCK_VALUES // 2 rows (two g17_text columns; z0 is literal text):
+        planes just under, at and over one block, empty planes and planes of
+        one hit give the bytes of every row formatted by CPython."""
         rng = np.random.default_rng(len(counts))
         planes = [PlaneHits(z0, np.sort(rng.choice(4 * k + 4, size=k, replace=False)), rng.normal(size=(k, 2)), (), ())
                   for z0, k in zip(rng.normal(size=len(counts)) * 50.0, counts)]
