@@ -47,7 +47,6 @@ from .scene import (
     PlaneHits,
     Ray,
     RayBundle,
-    SpotReport,
     Trace,
     TraceRecord,
     focal_scan,

@@ -13,16 +13,13 @@ Each verb loads its inputs and calls the same stage function of
 ``pipeline`` that ``run`` chains, so stepwise and one-shot outputs agree.
 
 Exit codes: 0 ok, 2 config or usage error, 3 numeric/pipeline error, out of
-memory included. Errors are emitted as one JSON object on stderr. --seed and
-the HOE_THREADS environment variable are accepted and ignored (reserved); a
-HOE_THREADS value that is not a positive integer is a config error.
+memory included. Errors are emitted as one JSON object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -58,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="scene config JSON")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="accepted and ignored (reserved)")
 
     p_record = sub.add_parser("record", help="record a field from the recording section")
     common(p_record)
@@ -86,19 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", choices=("basic", "energy"), default="energy", help="closure mode")
 
     return parser
-
-
-def _check_thread_env() -> None:
-    """Validate the reserved HOE_THREADS variable; its value is not used."""
-    raw = os.environ.get("HOE_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"HOE_THREADS must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"HOE_THREADS must be >= 1, got {n}")
 
 
 def _cmd_record(args) -> dict:
@@ -183,7 +166,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_thread_env()
         summary = _COMMANDS[args.verb](args)
     except (HoedeformError, ValueError, ArithmeticError, MemoryError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=sys.stderr)

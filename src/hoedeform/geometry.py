@@ -137,15 +137,15 @@ def combine(t: np.ndarray, b: np.ndarray, n: np.ndarray, c1, c2, c3) -> np.ndarr
     return t * c1 + b * c2 + n * c3
 
 
-def check_orthonormal(t: np.ndarray, b: np.ndarray, n: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Require unit t, b, n and zero pairwise dot products within ``tol`` on every row,
+def check_orthonormal(t: np.ndarray, b: np.ndarray, n: np.ndarray) -> None:
+    """Require unit t, b, n and zero pairwise dot products within ``DEFAULT_TOL`` on every row,
     for any orthonormal triple; ValueError tagged with the first failing row."""
     lengths = [(name, norms(v)) for name, v in (("t", t), ("b", b), ("n", n))]
     dots = [(pair, dot(u, v)) for pair, u, v in (("t.b", t, b), ("t.n", t, n), ("b.n", b, n))]
     raise_first(
-        [(~(np.abs(ln - 1.0) <= tol), lambda i, name=name, ln=ln: at_sample(ValueError(
+        [(~(np.abs(ln - 1.0) <= DEFAULT_TOL), lambda i, name=name, ln=ln: at_sample(ValueError(
             f"frame vector {name} is not unit length: |{name}| = {float(ln[i])!r}"), i)) for name, ln in lengths]
-        + [(~(np.abs(d) <= tol), lambda i, pair=pair, d=d: at_sample(ValueError(
+        + [(~(np.abs(d) <= DEFAULT_TOL), lambda i, pair=pair, d=d: at_sample(ValueError(
             f"frame vectors not orthogonal: {pair} = {float(d[i])!r}"), i)) for pair, d in dots]
     )
 

@@ -298,22 +298,13 @@ def intersect_plane(rays: Sequence[Ray], z0: float) -> PlaneHits:
                      tuple(np.flatnonzero(behind).tolist()))
 
 
-@dataclass(frozen=True)
-class SpotReport:
-    """Centroid (cx, cy) and RMS spot radii of a bundle cross-section at z (mm)."""
-
-    z: float
-    cx: float
-    cy: float
-    rms_x: float
-    rms_y: float
-    rms_total: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FocalScanResult:
-    """Spot reports over a z range plus the located RMS minima.
+    """Spot table over a z range plus the located RMS minima.
 
+    ``reports`` is a read-only float64 (n_planes, 6) array, one row per
+    scan plane, in the column order of spots.csv: z, cx, cy (centroid),
+    rms_x, rms_y, rms_total (mm).
     ``z_min_rms_*`` are the scan planes with the smallest RMS spot sizes;
     ``bracketed_*`` report whether each is interior to the scan range (a
     boundary minimum means the true focus may lie outside). ``z_star_*``
@@ -321,7 +312,7 @@ class FocalScanResult:
     the ray slopes do not vary along that axis (the spot size is constant).
     """
 
-    reports: Tuple[SpotReport, ...]
+    reports: np.ndarray
     z_min_rms_x: float
     z_min_rms_y: float
     z_min_rms_total: float
@@ -399,11 +390,8 @@ def focal_scan(rays: Sequence[Ray], z_range: Tuple[float, float], n_planes: int)
         _, zs_t = _variance_curve(ac, bc, z)
         rms_x, rms_y, rms_t = np.sqrt(var_x), np.sqrt(var_y), np.sqrt(var_x + var_y)
         cx, cy = a_mean[0] + b_mean[0] * z, a_mean[1] + b_mean[1] * z
-    reports = tuple(
-        SpotReport(zi, xi, yi, rx, ry, rt)
-        for zi, xi, yi, rx, ry, rt in zip(z.tolist(), cx.tolist(), cy.tolist(),
-                                           rms_x.tolist(), rms_y.tolist(), rms_t.tolist())
-    )
+    reports = np.column_stack((z, cx, cy, rms_x, rms_y, rms_t))
+    reports.flags.writeable = False
     ix, iy, it = int(np.argmin(rms_x)), int(np.argmin(rms_y)), int(np.argmin(rms_t))
 
     top = float(rms_t.max())
@@ -416,10 +404,10 @@ def focal_scan(rays: Sequence[Ray], z_range: Tuple[float, float], n_planes: int)
         )
     return FocalScanResult(
         reports=reports,
-        z_min_rms_x=reports[ix].z,
-        z_min_rms_y=reports[iy].z,
-        z_min_rms_total=reports[it].z,
-        astigmatism_mm=abs(reports[ix].z - reports[iy].z),
+        z_min_rms_x=float(z[ix]),
+        z_min_rms_y=float(z[iy]),
+        z_min_rms_total=float(z[it]),
+        astigmatism_mm=abs(float(z[ix] - z[iy])),
         bracketed_x=0 < ix < n_planes - 1,
         bracketed_y=0 < iy < n_planes - 1,
         bracketed_total=interior,
@@ -678,8 +666,8 @@ def write_hits_csv(plane_hits: Sequence[PlaneHits], path) -> None:
                             (int_text, ph.index), b"\n"], len(ph.index))
 
 
-def write_spots_csv(reports: Sequence[SpotReport], path) -> None:
-    columns = np.array([(r.z, r.cx, r.cy, r.rms_x, r.rms_y, r.rms_total) for r in reports], dtype=float).reshape(-1, 6)
+def write_spots_csv(reports: np.ndarray, path) -> None:
+    """Write spots.csv from ``FocalScanResult.reports``, one row per plane."""
     with open(path, "wb") as fh:
         fh.write(SPOTS_HEADER.encode("ascii") + b"\n")
-        write_rows(fh, [*_joined([(g17_text, column) for column in columns.T], b","), b"\n"], len(reports))
+        write_rows(fh, [*_joined([(g17_text, column) for column in reports.T], b","), b"\n"], len(reports))

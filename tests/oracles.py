@@ -5,6 +5,10 @@ a time before fields became arrays: plain floats and ``math``, no numpy and
 no package kernel, so a test can compare the array code with an
 independent evaluation of the same formulas. Errors carry the messages and
 the ``sample {i} (s=..., phi=...)`` context of the scalar code.
+
+``bend_focal_shift_limits`` is the one reference taken from optics rather
+than from the code: the paraxial focal shift that bending adds, read off a
+scene config's numbers.
 """
 
 import bisect
@@ -374,3 +378,37 @@ def isosurface_report(w1, w2, spec, points):
             max_res = max(max_res, _norm(_cross(kg, u_sum)) / denom)
     spread = (max(phases) - min(phases)) if phases else 0.0
     return len(phases), max_dev, spread, max_res
+
+
+def bend_focal_shift_limits(doc):
+    """The R -> inf limits of R*(z*_flat - z*_bent) for the x (tangential)
+    and y (sagittal) spot minima, when the planar element of the scene config
+    ``doc`` is bent onto a sphere cap of radius R (mm^2).
+
+    To first order in the cap curvature 1/R and with a small aperture,
+    bending adds the term (cos t_d - cos t_i)/R of a refracting surface with
+    n = n' to Coddington's equations (Welford, *Aberrations of Optical
+    Systems*, 1986). The flat element then focuses the probe at L from the
+    vertex, and the shift of each focus, projected on z, is
+
+        tangential: L^2 (cos t_d - cos t_i) / cos t_d
+        sagittal:   L^2 cos t_d (cos t_d - cos t_i)
+
+    The vertex is the origin with the normal along z. The probe is the
+    recording's w1, so the flat element sends it to w2's target, which sets L
+    and t_d; t_i is the probe's angle at the vertex. Both lie in the xz plane.
+    """
+    rec = doc["recording"]
+    probe, target = doc["probe"], rec["w2"]["target_mm"]
+    assert probe == rec["w1"] and rec["w2"]["kind"] == "spherical_converging", "the probe must replay w1"
+    if probe["kind"] == "plane":
+        d = probe["dir"]
+    elif probe["kind"] == "spherical_diverging":
+        d = _mul(probe["origin_mm"], -1.0)
+    else:
+        raise ValueError(f"no vertex direction for a {probe['kind']} probe")
+    assert d[1] == 0.0 and target[1] == 0.0, "the plane of incidence must be xz"
+    cos_i = abs(d[2]) / _norm(d)
+    length = _norm(target)
+    cos_d = target[2] / length
+    return length ** 2 * (cos_d - cos_i) / cos_d, length ** 2 * cos_d * (cos_d - cos_i)

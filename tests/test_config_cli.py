@@ -38,11 +38,9 @@ def base_config():
     }
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "hoedeform.cli", *args],
         capture_output=True, text=True, env=env,
@@ -221,12 +219,6 @@ class TestCliFlows:
             assert (a.position - b.position).norm() < 1e-10
             assert a.coords == b.coords
 
-    def test_seed_flag_accepted(self, tmp_path):
-        cfg = tmp_path / "scene.json"
-        cfg.write_text(json.dumps(base_config()))
-        res = run_cli("record", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "7")
-        assert res.returncode == 0
-
     def test_basic_mode_flag(self, tmp_path):
         cfg = tmp_path / "scene.json"
         cfg.write_text(json.dumps(base_config()))
@@ -373,29 +365,6 @@ class TestCliExitCodes:
         code, out, err = cli_main("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and json.loads(err)["error"]["type"] == "MemoryError"
-
-
-class TestThreadEnv:
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        cfg = tmp_path / "scene.json"
-        cfg.write_text(json.dumps(base_config()))
-        out1, out4 = tmp_path / "t1", tmp_path / "t4"
-        assert run_cli("run", "--config", str(cfg), "--out", str(out1),
-                       env_extra={"HOE_THREADS": "1"}).returncode == 0
-        assert run_cli("run", "--config", str(cfg), "--out", str(out4),
-                       env_extra={"HOE_THREADS": "4"}).returncode == 0
-        for name in ("field.json", "field_deformed.json", "rays.csv", "spots.csv"):
-            assert (out1 / name).read_bytes() == (out4 / name).read_bytes(), name
-
-    @pytest.mark.parametrize("verb", ["record", "scan", "run"])
-    def test_invalid_thread_count_is_config_error(self, tmp_path, verb):
-        cfg = tmp_path / "scene.json"
-        cfg.write_text(json.dumps(base_config()))
-        out = tmp_path / "o"
-        assert run_cli("run", "--config", str(cfg), "--out", str(out)).returncode == 0
-        res = run_cli(verb, "--config", str(cfg), "--out", str(out), env_extra={"HOE_THREADS": "many"})
-        assert res.returncode == 2
-        assert "HOE_THREADS" in json.loads(res.stderr)["error"]["message"]
 
 
 def test_runtime_does_not_import_scipy():

@@ -1,8 +1,13 @@
+import copy
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
+from hoedeform.config import parse_scene_config
 from hoedeform.deformation import (
     induce_forward,
     induce_inverse,
@@ -12,7 +17,7 @@ from hoedeform.deformation import (
 from hoedeform.errors import DomainError, NoIntersection, NonPositiveFactor
 from hoedeform.geometry import Vec3, combine, norms
 from hoedeform.recording import PolarGrid, record
-from hoedeform.scene import trace_field
+from hoedeform.scene import focal_scan, trace_field
 from hoedeform.surfaces import Projection, SurfaceProfile
 from hoedeform.waves import Wave, Wavelength, local_wavevector, local_wavevectors
 
@@ -277,3 +282,67 @@ class TestResample:
         field = record(W0, W65, FLAT, CartesianGrid(4, 4, 6.0))
         with pytest.raises(ValueError):
             resample_field(field, PolarGrid(3, 8, s_max=5.0))
+
+
+SHIPPED = json.loads((Path(__file__).resolve().parent.parent / "src" / "hoedeform" / "configs"
+                      / "combiner_deformed.json").read_text())
+PROJECTIONS = {"orthogonal": "orthogonal", "central_500": {"center_z_mm": 500.0}}
+
+
+def _bent_scene(origin, target, domain, grid, projection):
+    """combiner_deformed.json with the probe and w1 diverging from ``origin``,
+    w2 converging to ``target``, the aperture ``domain`` (mm) and the polar
+    ``grid`` (n_s, n_phi); the cap's radius is set per bend."""
+    doc = copy.deepcopy(SHIPPED)
+    rec = doc["recording"]
+    rec["w1"]["origin_mm"] = doc["probe"]["origin_mm"] = list(origin)
+    rec["w2"]["target_mm"] = list(target)
+    rec["carrier"]["domain_radius_mm"] = doc["deformation"]["target_profile"]["domain_radius_mm"] = domain
+    rec["grid"]["n_s"], rec["grid"]["n_phi"] = grid
+    doc["deformation"]["projection"] = PROJECTIONS[projection]
+    return doc
+
+
+def _focal_shifts(doc, radii):
+    """R*(z*_flat - z*_bent) of the x and y spot minima for each cap radius R."""
+    cfg = parse_scene_config(doc)
+    rec, bend = cfg.recording, cfg.deformation
+    flat = record(rec.w1, rec.w2, rec.carrier, rec.grid)
+    z = doc["recording"]["w2"]["target_mm"][2]
+
+    def z_star(field):
+        scan = focal_scan(trace_field(field, cfg.probe).rays(), (z - 20.0, z + 20.0), 41)
+        return np.array([scan.z_star_x, scan.z_star_y])
+
+    z_flat = z_star(flat)
+    return [r * (z_flat - z_star(induce_forward(flat, SurfaceProfile.sphere_cap(r, rec.carrier.domain_radius),
+                                                bend.projection))) for r in radii]
+
+
+class TestParaxialBend:
+    """The focal shift a bend adds, against Coddington's equations with the
+    substrate term (``oracles.bend_focal_shift_limits``)."""
+
+    @pytest.mark.parametrize("projection", sorted(PROJECTIONS))
+    @pytest.mark.parametrize("origin, target", [
+        ((-30.0, 0.0, -40.0), (0.0, 0.0, 80.0)),  # the shipped combiner: t_d = 0
+        ((-30.0, 0.0, -40.0), (20.0, 0.0, 80.0)),
+        ((-40.0, 0.0, -30.0), (-15.0, 0.0, 70.0)),
+        ((0.0, 0.0, -50.0), (25.0, 0.0, 60.0)),  # cos t_d < cos t_i: the focus moves away
+    ], ids=["combiner", "target_x20", "target_x-15", "normal_probe"])
+    def test_small_aperture_shift_extrapolates_to_the_paraxial_limit(self, origin, target, projection):
+        doc = _bent_scene(origin, target, 0.5, (40, 64), projection)
+        radii = (6400.0, 25600.0)
+        near, far = _focal_shifts(doc, radii)
+        # linear in 1/R through both radii, evaluated at 1/R = 0
+        limit = (far * radii[1] - near * radii[0]) / (radii[1] - radii[0])
+        want = np.array(oracles.bend_focal_shift_limits(doc))
+        assert np.all(np.abs(limit - want) <= 1e-3 * np.abs(want)), (limit, want)
+
+    @pytest.mark.parametrize("projection", sorted(PROJECTIONS))
+    def test_shipped_aperture_shift_converges_at_first_order(self, projection):
+        # the aperture adds a term in 1/R, so each doubling of R halves the step
+        doc = _bent_scene((-30.0, 0.0, -40.0), (0.0, 0.0, 80.0), 10.0, (100, 160), projection)
+        c = _focal_shifts(doc, (1600.0, 3200.0, 6400.0))
+        ratio = (c[0] - c[1]) / (c[1] - c[2])
+        assert np.all((1.8 <= ratio) & (ratio <= 2.2)), ratio

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -257,8 +258,8 @@ class TestFocalScan:
     def test_spot_total_is_quadrature_sum(self):
         rays = _converging_bundle(Vec3(0.5, -0.25, 40.0))
         scan = focal_scan(rays, (5.0, 70.0), 14)
-        for rep in scan.reports:
-            assert abs(rep.rms_total ** 2 - (rep.rms_x ** 2 + rep.rms_y ** 2)) <= 1e-12
+        for _, _, _, rms_x, rms_y, rms_total in scan.reports.tolist():
+            assert abs(rms_total ** 2 - (rms_x ** 2 + rms_y ** 2)) <= 1e-12
 
     def test_exact_minima_of_astigmatic_bundle(self):
         # x0 + t*(-x0/60) vanishes at z = 60 for every ray, y likewise at 80
@@ -275,7 +276,7 @@ class TestFocalScan:
         assert abs(scan.z_star_x - 50.0) <= 1e-12 * 50.0
         assert scan.z_star_y is None
         assert scan.z_star_total == scan.z_star_x
-        assert len({rep.rms_y for rep in scan.reports}) == 1
+        assert len(set(scan.reports[:, 4].tolist())) == 1
 
 
 ORACLE_BUNDLES = {
@@ -293,11 +294,10 @@ def test_focal_scan_matches_per_plane_loop(bundle):
     scan = focal_scan(rays, z_range, n_planes)
     reports, (ix, iy, it) = _loop_focal_scan(rays, z_range, n_planes)
     assert len(scan.reports) == len(reports)
-    for rep, ref in zip(scan.reports, reports):
-        assert rep.z == ref[0]
-        got = (rep.cx, rep.cy, rep.rms_x, rep.rms_y, rep.rms_total)
-        for col, (g, r) in enumerate(zip(got, ref[1:])):
-            assert _close(g, r), f"z = {rep.z} column {col}: {g!r} vs loop {r!r}"
+    for rep, ref in zip(scan.reports.tolist(), reports):
+        assert rep[0] == ref[0]
+        for col, (g, r) in enumerate(zip(rep[1:], ref[1:])):
+            assert _close(g, r), f"z = {rep[0]} column {col}: {g!r} vs loop {r!r}"
     assert (scan.z_min_rms_x, scan.z_min_rms_y, scan.z_min_rms_total) == (
         reports[ix][0], reports[iy][0], reports[it][0])
     last = n_planes - 1
@@ -307,8 +307,8 @@ def test_focal_scan_matches_per_plane_loop(bundle):
 def test_homocentric_focus_is_exact():
     # the naive var(a) + 2z cov(a, b) + z^2 var(b) leaves ~6e-8 mm here
     scan = focal_scan(_converging_bundle(Vec3(0.5, -0.25, 40.0)), (5.0, 70.0), 66)
-    focus = next(rep for rep in scan.reports if rep.z == 40.0)
-    assert focus.rms_total <= 1e-12
+    focus = next(rep for rep in scan.reports.tolist() if rep[0] == 40.0)
+    assert focus[5] <= 1e-12
     assert abs(scan.z_star_total - 40.0) <= 1e-12 * 40.0
 
 
@@ -856,13 +856,16 @@ class TestRayViews:
         a, b = _copy(bundle, slice(n // 3, 2 * n // 3)), _copy(bundle, slice(2 * n // 3, n))
         mixed = [_hand_built(bundle, i) for i in range(n // 3)] + list(a) + list(b)
         assert bundle == views == mixed
-        results = []
+        results, scans = [], []
         for rays in (bundle, views, mixed):
             hits = intersect_plane(rays, 86.0)
-            results.append((hits.z0, hits.index.tolist(), hits.xy.tolist(), hits.parallel, hits.behind,
-                            focal_scan(rays, (80.0, 92.0), 241)))
+            results.append((hits.z0, hits.index.tolist(), hits.xy.tolist(), hits.parallel, hits.behind))
+            scan = focal_scan(rays, (80.0, 92.0), 241)
+            scans.append((scan.reports.shape, scan.reports.tobytes(),
+                          [getattr(scan, f.name) for f in dataclasses.fields(scan) if f.name != "reports"]))
         assert results[0] == results[1] == results[2]
-        assert results[0][5].z_min_rms_x == pytest.approx(85.75, abs=1e-9)
+        assert scans[0] == scans[1] == scans[2]
+        assert scan.z_min_rms_x == pytest.approx(85.75, abs=1e-9)
 
     def test_views_read_read_only_arrays(self):
         trace = _bent_trace((2, 4))

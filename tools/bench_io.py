@@ -1,4 +1,4 @@
-"""Time the per-sample file writers and readers of two checkouts and write a BENCH json.
+"""Time the per-sample file writers and readers and the focal scan of two checkouts and write a BENCH json.
 
 Run from the root of a checkout, with a second checkout to compare with:
 
@@ -8,9 +8,10 @@ The scene is ``combiner_deformed.json`` on the polar grids 10x16, 40x64
 and 100x160 (161, 2 561 and 16 001 samples). For each grid and round, one
 fresh interpreter per checkout (the base first, then this one) records
 the field, deforms and traces it, intersects the detector planes and runs
-the focal scan, then times ``--reps`` calls of each writer and reader:
-``fieldio.save`` (the field and the deformed field, as one op saves
-them), ``scene.write_rays``, ``scene.write_hits``, ``scene.write_spots``,
+the focal scan, then times ``--reps`` calls of the focal scan and of each writer and
+reader: ``fieldio.save`` (the field and the deformed field, as one op saves
+them), ``scene.write_rays``, ``scene.write_hits``, ``scene.focal_scan``
+(the config's 801-plane scan of the traced rays), ``scene.write_spots``,
 ``fieldio.load`` (both field files again), ``scene.read_rays``, and the
 text readers that take the files the block readers refuse:
 ``fieldio.load_text`` (``fieldio._load_text`` on both field files) and
@@ -43,8 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GRIDS = ((10, 16), (40, 64), (100, 160))
-OPS = ("fieldio.save", "scene.write_rays", "scene.write_hits", "scene.write_spots", "fieldio.load", "scene.read_rays",
-       "fieldio.load_text", "scene.read_rays_text")
+OPS = ("fieldio.save", "scene.write_rays", "scene.write_hits", "scene.focal_scan", "scene.write_spots", "fieldio.load",
+       "scene.read_rays", "fieldio.load_text", "scene.read_rays_text")
 
 CHILD = r"""
 import atexit, json, resource, shutil, sys, tempfile, time, tracemalloc
@@ -76,6 +77,7 @@ ops = {
     "fieldio.save": lambda: (save_field(field, out / "field.json"), save_field(deformed, out / "deformed.json")),
     "scene.write_rays": lambda: write_rays_csv(trace, out / "rays.csv"),
     "scene.write_hits": lambda: write_hits_csv(planes, out / "hits.csv"),
+    "scene.focal_scan": lambda: focal_scan(rays, (spec.z_min, spec.z_max), spec.n_planes),
     "scene.write_spots": lambda: write_spots_csv(scan.reports, out / "spots.csv"),
     "fieldio.load": lambda: (load_field(out / "field.json"), load_field(out / "deformed.json")),
     "scene.read_rays": lambda: read_rays_csv(out / "rays.csv"),
@@ -156,7 +158,7 @@ def main() -> int:
                 moves.append(math.copysign(1.0, move) if abs(move) > q3 - q1 else 0.0)
             row["resolved"] = moves[0] == moves[1] != 0.0
     doc = {
-        "what": "median and quartile seconds of each writer and reader, raw and divided by "
+        "what": "median and quartile seconds of the focal scan and of each writer and reader, raw and divided by "
                 "perfbench.run.timed_reference_loop() run around it, its minor page faults per call and its "
                 "tracemalloc peak; combiner_deformed.json on polar grids. resolved: the raw and the divided "
                 "medians move the same way, each by more than the base's quartile distance of that kind",
