@@ -39,7 +39,7 @@ from .recording import (
     check_isosurface,
     record,
 )
-from .deformation import induce_forward, induce_inverse, resample_field, rescale
+from .deformation import induce_forward, induce_inverse, rescale
 from .diffraction import DiffractionResult, DiffractionStatus
 from .fieldio import field_from_dict, field_to_dict, load_field, save_field
 from .scene import (

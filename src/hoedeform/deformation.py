@@ -22,10 +22,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .config import parse_field_grid
-from .errors import DomainError, NonPositiveFactor, NoPreimage, at_sample
-from .geometry import TWO_PI, combine, dot, first_index, frames, raise_first
-from .recording import GratingVectorField, GridSpec, PolarGrid, hook_values, sample_context
+from .errors import NonPositiveFactor, NoPreimage
+from .geometry import first_index
+from .recording import GratingVectorField, hook_values, sample_context
 from .surfaces import Projection, SurfaceProfile, inverse_project_points, project_points
 
 
@@ -97,62 +96,3 @@ def rescale(
     with np.errstate(over="ignore"):  # overflowing coordinates fail the field's finiteness check
         g = field.g * f[:, None]
     return GratingVectorField(field.carrier, field.s, field.phi, field.pos, g, field.grid, field.wavelength_nm)
-
-
-def resample_field(field: GratingVectorField, grid: GridSpec) -> GratingVectorField:
-    """Interpolate a polar-structured field onto a new grid on the same carrier.
-
-    Transport itself is pointwise and never resamples; this separate utility
-    interpolates frame coordinates bilinearly in (s, phi) when a field needs
-    a different lattice. The field must stem from a polar grid (inductions
-    preserve the ring structure); target radii must lie inside the sampled
-    radial range, with the vertex sample (if present) covering s below the
-    innermost ring. The vertex's world vector is re-expressed in the frame
-    at each target azimuth.
-    """
-    base = parse_field_grid(field.grid, "grid")
-    if not isinstance(base, PolarGrid):
-        raise ValueError("resampling requires a field with polar grid structure")
-    n_phi, n_s, has_vertex = base.n_phi, base.n_s, base.include_vertex
-
-    offset = 1 if has_vertex else 0
-    if len(field) != offset + n_s * n_phi:
-        raise ValueError(f"field has {len(field)} samples, polar structure expects {offset + n_s * n_phi}")
-    carrier = field.carrier
-    ring_s = field.s[offset::n_phi]
-    rings = field.g[offset:].reshape(n_s, n_phi, 3)
-    s, phi = grid.footprint_arrays(carrier.domain_radius)
-    inner = s <= ring_s[0]
-    raise_first([
-        (s > ring_s[-1] * (1.0 + 1e-12), lambda i: at_sample(DomainError(
-            f"target radius {float(s[i])} outside sampled range [0, {float(ring_s[-1])}]"), i)),
-        (inner & (not has_vertex), lambda i: at_sample(DomainError(
-            f"target radius {float(s[i])} below the innermost ring and no vertex sample present"), i)),
-    ])
-
-    # periodic linear interpolation along the rings
-    u = np.mod(phi, TWO_PI) / (TWO_PI / n_phi)
-    i0 = np.floor(u).astype(np.intp) % n_phi
-    w_phi = (u - np.floor(u))[:, None]
-
-    def ring_coords(j: np.ndarray) -> np.ndarray:
-        return rings[j, i0] * (1.0 - w_phi) + rings[j, (i0 + 1) % n_phi] * w_phi
-
-    lo = np.maximum(np.minimum(np.searchsorted(ring_s, s, side="right"), n_s - 1) - 1, 0)
-    hi = np.minimum(lo + 1, n_s - 1)
-    span = ring_s[hi] - ring_s[lo]
-    w = np.where(inner, s / ring_s[0],
-                 np.minimum(1.0, np.divide(s - ring_s[lo], span, out=np.ones_like(s), where=span > 0.0)))[:, None]
-    below, above = ring_coords(lo), ring_coords(np.where(inner, 0, hi))
-    if has_vertex:
-        world = combine(*frames(carrier, field.s[:1], field.phi[:1]), *field.g[0])
-        t, b, n = frames(carrier, np.zeros_like(s), phi)
-        world = np.broadcast_to(world, t.shape)
-        below = np.where(inner[:, None], np.column_stack((dot(world, t), dot(world, b), dot(world, n))), below)
-    g = below * (1.0 - w) + above * w
-
-    x, y = s * np.cos(phi), s * np.sin(phi)
-    r = np.hypot(x, y)
-    carrier.require_radii(r)
-    return GratingVectorField(carrier, s, phi, np.column_stack((x, y, carrier.heights(r))), g, grid.descriptor(),
-                              field.wavelength_nm)

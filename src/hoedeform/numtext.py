@@ -10,27 +10,24 @@ around the characters; the row assembler ``fieldio.write_rows`` drops them.
 The digits come from y = |x| * 10**p, with p chosen so that 1e16 <= y < 1e17,
 held as a double-double hi + lo: Dekker's exact product (Numer. Math. 18,
 1971) of x and 10**p as a double-double from a table (``_dd_product``, which
-the reader shares), or, where 10**-p is a double, the quotient by it with
-its exact remainder. Every row is then certified against the error bound of
+the reader shares). Every row is then certified against the error bound of
 y (``_MARGIN``), in the pattern of Grisu3 (Loitsch, PLDI 2010): a row whose
 rounding, or whose rounding interval, lies too close to a decision boundary
 to decide, and every |x| outside [1e-280, 1e280] (subnormals and non-finite
-values among them), is formatted by CPython's ``repr`` or ``%`` instead. Zeros and exact powers of
-ten are exact and need no fallback.
+values among them), is formatted by CPython's ``repr`` or ``%`` instead.
+Zeros and the powers of ten up to 1e15, whose y is exact, need no fallback.
 
-p itself comes from the exponent bits of x and one compare with a table of
-powers of ten; a row a decade off goes through the product again. The text
+p itself is 16 - floor(log10 |x|), from numpy's ``log10``; a row a decade
+off, as next to a power of ten, goes through the product again. The text
 of a row is built in three little-endian 64-bit words of digits and a word
-before them, and each step that most rows need runs in place over whole
-columns, the small ones as int16. The steps that few rows need (a zero, a
-rounding up to 10**17, the exponent of exponent notation, repr's ".0") run
-on those rows alone, found with ``nonzero``: a block pays for them by the
-rows that need them, not by its length. Callers pass blocks of
-``BLOCK_VALUES`` values: numpy's cost per call, ~0.1 ms, dominates much
-smaller blocks. The kernel holds at most 80 bytes a value at its peak, and
-a block is the largest whose writer (``fieldio.write_rows``), with the
-kernel, the block's text and the rows it writes, stays under the 1 MiB
-thresholds of the heap (``heap``).
+before them, and the steps run in place over whole columns, the small ones
+as int16. Only the exponent of exponent notation runs on the rows that need
+it, found with ``nonzero``: a block pays for it by those rows, not by its
+length. Callers pass blocks of ``BLOCK_VALUES`` values: numpy's cost per
+call, ~0.1 ms, dominates much smaller blocks. The kernel holds at most 80
+bytes a value at its peak, and a block is the largest whose writer
+(``fieldio.write_rows``), with the kernel, the block's text and the rows it
+writes, stays under the 1 MiB thresholds of the heap (``heap``).
 
 ``read_floats(text, starts, ends)`` is the inverse: the values of the number
 tokens ``text[starts[i]:ends[i]]`` of a block of bytes, and the mask of the
@@ -72,15 +69,14 @@ BLOCK_VALUES = 9000
 # product (``_dd_product``) errs by at most 3.5 * 2**-106 * y < 2**-47 (the
 # table's 10**p errs by 2**-107 relative, x * lo(10**p), at most 2**-53 y,
 # rounds by 2**-106 y, and its sum with Dekker's exact low part, at most
-# 2**-52 y, by 2**-105 y), the quotient by at most 2**-48; the distances
-# compared with the rounding interval add at most 2**-49 each in rounding,
-# and the interval's half width 2**-48. A decision closer than this margin
-# to its boundary, 8 times the sum of the errors, goes to CPython.
+# 2**-52 y, by 2**-105 y); the distances compared with the rounding
+# interval add at most 2**-49 each in rounding, and the interval's half
+# width 2**-48. A decision closer than this margin to its boundary, 8 times
+# the sum of the errors, goes to CPython.
 _MARGIN = 2.0 ** -44
 _LIMITS = (1e-280, 1e280)
 # 10**p for every p the kernel can ask for: 16 - floor(log10 |x|), +-1
 _P_MIN, _P_MAX = -265, 297
-_EXACT_MAX = 22  # 10**22 is the largest power of ten that is a double
 _TOKEN_BYTES = 24  # the reader refuses a longer token
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves
 _EXPONENT_BITS, _FRACTION_BITS = 0x7FF << 52, (1 << 52) - 1
@@ -113,12 +109,9 @@ def _tables():
     """The powers of ten and the byte masks of the kernel, built on first use.
 
     ``pow10``: 10**p for p in [_P_MIN, _P_MAX] as double-double columns (hi,
-    hi's two halves, lo), indexed by p - _P_MIN. For each biased exponent b of
-    a double, ``decade[b]``: the index in ``pow10`` of p = 16 - floor(log10
-    2**(b - 1023)), and ``tens[b]``: 10 to the power one above that floor,
-    rounded (10**-265 below 1e-265, where any threshold keeps the decade within
-    one of the right one). ``ascii4``: "0000".."9999" as little-endian words,
-    and ``lead4`` the same without leading zeros. Word tables, indexed by k:
+    hi's two halves, lo), indexed by p - _P_MIN. ``ascii4``: "0000".."9999"
+    as little-endian words, and ``lead4`` the same without leading zeros.
+    Word tables, indexed by k:
     ``below``, the mask of bytes 0..k-1; ``dot``, a point at byte k (none for
     k = 18). ``zeros4``: the trailing zeros of 0000..9999;
     ``front[2 * c + s]``: bytes 2..7 of a row, ending in a minus sign if s,
@@ -139,7 +132,6 @@ def _tables():
             lo.append((two - num * den) / (two * den))
         hi.append(h)
     hi = np.array(hi)
-    floors = np.arange(-1023, 1025) * 78913 >> 18  # floor(e * log10(2)) for |e| < 1650 (Ryu's log10Pow2)
     ascii4 = np.zeros((10, 10, 10, 10, 8), dtype=np.uint8)
     for place in range(4):
         ascii4[..., place] = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8).reshape([10 if i == place else 1
@@ -162,8 +154,6 @@ def _tables():
         "pow10": np.array([hi, *_split(hi), lo]),
         "whole": _word_table(whole, 0xFF),
         "high": _word_table(high, 0xFF),
-        "decade": np.clip(16 - floors - _P_MIN, 0, _P_MAX - _P_MIN).astype(np.intp),
-        "tens": hi[np.clip(floors + 1 - _P_MIN, 0, _P_MAX - _P_MIN)],
         "ascii4": ascii4.view(_WORD).ravel(),
         "lead4": lead4.view(_WORD).ravel(),
         "below": _word_table(at < k, 0xFF),
@@ -216,18 +206,6 @@ def _scaled(a: np.ndarray, i: np.ndarray):
     ``i`` = p - _P_MIN of 10**p in the power table, within the error of
     ``_MARGIN``."""
     hi, lo = _dd_product(a, i)
-    if a.max(initial=0.0) >= 1e16:  # some p may be negative
-        div = ((i < -_P_MIN) & (i >= -_EXACT_MAX - _P_MIN)).nonzero()[0]
-        if len(div):  # 10**-p is a double: divide by it, so that exact quotients stay exact
-            q = _tables()["pow10"][0][-i[div] - 2 * _P_MIN]
-            num = a[div]
-            quot = num / q
-            prod = quot * q
-            qh, ql = _split(quot)
-            dh, dl = _split(q)
-            err = ((qh * dh - prod) + qh * dl + ql * dh) + ql * dl
-            hi[div] = quot
-            lo[div] = ((num - prod) - err) / q
     # hi is a whole number and |lo| <= 8: floor(y) = hi + floor(lo)
     whole = hi.astype(np.int64)
     floor_lo = np.floor(lo, out=hi)
@@ -241,16 +219,12 @@ def _scale17(a: np.ndarray, kernel: np.ndarray):
     [1e16, 1e17); rows whose y cannot be brought into that range leave
     ``kernel``.
 
-    p = 16 - floor(log10 a) is read off the exponent bits of a: a binade
-    meets at most two decades, and the table gives p of the lower one and
-    the power of ten where the upper one starts. Outside 1e0..1e22 that
-    power is rounded, so a value next to it may come out a decade off: such
-    rows, whose y is out of range, are scaled again with p moved by one."""
-    tables = _tables()
-    binade = a.view(np.int64) >> 52
-    i = tables["decade"].take(binade)
-    i -= a >= tables["tens"].take(binade)
-    del binade
+    p = 16 - floor(log10 a), with numpy's rounded ``log10``: a value next to
+    a power of ten may come out a decade off, and such rows, whose y is out
+    of range, are scaled again with p moved by one."""
+    i = np.log10(a)
+    np.floor(i, out=i)
+    i = np.subtract(16 - _P_MIN, i).astype(np.intp)
     whole, frac = _scaled(a, i)
     redo = ((whole < 10 ** 16) | (whole >= 10 ** 17)).nonzero()[0]
     if len(redo):
@@ -429,22 +403,20 @@ def g17_text(values: np.ndarray) -> np.ndarray:
 def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
     """``repr(v)`` (``shortest``) or ``'%.17g' % v`` of every value.
 
-    The steps every row needs run on whole columns, in place where they
-    can, with the small columns as int16; the rare ones (the rows outside
-    the kernel's range, zeros, a rounding up to 10**17, the exponent and
-    repr's ".0") run only on the rows that need them. The digits and the point are assembled in three rows
-    of words (3, n), their masks in the memory of the rows of text, which
-    they are then written to.
+    The steps run on whole columns, in place where they can, with the small
+    columns as int16, except the exponent of exponent notation and the rows
+    left to CPython, which run only on the rows that need them. The digits
+    and the point are assembled in three rows of words (3, n), their masks
+    in the memory of the rows of text, which they are then written to.
     """
     tables = _tables()
     x = np.ascontiguousarray(values, dtype=float)
     n = len(x)
     a = np.abs(x)
     kernel = (a >= _LIMITS[0]) & (a <= _LIMITS[1])  # False for nan
-    odd = (~kernel).nonzero()[0]
-    zero = odd[a[odd] == 0.0]
-    a[odd] = 1.0  # zero, like 1.0, has its point after the first digit
-    kernel[zero] = True
+    zero = a == 0.0
+    a[~kernel] = 1.0  # zero, like 1.0, has its point after the first digit
+    kernel |= zero
     number, frac, i = _scale17(a, kernel)
     if shortest:
         bits = a.view(np.int64)
@@ -467,10 +439,9 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
     del frac
     kernel &= ~uncertain
     del uncertain
-    carry = (number == 10 ** 17).nonzero()[0]
-    if len(carry):
-        number[carry] = 10 ** 16
-        point[carry] += 1
+    carry = number == 10 ** 17
+    number -= carry * (9 * 10 ** 16)
+    point += carry
     number[zero] = 0
     groups, sig = _groups(number)
     del number
@@ -524,10 +495,9 @@ def _float_text(values: np.ndarray, shortest: bool) -> np.ndarray:
     widest = int(front.max(initial=0)) >> 1  # c of "0." and c - 1 zeros
     first = _BODY - int(signed.any()) - (widest + 1 if widest else 0)
     if shortest:
-        ints = (at_point & (sig <= point)).nonzero()[0]  # repr's ".0"
-        if len(ints):
-            out[ints, 3] |= np.uint64(_ZERO << 8 * (_DOT0 - 24))
-            last = _DOT0 + 1
+        ints = at_point & (sig <= point)  # repr's ".0"
+        out[:, 3] |= ints * np.uint64(_ZERO << 8 * (_DOT0 - 24))
+        last = _DOT0 + 1 if ints.any() else last
     if len(sci):
         e = np.abs(exponent).astype(_WORD)
         text = (np.uint64(_E) | np.where(exponent < 0, np.uint64(_MINUS << 8), np.uint64(_PLUS << 8))

@@ -55,13 +55,15 @@ def _mapped(fn: Callable[[float], float], s: np.ndarray) -> np.ndarray:
     return np.array([fn(v) for v in s.ravel().tolist()], dtype=float).reshape(s.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceProfile:
     """Radial profile h(s) of a rotationally symmetric convex graph surface.
 
     ``radial_height`` maps s (mm) to h (mm); ``radial_slope`` is dh/ds.
     ``kind`` is one of "planar", "sphere_cap", "custom_convex". ``radius``
-    is the sphere radius for sphere caps, None otherwise.
+    is the sphere radius for sphere caps, None otherwise. Profiles compare
+    by identity: each constructor call makes its own callables, so a
+    field-by-field comparison could not tell two equal profiles apart.
     """
 
     kind: str
@@ -305,10 +307,10 @@ def project_points(proj: Projection, profile: SurfaceProfile, p: np.ndarray) -> 
     Orthogonal: (x, y, h(|p|)). Central: the unique intersection of the
     segment from the center C to p with the graph. On a sphere cap it is the
     closed-form line-sphere root; on other profiles a safeguarded
-    Newton-bisection solve on the segment parameter. Either is followed by
-    one Newton polish step. The point is placed on the graph at the solved
-    radius, z = h(tau*|p|): the segment's own (1 - tau)*Cz would lose about
-    eps*Cz to rounding, which puts points off the carrier for distant centers.
+    Newton-bisection solve on the segment parameter. The point is placed on
+    the graph at the solved radius, z = h(tau*|p|): the segment's own
+    (1 - tau)*Cz would lose about eps*Cz to rounding, which puts points off
+    the carrier for distant centers.
 
     Raises DomainError if a point is not in the plane (or, orthogonally,
     outside the domain) and NoIntersection if a segment misses the graph
@@ -347,7 +349,7 @@ def project_points(proj: Projection, profile: SurfaceProfile, p: np.ndarray) -> 
     def step(tau, rows, g):  # the Newton step g / gap'(tau), 0 where gap' = 0
         kr = k[rows]
         d = -cz / kr - profile.slopes(np.minimum(tau * rp_safe[rows], d_dom)) * (rp_safe[rows] / kr)
-        with np.errstate(over="ignore"):  # an overflowing step leaves the bracket, and the polish skips it
+        with np.errstate(over="ignore"):  # an overflowing step leaves the bracket, and bisection replaces it
             return np.divide(g, d, out=np.zeros_like(g), where=d != 0.0) / kr
 
     every = np.arange(rp.size)
@@ -360,16 +362,11 @@ def project_points(proj: Projection, profile: SurfaceProfile, p: np.ndarray) -> 
     solve = ~axis & (g_hi != 0.0)
     tau = tau_hi.copy()
     rows = every[solve]
-    if rows.size:
-        if profile.kind == "sphere_cap":
-            t0 = np.minimum(_sphere_cap_roots(cz, profile.radius, rp[rows]), tau_hi[rows])
-        else:
-            t0 = _bracketed_roots(lambda t, sub: gap(t, rows[sub]), lambda t, sub, g: step(t, rows[sub], g),
-                                  tau_hi[rows])
-        # one Newton step sharpens the root to machine precision
-        t_n = t0 - step(t0, rows, gap(t0, rows))
-        polish = (t_n >= 0.0) & (t_n <= tau_hi[rows])
-        tau[rows] = np.where(polish, t_n, t0)
+    if profile.kind == "sphere_cap":
+        tau[rows] = np.minimum(_sphere_cap_roots(cz, profile.radius, rp[rows]), tau_hi[rows])
+    else:
+        tau[rows] = _bracketed_roots(lambda t, sub: gap(t, rows[sub]), lambda t, sub, g: step(t, rows[sub], g),
+                                     tau_hi[rows])
     q = np.column_stack((tau * x, tau * y, profile.heights(tau * rp)))
     q[axis] = (0.0, 0.0, h0)
     return q

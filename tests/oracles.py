@@ -11,7 +11,6 @@ than from the code: the paraxial focal shift that bending adds, read off a
 scene config's numbers.
 """
 
-import bisect
 import math
 import sys
 
@@ -23,7 +22,6 @@ from hoedeform.surfaces import DOMAIN_GUARD
 from hoedeform.units import UM_PER_MM
 from hoedeform.waves import SOURCE_EXCLUSION_MM, WaveKind
 
-TWO_PI = 2.0 * math.pi
 REL_TOL = 1e-12  # the tests/reference rule
 
 
@@ -318,44 +316,6 @@ def trace_rows(rows, carrier, probe, mode):
         length = None if kd is None else _norm(kd)
         direction = None if kd is None else (kd[0] / length, kd[1] / length, kd[2] / length)
         out.append((status, kd, direction, mismatch))
-    return out
-
-
-def resample_rows(rows, carrier, n_s, n_phi, has_vertex, targets):
-    """Per target footprint (s, phi) the row of ``resample_field``: bilinear in
-    (s, phi) between rings, the vertex's world vector re-expressed below the
-    innermost ring."""
-    offset = 1 if has_vertex else 0
-    rings = [rows[offset + j * n_phi: offset + (j + 1) * n_phi] for j in range(n_s)]
-    ring_s = [ring[0][0] for ring in rings]
-    dphi = TWO_PI / n_phi
-    if has_vertex:
-        s0, phi0, *_, g1, g2, g3 = rows[0]
-        t, b, n = frame(carrier, s0, phi0)
-        world = _add(_add(_mul(t, g1), _mul(b, g2)), _mul(n, g3))
-
-    def lerp(a, b, w):
-        return tuple(x * (1.0 - w) + y * w for x, y in zip(a, b))
-
-    def ring_coords(j, phi):
-        if j < 0:
-            t, b, n = frame(carrier, 0.0, phi)
-            return (_dot(world, t), _dot(world, b), _dot(world, n))
-        u = (phi % TWO_PI) / dphi
-        i0 = int(math.floor(u)) % n_phi
-        return lerp(rings[j][i0][5:], rings[j][(i0 + 1) % n_phi][5:], u - math.floor(u))
-
-    out = []
-    for s, phi in targets:
-        if s <= ring_s[0]:
-            lo, hi, w = -1, 0, s / ring_s[0]
-        else:
-            lo = min(bisect.bisect_right(ring_s, s), n_s - 1) - 1
-            hi = lo + 1
-            w = min(1.0, (s - ring_s[lo]) / (ring_s[hi] - ring_s[lo]))
-        x, y = s * math.cos(phi), s * math.sin(phi)
-        out.append((s, phi, x, y, carrier.radial_height(math.hypot(x, y)),
-                    *lerp(ring_coords(lo, phi), ring_coords(hi, phi), w)))
     return out
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hoedeform.deformation import induce_forward, induce_inverse, resample_field
+from hoedeform.deformation import induce_forward, induce_inverse
 from hoedeform.errors import NoIntersection, NoPreimage, PointNotOnEllipsoid
 from hoedeform.geometry import Vec3
 from hoedeform.recording import (BraggIsosurfaceSpec, CartesianGrid, GratingVectorField, PolarGrid, check_isosurface,
@@ -131,15 +131,6 @@ def test_drawn_geometry(source, target, radius, center_z, n_s, n_phi, mode):
                   "induce_inverse")
     _assert_trace(trace_field(bent, w1, mode=mode),
                   oracles.trace_rows(oracles.field_rows(bent), cap, w1, mode), "trace")
-
-
-@pytest.mark.parametrize("vertex", [True, False], ids=["vertex", "no_vertex"])
-def test_resample_field(vertex):
-    field = record(SOURCE, TARGET, CAP, PolarGrid(5, 7, include_vertex=vertex))
-    grid = PolarGrid(4, 11, s_max=9.5, include_vertex=vertex)
-    s, phi = grid.footprint_arrays(CAP.domain_radius)
-    want = oracles.resample_rows(oracles.field_rows(field), CAP, 5, 7, vertex, zip(s.tolist(), phi.tolist()))
-    _assert_field(resample_field(field, grid), want, "resample_field")
 
 
 # ---------------------------------------------------------------------------

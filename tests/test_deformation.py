@@ -11,10 +11,9 @@ from hoedeform.config import parse_scene_config
 from hoedeform.deformation import (
     induce_forward,
     induce_inverse,
-    resample_field,
     rescale,
 )
-from hoedeform.errors import DomainError, NoIntersection, NonPositiveFactor
+from hoedeform.errors import NoIntersection, NonPositiveFactor
 from hoedeform.geometry import Vec3, combine, norms
 from hoedeform.recording import PolarGrid, record
 from hoedeform.scene import focal_scan, trace_field
@@ -230,58 +229,6 @@ class TestDesignTargetField:
         kd = trace_field(designed, probe, mode="basic").kd
         want = local_wavevectors(desired, designed.pos)
         assert np.all(norms(kd - want) <= 1e-12 * norms(want))
-
-
-class TestResample:
-    def test_constant_field_resamples_exactly_on_matching_azimuths(self):
-        # interpolation acts on frame coordinates, which are constant along s
-        # on a planar carrier; matching azimuths make the resample exact
-        field = record(W0, W65, FLAT, PolarGrid(5, 8))
-        out = resample_field(field, PolarGrid(7, 8, s_max=9.0))
-        ref = next(iter(field.samples)).kg_world()
-        for smp in out.samples:
-            assert (smp.kg_world() - ref).norm() <= 1e-11
-
-    def test_axisymmetric_field_resamples_at_new_azimuths(self):
-        # on-axis point-source recording: frame coordinates depend on s only,
-        # so azimuth interpolation is exact even between source azimuths
-        field = record(Wave.diverging(Vec3(0, 0, -20.0), LAM), Wave.converging(Vec3(0, 0, 30.0), LAM),
-                       CAP, PolarGrid(6, 8))
-        out = resample_field(field, PolarGrid(4, 12, s_max=9.0, include_vertex=False))
-        # coordinates depend on s only: every target ring carries one value
-        by_ring = {}
-        for smp in out.samples:
-            by_ring.setdefault(round(smp.s, 12), []).append(smp.coords)
-        for coords in by_ring.values():
-            ref = coords[0]
-            for c in coords[1:]:
-                assert max(abs(c[0] - ref[0]), abs(c[1] - ref[1]), abs(c[2] - ref[2])) <= 1e-12
-        # radial linear interpolation tracks the exact field to truncation error
-        for smp in out.samples:
-            r = smp.position
-            kg_exact = (local_wavevector(Wave.converging(Vec3(0, 0, 30.0), LAM), r)
-                        - local_wavevector(Wave.diverging(Vec3(0, 0, -20.0), LAM), r))
-            assert (smp.kg_world() - kg_exact).norm() <= 2e-2 * kg_exact.norm()
-
-    def test_linear_radial_profile_interpolates(self):
-        base = record(W0, W65, FLAT, PolarGrid(10, 8))
-        graded = rescale(base, lambda f: 1.0 + 0.05 * f.s)
-        out = resample_field(graded, PolarGrid(6, 8, s_max=8.5, include_vertex=False))
-        k0 = float(base.magnitudes[1])
-        for smp in out.samples:
-            expected = (1.0 + 0.05 * smp.s) * k0
-            assert abs(smp.magnitude - expected) <= 1e-6 * expected
-
-    def test_outside_radial_range_rejected(self):
-        field = record(W0, W65, FLAT, PolarGrid(4, 8, s_max=5.0))
-        with pytest.raises(DomainError):
-            resample_field(field, PolarGrid(3, 8, s_max=9.0))
-
-    def test_requires_polar_structure(self):
-        from hoedeform.recording import CartesianGrid
-        field = record(W0, W65, FLAT, CartesianGrid(4, 4, 6.0))
-        with pytest.raises(ValueError):
-            resample_field(field, PolarGrid(3, 8, s_max=5.0))
 
 
 SHIPPED = json.loads((Path(__file__).resolve().parent.parent / "src" / "hoedeform" / "configs"

@@ -136,10 +136,16 @@ def fallbacks(monkeypatch):
 
 
 def test_zeros_and_powers_of_ten_need_no_fallback(fallbacks):
-    values = [0.0, -0.0, *(10.0 ** k for k in range(23)), *(-(10.0 ** k) for k in range(23)), 0.5, 0.25, 2.0]
+    """Zeros and the powers of ten up to 1e15, whose y is exact, stay in the
+    kernel; from 1e16 the product by 10**p is not exact, and a power of ten
+    may go to CPython, but its text is CPython's either way."""
+    values = [0.0, -0.0, *(10.0 ** k for k in range(16)), *(-(10.0 ** k) for k in range(16)), 0.5, 0.25, 2.0]
     for shortest in (True, False):
         assert _kernel_lines(values, shortest) == _cpython_lines(values, shortest)
     assert fallbacks == []
+    large = [*(10.0 ** k for k in range(16, 23)), *(-(10.0 ** k) for k in range(16, 23))]
+    for shortest in (True, False):
+        assert _kernel_lines(large, shortest) == _cpython_lines(large, shortest)
 
 
 def test_refused_values_go_to_cpython(fallbacks):
@@ -518,16 +524,17 @@ def _decade_values() -> np.ndarray:
 
 
 def test_decade_step_against_exact_decades():
-    """The decade read off the exponent bits and one table compare gives y =
-    |x| * 10**p in [1e16, 1e17) with p = 16 - floor(log10 |x|) exactly
-    (Decimal's exact exponent), the redo step included; and the kernel's
-    text of these values is repr's and '%.17g''s."""
+    """The decade from log10, with the redo step, gives y = |x| * 10**p in
+    [1e16, 1e17) with p = 16 - floor(log10 |x|) exactly (Decimal's exact
+    exponent) on every row the kernel keeps, and it keeps every value below
+    1e16; and the kernel's text of all these values is repr's and '%.17g''s."""
     values = _decade_values()
     kernel = np.ones(len(values), dtype=bool)
     whole, _, index = numtext._scale17(values.copy(), kernel)
-    assert kernel.all()
-    assert ((whole >= 10 ** 16) & (whole < 10 ** 17)).all()
-    assert (index + numtext._P_MIN).tolist() == [16 - Decimal(v).adjusted() for v in values.tolist()]
+    assert kernel[values < 1e16].all()
+    assert ((whole[kernel] >= 10 ** 16) & (whole[kernel] < 10 ** 17)).all()
+    exact = [16 - Decimal(v).adjusted() for v in values[kernel].tolist()]
+    assert (index[kernel] + numtext._P_MIN).tolist() == exact
     for shortest in (True, False):
         assert _kernel_lines(values, shortest) == _cpython_lines(values.tolist(), shortest)
 

@@ -113,7 +113,6 @@ def git(checkout: Path, *args: str) -> str:
 
 def child(checkout: Path, grid: tuple, reps: int) -> dict:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    env.pop("HOE_THREADS", None)
     res = subprocess.run([sys.executable, "-c", CHILD, str(ROOT / "perfbench"),
                           str(ROOT / "src/hoedeform/configs/combiner_deformed.json"), *map(str, grid), str(reps)],
                          capture_output=True, text=True, env=env, check=True)
